@@ -25,7 +25,8 @@ worst = max(np.linalg.norm(a @ b - b @ a)
             for i, a in enumerate(mats) for b in mats[i + 1:])
 print("raw projector effects: 16 click patterns over 2 key bins")
 print("  worst pairwise commutator norm:", worst)
-print("  completeness defect:", effects.completeness_defect())
+print("  completeness defect:",
+      np.max(np.abs(sum(mats) - np.eye(effects.registry.dim))))
 
 # --- reduction onto the signal path breaks commutativity ----------------
 

@@ -14,8 +14,8 @@ from .protocol import (AliceRecord, ClickRecord, DetectorModel, SessionConfig,
 from .entangled import (EbState, alice_measure, build_eb_state,
                         compare_statistics)
 from .povm import (EffectSet, build_e2_e3, build_projector_effects,
-                   certify_noncommutativity, reduce_effect,
-                   reduced_effect_set, t_term, t_term_numeric)
+                   certify_noncommutativity, reduced_effect_set, t_term,
+                   t_term_numeric)
 from .witness import (DiagonalWitness, WitnessCandidate,
                       diagonal_positivity_theorem_check,
                       min_separable_expectation, witness_search)

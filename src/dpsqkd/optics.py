@@ -4,6 +4,8 @@ Analytic route: coherent amplitudes per (path, time-bin), propagated in
 closed form.  Fock route: the same mode map lifted to a unitary on a
 truncated Fock space, either materialized as a dense operator at desk
 scale or applied gate-by-gate to state vectors at larger dimensions.
+Sector route: the mode map lifted exactly, one photon-number sector at a
+time, with no per-mode truncation (:func:`sector_lift`).
 
 Wire convention
 ---------------
@@ -25,6 +27,7 @@ inconsequential sign discrepancy on the D1 amplitudes and is not used.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,7 +40,8 @@ _COMPENSATION_TOL = 1e-12
 #: refuse to materialize dense unitaries above this dimension
 DEFAULT_MAX_UNITARY_DIM = 8192
 
-#: refuse to evolve state batches above this many complex entries
+#: refuse to evolve state batches, or lift photon-number sector blocks,
+#: above this many entries
 DEFAULT_MAX_STATE_ENTRIES = 3 * 10 ** 8
 
 
@@ -459,3 +463,109 @@ def fock_output_amplitudes(amp_rows: np.ndarray, bins: int, cutoff: int,
     # pair layout (A0, B0, A1, B1, ...) -> wire order (A0..A_{B-1}, B0..)
     order = [2 * i for i in range(bins)] + [2 * i + 1 for i in range(bins)]
     return amps_pair[:, order] / norms[:, None]
+
+
+# ---------------------------------------------------------------------------
+# exact photon-number sectors
+
+
+def sector_dim(n_modes: int, n: int) -> int:
+    """Number of n-photon basis states of `n_modes` modes."""
+    return math.comb(n + n_modes - 1, n_modes - 1)
+
+
+def sector_occupations(n_modes: int, n: int) -> np.ndarray:
+    """Occupations of every n-photon basis state of `n_modes` modes, one
+    row per state, in ascending Kronecker order (the order any registry
+    holding these states lists them in)."""
+    occ = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n_modes - 1):
+        reps = n + 1 - occ.sum(axis=1)
+        nxt = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        occ = np.column_stack([np.repeat(occ, reps, axis=0), nxt])
+    return np.column_stack([occ, n - occ.sum(axis=1)])
+
+
+def sector_lift(config: InterferometerConfig, bins: int, n_max: int,
+                max_occupation=None):
+    """Exact interferometer images of wire basis states, one photon-number
+    sector at a time, with nothing truncated.
+
+    The interferometer conserves photon number and maps input creation
+    operators through the mode map ``u`` (:func:`single_particle_unitary`):
+    ``U |x + e_k> = sum_j u[j, k] b_j^dag U |x> / sqrt(x_k + 1)``, a sparse
+    creation map from sector n - 1 to sector n.  Stays in float64 when
+    ``u`` is real.
+
+    The inputs are the wire basis states with at most `n_max` photons and
+    occupations at most `max_occupation` (one bound per wire, in wire
+    order; default unbounded).  Returns an iterator of
+    ``(outputs, inputs, images)`` over the sectors n that hold inputs:
+    the occupation rows of the sector basis (dim_n x 2B) and of its inputs
+    (m_n x 2B), and ``images[:, i] = U |inputs[i]>`` (dim_n x m_n).
+
+    Raises ValueError, before allocating anything, when the largest block
+    (dim_n x m_n entries) exceeds ``DEFAULT_MAX_STATE_ENTRIES``.
+    """
+    n_modes = 2 * bins
+    caps = [n_max] * n_modes if max_occupation is None else \
+        [min(int(c), n_max) for c in max_occupation]
+    if len(caps) != n_modes:
+        raise ValueError(f"max_occupation needs one bound per wire "
+                         f"({n_modes}), got {len(caps)}")
+    # sectors above sum(caps) hold no input; the top sector holds one, and
+    # sector dimensions grow with n, so its size alone can refuse at once
+    n_max = min(n_max, sum(caps))
+    if sector_dim(n_modes, n_max) > DEFAULT_MAX_STATE_ENTRIES:
+        raise ValueError(f"photon-number sector {n_max} of "
+                         f"{sector_dim(n_modes, n_max)} states exceeds the "
+                         f"sector bound {DEFAULT_MAX_STATE_ENTRIES}")
+    counts = [1] + [0] * n_max            # inputs per sector
+    for cap in caps:
+        prefix = [0, *itertools.accumulate(counts)]
+        counts = [prefix[n + 1] - prefix[max(0, n - cap)]
+                  for n in range(n_max + 1)]
+    n = max(range(n_max + 1),
+            key=lambda n: sector_dim(n_modes, n) * counts[n])
+    dim, m = sector_dim(n_modes, n), counts[n]
+    if dim * m > DEFAULT_MAX_STATE_ENTRIES:
+        raise ValueError(
+            f"photon-number sector {n} block of {dim} states x {m} inputs "
+            f"= {dim * m} entries exceeds the sector bound "
+            f"{DEFAULT_MAX_STATE_ENTRIES}")
+    u = single_particle_unitary(config, bins)
+    if not np.any(u.imag):
+        u = np.ascontiguousarray(u.real)
+    return _lift_sectors(u, n_max, np.array(caps))
+
+
+def _lift_sectors(u: np.ndarray, n_max: int, caps: np.ndarray):
+    n_modes = u.shape[0]
+    # base-(n_max + 1) codes sort like the rows of sector_occupations
+    strides = (n_max + 1) ** np.arange(n_modes - 1, -1, -1)
+    outputs = np.zeros((1, n_modes), dtype=np.int64)
+    images = np.ones((1, 1), dtype=u.dtype)
+    input_codes = np.zeros(1, dtype=np.int64)
+    yield outputs, outputs, images
+    for n in range(1, n_max + 1):
+        new_outputs = sector_occupations(n_modes, n)
+        codes = new_outputs @ strides
+        inputs = new_outputs[np.all(new_outputs <= caps, axis=1)]
+        cols = np.arange(len(inputs))
+        # each input comes from its parent one photon down, taken off its
+        # last occupied wire k
+        k = n_modes - 1 - np.argmax(inputs[:, ::-1] > 0, axis=1)
+        parents = np.searchsorted(input_codes,
+                                  inputs @ strides - strides[k])
+        src = images[:, parents]
+        coef = u[:, k] / np.sqrt(inputs[cols, k])
+        new_images = np.zeros((len(new_outputs), len(inputs)), dtype=u.dtype)
+        old_codes = outputs @ strides
+        for j in range(n_modes):
+            # b_j^dag: sector state s -> s + e_j with weight sqrt(s_j + 1)
+            tgt = np.searchsorted(codes, old_codes + strides[j])
+            new_images[tgt] += (np.sqrt(outputs[:, j] + 1.0)[:, None]
+                                * src * coef[j])
+        outputs, images = new_outputs, new_images
+        input_codes = inputs @ strides
+        yield outputs, inputs, images

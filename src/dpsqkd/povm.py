@@ -10,6 +10,13 @@ path reduces them to effects on the signal path alone, and that reduction
 is what breaks commutativity: the certified positive lower bound on
 ``||[E2, E3]||_F`` is this package's headline check.
 
+The interferometer conserves photon number, so every reduced effect is
+block diagonal in it, and the reduction is evaluated exactly, one
+photon-number sector at a time (:func:`~dpsqkd.optics.sector_lift`):
+signal states with at most `cutoff` photons per time bin reach sector
+(N+1)*cutoff, and no output wire is truncated.  The only approximation
+left in the reduced effects is the signal cutoff itself.
+
 Effects are indexed by click patterns: a tuple with one ``(d0, d1)`` bool
 pair per key bin 1..N.  (A printed enumeration of these effects elsewhere
 repeats a factor in one row; the systematic one-factor-per-mode indexing
@@ -27,8 +34,8 @@ import numpy as np
 
 from . import fock
 from .fock import FockOperator, ModeRegistry
-from .optics import (InterferometerConfig, fock_unitary, wire_registry,
-                     _evolve_wire_batch)
+from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
+                     sector_lift)
 
 ClickPattern = Tuple[Tuple[bool, bool], ...]
 
@@ -37,9 +44,11 @@ ClickPattern = Tuple[Tuple[bool, bool], ...]
 E2_PATTERN: ClickPattern = ((True, False), (False, False))
 E3_PATTERN: ClickPattern = ((False, False), (False, True))
 
-#: certified positive floor for ||[E2, E3]||_F at any cutoff >= 3, fixed by
-#: a pre-build dense evaluation (0.15460521937... at cutoff 3, increasing
-#: with cutoff)
+#: certified positive floor for ||[E2, E3]||_F at any cutoff >= 3 (up to
+#: the sector bound), fixed by a pre-build dense evaluation: the
+#: silent-boundary value is 0.15460521937... at cutoff 3 and rises with
+#: the cutoff towards 0.1546056095; the complete-POVM value is larger
+#: (0.19311... at cutoff 3, rising)
 NONCOMMUTATIVITY_FLOOR = 0.1546
 
 G_COMMUTE_TOL = 1e-12
@@ -92,20 +101,6 @@ class EffectSet:
     def effect(self, pattern: ClickPattern) -> FockOperator:
         return self.effects[pattern]
 
-    def __iter__(self):
-        return (self.effects[p] for p in self.patterns)
-
-    def __len__(self):
-        return len(self.patterns)
-
-    def completeness_defect(self) -> float:
-        """``max |sum_j effects_j - identity|`` entrywise."""
-        total = sum(e.matrix for e in self)
-        return float(np.max(np.abs(total - np.eye(self.registry.dim))))
-
-    def min_eigenvalue(self) -> float:
-        return min(float(np.linalg.eigvalsh(e.matrix)[0]) for e in self)
-
 
 def build_projector_effects(n_bins: int, cutoff: int) -> EffectSet:
     """The full 4^N family of projector effects on the detection wires.
@@ -135,151 +130,71 @@ def signal_registry(n_bins: int, cutoff: int) -> ModeRegistry:
 # reduction through the interferometer
 
 
-def _vacuum_column_indices(registry: ModeRegistry) -> np.ndarray:
-    """Basis indices whose path-1 wires are all in vacuum, ordered like the
-    path-0 sub-registry (a consequence of path-major mode order)."""
-    keep = np.ones(registry.dim, dtype=bool)
-    for m in registry.modes:
-        if m[0] == 1:
-            keep &= registry.occupations(m) == 0
-    return np.flatnonzero(keep)
-
-
-def _boundary_vacuum_diagonal(registry: ModeRegistry,
-                              detection_modes) -> np.ndarray:
-    """0/1 diagonal of the projector onto vacuum of every wire outside the
-    detection set."""
-    diag = np.ones(registry.dim)
-    det = set(detection_modes)
-    for m in registry.modes:
-        if m not in det:
-            diag = diag * (registry.occupations(m) == 0)
-    return diag
-
-
-def reduce_effect(effect: FockOperator, U: FockOperator,
-                  boundary: str = "marginal") -> FockOperator:
-    """Vacuum reduction of a conjugated effect onto the signal path:
-    the operator with matrix elements ``<x,vac| U* G U |y,vac>`` over the
-    path-1 wires, acting on the path-0 wires.
-
-    `effect` may live on the detection registry or on U's full wire
-    registry.  `boundary` fixes how the lift treats the output wires the
-    effect does not mention: ``"marginal"`` (identity: those outcomes are
-    summed over, the convention under which the reduced family stays
-    complete) or ``"vacuum"`` (the event additionally demands silence
-    there; the convention the explicit closed forms of the two
-    illustrative effects correspond to).
-    """
-    if boundary not in ("marginal", "vacuum"):
-        raise ValueError(f"boundary must be 'marginal' or 'vacuum', "
-                         f"got {boundary!r}")
-    if effect.registry != U.registry:
-        detection_modes = effect.registry.modes
-        G = fock.embed(effect, U.registry)
-    else:
-        detection_modes = U.registry.modes
-        G = effect
-    offdiag = G.matrix - np.diag(np.diag(G.matrix))
-    cols = _vacuum_column_indices(U.registry)
-    if not np.any(offdiag):
-        g = np.diag(G.matrix).real
-        if boundary == "vacuum":
-            g = g * _boundary_vacuum_diagonal(U.registry, detection_modes)
-        V = U.matrix[:, cols]
-        E = V.conj().T @ (g[:, None] * V)
-    else:
-        if boundary == "vacuum":
-            bv = _boundary_vacuum_diagonal(U.registry, detection_modes)
-            G = FockOperator(U.registry, bv[:, None] * G.matrix * bv[None, :])
-        M = U.dagger().matrix @ G.matrix @ U.matrix
-        E = M[np.ix_(cols, cols)]
-    E = 0.5 * (E + E.conj().T)
-    reg = ModeRegistry([m for m in U.registry.modes if m[0] == 0],
-                       U.registry.cutoff)
-    return FockOperator(reg, E, hermitian=True)
-
-
-def _evolved_signal_block(n_bins: int, cutoff: int,
-                          config: InterferometerConfig,
-                          internal_cutoff: int):
-    """Evolve every signal-block basis state through the interferometer.
-
-    Returns ``(psi, pids, boundary_vac, sreg)``: the evolved block
-    (n_signal_states x wire_dim), the click-pattern id of every wire basis
-    state, the boundary-silence indicator, and the target signal registry.
-    """
+def _pattern_ids(outputs: np.ndarray, n_bins: int) -> np.ndarray:
+    """Click-pattern index (as :func:`pattern_index`) of every row of wire
+    occupations, in wire order."""
     bins = n_bins + 1
-    wreg = wire_registry(bins, internal_cutoff)
-    sreg = signal_registry(n_bins, cutoff)
-
-    # one-hot batch of the signal block embedded at the internal cutoff
-    d_t, d_i = cutoff + 1, internal_cutoff + 1
-    n_sig = d_t ** bins
-    strides = d_i ** np.arange(2 * bins - 1, -1, -1)
-    occ = np.array(list(itertools.product(range(d_t), repeat=bins)))
-    flat = occ @ strides[:bins]
-    batch = np.zeros((n_sig, wreg.dim))
-    batch[np.arange(n_sig), flat] = 1.0
-    psi = _evolve_wire_batch(batch, bins, d_i, config)
-
-    pids = np.zeros(wreg.dim, dtype=np.int64)
-    for i in range(1, n_bins + 1):
-        c0 = (wreg.occupations((0, i)) >= 1).astype(np.int64)
-        c1 = (wreg.occupations((1, i)) >= 1).astype(np.int64)
-        pids = pids * 4 + 2 * c0 + c1
-    boundary_vac = np.ones(wreg.dim, dtype=bool)
-    for path in (0, 1):
-        boundary_vac &= wreg.occupations((path, 0)) == 0
-    return psi, pids, boundary_vac, sreg
-
-
-def _effects_from_block(psi, pids, keep, sreg, patterns):
-    out = {}
-    for p in patterns:
-        rows = np.flatnonzero((pids == pattern_index(p)) & keep)
-        block = psi[:, rows]
-        E = block @ block.conj().T
-        E = 0.5 * (E + E.conj().T)
-        out[p] = FockOperator(sreg, E, hermitian=True)
-    return out
+    pids = np.zeros(len(outputs), dtype=np.int64)
+    for i in range(1, bins):
+        pids = pids * 4 + 2 * (outputs[:, i] > 0) + (outputs[:, bins + i] > 0)
+    return pids
 
 
 def reduced_effect_set(n_bins: int, cutoff: int,
                        config: Optional[InterferometerConfig] = None,
-                       internal_cutoff: Optional[int] = None,
                        patterns: Optional[Sequence[ClickPattern]] = None,
                        boundary: str = "marginal"
                        ) -> Dict[ClickPattern, FockOperator]:
     """Reduced effects E_j on the signal registry at `cutoff`, one per
-    click pattern.
+    click pattern: the operators with matrix elements
+    ``<x,vac| U* G_j U |y,vac>`` over the path-1 wires.
 
-    The reduction is evaluated by evolving every signal basis state
-    through the interferometer at `internal_cutoff` and reading off the
-    Gram matrices of the click-pattern row groups.  The default internal
-    cutoff, (N+1) * cutoff, bounds the total photon number of the signal
-    block, which makes every returned matrix element exact (no truncation
-    leakage); lower values trade exactness at high occupation for speed.
+    Every E_j is block diagonal in total photon number.  Each block is
+    built exactly from :func:`~dpsqkd.optics.sector_lift` of the signal
+    block (path-0 wires at most `cutoff`, path-1 wires in vacuum) over
+    sectors 0..(N+1)*cutoff: it is the Gram matrix of the image rows whose
+    output occupations form the click pattern.
 
-    `boundary` as in :func:`reduce_effect`: ``"marginal"`` yields the
-    complete POVM, ``"vacuum"`` the silent-boundary events the explicit
-    closed forms correspond to.
+    `boundary` fixes how the output wires of the edge bin 0 (outside the
+    detection window) are treated: ``"marginal"`` (their outcomes are
+    summed over, the convention under which the reduced family is a
+    complete POVM) or ``"vacuum"`` (the event additionally demands
+    silence there; the convention the explicit closed forms of the two
+    illustrative effects correspond to).
+
+    Raises ValueError, before allocating, when a sector block or the
+    returned operators exceed ``optics.DEFAULT_MAX_STATE_ENTRIES``.
     """
     if boundary not in ("marginal", "vacuum"):
         raise ValueError(f"boundary must be 'marginal' or 'vacuum', "
                          f"got {boundary!r}")
     config = config or InterferometerConfig.compensated()
-    if internal_cutoff is None:
-        internal_cutoff = (n_bins + 1) * cutoff
-    if internal_cutoff < cutoff:
-        raise ValueError("internal cutoff below the target cutoff")
     if patterns is None:
         patterns = all_click_patterns(n_bins)
-    psi, pids, boundary_vac, sreg = _evolved_signal_block(
-        n_bins, cutoff, config, internal_cutoff)
-    keep = boundary_vac if boundary == "vacuum" else \
-        np.ones(pids.size, dtype=bool)
-    return _effects_from_block(psi, pids, keep, sreg, patterns)
+    bins = n_bins + 1
+    sreg = signal_registry(n_bins, cutoff)
+    entries = len(patterns) * sreg.dim ** 2
+    if entries > DEFAULT_MAX_STATE_ENTRIES:
+        raise ValueError(
+            f"{len(patterns)} reduced effects of dimension {sreg.dim} "
+            f"= {entries} entries exceed the bound "
+            f"{DEFAULT_MAX_STATE_ENTRIES}")
+    sectors = sector_lift(config, bins, bins * cutoff,
+                          max_occupation=[cutoff] * bins + [0] * bins)
+    mats = {p: np.zeros((sreg.dim, sreg.dim), dtype=complex)
+            for p in patterns}
+    strides = (cutoff + 1) ** np.arange(bins - 1, -1, -1)
+    for outputs, inputs, images in sectors:
+        block = np.ix_(*2 * [inputs[:, :bins] @ strides])
+        pids = _pattern_ids(outputs, n_bins)
+        silent = (outputs[:, 0] == 0) & (outputs[:, bins] == 0)
+        for p in patterns:
+            rows = pids == pattern_index(p)
+            if boundary == "vacuum":
+                rows &= silent
+            W = images[rows]
+            mats[p][block] = W.conj().T @ W
+    return {p: FockOperator(sreg, m, hermitian=True) for p, m in mats.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +265,14 @@ def t_term_numeric(n: int, m: int, cutoff: int) -> float:
 # certification
 
 
-def conjugated_commutator_norm(U: FockOperator, diag_i: np.ndarray,
+def conjugated_commutator_norm(U: np.ndarray, diag_i: np.ndarray,
                                diag_j: np.ndarray) -> float:
-    """``||[U* G_i U, U* G_j U]||_F`` for diagonal 0/1 projectors G, via
-    the Gram structure of the selected unitary rows (no conjugated
-    operator is materialized)."""
-    rows_i = np.flatnonzero(diag_i)
-    rows_j = np.flatnonzero(diag_j)
-    Wi = U.matrix[rows_i]
-    Wj = U.matrix[rows_j]
+    """``||[U* G_i U, U* G_j U]||_F`` for a unitary matrix U and diagonal
+    0/1 projectors G, via the Gram structure of the selected unitary rows
+    (no conjugated operator is materialized).  For a block-diagonal U the
+    squared norms of the blocks add."""
+    Wi = U[np.flatnonzero(diag_i)]
+    Wj = U[np.flatnonzero(diag_j)]
     X = Wi @ Wj.conj().T
     Pi = Wi @ Wi.conj().T
     Pj = Wj @ Wj.conj().T
@@ -374,7 +288,10 @@ class NoncommutativityReport:
 
     Thresholds are part of the report: `g_zero_tol` separates "commuting"
     from noise, `nonzero_floor` is the certified positive lower bound the
-    reduced-effect commutator must clear.
+    reduced-effect commutator must clear.  `internal_cutoff`, (N+1) *
+    cutoff, is the highest photon-number sector the reduction covers;
+    `wire_dim` is the summed dimension of the wire sectors 0..cutoff the
+    conjugated checks ran on (84 at cutoff 3).
     """
 
     n_bins: int
@@ -417,8 +334,10 @@ class NoncommutativityReport:
     def to_text(self) -> str:
         lines = [
             f"keyBins = {self.n_bins}, cutoff = {self.cutoff} "
-            f"(reduction ran at internal cutoff {self.internal_cutoff})",
-            f"detection dim = {self.detection_dim}, wire dim = {self.wire_dim}",
+            f"(reduction exact over photon-number sectors "
+            f"0..{self.internal_cutoff})",
+            f"detection dim = {self.detection_dim}, wire dim = {self.wire_dim}"
+            f" (conjugated checks on wire sectors 0..{self.cutoff})",
             f"max ||[G_i, G_j]||_F           = {self.g_comm_max:.3e}"
             f"   (zero threshold {self.g_zero_tol:.0e})",
             f"max |G^2 - G|                  = {self.g_idempotency_max:.3e}",
@@ -462,55 +381,58 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
 
     Checks, with every threshold recorded in the report: the projector
     effects commute pairwise (and are idempotent, orthogonal and
-    complete); conjugation with the interferometer unitary preserves
-    commutation on sampled pairs; the vacuum-reduced effects are complete
-    and positive; and the two illustrative reduced effects do NOT commute,
-    with a commutator norm above the recorded floor, computed both from
-    the closed forms and from the generic reduction.
+    complete), on their 0/1 diagonals; conjugation with the
+    interferometer unitary preserves commutation on sampled pairs, on
+    every wire sector 0..cutoff (the states a cutoff-`cutoff` wire box
+    holds exactly); the vacuum-reduced effects are complete and positive;
+    and the two illustrative reduced effects do NOT commute, with a
+    commutator norm above the recorded floor, computed both from the
+    closed forms and from the generic reduction.
+
+    Raises ValueError, before any work, when a photon-number sector block
+    exceeds ``optics.DEFAULT_MAX_STATE_ENTRIES``.
     """
     if cutoff < 3:
         raise ValueError(f"cutoff too small: need cutoff >= 3, got {cutoff}")
     if n_bins != 2:
         raise ValueError("the illustrative effects live at n_bins = 2")
     config = config or InterferometerConfig.compensated()
+    bins = n_bins + 1
+    wire_sectors = sector_lift(config, bins, cutoff)
+    marginal = reduced_effect_set(n_bins, cutoff, config)
+    silent = reduced_effect_set(n_bins, cutoff, config,
+                                patterns=(E2_PATTERN, E3_PATTERN),
+                                boundary="vacuum")
 
-    effects = build_projector_effects(n_bins, cutoff)
-    mats = [effects.effect(p).matrix for p in effects.patterns]
+    dreg = detection_registry(n_bins, cutoff)
+    pats = all_click_patterns(n_bins)
+    diags = [pattern_diagonal(dreg, p) for p in pats]
     g_comm = 0.0
     g_orth = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            prod = mats[i] @ mats[j]
-            g_orth = max(g_orth, float(np.max(np.abs(prod))))
-            g_comm = max(g_comm, float(np.linalg.norm(prod - mats[j] @ mats[i])))
-    g_idem = max(float(np.max(np.abs(m @ m - m))) for m in mats)
-    g_sum = effects.completeness_defect()
+    for di, dj in itertools.combinations(diags, 2):
+        prod = di * dj
+        g_orth = max(g_orth, float(np.max(np.abs(prod))))
+        g_comm = max(g_comm, float(np.linalg.norm(prod - dj * di)))
+    g_idem = max(float(np.max(np.abs(d * d - d))) for d in diags)
+    g_sum = float(np.max(np.abs(sum(diags) - 1.0)))
 
-    bins = n_bins + 1
-    U = fock_unitary(config, bins, cutoff)
-    wreg = U.registry
-    pats = effects.patterns
     pair_choice = ((E2_PATTERN, E3_PATTERN),
                    (pats[0], pats[-1]),
                    (E2_PATTERN, pats[-1]))
-    conj_vals = []
-    for pi, pj in pair_choice:
-        di = pattern_diagonal(wreg, pi)
-        dj = pattern_diagonal(wreg, pj)
-        conj_vals.append((pi, pj, conjugated_commutator_norm(U, di, dj)))
+    conj_sq = np.zeros(len(pair_choice))
+    wire_dim = 0
+    for outputs, _, U in wire_sectors:
+        wire_dim += len(outputs)
+        pids = _pattern_ids(outputs, n_bins)
+        for k, (pi, pj) in enumerate(pair_choice):
+            conj_sq[k] += conjugated_commutator_norm(
+                U, pids == pattern_index(pi), pids == pattern_index(pj)) ** 2
+    conj_vals = [(pi, pj, math.sqrt(v))
+                 for (pi, pj), v in zip(pair_choice, conj_sq)]
     conj_max = max(v for _, _, v in conj_vals)
 
     E2c, E3c = build_e2_e3(cutoff)
     e2e3_closed = fock.commutator_norm(E2c, E3c)
-
-    # one evolution pass serves both boundary conventions
-    psi, pids, boundary_vac, sreg = _evolved_signal_block(
-        n_bins, cutoff, config, bins * cutoff)
-    patterns = all_click_patterns(n_bins)
-    marginal = _effects_from_block(psi, pids, np.ones(pids.size, dtype=bool),
-                                   sreg, patterns)
-    silent = _effects_from_block(psi, pids, boundary_vac, sreg,
-                                 (E2_PATTERN, E3_PATTERN))
 
     E2r, E3r = silent[E2_PATTERN], silent[E3_PATTERN]
     e2e3_silent = fock.commutator_norm(E2r, E3r)
@@ -519,13 +441,13 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
     gap2 = float(np.linalg.norm(E2c.matrix - E2r.matrix, 2))
     gap3 = float(np.linalg.norm(E3c.matrix - E3r.matrix, 2))
     e_sum = float(np.max(np.abs(
-        sum(e.matrix for e in marginal.values()) - np.eye(sreg.dim))))
+        sum(e.matrix for e in marginal.values()) - np.eye(E2r.registry.dim))))
     e_min = min(float(np.linalg.eigvalsh(e.matrix)[0])
                 for e in marginal.values())
 
     return NoncommutativityReport(
         n_bins=n_bins, cutoff=cutoff, internal_cutoff=bins * cutoff,
-        detection_dim=effects.registry.dim, wire_dim=wreg.dim,
+        detection_dim=dreg.dim, wire_dim=wire_dim,
         g_comm_max=g_comm, g_idempotency_max=g_idem,
         g_orthogonality_max=g_orth, g_sum_defect=g_sum,
         conjugated_pairs=tuple(conj_vals), conjugated_comm_max=conj_max,

@@ -1,10 +1,13 @@
 """Command-line surface: dispatch, exit codes, report formats."""
 
 import json
+import time
 
 import pytest
 
+from dpsqkd import fock
 from dpsqkd.cli import main
+from dpsqkd.povm import build_e2_e3
 
 
 def run(argv, capsys):
@@ -102,6 +105,29 @@ def test_verify_povm_full_run_json(capsys):
     assert payload["passed"] is True
     assert payload["e2e3_comm_norm"] >= payload["nonzero_floor"]
     assert payload["g_comm_max"] <= payload["g_zero_tol"]
+
+
+def test_verify_povm_cutoffs_4_to_6(capsys):
+    marginal = []
+    for cutoff in (3, 4, 5, 6):
+        code, out, _ = run(["verify-povm", "--cutoff", str(cutoff),
+                            "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        oracle = fock.commutator_norm(*build_e2_e3(cutoff))
+        assert abs(payload["e2e3_comm_norm_reduced"] - oracle) <= 1e-9
+        marginal.append(payload["e2e3_comm_norm_marginal"])
+    assert all(a < b for a, b in zip(marginal, marginal[1:]))
+
+
+def test_verify_povm_cutoff_above_sector_bound(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(["verify-povm", "--cutoff", "40"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert "sector 40 block of 1221759 states" in err
+    assert "bound 300000000" in err and "Traceback" not in err
 
 
 def test_eb_compare_exit_codes(capsys):

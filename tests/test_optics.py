@@ -1,7 +1,10 @@
 """Beam splitters, analytic propagation and the Fock-space unitary."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpsqkd import fock, optics
 from dpsqkd.optics import (InterferometerConfig, PulseTrain,
@@ -9,6 +12,7 @@ from dpsqkd.optics import (InterferometerConfig, PulseTrain,
                            coherent_wire_state, fock_output_amplitudes,
                            fock_unitary, interferometer_coefficients,
                            key_bins, mean_mode_amplitudes, propagate_analytic,
+                           sector_dim, sector_lift, sector_occupations,
                            single_particle_unitary, wire_registry)
 
 
@@ -186,3 +190,49 @@ def test_interference_determinism_exact_zeros():
     cfg2 = InterferometerConfig.compensated(phi2=0.3, phi_delta=0.0)
     flipped2 = propagate_analytic(PulseTrain(0, [0.7, -0.7]), cfg2)
     assert abs(key_bins(flipped2[0])[0]) < 1e-15
+
+
+def test_sector_occupations_enumerate_in_kronecker_order():
+    occ = sector_occupations(6, 4)
+    assert occ.shape == (sector_dim(6, 4), 6)
+    assert np.all(occ.sum(axis=1) == 4) and np.all(occ >= 0)
+    reg = wire_registry(3, 4)
+    idx = [reg.basis_index(o) for o in occ]
+    assert idx == sorted(set(idx))
+
+
+PHASES = st.one_of(st.just(0.0), st.floats(-math.pi, math.pi,
+                                           allow_nan=False))
+
+
+@settings(max_examples=20, deadline=None)
+@given(phi2=PHASES, phi_delta=PHASES)
+def test_sector_lift_matches_dense_oracle(phi2, phi_delta):
+    # on sectors n <= 2 the cutoff-2 dense unitary is exact
+    cfg = InterferometerConfig.compensated(phi2=phi2, phi_delta=phi_delta)
+    U = fock_unitary(cfg, 3, 2).matrix
+    reg = wire_registry(3, 2)
+    real = not np.any(single_particle_unitary(cfg, 3).imag)
+    for outputs, inputs, block in sector_lift(cfg, 3, 2):
+        assert np.array_equal(outputs, inputs)
+        assert (block.dtype == np.float64) == real
+        idx = [reg.basis_index(o) for o in outputs]
+        assert np.max(np.abs(block - U[np.ix_(idx, idx)])) < 1e-12
+        assert np.max(np.abs(block.conj().T @ block
+                             - np.eye(len(idx)))) < 1e-12
+        outside = np.delete(U[:, idx], idx, axis=0)
+        assert np.max(np.abs(outside), initial=0.0) < 1e-12
+
+
+def test_sector_lift_bound():
+    cfg = InterferometerConfig.compensated()
+    with pytest.raises(ValueError, match="sector 40 block .* exceeds the "
+                                         "sector bound 300000000"):
+        sector_lift(cfg, 3, 40)
+    with pytest.raises(ValueError, match="sector 10000000000000000000000 "
+                                         "of .* exceeds the sector bound"):
+        sector_lift(cfg, 3, 10 ** 22)
+    # sectors above the summed occupation bounds hold no input
+    caps = [1, 1, 1, 0, 0, 0]
+    sizes = [block.shape for _, _, block in sector_lift(cfg, 3, 10, caps)]
+    assert sizes == [(1, 1), (6, 3), (21, 3), (56, 1)]

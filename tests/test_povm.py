@@ -5,16 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpsqkd import fock
 from dpsqkd.fock import FockOperator, FockVector
-from dpsqkd.optics import InterferometerConfig, fock_unitary
+from dpsqkd.optics import InterferometerConfig, fock_unitary, wire_registry
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, all_click_patterns,
                          build_e2_e3, build_projector_effects,
                          conjugated_commutator_norm, detection_registry,
-                         pattern_diagonal, pattern_index, reduce_effect,
-                         reduced_effect_set, signal_registry, t_term,
-                         t_term_numeric)
+                         pattern_diagonal, pattern_index, reduced_effect_set,
+                         signal_registry, t_term, t_term_numeric)
 
 # frozen by the pre-build dense oracle (multinomial-expansion route)
 COMM_SILENT_C3 = 0.154605219372170
@@ -77,61 +77,81 @@ def test_pattern_indexing():
     assert len({pattern_index(p) for p in pats}) == 16
 
 
-def test_reduce_identity_effect_gives_identity():
-    cfg = InterferometerConfig.compensated()
-    U = fock_unitary(cfg, 2, 2)
-    eye_det = fock.identity(detection_registry(1, 2))
-    E = reduce_effect(eye_det, U)
-    assert np.max(np.abs(E.matrix - np.eye(E.registry.dim))) < 1e-10
-
-
 def test_probability_consistency_random_states():
     # <psi|E_j|psi> equals the joint-state expectation of the conjugated
-    # effect, for 20 random signal states
-    cfg = InterferometerConfig.compensated()
-    U = fock_unitary(cfg, 2, 2)
-    wreg = U.registry
-    effects = build_projector_effects(1, 2)
+    # effect under the dense oracle, for random signal states at cutoff 2.
+    # The oracle runs at wire cutoff (N+1)*2 = 4, where it holds every
+    # state the cutoff-2 signal block reaches without truncation.
+    cutoff, wire_cutoff = 2, 4
+    wreg = wire_registry(2, wire_cutoff)
+    silent = ((wreg.occupations((0, 0)) == 0)
+              & (wreg.occupations((1, 0)) == 0))
+    sreg = signal_registry(1, cutoff)
+    embed_cols = [wreg.basis_index([x0, x1, 0, 0])
+                  for x0, x1 in itertools.product(range(cutoff + 1), repeat=2)]
     rng = np.random.default_rng(17)
-    vac1 = np.zeros(9)
-    vac1[0] = 1.0
-    for p in effects.patterns:
-        E = reduce_effect(effects.effect(p), U)
-        G = fock.embed(effects.effect(p), wreg)
-        M = U.dagger().matrix @ G.matrix @ U.matrix
-        for _ in range(5):
-            psi = rng.normal(size=9) + 1j * rng.normal(size=9)
-            psi /= np.linalg.norm(psi)
-            joint = np.kron(psi, vac1)
-            assert abs(psi.conj() @ E.matrix @ psi
-                       - joint.conj() @ M @ joint) < 1e-10
+    psis = rng.normal(size=(20, sreg.dim)) + 1j * rng.normal(size=(20, sreg.dim))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    joints = np.zeros((20, wreg.dim), dtype=complex)
+    joints[:, embed_cols] = psis
+    effects = build_projector_effects(1, wire_cutoff)
+    for phi2, phi_delta in ((0.0, 0.0), (0.7, 0.3)):
+        cfg = InterferometerConfig.compensated(phi2=phi2, phi_delta=phi_delta)
+        U = fock_unitary(cfg, 2, wire_cutoff).matrix
+        for boundary, mask in (("marginal", 1.0), ("vacuum", silent)):
+            red = reduced_effect_set(1, cutoff, cfg, boundary=boundary)
+            for p in effects.patterns:
+                g = np.diag(fock.embed(effects.effect(p), wreg).matrix).real
+                M = U.conj().T @ ((g * mask)[:, None] * U)
+                for psi, joint in zip(psis, joints):
+                    assert abs(psi.conj() @ red[p].matrix @ psi
+                               - joint.conj() @ M @ joint) < 1e-10
 
 
-def test_reduced_family_complete_and_positive():
-    cfg = InterferometerConfig.compensated()
-    U = fock_unitary(cfg, 2, 2)
-    effects = build_projector_effects(1, 2)
-    total = None
-    for p in effects.patterns:
-        E = reduce_effect(effects.effect(p), U)
-        assert np.linalg.eigvalsh(E.matrix)[0] >= -1e-10
-        total = E.matrix if total is None else total + E.matrix
+PHASES = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_bins=st.sampled_from([1, 2]), phi2=PHASES, phi_delta=PHASES)
+def test_reduced_family_complete_and_positive(n_bins, phi2, phi_delta):
+    cfg = InterferometerConfig.compensated(phi2=phi2, phi_delta=phi_delta)
+    red = reduced_effect_set(n_bins, 2, cfg)
+    total = sum(E.matrix for E in red.values())
     assert np.max(np.abs(total - np.eye(total.shape[0]))) <= 1e-9
+    for E in red.values():
+        assert np.linalg.eigvalsh(E.matrix)[0] >= -1e-10
 
 
-def test_reduce_effect_boundary_vacuum_matches_closed_form_low_block():
-    # with the dense unitary at wire cutoff c, matrix elements between
-    # states of total photon number <= c carry no truncation leakage
-    cutoff = 2
-    E2c, E3c, reg = closed_form_e2_e3(cutoff)
-    cfg = InterferometerConfig.compensated()
-    U = fock_unitary(cfg, 3, cutoff)
-    effects = build_projector_effects(2, cutoff)
-    E2r = reduce_effect(effects.effect(E2_PATTERN), U, boundary="vacuum")
-    totals = sum(reg.occupations(m) for m in reg.modes)
-    low = totals <= cutoff
-    gap = np.abs(E2c - E2r.matrix)[np.ix_(low, low)]
-    assert np.max(gap) < 1e-9
+def test_reduced_effect_low_block_matches_closed_form():
+    # the reduction is exact in photon number: the cutoff-3 effects,
+    # restricted to signal states with at most 2 photons per bin, are the
+    # cutoff-2 closed forms
+    E2c, E3c, _ = closed_form_e2_e3(2)
+    red = reduced_effect_set(2, 3, boundary="vacuum",
+                             patterns=(E2_PATTERN, E3_PATTERN))
+    reg = signal_registry(2, 3)
+    low = np.flatnonzero(np.all([reg.occupations(m) <= 2
+                                 for m in reg.modes], axis=0))
+    for E, closed in ((red[E2_PATTERN], E2c), (red[E3_PATTERN], E3c)):
+        assert np.max(np.abs(E.matrix[np.ix_(low, low)] - closed)) < 1e-12
+
+
+def test_reduced_effect_set_cutoff_4():
+    red = reduced_effect_set(2, 4)
+    total = sum(E.matrix for E in red.values())
+    assert np.max(np.abs(total - np.eye(total.shape[0]))) <= 1e-9
+    silent = reduced_effect_set(2, 4, boundary="vacuum",
+                                patterns=(E2_PATTERN, E3_PATTERN))
+    comm = fock.commutator_norm(silent[E2_PATTERN], silent[E3_PATTERN])
+    assert abs(comm - COMM_SILENT_C4) < 1e-12
+
+
+def test_reduced_effect_set_bounds():
+    # both refusals come before any allocation
+    with pytest.raises(ValueError, match="16 reduced effects .* exceed"):
+        reduced_effect_set(2, 40)
+    with pytest.raises(ValueError, match="sector 45 block .* exceeds"):
+        reduced_effect_set(2, 21, patterns=(E2_PATTERN,))
 
 
 def test_reduced_effect_set_exact_block_matches_closed_form():
@@ -209,7 +229,7 @@ def test_conjugated_commutator_gram_matches_dense():
     for pi, pj in itertools.combinations(pats, 2):
         di = pattern_diagonal(wreg, pi)
         dj = pattern_diagonal(wreg, pj)
-        fast = conjugated_commutator_norm(U, di, dj)
+        fast = conjugated_commutator_norm(U.matrix, di, dj)
         Mi = U.dagger().matrix @ np.diag(di) @ U.matrix
         Mj = U.dagger().matrix @ np.diag(dj) @ U.matrix
         direct = np.linalg.norm(Mi @ Mj - Mj @ Mi)
