@@ -162,3 +162,43 @@ def test_witness_demo_separable_target(capsys):
 def test_witness_demo_coarse(capsys):
     code, out, _ = run(["witness-demo", "--resolution", "coarse"], capsys)
     assert code == 0
+
+
+# stdout bytes recorded before the sessions and the EB check shared one
+# click kernel; a moved RNG draw changes them
+PINNED_SIMULATE = {
+    ("--alpha2", "0.2", "--bins", "50000", "--seed", "17",
+     "--eve-fraction", "0.2", "--dark-click-prob", "0.0001"):
+        "1,50000,0.2,0.0,1.0,0.0001,0.2,17,8996,0,8996,0.17992,1573,"
+        "0.17485549132947978\n",
+    ("--alpha2", "0.5", "--bins", "200000", "--seed", "3",
+     "--eve-fraction", "1.0", "--efficiency", "0.9", "--phi2", "0.7",
+     "--repeat", "3"):
+        "1,200000,0.5,0.7,0.9,0.0,1.0,3,72419,0,72419,0.362095,22172,"
+        "0.30616274734530996\n"
+        "1,200000,0.5,0.7,0.9,0.0,1.0,4,72718,0,72718,0.36359,21924,"
+        "0.3014934404136527\n"
+        "1,200000,0.5,0.7,0.9,0.0,1.0,5,72118,0,72118,0.36059,22009,"
+        "0.3051803987908705\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_SIMULATE))
+def test_simulate_pinned_bytes(argv, capsys):
+    code, out, _ = run(["simulate", *argv], capsys)
+    assert code == 0
+    header = ",".join(("schema_version", "bins", "alphaSquared", "phi2",
+                       "efficiency", "darkClickProb", "eveFraction", "seed",
+                       "clicks", "doubleClicks", "siftedLength", "siftedRate",
+                       "errors", "qber"))
+    assert out == header + "\n" + PINNED_SIMULATE[argv]
+
+
+def test_eb_compare_pinned_monte_carlo_lines(capsys):
+    code, out, _ = run(["eb-compare", "--key-bins", "4", "--alpha2", "0.2",
+                        "--trials", "100000", "--seed", "5"], capsys)
+    assert code == 0
+    assert out.splitlines()[3:] == [
+        "empiricalDistance = 0.008909999999999996",
+        "trials = 100000",
+        "sigma = 0.00223606797749979  (bounded-differences scale)"]
