@@ -20,13 +20,13 @@ from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, build_e2_e3,
 # --- the raw projector effects all commute ------------------------------
 
 effects = build_projector_effects(2, 3)
-mats = [effects.effect(p).matrix for p in effects.patterns]
+mats = [E.matrix for E in effects.values()]
 worst = max(np.linalg.norm(a @ b - b @ a)
             for i, a in enumerate(mats) for b in mats[i + 1:])
 print("raw projector effects: 16 click patterns over 2 key bins")
 print("  worst pairwise commutator norm:", worst)
 print("  completeness defect:",
-      np.max(np.abs(sum(mats) - np.eye(effects.registry.dim))))
+      np.max(np.abs(sum(mats) - np.eye(len(mats[0])))))
 
 # --- reduction onto the signal path breaks commutativity ----------------
 

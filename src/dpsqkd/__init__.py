@@ -2,8 +2,7 @@
 certification on truncated Fock spaces."""
 
 from .fock import (FockOperator, FockVector, ModeRegistry, coherent_state,
-                   commutator_norm, expectation, ladder_operator, tensor,
-                   vacuum_reduce)
+                   commutator_norm, expectation, ladder_operator, tensor)
 from .optics import (InterferometerConfig, PulseTrain, apply_interferometer,
                      bs1_transform, bs2_transform, fock_unitary,
                      propagate_analytic)
@@ -13,7 +12,7 @@ from .protocol import (AliceRecord, ClickRecord, DetectorModel, SessionConfig,
                        sift)
 from .entangled import (EbState, alice_measure, build_eb_state,
                         compare_statistics)
-from .povm import (EffectSet, build_e2_e3, build_projector_effects,
+from .povm import (build_e2_e3, build_projector_effects,
                    certify_noncommutativity, reduced_effect_set, t_term,
                    t_term_numeric)
 from .witness import (DiagonalWitness, WitnessCandidate,

@@ -13,6 +13,8 @@ environment variable; every subcommand is deterministic under a fixed
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import os
 import sys
 
@@ -55,31 +57,22 @@ def cmd_simulate(args) -> int:
             overrides["n_bins"] = args.bins
         elif not args.config:
             raise ValueError("missing required parameter: N (--bins)")
-        for flag, attr in (("alpha2", "alpha2"), ("phi2", "phi2"),
-                           ("efficiency", "efficiency"),
-                           ("dark_click_prob", "dark_click_prob"),
-                           ("eve_fraction", "eve_fraction")):
-            v = getattr(args, flag)
-            if v is not None:
-                overrides[attr] = v
+        for attr in ("alpha2", "phi2", "efficiency", "dark_click_prob",
+                     "eve_fraction"):
+            if getattr(args, attr) is not None:
+                overrides[attr] = getattr(args, attr)
         seed = args.seed if args.seed is not None else _env_seed()
         if seed is not None:
             overrides["seed"] = seed
-        cfg_kwargs = {k: getattr(base, k) for k in
-                      ("n_bins", "alpha2", "phi2", "efficiency",
-                       "dark_click_prob", "eve_fraction", "seed")}
-        cfg_kwargs.update(overrides)
-        config = SessionConfig(**cfg_kwargs)
+        config = dataclasses.replace(base, **overrides)
+        if args.repeat < 1:
+            raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    rows = []
-    for k in range(args.repeat):
-        cfg_k = config if k == 0 else SessionConfig(
-            **{**cfg_kwargs, "seed": config.seed + k})
-        stats = run_session(cfg_k)
-        rows.append(stats)
+    rows = [run_session(dataclasses.replace(config, seed=config.seed + k))
+            for k in range(args.repeat)]
     if args.format == "csv":
         out = "\n".join([SessionStats.csv_header()] + [s.csv_row() for s in rows])
     else:
@@ -99,7 +92,6 @@ def cmd_verify_povm(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.json:
-        import dataclasses
         import json
         payload = dataclasses.asdict(report)
         payload["conjugated_pairs"] = [
@@ -115,8 +107,11 @@ def cmd_verify_povm(args) -> int:
 
 
 def cmd_eb_compare(args) -> int:
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
     try:
+        seed = args.seed if args.seed is not None else (_env_seed() or 0)
+        if not 0.0 <= args.alpha2 < math.inf:
+            raise ValueError(f"alphaSquared must be finite and >= 0, "
+                             f"got {args.alpha2}")
         config = InterferometerConfig.compensated(phi2=args.phi2)
         report = compare_statistics(args.key_bins, args.alpha2 ** 0.5,
                                     trials=args.trials, cutoff=args.cutoff,

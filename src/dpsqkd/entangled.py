@@ -4,12 +4,14 @@ Instead of preparing pulse trains, a bipartite state is distributed whose
 Alice half is a register of qubits and whose Bob half is the photonic
 train; Alice's projective measurement in the computational basis prepares
 Bob's signal remotely.  The state factorizes per time bin as
-``(|0>|alpha> + |1>|-alpha>)/sqrt(2)``, so the joint vector is only
-materialized at desk scale and the factorized form is used everywhere
-else.
+``(|0>|alpha> + |1>|-alpha>)/sqrt(2)``, and only the per-bin factors are
+stored.
 
 ``compare_statistics`` certifies that the click statistics Bob sees are
-the same whichever way the signal was prepared.
+the same whichever way the signal was prepared.  Both flows run through
+the protocol's own click kernel: :func:`~dpsqkd.optics.propagate`,
+:meth:`~dpsqkd.protocol.DetectorModel.sample` and
+:func:`~dpsqkd.povm.click_pattern_ids`.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import numpy as np
 
 from . import fock
 from .fock import FockVector, ModeRegistry
-from .optics import InterferometerConfig, interferometer_coefficients
-
-#: largest pulse count for which the joint Alice x photon vector is built
-JOINT_MATERIALIZE_LIMIT = 3
+from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
+                     interferometer_coefficients, propagate)
+from .povm import click_pattern_ids
+from .protocol import DetectorModel
 
 
 @dataclass(frozen=True)
@@ -33,23 +35,17 @@ class EbState:
     """The distributed bipartite state, one factor per time bin.
 
     ``factors[i]`` is a (2, cutoff+1) array: row b holds the (unnormalized)
-    photonic amplitudes paired with Alice outcome b in bin i.  `joint` is
-    the flattened (2^{N+1}, photon_dim) vector, materialized only for
-    small pulse counts.
+    photonic amplitudes paired with Alice outcome b in bin i.  The state
+    is the tensor product of the factors.
     """
 
     registry: ModeRegistry
     alpha: complex
     factors: tuple
-    joint: Optional[np.ndarray]
 
     @property
     def n_pulses(self) -> int:
         return len(self.factors)
-
-    @property
-    def qubit_count(self) -> int:
-        return self.n_pulses
 
     def factor_born_probabilities(self, i: int) -> np.ndarray:
         """Born probabilities of Alice's two outcomes in bin i."""
@@ -69,8 +65,7 @@ class EbState:
         return out
 
 
-def build_eb_state(n_key_bins: int, alpha: complex, cutoff: int,
-                   materialize_limit: int = JOINT_MATERIALIZE_LIMIT) -> EbState:
+def build_eb_state(n_key_bins: int, alpha: complex, cutoff: int) -> EbState:
     """Construct the distributed state for N key bins (N+1 pulses)."""
     n_pulses = n_key_bins + 1
     alpha = complex(alpha)
@@ -79,15 +74,7 @@ def build_eb_state(n_key_bins: int, alpha: complex, cutoff: int,
     row1 = fock.coherent_amplitudes(-alpha, cutoff) / math.sqrt(2.0)
     factor = np.stack([row0, row1])
     factors = tuple(factor.copy() for _ in range(n_pulses))
-
-    joint = None
-    if n_pulses <= materialize_limit:
-        joint = factors[0]
-        for f in factors[1:]:
-            # kron over both the Alice index and the photon index
-            joint = np.einsum("ap,bq->abpq", joint.reshape(-1, joint.shape[-1]),
-                              f).reshape(joint.shape[0] * 2, -1)
-    return EbState(reg, alpha, factors, joint)
+    return EbState(reg, alpha, factors)
 
 
 def alice_measure(state: EbState, rng: np.random.Generator):
@@ -120,10 +107,23 @@ def pulse_train_vector(state: EbState, s_prime: np.ndarray) -> FockVector:
 
 
 def alice_reduced_density(state: EbState) -> np.ndarray:
-    """Alice's reduced density matrix (requires the materialized joint)."""
-    if state.joint is None:
-        raise ValueError("joint state was not materialized at this size")
-    return state.joint @ state.joint.conj().T / state.norm2()
+    """Alice's reduced density matrix: the Kronecker product of every
+    factor's normalized 2x2 Gram matrix, exact because the state is a
+    product over bins.
+
+    Raises ValueError, before allocating, when the 2^(N+1) x 2^(N+1)
+    result exceeds ``optics.DEFAULT_MAX_STATE_ENTRIES``.
+    """
+    entries = 4 ** state.n_pulses
+    if entries > DEFAULT_MAX_STATE_ENTRIES:
+        raise ValueError(f"reduced density of {state.n_pulses} qubits has "
+                         f"{entries} entries, above the bound "
+                         f"{DEFAULT_MAX_STATE_ENTRIES}")
+    rho = np.ones((1, 1))
+    for f in state.factors:
+        gram = f @ f.conj().T
+        rho = np.kron(rho, gram / np.trace(gram).real)
+    return rho
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -187,40 +187,40 @@ def _defective_coefficients(config: InterferometerConfig,
     return c
 
 
-def _pattern_distribution(amps: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Distribution over the 4^N click patterns of one pulse train with
-    ideal detectors, bins indexed bin-major, pattern digit = 2*d0 + d1;
-    `c` is the mode-map coefficient vector."""
-    a = np.concatenate([[0.0], amps, [0.0]])
-    b4 = (c[0] * a[1:] + c[2] * a[:-1])[1:-1]
-    b5 = (c[1] * a[1:] + c[3] * a[:-1])[1:-1]
-    p0 = 1.0 - np.exp(-np.abs(b4) ** 2)
-    p1 = 1.0 - np.exp(-np.abs(b5) ** 2)
-    dist = np.array([1.0])
-    for i in range(p0.size):
-        cell = np.array([(1 - p0[i]) * (1 - p1[i]), (1 - p0[i]) * p1[i],
-                         p0[i] * (1 - p1[i]), p0[i] * p1[i]])
-        dist = np.outer(dist, cell).reshape(-1)
+def _pattern_distribution(amps: np.ndarray, weights: np.ndarray,
+                          c: np.ndarray) -> np.ndarray:
+    """Bob's click-pattern distribution, indexed by
+    :func:`~dpsqkd.povm.click_pattern_ids`, under ideal detectors for the
+    mixture of pulse trains ``amps`` (K, N+1) with `weights` (K,), behind
+    the mode map with coefficients `c`."""
+    b4, b5 = propagate(amps, c)
+    ideal = DetectorModel.ideal()
+    p0 = ideal.click_probabilities(b4[:, 1:-1])
+    p1 = ideal.click_probabilities(b5[:, 1:-1])
+    # cells[k, i, x, y]: probability of the clicks (D0, D1) = (x, y) in
+    # key bin i under pulse train k
+    cells = (np.stack([1 - p0, p0], axis=-1)[..., :, None]
+             * np.stack([1 - p1, p1], axis=-1)[..., None, :])
+    mixture = 0.0
+    for w, train_cells in zip(weights, cells):
+        joint = w
+        for cell in train_cells:
+            joint = np.multiply.outer(joint, cell)
+        mixture = mixture + joint
+    # the axes of `mixture` are the (D0, D1) clicks of bin 1, of bin 2, ...
+    clicks = np.indices(mixture.shape, dtype=bool).reshape(mixture.ndim, -1)
+    dist = np.empty(mixture.size)
+    dist[click_pattern_ids(clicks[0::2].T, clicks[1::2].T)] = mixture.ravel()
     return dist
 
 
-def _sample_patterns(amp_matrix: np.ndarray, c: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Per-trial click-pattern indices for a (trials, N+1) amplitude matrix."""
-    t, npulse = amp_matrix.shape
-    a = np.zeros((t, npulse + 2), dtype=complex)
-    a[:, 1:-1] = amp_matrix
-    b4 = (c[0] * a[:, 1:] + c[2] * a[:, :-1])[:, 1:-1]
-    b5 = (c[1] * a[:, 1:] + c[3] * a[:, :-1])[:, 1:-1]
-    p0 = 1.0 - np.exp(-np.abs(b4) ** 2)
-    p1 = 1.0 - np.exp(-np.abs(b5) ** 2)
-    c0 = rng.random(p0.shape) < p0
-    c1 = rng.random(p1.shape) < p1
-    digits = 2 * c0.astype(np.int64) + c1.astype(np.int64)
-    pattern = np.zeros(t, dtype=np.int64)
-    for i in range(digits.shape[1]):
-        pattern = pattern * 4 + digits[:, i]
-    return pattern
+def _sample_pattern_ids(amps: np.ndarray, c: np.ndarray,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Sampled click-pattern index of every pulse train ``amps`` (T, N+1)
+    under ideal detectors."""
+    b4, b5 = propagate(amps, c)
+    return click_pattern_ids(*DetectorModel.ideal().sample(
+        b4[:, 1:-1], b5[:, 1:-1], rng))
 
 
 def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
@@ -236,28 +236,42 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     into the delay arm of the EB flow only, an inconsistency the
     comparison must catch.  (Phases on the output paths would not do:
     ideal bucket detection is insensitive to them.)
+
+    Raises ValueError, before any work, when the enumeration
+    (2^(N+1) preparations x 4^N patterns) or the Monte Carlo arrays
+    (trials x (N+2)) exceed ``optics.DEFAULT_MAX_STATE_ENTRIES``.
     """
     if n_key_bins < 1:
         raise ValueError("need at least one key bin")
+    if trials < 0 or seed < 0:
+        raise ValueError(f"trials and seed must be >= 0, got {trials} "
+                         f"and {seed}")
+    n_pulses = n_key_bins + 1
+    entries = max(2 ** n_pulses * 4 ** n_key_bins, trials * (n_key_bins + 2))
+    if entries > DEFAULT_MAX_STATE_ENTRIES:
+        raise ValueError(
+            f"{n_key_bins} key bins and {trials} trials need {entries} "
+            f"entries (2^(N+1) preparations x 4^N click patterns, or "
+            f"trials x (N+2)), which exceeds the bound "
+            f"{DEFAULT_MAX_STATE_ENTRIES}")
     config = config or InterferometerConfig.compensated()
     c_pm = interferometer_coefficients(config)
     c_eb = _defective_coefficients(config, eb_delay_defect)
     alpha = complex(alpha)
     state = build_eb_state(n_key_bins, alpha, cutoff)
-    n_pulses = n_key_bins + 1
 
     # analytic: exact mixture over all S' for both flows
-    bit_probs = [state.factor_born_probabilities(i) for i in range(n_pulses)]
+    bit_probs = np.array([state.factor_born_probabilities(i)
+                          for i in range(n_pulses)])
     amp_of_bit = np.array([collapsed_mean_amplitude(state, 0, 0),
                            collapsed_mean_amplitude(state, 0, 1)])
-    dist_pm = np.zeros(4 ** n_key_bins)
-    dist_eb = np.zeros(4 ** n_key_bins)
-    for idx in range(2 ** n_pulses):
-        sp = np.array([(idx >> (n_pulses - 1 - k)) & 1 for k in range(n_pulses)])
-        pm_amps = (1.0 - 2.0 * sp) * alpha
-        dist_pm += (0.5 ** n_pulses) * _pattern_distribution(pm_amps, c_pm)
-        w = math.prod(bit_probs[i][sp[i]] for i in range(n_pulses))
-        dist_eb += w * _pattern_distribution(amp_of_bit[sp], c_eb)
+    s_primes = np.indices((2,) * n_pulses).reshape(n_pulses, -1).T
+    dist_pm = _pattern_distribution(
+        (1.0 - 2.0 * s_primes) * alpha,
+        np.full(len(s_primes), 0.5 ** n_pulses), c_pm)
+    dist_eb = _pattern_distribution(
+        amp_of_bit[s_primes],
+        np.prod(bit_probs[np.arange(n_pulses), s_primes], axis=1), c_eb)
     analytic = 0.5 * float(np.sum(np.abs(dist_pm - dist_eb)))
 
     empirical = None
@@ -265,10 +279,10 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     if trials > 0:
         rng = np.random.default_rng(seed)
         sp_pm = rng.integers(0, 2, size=(trials, n_pulses))
-        pat_pm = _sample_patterns((1.0 - 2.0 * sp_pm) * alpha, c_pm, rng)
-        p1s = np.array([bit_probs[i][1] for i in range(n_pulses)])
-        sp_eb = (rng.random((trials, n_pulses)) < p1s).astype(int)
-        pat_eb = _sample_patterns(amp_of_bit[sp_eb], c_eb, rng)
+        pat_pm = _sample_pattern_ids((1.0 - 2.0 * sp_pm) * alpha, c_pm, rng)
+        del sp_pm
+        sp_eb = rng.random((trials, n_pulses)) < bit_probs[:, 1]
+        pat_eb = _sample_pattern_ids(amp_of_bit[sp_eb.astype(int)], c_eb, rng)
         h_pm = np.bincount(pat_pm, minlength=4 ** n_key_bins) / trials
         h_eb = np.bincount(pat_eb, minlength=4 ** n_key_bins) / trials
         empirical = 0.5 * float(np.sum(np.abs(h_pm - h_eb)))

@@ -13,7 +13,7 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -79,9 +79,6 @@ class ModeRegistry:
         stride = d ** (self.n_modes - 1 - ax)
         return (np.arange(self.dim) // stride) % d
 
-    def without(self, mode) -> "ModeRegistry":
-        return ModeRegistry([m for m in self.modes if m != mode], self.cutoff)
-
     def basis_index(self, occupations: Sequence[int]) -> int:
         """Flat index of an occupation tuple given in registry order."""
         if len(occupations) != self.n_modes:
@@ -124,16 +121,6 @@ class FockVector:
 
     def norm(self) -> float:
         return math.sqrt(self.norm2())
-
-    def unit(self) -> "FockVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.registry, self.amplitudes / n, normalized=True)
-
-    def tensor_view(self) -> np.ndarray:
-        d = self.registry.local_dim
-        return self.amplitudes.reshape((d,) * self.registry.n_modes)
 
 
 @dataclass(frozen=True)
@@ -345,51 +332,9 @@ def expectation(state: FockVector, op: FockOperator) -> complex:
     return val
 
 
-def vacuum_reduce(op: FockOperator, mode) -> FockOperator:
-    """Vacuum expectation over one mode: matrix elements
-    ``<x| <0|_mode op |y> |0>_mode`` on the remaining modes."""
-    reg = op.registry
-    if reg.n_modes < 2:
-        raise ValueError("vacuum_reduce needs an operator on >= 2 modes")
-    ax = reg.axis(mode)
-    d = reg.local_dim
-    M = reg.n_modes
-    t = op.matrix.reshape((d,) * (2 * M))
-    t = np.take(np.take(t, 0, axis=M + ax), 0, axis=ax)
-    small = reg.without(mode)
-    return FockOperator(small, t.reshape(small.dim, small.dim))
-
-
-def vacuum_reduce_all(op: FockOperator, modes: Iterable) -> FockOperator:
-    out = op
-    for m in modes:
-        out = vacuum_reduce(out, m)
-    return out
-
-
 def fidelity(a: FockVector, b: FockVector) -> float:
     """``|<a|b>|^2`` after normalizing both vectors."""
     _require_same_registry(a, b)
     ov = np.vdot(a.amplitudes, b.amplitudes)
     return float(abs(ov) ** 2 / (a.norm2() * b.norm2()))
 
-
-# ---------------------------------------------------------------------------
-# debug dump
-
-
-def write_text_matrix(obj: Union[FockVector, FockOperator], fh) -> None:
-    """Dump a vector or operator as plain text, one row per line, entries
-    formatted ``re+imj`` and space separated, for external diffing."""
-    arr = obj.amplitudes[None, :] if isinstance(obj, FockVector) else obj.matrix
-    close = False
-    if isinstance(fh, str):
-        fh = open(fh, "w")
-        close = True
-    try:
-        for row in arr:
-            fh.write(" ".join(f"{z.real:+.17g}{z.imag:+.17g}j" for z in row))
-            fh.write("\n")
-    finally:
-        if close:
-            fh.close()

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockOperator, FockVector, ModeRegistry, _readonly
+from .fock import (FockOperator, FockVector, ModeRegistry, _readonly,
+                   coherent_amplitudes)
 
 _COMPENSATION_TOL = 1e-12
 
@@ -61,6 +62,9 @@ class InterferometerConfig:
     delta_t: int = 1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.phi1, self.phi2, self.phi_delta))):
+            raise ValueError("interferometer phases must be finite: "
+                             f"{self.phi1}, {self.phi2}, {self.phi_delta}")
         if abs(self.phi1 + self.phi2 - self.phi_delta) > _COMPENSATION_TOL:
             raise ValueError(
                 "compensation condition phi1 + phi2 = phi_delta violated: "
@@ -123,20 +127,35 @@ def interferometer_coefficients(config: InterferometerConfig) -> np.ndarray:
     return np.array([direct[0], direct[1], delayed[0], delayed[1]])
 
 
+def propagate(amps: np.ndarray, coeffs: np.ndarray):
+    """D0 and D1 amplitudes of path-0 pulse trains ``amps[..., P]`` (any
+    leading batch axes) behind the mode map with coefficients `coeffs`
+    (:func:`interferometer_coefficients`).
+
+    Returns two ``(..., P + 1)`` arrays: bin j carries the direct part of
+    pulse j and the delayed part of pulse j - 1, so bins 1..P-1 are the
+    key bins and bins 0 and P the unmatched half-pulses.
+    """
+    amps = np.asarray(amps)
+    out = []
+    for direct, delayed in (coeffs[0::2], coeffs[1::2]):
+        b = np.zeros(amps.shape[:-1] + (amps.shape[-1] + 1,), dtype=complex)
+        b[..., :-1] = direct * amps
+        b[..., 1:] += delayed * amps
+        out.append(b)
+    return tuple(out)
+
+
 def propagate_analytic(train: PulseTrain, config: InterferometerConfig):
     """Propagate a path-0 pulse train through the interferometer.
 
     Returns the two output trains on paths 4 and 5 with ``bin_count + 1``
-    bins.  Interior bins 1..N carry the interference of consecutive
-    pulses; bins 0 and N+1 carry the unmatched half-pulses and are not key
-    bins.
+    bins (:func:`propagate`).
     """
     if train.bin_count == 0:
         raise ValueError("cannot propagate an empty pulse train")
-    c = interferometer_coefficients(config)
-    a = np.concatenate([[0.0], train.amplitudes, [0.0]])
-    out4 = c[0] * a[1:] + c[2] * a[:-1]
-    out5 = c[1] * a[1:] + c[3] * a[:-1]
+    out4, out5 = propagate(train.amplitudes,
+                           interferometer_coefficients(config))
     return PulseTrain(4, out4), PulseTrain(5, out5)
 
 
@@ -153,16 +172,6 @@ def wire_registry(bins: int, cutoff: int) -> ModeRegistry:
     """Canonical 2B-wire registry: path-0 wires then path-1 wires."""
     modes = [(0, i) for i in range(bins)] + [(1, i) for i in range(bins)]
     return ModeRegistry(modes, cutoff)
-
-
-def _wire_count(registry: ModeRegistry) -> int:
-    n = registry.n_modes
-    bins = n // 2
-    if list(registry.modes) != [(0, i) for i in range(bins)] + \
-            [(1, i) for i in range(bins)]:
-        raise ValueError("registry is not a canonical wire registry; "
-                         "build it with wire_registry()")
-    return bins
 
 
 def single_particle_unitary(config: InterferometerConfig, bins: int) -> np.ndarray:
@@ -227,15 +236,13 @@ def _pair_gate(u2: np.ndarray, local_dim: int) -> np.ndarray:
 
 
 def _apply_pair_gate(arr: np.ndarray, gate: np.ndarray, pair: int,
-                     bins: int, d: int) -> np.ndarray:
+                     d: int) -> np.ndarray:
     """Apply a two-mode gate to adjacent pair axes (1 + 2*pair, 2 + 2*pair)
-    of a batch-first tensor of shape (batch, d, d, ..., d)."""
+    of a batch-first tensor of shape (batch, d, d, ..., d) and the gate's
+    dtype (:func:`_gate_setup`)."""
     dd = d * d
     pre = arr.shape[0] * dd ** pair
     post = arr.size // (pre * dd)
-    if gate.dtype != arr.dtype:
-        gate = gate.astype(np.promote_types(gate.dtype, arr.dtype))
-        arr = arr.astype(gate.dtype)
     view = arr.reshape(pre, dd, post)
     if post == 1:
         out = view[:, :, 0] @ gate.T
@@ -244,6 +251,39 @@ def _apply_pair_gate(arr: np.ndarray, gate: np.ndarray, pair: int,
     else:
         out = np.matmul(gate, view)
     return np.ascontiguousarray(out).reshape(arr.shape)
+
+
+def _gate_setup(config: InterferometerConfig, d: int, inputs_real: bool):
+    """The BS1 and BS2 pair gates and the per-photon delay phase, all of
+    one dtype: float64 when the inputs and every stage are real, complex
+    otherwise."""
+    g1 = _pair_gate(bs1_transform(config), d)
+    g2 = _pair_gate(bs2_transform(config), d)
+    phase = np.exp(1j * config.phi_delta * np.arange(d))
+    if np.max(np.abs(phase.imag)) < 1e-15:
+        phase = phase.real
+    real = inputs_real and all(x.dtype == np.float64 for x in (g1, g2, phase))
+    dtype = np.float64 if real else complex
+    return g1.astype(dtype), g2.astype(dtype), phase.astype(dtype)
+
+
+def _delay_and_bs2(t: np.ndarray, g2: np.ndarray, phase: np.ndarray,
+                   bins: int) -> np.ndarray:
+    """The delay and the second beam splitter on a batch-first tensor in
+    pair layout (A0, B0, A1, B1, ...): the content of path-1 wire i moves
+    to path-1 wire (i+1) mod B, picking up phi_delta per photon."""
+    d = phase.size
+    src = [2 + 2 * i for i in range(bins)]
+    dst = [2 + 2 * ((i + 1) % bins) for i in range(bins)]
+    t = np.ascontiguousarray(np.moveaxis(t, src, dst))
+    if not np.all(phase == 1.0):
+        for i in range(bins):
+            shape = [1] * t.ndim
+            shape[2 + 2 * i] = d
+            t = t * phase.reshape(shape)
+    for i in range(bins):
+        t = _apply_pair_gate(t, g2, i, d)
+    return t
 
 
 def _evolve_wire_batch(batch: np.ndarray, bins: int, d: int,
@@ -256,18 +296,10 @@ def _evolve_wire_batch(batch: np.ndarray, bins: int, d: int,
     """
     B = bins
     n = batch.shape[0]
-    g1 = _pair_gate(bs1_transform(config), d)
-    g2 = _pair_gate(bs2_transform(config), d)
-    phase = np.exp(1j * config.phi_delta * np.arange(d))
-    if np.max(np.abs(phase.imag)) < 1e-15:
-        phase = phase.real
     batch_is_real = not np.iscomplexobj(batch) or not np.any(batch.imag)
-    if (batch_is_real and g1.dtype == np.float64 and g2.dtype == np.float64
-            and phase.dtype == np.float64):
-        # everything real: run the whole evolution in float64
-        work = np.ascontiguousarray(batch.real, dtype=np.float64)
-    else:
-        work = np.ascontiguousarray(batch, dtype=complex)
+    g1, g2, phase = _gate_setup(config, d, batch_is_real)
+    work = np.ascontiguousarray(batch.real if g1.dtype == np.float64
+                                else batch, dtype=g1.dtype)
 
     # path-major -> batch-first pair layout (A0, B0, A1, B1, ...)
     t = work.reshape((n,) + (d,) * (2 * B))
@@ -275,57 +307,36 @@ def _evolve_wire_batch(batch: np.ndarray, bins: int, d: int,
     t = np.ascontiguousarray(t.transpose(np.argsort(pair_axes)))
 
     for i in range(B):
-        t = _apply_pair_gate(t, g1, i, B, d)
-
-    # delay: content of path-1 wire i moves to path-1 wire (i+1) mod B,
-    # picking up phi_delta per photon
-    src = [2 + 2 * i for i in range(B)]
-    dst = [2 + 2 * ((i + 1) % B) for i in range(B)]
-    t = np.ascontiguousarray(np.moveaxis(t, src, dst))
-    if not np.all(phase == 1.0):
-        for i in range(B):
-            shape = [1] * t.ndim
-            shape[2 + 2 * i] = d
-            t = t * phase.reshape(shape)
-
-    for i in range(B):
-        t = _apply_pair_gate(t, g2, i, B, d)
+        t = _apply_pair_gate(t, g1, i, d)
+    t = _delay_and_bs2(t, g2, phase, B)
 
     # pair layout -> path-major
     t = np.ascontiguousarray(t.transpose(pair_axes))
     return t.reshape(n, -1)
 
 
-def apply_interferometer(state: FockVector, config: InterferometerConfig,
-                         max_entries: int = DEFAULT_MAX_STATE_ENTRIES) -> FockVector:
+def apply_interferometer(state: FockVector,
+                         config: InterferometerConfig) -> FockVector:
     """Evolve a wire-registry state through the interferometer unitary,
     gate by gate.  Scales to dimensions where the dense operator cannot be
     materialized."""
-    return apply_interferometer_batch([state], config, max_entries)[0]
-
-
-def apply_interferometer_batch(states, config: InterferometerConfig,
-                               max_entries: int = DEFAULT_MAX_STATE_ENTRIES):
-    """Evolve several wire-registry states at once (shared transposes and
-    larger matrix products; the batched form of the trivially parallel
-    evolution)."""
-    regs = {s.registry for s in states}
-    if len(regs) != 1:
-        raise ValueError("batch states must share one registry")
-    reg = next(iter(regs))
-    bins = _wire_count(reg)
-    if reg.dim * len(states) > max_entries:
+    reg = state.registry
+    bins = reg.n_modes // 2
+    if reg.modes != wire_registry(bins, reg.cutoff).modes:
+        raise ValueError("registry is not a canonical wire registry; "
+                         "build it with wire_registry()")
+    if reg.dim > DEFAULT_MAX_STATE_ENTRIES:
         raise ValueError(
-            f"batch size {len(states)} x dimension {reg.dim} exceeds the "
-            f"evolution bound {max_entries} "
+            f"dimension {reg.dim} exceeds the evolution bound "
+            f"{DEFAULT_MAX_STATE_ENTRIES} "
             f"({reg.n_modes} modes at cutoff {reg.cutoff})")
-    batch = np.stack([s.amplitudes for s in states])
-    out = _evolve_wire_batch(batch, bins, reg.local_dim, config)
-    return [FockVector(reg, row) for row in out]
+    out = _evolve_wire_batch(state.amplitudes[None, :], bins, reg.local_dim,
+                             config)
+    return FockVector(reg, out[0])
 
 
-def fock_unitary(config: InterferometerConfig, bins: int, cutoff: int,
-                 max_dim: int = DEFAULT_MAX_UNITARY_DIM) -> FockOperator:
+def fock_unitary(config: InterferometerConfig, bins: int,
+                 cutoff: int) -> FockOperator:
     """Dense interferometer unitary on the 2B-wire truncated Fock space.
 
     Satisfies ``norm(U^* U - I) <= 1e-10`` (each constituent gate is
@@ -333,10 +344,10 @@ def fock_unitary(config: InterferometerConfig, bins: int, cutoff: int,
     number.
     """
     reg = wire_registry(bins, cutoff)
-    if reg.dim > max_dim:
+    if reg.dim > DEFAULT_MAX_UNITARY_DIM:
         raise ValueError(
             f"registry dimension {reg.dim} = {reg.local_dim}^{reg.n_modes} "
-            f"exceeds the dense-unitary bound {max_dim}; "
+            f"exceeds the dense-unitary bound {DEFAULT_MAX_UNITARY_DIM}; "
             "use apply_interferometer for state evolution instead")
     eye = np.eye(reg.dim)
     cols = _evolve_wire_batch(eye, bins, reg.local_dim, config)
@@ -347,7 +358,6 @@ def coherent_wire_state(train_amplitudes: np.ndarray, bins: int,
                         cutoff: int) -> FockVector:
     """Product coherent state on a wire registry: path-0 wires carry the
     given per-bin amplitudes (zero-padded to `bins`), path-1 wires vacuum."""
-    from .fock import coherent_amplitudes
     amps = np.asarray(train_amplitudes, dtype=complex)
     if amps.size > bins:
         raise ValueError("more pulse amplitudes than wire bins")
@@ -394,9 +404,7 @@ def _batched_mean_amplitudes(t: np.ndarray) -> np.ndarray:
 
 
 def fock_output_amplitudes(amp_rows: np.ndarray, bins: int, cutoff: int,
-                           config: InterferometerConfig,
-                           max_entries: int = DEFAULT_MAX_STATE_ENTRIES
-                           ) -> np.ndarray:
+                           config: InterferometerConfig) -> np.ndarray:
     """Mean output amplitude of every wire after evolving product coherent
     inputs through the truncated Fock space.
 
@@ -411,26 +419,17 @@ def fock_output_amplitudes(amp_rows: np.ndarray, bins: int, cutoff: int,
     on the full tensor.  The pipeline stays in float64 when the inputs and
     the configuration phases are real.
     """
-    from .fock import coherent_amplitudes
     amp_rows = np.atleast_2d(np.asarray(amp_rows))
     n, npulse = amp_rows.shape
     if npulse > bins:
         raise ValueError("more pulse amplitudes than wire bins")
     d = cutoff + 1
     dim = d ** (2 * bins)
-    if n * dim > max_entries:
+    if n * dim > DEFAULT_MAX_STATE_ENTRIES:
         raise ValueError(f"batch {n} x dimension {dim} exceeds the "
-                         f"evolution bound {max_entries}")
-    g1 = _pair_gate(bs1_transform(config), d)
-    g2 = _pair_gate(bs2_transform(config), d)
-    phase = np.exp(1j * config.phi_delta * np.arange(d))
-    if np.max(np.abs(phase.imag)) < 1e-15:
-        phase = phase.real
-    inputs_real = np.max(np.abs(amp_rows.imag)) == 0.0 if \
-        np.iscomplexobj(amp_rows) else True
-    real_mode = (inputs_real and g1.dtype == np.float64
-                 and g2.dtype == np.float64 and phase.dtype == np.float64)
-    dtype = np.float64 if real_mode else complex
+                         f"evolution bound {DEFAULT_MAX_STATE_ENTRIES}")
+    inputs_real = not np.iscomplexobj(amp_rows) or not np.any(amp_rows.imag)
+    g1, g2, phase = _gate_setup(config, d, inputs_real)
 
     # post-BS1 product state, pair layout (A0, B0, A1, B1, ...)
     g1_on_vac = g1[:, ::d]            # columns (x, n_B=0)
@@ -438,25 +437,12 @@ def fock_output_amplitudes(amp_rows: np.ndarray, bins: int, cutoff: int,
     for i in range(bins):
         amps = amp_rows[:, i] if i < npulse else np.zeros(n, dtype=amp_rows.dtype)
         cohs = np.stack([coherent_amplitudes(a, cutoff) for a in amps])
-        if real_mode:
+        if g1.dtype == np.float64:
             cohs = np.ascontiguousarray(cohs.real)
         pair = cohs @ g1_on_vac.T      # (n, d*d)
         t = pair if t is None else \
             (t[:, :, None] * pair[:, None, :]).reshape(n, -1)
-    t = t.reshape((n,) + (d, d) * bins)
-
-    # delay: pair-layout path-1 axes are 2, 4, ..., shifted cyclically
-    src = [2 + 2 * i for i in range(bins)]
-    dst = [2 + 2 * ((i + 1) % bins) for i in range(bins)]
-    t = np.ascontiguousarray(np.moveaxis(t, src, dst))
-    if not np.all(phase == 1.0):
-        for i in range(bins):
-            shape = [1] * t.ndim
-            shape[2 + 2 * i] = d
-            t = t * phase.reshape(shape)
-
-    for i in range(bins):
-        t = _apply_pair_gate(t, g2.astype(dtype, copy=False), i, bins, d)
+    t = _delay_and_bs2(t.reshape((n,) + (d, d) * bins), g2, phase, bins)
 
     amps_pair = _batched_mean_amplitudes(t)
     norms = np.sum(np.abs(t.reshape(n, -1)) ** 2, axis=1)

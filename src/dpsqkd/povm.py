@@ -71,12 +71,18 @@ def all_click_patterns(n_bins: int) -> Tuple[ClickPattern, ...]:
     return tuple(itertools.product(per_bin, repeat=n_bins))
 
 
+def click_pattern_ids(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """Bin-major base-4 index (digit = 2*d0 + d1) of the click patterns
+    given as bool arrays ``(..., N)`` of D0 and D1 clicks per key bin; the
+    index of a pattern is its position in :func:`all_click_patterns`."""
+    digits = 2 * np.asarray(d0, dtype=np.int64) + np.asarray(d1, dtype=np.int64)
+    return digits @ 4 ** np.arange(digits.shape[-1] - 1, -1, -1)
+
+
 def pattern_index(pattern: ClickPattern) -> int:
-    """Bin-major base-4 index of a pattern (digit = 2*d0 + d1)."""
-    idx = 0
-    for d0, d1 in pattern:
-        idx = idx * 4 + 2 * int(d0) + int(d1)
-    return idx
+    """:func:`click_pattern_ids` of one pattern."""
+    d0, d1 = np.array(pattern, dtype=bool).reshape(-1, 2).T
+    return int(click_pattern_ids(d0, d1))
 
 
 def pattern_diagonal(registry: ModeRegistry, pattern: ClickPattern) -> np.ndarray:
@@ -90,20 +96,10 @@ def pattern_diagonal(registry: ModeRegistry, pattern: ClickPattern) -> np.ndarra
     return diag
 
 
-@dataclass(frozen=True)
-class EffectSet:
-    """Indexed family of measurement effects over click patterns."""
-
-    registry: ModeRegistry
-    patterns: Tuple[ClickPattern, ...]
-    effects: Dict[ClickPattern, FockOperator]
-
-    def effect(self, pattern: ClickPattern) -> FockOperator:
-        return self.effects[pattern]
-
-
-def build_projector_effects(n_bins: int, cutoff: int) -> EffectSet:
-    """The full 4^N family of projector effects on the detection wires.
+def build_projector_effects(n_bins: int,
+                            cutoff: int) -> Dict[ClickPattern, FockOperator]:
+    """The full 4^N family of projector effects on the detection wires,
+    in :func:`all_click_patterns` order.
 
     Each effect is diagonal in the occupation basis; they are idempotent,
     mutually orthogonal and sum to the identity.
@@ -112,13 +108,9 @@ def build_projector_effects(n_bins: int, cutoff: int) -> EffectSet:
         raise ValueError("full enumeration is desk scale (N <= 3); "
                          "build single patterns via pattern_diagonal instead")
     reg = detection_registry(n_bins, cutoff)
-    patterns = all_click_patterns(n_bins)
-    effects = {
-        p: FockOperator(reg, np.diag(pattern_diagonal(reg, p).astype(complex)),
-                        hermitian=True)
-        for p in patterns
-    }
-    return EffectSet(reg, patterns, effects)
+    return {p: FockOperator(reg, np.diag(pattern_diagonal(reg, p)
+                                         .astype(complex)), hermitian=True)
+            for p in all_click_patterns(n_bins)}
 
 
 def signal_registry(n_bins: int, cutoff: int) -> ModeRegistry:
@@ -134,10 +126,7 @@ def _pattern_ids(outputs: np.ndarray, n_bins: int) -> np.ndarray:
     """Click-pattern index (as :func:`pattern_index`) of every row of wire
     occupations, in wire order."""
     bins = n_bins + 1
-    pids = np.zeros(len(outputs), dtype=np.int64)
-    for i in range(1, bins):
-        pids = pids * 4 + 2 * (outputs[:, i] > 0) + (outputs[:, bins + i] > 0)
-    return pids
+    return click_pattern_ids(outputs[:, 1:bins] > 0, outputs[:, bins + 1:] > 0)
 
 
 def reduced_effect_set(n_bins: int, cutoff: int,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -88,6 +88,18 @@ class DetectorModel:
 
     def click_probabilities(self, amplitudes: np.ndarray) -> np.ndarray:
         return 1.0 - np.exp(-self.efficiency * np.abs(amplitudes) ** 2)
+
+    def sample(self, b4: np.ndarray, b5: np.ndarray,
+               rng: np.random.Generator):
+        """Clicks ``(d0, d1)`` of D0 and D1 on amplitude arrays `b4` and
+        `b5` of one shape.  Draws, each in C order: every D0 click, every
+        D1 click, then the dark clicks of D0 and of D1."""
+        d0 = rng.random(b4.shape) < self.click_probabilities(b4)
+        d1 = rng.random(b5.shape) < self.click_probabilities(b5)
+        if self.dark_click_prob > 0.0:
+            d0 |= rng.random(d0.shape) < self.dark_click_prob
+            d1 |= rng.random(d1.shape) < self.dark_click_prob
+        return d0, d1
 
 
 @dataclass(frozen=True)
@@ -166,11 +178,15 @@ class SessionConfig:
     def __post_init__(self):
         if self.n_bins < 0:
             raise ValueError("N must be >= 0")
-        if self.alpha2 < 0:
-            raise ValueError("alphaSquared must be >= 0")
+        if not 0.0 <= self.alpha2 < math.inf:
+            raise ValueError(f"alphaSquared must be finite and >= 0, "
+                             f"got {self.alpha2}")
         if not 0.0 <= self.eve_fraction <= 1.0:
             raise ValueError("eveFraction must lie in [0, 1]")
-        DetectorModel(self.efficiency, self.dark_click_prob)  # range check
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.detector()        # range checks
+        self.interferometer()
 
     @property
     def alpha(self) -> float:
@@ -234,17 +250,8 @@ def detect(out4: PulseTrain, out5: PulseTrain, model: DetectorModel,
     bins at both ends are outside the detection window)."""
     if out4.bin_count != out5.bin_count:
         raise ValueError("output trains differ in bin count")
-    b4 = out4.amplitudes[1:-1]
-    b5 = out5.amplitudes[1:-1]
-    p0 = model.click_probabilities(b4)
-    p1 = model.click_probabilities(b5)
-    n = b4.size
-    d0 = rng.random(n) < p0
-    d1 = rng.random(n) < p1
-    if model.dark_click_prob > 0.0:
-        d0 |= rng.random(n) < model.dark_click_prob
-        d1 |= rng.random(n) < model.dark_click_prob
-    return ClickRecord(d0, d1)
+    return ClickRecord(*model.sample(out4.amplitudes[1:-1],
+                                     out5.amplitudes[1:-1], rng))
 
 
 def extract_bob_bits(clicks: ClickRecord):
@@ -343,11 +350,10 @@ def intercept_resend(train: PulseTrain, eve_fraction: float,
     return PulseTrain(0, out), EveTranscript(tapped, usable, known_bits)
 
 
-def run_session(config: SessionConfig, seed: Optional[int] = None) -> SessionStats:
+def run_session(config: SessionConfig) -> SessionStats:
     """One full session: prepare, (attack), propagate, detect, extract,
-    sift.  Deterministic given (config, seed)."""
-    actual_seed = config.seed if seed is None else seed
-    rng = np.random.default_rng(actual_seed)
+    sift.  Deterministic given the config, which holds the seed."""
+    rng = np.random.default_rng(config.seed)
     if config.n_bins == 0:
         return SessionStats(0, 0, 0.0, None, 0, np.empty(0, dtype=int), 0, config)
     alice = AliceRecord.random(config.n_bins, config.alpha, rng)

@@ -202,3 +202,38 @@ def test_eb_compare_pinned_monte_carlo_lines(capsys):
         "empiricalDistance = 0.008909999999999996",
         "trials = 100000",
         "sigma = 0.00223606797749979  (bounded-differences scale)"]
+
+
+@pytest.mark.parametrize("argv, env_seed, needle", [
+    (["--seed", "-1"], None, "seed"),
+    ([], "-1", "seed"),
+    (["--alpha2", "nan"], None, "alphaSquared"),
+    (["--phi2", "nan"], None, "finite"),
+    (["--repeat", "0"], None, "repeat"),
+    (["--repeat", "-3"], None, "repeat"),
+])
+def test_simulate_bad_input_exits_2(argv, env_seed, needle, capsys,
+                                    monkeypatch):
+    if env_seed is not None:
+        monkeypatch.setenv("DPSQKD_SEED", env_seed)
+    code, out, err = run(["simulate", "--bins", "100", *argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["--alpha2", "-1"], "alphaSquared"),
+    (["--alpha2", "nan"], "alphaSquared"),
+    (["--phi2", "nan"], "finite"),
+    (["--trials", "-5"], "trials"),
+    (["--key-bins", "12", "--trials", "0"], "exceeds"),
+    (["--key-bins", "3", "--trials", "100000000"], "exceeds"),
+])
+def test_eb_compare_bad_input_exits_2(argv, needle, capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(["eb-compare", *argv], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err

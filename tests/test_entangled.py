@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpsqkd import entangled as eb
 from dpsqkd import fock
@@ -12,10 +13,29 @@ from dpsqkd import fock
 def test_state_norm_and_factorization():
     st = eb.build_eb_state(2, 0.45, 12)
     assert abs(st.norm2() - 1.0) < 1e-10
-    assert st.n_pulses == 3 and st.qubit_count == 3
-    assert st.joint is not None and st.joint.shape == (8, 13 ** 3)
-    big = eb.build_eb_state(3, 0.45, 8)
-    assert big.joint is None and len(big.factors) == 4
+    assert st.n_pulses == 3
+    assert len(st.factors) == 3
+    assert all(f.shape == (2, 13) for f in st.factors)
+    # the reduced density works at any size below the entry bound
+    rho = eb.alice_reduced_density(eb.build_eb_state(5, 0.45, 8))
+    assert rho.shape == (64, 64)
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_key_bins=st.integers(0, 1), alpha=st.complex_numbers(
+    max_magnitude=1.5, allow_nan=False, allow_infinity=False))
+def test_alice_reduced_density_matches_joint_oracle(n_key_bins, alpha):
+    # oracle: the joint (Alice x photon) vector J, built here from the
+    # per-bin factors, and Alice's reduced state J J* / |J|^2
+    state = eb.build_eb_state(n_key_bins, alpha, 8)
+    joint = np.ones((1, 1))
+    for f in state.factors:
+        joint = np.einsum("ap,bq->abpq", joint, f).reshape(
+            2 * joint.shape[0], -1)
+    oracle = joint @ joint.conj().T / np.vdot(joint, joint).real
+    assert np.allclose(eb.alice_reduced_density(state), oracle,
+                       rtol=0, atol=1e-12)
 
 
 def test_alpha_zero_is_product_state():
@@ -124,6 +144,15 @@ def test_report_text():
 def test_input_validation():
     with pytest.raises(ValueError):
         eb.compare_statistics(0, 0.4)
-    st = eb.build_eb_state(3, 0.45, 6)
-    with pytest.raises(ValueError):
+    for kwargs in ({"trials": -5}, {"seed": -1}):
+        with pytest.raises(ValueError, match=">= 0"):
+            eb.compare_statistics(2, 0.4, **kwargs)
+    # refused before any work: 2^13 preparations x 4^12 patterns, and
+    # 10^8 trials x 5 Monte Carlo entries
+    for n, trials in ((12, 0), (3, 10 ** 8)):
+        with pytest.raises(ValueError, match="exceeds the bound 300000000"):
+            eb.compare_statistics(n, 0.4, trials=trials)
+    # 4^15 entries of Alice's 15-qubit reduced density
+    st = eb.build_eb_state(14, 0.45, 2)
+    with pytest.raises(ValueError, match="above the bound"):
         eb.alice_reduced_density(st)

@@ -8,7 +8,7 @@ import pytest
 from dpsqkd import fock
 from dpsqkd.fock import (FockOperator, FockVector, ModeRegistry,
                          coherent_state, commutator_norm, expectation,
-                         ladder_operator, poisson_tail, tensor, vacuum_reduce)
+                         ladder_operator, poisson_tail, tensor)
 
 
 def test_registry_validation():
@@ -155,28 +155,6 @@ def test_commutator_norm_cases():
         commutator_norm(a, other)
 
 
-def test_vacuum_reduce_cases():
-    reg2 = ModeRegistry(["a", "b"], 2)
-    eye = fock.identity(reg2)
-    red = vacuum_reduce(eye, "b")
-    assert np.allclose(red.matrix, np.eye(3))
-    assert red.registry.modes == ("a",)
-
-    rng = np.random.default_rng(7)
-    regA = ModeRegistry(["a"], 2)
-    A = FockOperator(regA, rng.normal(size=(3, 3)))
-    vac_proj = np.zeros((3, 3)); vac_proj[0, 0] = 1.0
-    one_proj = np.zeros((3, 3)); one_proj[1, 1] = 1.0
-    withvac = tensor(A, FockOperator(ModeRegistry(["b"], 2), vac_proj))
-    assert np.allclose(vacuum_reduce(withvac, "b").matrix, A.matrix)
-    withone = tensor(A, FockOperator(ModeRegistry(["b"], 2), one_proj))
-    assert np.allclose(vacuum_reduce(withone, "b").matrix, 0.0)
-    with pytest.raises(ValueError):
-        vacuum_reduce(eye, "nope")
-    with pytest.raises(ValueError):
-        vacuum_reduce(A, "a")
-
-
 def test_expectation_cases():
     reg = ModeRegistry(["m"], 8)
     vac = fock.vacuum(reg)
@@ -231,45 +209,3 @@ def test_permute_and_embed():
     lhs = full.conj() @ big.matrix @ full
     rhs = (v.conj() @ M @ v) * (w.conj() @ w)
     assert abs(lhs - rhs) < 1e-10
-
-
-def test_vacuum_reduce_matches_joint_expectation():
-    # reducing the conjugated effect over an ancilla reproduces the joint
-    # expectation for random states
-    from dpsqkd.optics import fock_unitary, InterferometerConfig, wire_registry
-    from dpsqkd.povm import build_projector_effects
-    cfg = InterferometerConfig.compensated()
-    U = fock_unitary(cfg, 2, 2)   # 4 wires at cutoff 2: dim 81
-    wreg = U.registry
-    effects = build_projector_effects(1, 2)
-    G = fock.embed(effects.effect(((True, False),)), wreg)
-    M = FockOperator(wreg, U.dagger().matrix @ G.matrix @ U.matrix)
-    E = fock.vacuum_reduce_all(M, [m for m in wreg.modes if m[0] == 1])
-    rng = np.random.default_rng(3)
-    d0 = E.registry.dim
-    for _ in range(10):
-        psi = rng.normal(size=d0) + 1j * rng.normal(size=d0)
-        psi /= np.linalg.norm(psi)
-        # |psi>_0 x |vac>_1 in wire order (path-major)
-        vac1 = np.zeros(9); vac1[0] = 1.0
-        joint = np.kron(psi, vac1)
-        lhs = psi.conj() @ E.matrix @ psi
-        rhs = joint.conj() @ M.matrix @ joint
-        assert abs(lhs - rhs) < 1e-12
-
-
-def test_text_dump(tmp_path):
-    v = coherent_state(0.5 + 0.1j, 2)
-    path = tmp_path / "vec.txt"
-    fock.write_text_matrix(v, str(path))
-    rows = path.read_text().strip().split("\n")
-    assert len(rows) == 1
-    entries = rows[0].split()
-    assert len(entries) == 3
-    got = complex(entries[0].replace("j", "j"))
-    assert abs(got - v.amplitudes[0]) < 1e-15
-
-    op = fock.identity(ModeRegistry(["m"], 1))
-    path2 = tmp_path / "op.txt"
-    fock.write_text_matrix(op, str(path2))
-    assert len(path2.read_text().strip().split("\n")) == 2

@@ -21,6 +21,10 @@ def test_compensation_condition_enforced():
         InterferometerConfig(phi1=0.3, phi2=0.2, phi_delta=0.0)
     cfg = InterferometerConfig.compensated(phi2=0.4, phi_delta=1.1)
     assert abs(cfg.phi1 + cfg.phi2 - cfg.phi_delta) < 1e-15
+    # NaN passes the compensation comparison, so it is refused by name
+    for bad in ({"phi2": math.nan}, {"phi_delta": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            InterferometerConfig.compensated(**bad)
 
 
 @pytest.mark.parametrize("phi2,phi_delta", [(0.0, 0.0), (0.7, 0.2), (2.1, -0.4)])
@@ -77,6 +81,31 @@ def test_energy_conservation_with_boundaries():
         assert o4.bin_count == n + 1
         assert abs(o4.total_energy() + o5.total_energy() - tr.total_energy()) \
             < 1e-12 * max(tr.total_energy(), 1.0)
+
+
+PHASES = st.one_of(st.just(0.0), st.floats(-math.pi, math.pi,
+                                           allow_nan=False))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 3),
+                       st.integers(1, 8)),
+       phi2=PHASES, phi_delta=PHASES, seed=st.integers(0, 2 ** 32 - 1))
+def test_propagate_batched_rows_and_energy(shape, phi2, phi_delta, seed):
+    # the batched kernel equals the row-by-row calls and conserves the
+    # energy of every train, boundary half-pulses included
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    cfg = InterferometerConfig.compensated(phi2=phi2, phi_delta=phi_delta)
+    c = interferometer_coefficients(cfg)
+    b4, b5 = optics.propagate(amps, c)
+    assert b4.shape == b5.shape == shape[:-1] + (shape[-1] + 1,)
+    for idx in np.ndindex(shape[:-1]):
+        r4, r5 = optics.propagate(amps[idx], c)
+        assert np.array_equal(b4[idx], r4) and np.array_equal(b5[idx], r5)
+    e_in = np.sum(np.abs(amps) ** 2, axis=-1)
+    e_out = np.sum(np.abs(b4) ** 2 + np.abs(b5) ** 2, axis=-1)
+    assert np.allclose(e_out, e_in, rtol=1e-12, atol=0)
 
 
 def test_boundary_bins_carry_half_pulses():
@@ -199,10 +228,6 @@ def test_sector_occupations_enumerate_in_kronecker_order():
     reg = wire_registry(3, 4)
     idx = [reg.basis_index(o) for o in occ]
     assert idx == sorted(set(idx))
-
-
-PHASES = st.one_of(st.just(0.0), st.floats(-math.pi, math.pi,
-                                           allow_nan=False))
 
 
 @settings(max_examples=20, deadline=None)

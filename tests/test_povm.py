@@ -12,6 +12,7 @@ from dpsqkd.fock import FockOperator, FockVector
 from dpsqkd.optics import InterferometerConfig, fock_unitary, wire_registry
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, all_click_patterns,
                          build_e2_e3, build_projector_effects,
+                         click_pattern_ids,
                          conjugated_commutator_norm, detection_registry,
                          pattern_diagonal, pattern_index, reduced_effect_set,
                          signal_registry, t_term, t_term_numeric)
@@ -48,9 +49,10 @@ def closed_form_e2_e3(cutoff):
 
 def test_effect_family_structure():
     effects = build_projector_effects(2, 3)
-    mats = [effects.effect(p).matrix for p in effects.patterns]
+    assert list(effects) == list(all_click_patterns(2))
+    mats = [E.matrix for E in effects.values()]
     assert len(mats) == 16
-    eye = np.eye(effects.registry.dim)
+    eye = np.eye(detection_registry(2, 3).dim)
     assert np.max(np.abs(sum(mats) - eye)) <= 1e-10
     for m in mats:
         assert np.max(np.abs(m @ m - m)) <= 1e-12
@@ -62,9 +64,8 @@ def test_effect_family_structure():
 
 
 def test_all_vacuum_effect_fixes_vacuum():
-    effects = build_projector_effects(2, 3)
-    g1 = effects.effect(effects.patterns[0])
-    vac = fock.vacuum(effects.registry)
+    g1 = build_projector_effects(2, 3)[all_click_patterns(2)[0]]
+    vac = fock.vacuum(g1.registry)
     assert abs(fock.expectation(vac, g1).real - 1.0) < 1e-14
 
 
@@ -75,6 +76,21 @@ def test_pattern_indexing():
     assert pattern_index(pats[0]) == 0
     assert pattern_index(pats[-1]) == 15
     assert len({pattern_index(p) for p in pats}) == 16
+
+
+def test_click_pattern_ids_match_pattern_index():
+    # every pattern's index is its position in the enumeration, for one
+    # pattern at a time and for batches with extra leading axes
+    for n in (1, 2, 3):
+        pats = all_click_patterns(n)
+        clicks = np.array(pats, dtype=bool).reshape(len(pats), n, 2)
+        ids = click_pattern_ids(clicks[..., 0], clicks[..., 1])
+        assert ids.tolist() == [pattern_index(p) for p in pats] \
+            == list(range(4 ** n))
+        batched = clicks.reshape(4, -1, n, 2)
+        assert np.array_equal(
+            click_pattern_ids(batched[..., 0], batched[..., 1]),
+            ids.reshape(4, -1))
 
 
 def test_probability_consistency_random_states():
@@ -100,8 +116,8 @@ def test_probability_consistency_random_states():
         U = fock_unitary(cfg, 2, wire_cutoff).matrix
         for boundary, mask in (("marginal", 1.0), ("vacuum", silent)):
             red = reduced_effect_set(1, cutoff, cfg, boundary=boundary)
-            for p in effects.patterns:
-                g = np.diag(fock.embed(effects.effect(p), wreg).matrix).real
+            for p, G in effects.items():
+                g = np.diag(fock.embed(G, wreg).matrix).real
                 M = U.conj().T @ ((g * mask)[:, None] * U)
                 for psi, joint in zip(psis, joints):
                     assert abs(psi.conj() @ red[p].matrix @ psi
