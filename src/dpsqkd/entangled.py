@@ -238,22 +238,23 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     ideal bucket detection is insensitive to them.)
 
     Raises ValueError, before any work, when the enumeration
-    (2^(N+1) preparations x 4^N patterns) or the Monte Carlo arrays
-    (trials x (N+2)) exceed ``optics.DEFAULT_MAX_STATE_ENTRIES``.
+    (2^(N+1) preparations x 4^N patterns), the Monte Carlo arrays
+    (trials x (N+2)) or the state's factors (2(N+1) x (cutoff+1)) exceed
+    ``optics.DEFAULT_MAX_STATE_ENTRIES``.
     """
     if n_key_bins < 1:
         raise ValueError("need at least one key bin")
-    if trials < 0 or seed < 0:
-        raise ValueError(f"trials and seed must be >= 0, got {trials} "
-                         f"and {seed}")
+    if trials < 0 or seed < 0 or not math.isfinite(eb_delay_defect):
+        raise ValueError(f"trials and seed must be >= 0 and eb_delay_defect "
+                         f"finite, got {trials}, {seed}, {eb_delay_defect}")
     n_pulses = n_key_bins + 1
-    entries = max(2 ** n_pulses * 4 ** n_key_bins, trials * (n_key_bins + 2))
+    entries = max(2 ** n_pulses * 4 ** n_key_bins, trials * (n_key_bins + 2),
+                  2 * n_pulses * (cutoff + 1))
     if entries > DEFAULT_MAX_STATE_ENTRIES:
         raise ValueError(
-            f"{n_key_bins} key bins and {trials} trials need {entries} "
-            f"entries (2^(N+1) preparations x 4^N click patterns, or "
-            f"trials x (N+2)), which exceeds the bound "
-            f"{DEFAULT_MAX_STATE_ENTRIES}")
+            f"{n_key_bins} key bins, {trials} trials and cutoff {cutoff} need "
+            f"{entries} entries (2^(N+1) x 4^N, trials x (N+2) or 2(N+1) x "
+            f"(cutoff+1)), which exceeds the bound {DEFAULT_MAX_STATE_ENTRIES}")
     config = config or InterferometerConfig.compensated()
     c_pm = interferometer_coefficients(config)
     c_eb = _defective_coefficients(config, eb_delay_defect)
@@ -280,7 +281,6 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
         rng = np.random.default_rng(seed)
         sp_pm = rng.integers(0, 2, size=(trials, n_pulses))
         pat_pm = _sample_pattern_ids((1.0 - 2.0 * sp_pm) * alpha, c_pm, rng)
-        del sp_pm
         sp_eb = rng.random((trials, n_pulses)) < bit_probs[:, 1]
         pat_eb = _sample_pattern_ids(amp_of_bit[sp_eb.astype(int)], c_eb, rng)
         h_pm = np.bincount(pat_pm, minlength=4 ** n_key_bins) / trials

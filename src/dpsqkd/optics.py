@@ -159,11 +159,6 @@ def propagate_analytic(train: PulseTrain, config: InterferometerConfig):
     return PulseTrain(4, out4), PulseTrain(5, out5)
 
 
-def key_bins(out_train: PulseTrain) -> np.ndarray:
-    """Interior (key) amplitudes of a propagated train: bins 1..N."""
-    return out_train.amplitudes[1:-1]
-
-
 # ---------------------------------------------------------------------------
 # Fock representation
 

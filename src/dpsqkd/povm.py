@@ -172,13 +172,14 @@ def reduced_effect_set(n_bins: int, cutoff: int,
                           max_occupation=[cutoff] * bins + [0] * bins)
     mats = {p: np.zeros((sreg.dim, sreg.dim), dtype=complex)
             for p in patterns}
+    targets = [pattern_index(p) for p in patterns]
     strides = (cutoff + 1) ** np.arange(bins - 1, -1, -1)
     for outputs, inputs, images in sectors:
         block = np.ix_(*2 * [inputs[:, :bins] @ strides])
         pids = _pattern_ids(outputs, n_bins)
         silent = (outputs[:, 0] == 0) & (outputs[:, bins] == 0)
-        for p in patterns:
-            rows = pids == pattern_index(p)
+        for p, target in zip(patterns, targets):
+            rows = pids == target
             if boundary == "vacuum":
                 rows &= silent
             W = images[rows]

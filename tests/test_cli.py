@@ -229,6 +229,8 @@ def test_simulate_bad_input_exits_2(argv, env_seed, needle, capsys,
     (["--trials", "-5"], "trials"),
     (["--key-bins", "12", "--trials", "0"], "exceeds"),
     (["--key-bins", "3", "--trials", "100000000"], "exceeds"),
+    (["--cutoff", "1000000000"], "exceeds"),
+    (["--eb-delay-defect", "nan"], "finite"),
 ])
 def test_eb_compare_bad_input_exits_2(argv, needle, capsys):
     t0 = time.perf_counter()

@@ -144,15 +144,24 @@ def test_report_text():
 def test_input_validation():
     with pytest.raises(ValueError):
         eb.compare_statistics(0, 0.4)
-    for kwargs in ({"trials": -5}, {"seed": -1}):
+    for kwargs in ({"trials": -5}, {"seed": -1},
+                   {"eb_delay_defect": math.nan}):
         with pytest.raises(ValueError, match=">= 0"):
             eb.compare_statistics(2, 0.4, **kwargs)
-    # refused before any work: 2^13 preparations x 4^12 patterns, and
-    # 10^8 trials x 5 Monte Carlo entries
-    for n, trials in ((12, 0), (3, 10 ** 8)):
-        with pytest.raises(ValueError, match="exceeds the bound 300000000"):
-            eb.compare_statistics(n, 0.4, trials=trials)
     # 4^15 entries of Alice's 15-qubit reduced density
     st = eb.build_eb_state(14, 0.45, 2)
     with pytest.raises(ValueError, match="above the bound"):
         eb.alice_reduced_density(st)
+
+
+def test_size_bounds_refuse_before_any_work(monkeypatch):
+    # 2^13 preparations x 4^12 patterns, 10^8 trials x 5 Monte Carlo
+    # entries, and 4 x 10^9 coherent amplitudes: each is refused before
+    # the state is built
+    def unreachable(*args):
+        raise AssertionError("state built before the bound check")
+    monkeypatch.setattr(fock, "coherent_amplitudes", unreachable)
+    for n, kwargs in ((12, {}), (3, {"trials": 10 ** 8}),
+                      (1, {"cutoff": 10 ** 9})):
+        with pytest.raises(ValueError, match="exceeds the bound 300000000"):
+            eb.compare_statistics(n, 0.4, **kwargs)

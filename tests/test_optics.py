@@ -11,7 +11,7 @@ from dpsqkd.optics import (InterferometerConfig, PulseTrain,
                            apply_interferometer, bs1_transform, bs2_transform,
                            coherent_wire_state, fock_output_amplitudes,
                            fock_unitary, interferometer_coefficients,
-                           key_bins, mean_mode_amplitudes, propagate_analytic,
+                           mean_mode_amplitudes, propagate_analytic,
                            sector_dim, sector_lift, sector_occupations,
                            single_particle_unitary, wire_registry)
 
@@ -50,16 +50,16 @@ def test_propagate_constant_phase():
     # equal consecutive phases: all light reaches D0's path
     cfg = InterferometerConfig.compensated()
     o4, o5 = propagate_analytic(PulseTrain(0, [0.45, 0.45, 0.45]), cfg)
-    assert np.allclose(key_bins(o4), 0.45)
-    assert np.all(key_bins(o5) == 0.0)
+    assert np.allclose(o4.amplitudes[1:-1], 0.45)
+    assert np.all(o5.amplitudes[1:-1] == 0.0)
 
 
 def test_propagate_phase_flip():
     # a flip sends the full amplitude to D1's path, phase e^{i phi2}
     cfg = InterferometerConfig.compensated(phi2=0.8)
     o4, o5 = propagate_analytic(PulseTrain(0, [0.45, -0.45]), cfg)
-    assert abs(key_bins(o4)[0]) < 1e-15
-    assert abs(key_bins(o5)[0] - 0.45 * np.exp(0.8j)) < 1e-14
+    assert abs(o4.amplitudes[1]) < 1e-15
+    assert abs(o5.amplitudes[1] - 0.45 * np.exp(0.8j)) < 1e-14
 
 
 def test_propagate_zero_train_and_empty():
@@ -212,13 +212,13 @@ def test_interference_determinism_exact_zeros():
     # exact zeros at the (real-arithmetic) default phases
     cfg = InterferometerConfig.compensated()
     same = propagate_analytic(PulseTrain(0, [0.7, 0.7]), cfg)
-    assert key_bins(same[1])[0] == 0.0
+    assert same[1].amplitudes[1] == 0.0
     flipped = propagate_analytic(PulseTrain(0, [0.7, -0.7]), cfg)
-    assert key_bins(flipped[0])[0] == 0.0
+    assert flipped[0].amplitudes[1] == 0.0
     # general phases: zero to rounding of the phase factors
     cfg2 = InterferometerConfig.compensated(phi2=0.3, phi_delta=0.0)
     flipped2 = propagate_analytic(PulseTrain(0, [0.7, -0.7]), cfg2)
-    assert abs(key_bins(flipped2[0])[0]) < 1e-15
+    assert abs(flipped2[0].amplitudes[1]) < 1e-15
 
 
 def test_sector_occupations_enumerate_in_kronecker_order():
