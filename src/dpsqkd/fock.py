@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy import stats
 
 #: norm / completeness tolerance used wherever coherent-state tails appear
 TRUNCATION_TOL = 1e-9
@@ -206,12 +205,6 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     if alpha != 0:
         phase = (alpha / abs(alpha)) ** n
     return mag * phase
-
-
-def poisson_tail(mean: float, cutoff: int) -> float:
-    """P(X > cutoff) for X ~ Poisson(mean): the truncated norm deficit of a
-    coherent state with ``|alpha|^2 = mean``."""
-    return float(stats.poisson.sf(cutoff, mean)) if mean > 0 else 0.0
 
 
 def vacuum(registry: ModeRegistry) -> FockVector:

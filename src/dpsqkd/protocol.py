@@ -335,16 +335,18 @@ def intercept_resend(train: PulseTrain, eve_fraction: float,
     usable = disclosed[both[disclosed - 1]]
     known_bits = bits[usable - 1].astype(np.uint8)
 
-    # re-prepare: random phase bits, then chain the known intervals
+    # re-prepare: random phase bits, then chain each known pulse i onto the
+    # last unknown pulse at or before it (its anchor; pulse 0 always is):
+    # s[i] = s[anchor] ^ (the known bits after the anchor), a prefix XOR
     alpha = np.max(np.abs(train.amplitudes))
     s_eve = rng.integers(0, 2, size=n_pulses, dtype=np.uint8)
-    known = np.zeros(n_pulses, dtype=bool)
-    known[usable] = True
-    bit_of = np.zeros(n_pulses, dtype=np.uint8)
-    bit_of[usable] = known_bits
-    for i in range(1, n_pulses):
-        if known[i]:
-            s_eve[i] = s_eve[i - 1] ^ bit_of[i]
+    anchor = np.arange(n_pulses)
+    anchor[usable] = 0
+    anchor = np.maximum.accumulate(anchor)
+    prefix = np.zeros(n_pulses, dtype=np.uint8)
+    prefix[usable] = known_bits
+    prefix = np.bitwise_xor.accumulate(prefix)
+    s_eve = s_eve[anchor] ^ prefix ^ prefix[anchor]
     resent = (1.0 - 2.0 * s_eve.astype(float)) * alpha
     out = np.where(tapped, resent, train.amplitudes)
     return PulseTrain(0, out), EveTranscript(tapped, usable, known_bits)

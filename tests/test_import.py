@@ -1,0 +1,40 @@
+"""`import dpsqkd.cli` and the four subcommands leave scipy unloaded."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# runs in a fresh interpreter, so no test module has imported scipy yet
+SCRIPT = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import dpsqkd.cli
+report = {"after_import": scipy_modules(), "status": []}
+for argv in (["verify-povm", "--cutoff", "3", "--json"],
+             ["simulate", "--bins", "100000", "--eve-fraction", "1"],
+             ["eb-compare", "--key-bins", "3", "--trials", "1000", "--seed", "1"],
+             ["witness-demo"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        report["status"].append(dpsqkd.cli.main(argv))
+report["after_runs"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
+def test_cli_runs_without_scipy():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["after_import"] == []
+    assert report["status"] == [0, 0, 0, 0]
+    assert report["after_runs"] == []

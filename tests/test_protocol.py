@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dpsqkd.optics import InterferometerConfig, PulseTrain, propagate_analytic
 from dpsqkd.protocol import (AliceRecord, ClickRecord, DetectorModel,
@@ -140,6 +141,55 @@ def test_intercept_resend_full_knowledge_zero_qber():
     bits, disclosed, _ = extract_bob_bits(clicks)
     _, _, qber = sift(rec, bits, disclosed)
     assert qber == 0.0
+
+
+class _RecordingRng:
+    """A Generator that also keeps the arrays its ``integers`` returned."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.integers_drawn = []
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def integers(self, *args, **kwargs):
+        out = self._rng.integers(*args, **kwargs)
+        self.integers_drawn.append(out.copy())
+        return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 40), mode=st.sampled_from(["random", "all", "none"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=0, mode="random", seed=1)
+@example(n=40, mode="all", seed=2)
+@example(n=40, mode="none", seed=3)
+def test_intercept_resend_chain_matches_loop(n, mode, seed):
+    # the sequential phase chain, as an oracle for the vectorized one:
+    # bright pulses make every interval known, faint ones none
+    rng = np.random.default_rng(seed)
+    alpha = {"random": rng.uniform(0.2, 1.5), "all": 6.0, "none": 1e-9}[mode]
+    fraction = rng.uniform(0.05, 1.0) if mode == "random" else 1.0
+    train = PulseTrain(0, alpha * (1 - 2 * rng.integers(0, 2, n)))
+    eve_rng = _RecordingRng(seed)
+    out, transcript = intercept_resend(train, fraction, eve_rng)
+    if n == 0:
+        assert out is train and eve_rng.integers_drawn == []
+        return
+    known_bins = {"random": transcript.known_bins,
+                  "all": np.arange(1, n), "none": np.empty(0, dtype=int)}[mode]
+    assert np.array_equal(transcript.known_bins, known_bins)
+
+    (s,) = eve_rng.integers_drawn
+    bit_of = dict(zip(transcript.known_bins.tolist(),
+                      transcript.known_bits.tolist()))
+    for i in range(1, n):
+        if i in bit_of:
+            s[i] = s[i - 1] ^ bit_of[i]
+    resent = (1.0 - 2.0 * s.astype(float)) * np.max(np.abs(train.amplitudes))
+    expected = np.where(transcript.intercepted, resent, train.amplitudes)
+    assert np.array_equal(out.amplitudes, expected)
 
 
 def test_intercept_resend_full_attack_qber():
