@@ -204,6 +204,53 @@ def test_eb_compare_pinned_monte_carlo_lines(capsys):
         "sigma = 0.00223606797749979  (bounded-differences scale)"]
 
 
+# full eb-compare stdout recorded while each Monte Carlo trial still
+# propagated its own pulse train; (argv, exit status) -> stdout.  phi2 is
+# compensated on the output paths, which ideal bucket detectors cannot
+# see, so the phi2 0.7 run prints the key-bins 3 run's bytes
+_SIGMA_20K = "sigma = 0.005  (bounded-differences scale)\n"
+PINNED_EB_COMPARE = {
+    (("--key-bins", "1", "--trials", "20000", "--seed", "11"), 0):
+        "keyBins = 1\nalphaSquared = 0.19999999999999998\n"
+        "analyticDistance = 7.66053886991358e-15\n"
+        "empiricalDistance = 0.0030999999999999986\ntrials = 20000\n"
+        + _SIGMA_20K,
+    (("--key-bins", "3", "--trials", "20000", "--seed", "11"), 0):
+        "keyBins = 3\nalphaSquared = 0.19999999999999998\n"
+        "analyticDistance = 1.5379190976272383e-14\n"
+        "empiricalDistance = 0.01440000000000003\ntrials = 20000\n"
+        + _SIGMA_20K,
+    (("--key-bins", "5", "--trials", "20000", "--seed", "11"), 0):
+        "keyBins = 5\nalphaSquared = 0.19999999999999998\n"
+        "analyticDistance = 1.7420418406410842e-14\n"
+        "empiricalDistance = 0.033350000000000025\ntrials = 20000\n"
+        + _SIGMA_20K,
+    (("--phi2", "0.7", "--trials", "20000", "--seed", "11"), 0):
+        "keyBins = 3\nalphaSquared = 0.19999999999999998\n"
+        "analyticDistance = 1.5379190976272383e-14\n"
+        "empiricalDistance = 0.01440000000000003\ntrials = 20000\n"
+        + _SIGMA_20K,
+    (("--alpha2", "0.5", "--trials", "20000", "--seed", "11"), 0):
+        "keyBins = 3\nalphaSquared = 0.5000000000000001\n"
+        "analyticDistance = 1.4176144286226489e-10\n"
+        "empiricalDistance = 0.018999999999999996\ntrials = 20000\n"
+        + _SIGMA_20K,
+    (("--eb-delay-defect", "0.4", "--trials", "20000"), 1):
+        "keyBins = 3\nalphaSquared = 0.19999999999999998\n"
+        "analyticDistance = 0.0041171470190490625\n"
+        "empiricalDistance = 0.01729999999999995\ntrials = 20000\n"
+        + _SIGMA_20K,
+}
+
+
+@pytest.mark.parametrize("argv, status", sorted(PINNED_EB_COMPARE))
+def test_eb_compare_pinned_bytes(argv, status, capsys, monkeypatch):
+    monkeypatch.delenv("DPSQKD_SEED", raising=False)
+    code, out, _ = run(["eb-compare", *argv], capsys)
+    assert code == status
+    assert out == PINNED_EB_COMPARE[argv, status]
+
+
 @pytest.mark.parametrize("argv, env_seed, needle", [
     (["--seed", "-1"], None, "seed"),
     ([], "-1", "seed"),
