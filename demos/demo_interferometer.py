@@ -8,6 +8,7 @@ wherever both apply; this cross-check is the backbone of the test suite.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -45,13 +46,17 @@ for s_prime, label in (((0, 0), "equal phases"), ((0, 1), "flipped phase")):
 # materialized unitary at desk scale
 U = fock_unitary(config, bins=3, cutoff=3)
 print("\ndense unitary on", U.registry.n_modes, "wires, dim", U.registry.dim)
-print("||U*U - I|| =", np.linalg.norm(U.matrix.conj().T @ U.matrix
-                                      - np.eye(U.registry.dim)))
 vac = fock.vacuum(U.registry)
 print("vacuum is preserved:", abs((U @ vac).amplitudes[0]) == 1.0)
-n_tot = fock.number_operator(U.registry)
+# the total number operator N is diagonal, so [U, N] = U_ij (n_j - n_i)
+n = sum(U.registry.occupations(m) for m in U.registry.modes)
 print("photon number conserved, ||[U, N]|| =",
-      fock.commutator_norm(U, n_tot))
+      float(np.linalg.norm(U.matrix * (n[None, :] - n[:, None]))))
+# so U is block-diagonal in total photon number, and U*U - I is too
+blocks = [U.matrix[np.ix_(idx, idx)]
+          for idx in (np.flatnonzero(n == k) for k in np.unique(n))]
+print("||U*U - I|| =", math.sqrt(sum(
+    np.linalg.norm(b.conj().T @ b - np.eye(len(b))) ** 2 for b in blocks)))
 
 # gate-wise evolution scales past the dense regime; a coherent product
 # input must come out as the analytically propagated coherent product

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from .entangled import compare_statistics
+from .entangled import ANALYTIC_DISTANCE_GATE, compare_statistics
 from .optics import InterferometerConfig
 from .povm import certify_noncommutativity
 from .protocol import SessionConfig, SessionStats, load_session_config, run_session
@@ -31,8 +31,6 @@ import numpy as np
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
 EXIT_BAD_INPUT = 2
-
-ANALYTIC_DISTANCE_GATE = 1e-8
 
 
 def _env_seed():

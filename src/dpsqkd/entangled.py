@@ -150,6 +150,10 @@ def collapsed_mean_amplitude(state: EbState, i: int, bit: int) -> complex:
 # ---------------------------------------------------------------------------
 # statistical equivalence of the two preparations
 
+#: largest analytic total-variation distance that certifies the two
+#: preparations equivalent
+ANALYTIC_DISTANCE_GATE = 1e-8
+
 
 @dataclass(frozen=True)
 class EbComparisonReport:
@@ -176,27 +180,19 @@ class EbComparisonReport:
         return "\n".join(lines)
 
 
-def _defective_coefficients(config: InterferometerConfig,
-                            delay_defect: float) -> np.ndarray:
-    """Mode-map coefficients with an uncompensated extra phase in the
-    delay arm.  A nonzero defect breaks the interference contrast, which
-    (unlike a phase on the output paths) ideal bucket detectors can see;
-    this is the inconsistency-injection test hook."""
-    c = interferometer_coefficients(config).copy()
-    c[2:] *= np.exp(1j * delay_defect)
-    return c
+def _click_table(amps: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Click probabilities (2, K, N) of ideal D0 and D1 on the key bins of
+    the pulse trains ``amps`` (K, N+1) behind the mode map `c`."""
+    return DetectorModel.ideal().click_probabilities(
+        np.stack(propagate(amps, c))[..., 1:-1])
 
 
-def _pattern_distribution(amps: np.ndarray, weights: np.ndarray,
-                          c: np.ndarray) -> np.ndarray:
+def _pattern_distribution(table: np.ndarray,
+                          weights: np.ndarray) -> np.ndarray:
     """Bob's click-pattern distribution, indexed by
-    :func:`~dpsqkd.povm.click_pattern_ids`, under ideal detectors for the
-    mixture of pulse trains ``amps`` (K, N+1) with `weights` (K,), behind
-    the mode map with coefficients `c`."""
-    b4, b5 = propagate(amps, c)
-    ideal = DetectorModel.ideal()
-    p0 = ideal.click_probabilities(b4[:, 1:-1])
-    p1 = ideal.click_probabilities(b5[:, 1:-1])
+    :func:`~dpsqkd.povm.click_pattern_ids`, for the mixture with `weights`
+    (K,) of the pulse trains with click `table` (:func:`_click_table`)."""
+    p0, p1 = table
     # cells[k, i, x, y]: probability of the clicks (D0, D1) = (x, y) in
     # key bin i under pulse train k
     cells = (np.stack([1 - p0, p0], axis=-1)[..., :, None]
@@ -214,13 +210,21 @@ def _pattern_distribution(amps: np.ndarray, weights: np.ndarray,
     return dist
 
 
-def _sample_pattern_ids(amps: np.ndarray, c: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Sampled click-pattern index of every pulse train ``amps`` (T, N+1)
-    under ideal detectors."""
-    b4, b5 = propagate(amps, c)
-    return click_pattern_ids(*DetectorModel.ideal().sample(
-        b4[:, 1:-1], b5[:, 1:-1], rng))
+def _sufficient_cutoff(mu: float, n_key_bins: int, cutoff: int):
+    """Smallest cutoff >= `cutoff` that passes the truncation check of
+    :func:`compare_statistics`, or None when it exceeds the size bound.
+    The tail P(X > c) of X ~ Poisson(mu) exceeds 1/4 for every c < mu, so
+    the search spans 12 sigma above max(cutoff, mu) in log space."""
+    largest = DEFAULT_MAX_STATE_ENTRIES // (2 * n_key_bins + 2) - 1
+    lo = max(cutoff, math.floor(mu))
+    if lo > largest:
+        return None
+    n = np.arange(lo + 1, lo + 42 + math.ceil(12 * math.sqrt(mu)))
+    tails = np.cumsum(np.exp(n * math.log(mu) - mu - math.lgamma(lo + 1)
+                             - np.cumsum(np.log(n)))[::-1])[::-1]
+    ok = 2 * n_key_bins * n * tails <= ANALYTIC_DISTANCE_GATE * (1 - tails)
+    enough = int(n[np.argmax(ok)]) - 1        # tails[j] = P(X > n[j] - 1)
+    return enough if ok.any() and enough <= largest else None
 
 
 def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
@@ -230,8 +234,12 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     """Compare Bob's click-pattern distribution under P&M preparation with
     uniform S' against EB preparation plus Alice's measurement.
 
-    The analytic distance enumerates all S' exactly; the empirical distance
-    (when ``trials > 0``) Monte Carlo samples both flows.
+    Each flow propagates its 2^(N+1) distinct pulse trains once, into a
+    table of D0 and D1 click probabilities (:func:`_click_table`).  The
+    analytic distance mixes the table's rows over all S' exactly; the
+    empirical distance (when ``trials > 0``) draws each trial's S' -- P&M
+    uniformly, EB by Alice's Born probabilities -- and samples its clicks
+    from the table row of that S' with :meth:`DetectorModel.sample`.
     `eb_delay_defect` is a test hook: it injects an uncompensated phase
     into the delay arm of the EB flow only, an inconsistency the
     comparison must catch.  (Phases on the output paths would not do:
@@ -240,7 +248,11 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     Raises ValueError, before any work, when the enumeration
     (2^(N+1) preparations x 4^N patterns), the Monte Carlo arrays
     (trials x (N+2)) or the state's factors (2(N+1) x (cutoff+1)) exceed
-    ``optics.DEFAULT_MAX_STATE_ENTRIES``.
+    ``optics.DEFAULT_MAX_STATE_ENTRIES``; and, once the state is built,
+    when its truncation alone could fail ``ANALYTIC_DISTANCE_GATE``: the
+    Poisson tail P(X > cutoff) it leaves out shrinks each collapsed
+    amplitude by a fraction of at most (cutoff+1) tail / (mu (1 - tail)),
+    which moves the distance by at most 2N (cutoff+1) tail / (1 - tail).
     """
     if n_key_bins < 1:
         raise ValueError("need at least one key bin")
@@ -255,34 +267,44 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
             f"{n_key_bins} key bins, {trials} trials and cutoff {cutoff} need "
             f"{entries} entries (2^(N+1) x 4^N, trials x (N+2) or 2(N+1) x "
             f"(cutoff+1)), which exceeds the bound {DEFAULT_MAX_STATE_ENTRIES}")
-    config = config or InterferometerConfig.compensated()
-    c_pm = interferometer_coefficients(config)
-    c_eb = _defective_coefficients(config, eb_delay_defect)
     alpha = complex(alpha)
     state = build_eb_state(n_key_bins, alpha, cutoff)
+    tail = 1.0 - float(np.sum(np.abs(state.factors[0]) ** 2))
+    if 2 * n_key_bins * (cutoff + 1) * tail > ANALYTIC_DISTANCE_GATE * (1 - tail):
+        enough = _sufficient_cutoff(abs(alpha) ** 2, n_key_bins, cutoff)
+        raise ValueError(
+            f"cutoff {cutoff} leaves out the Poisson tail P(X > {cutoff}) = "
+            f"{tail:.3g} of each pulse, which alone could push the analytic "
+            f"distance past its gate {ANALYTIC_DISTANCE_GATE}; " + (
+                f"cutoff {enough} is the smallest that suffices"
+                if enough is not None else
+                "no cutoff within the size bound suffices"))
+    c_pm = interferometer_coefficients(config or
+                                       InterferometerConfig.compensated())
+    # the test hook: an uncompensated phase in the EB flow's delay arm
+    c_eb = c_pm * np.exp(1j * eb_delay_defect * np.array([0, 0, 1, 1]))
 
-    # analytic: exact mixture over all S' for both flows
-    bit_probs = np.array([state.factor_born_probabilities(i)
-                          for i in range(n_pulses)])
-    amp_of_bit = np.array([collapsed_mean_amplitude(state, 0, 0),
-                           collapsed_mean_amplitude(state, 0, 1)])
+    # row k of each table is the pulse train of S' = the N+1 bits of k
+    born = state.factor_born_probabilities(0)    # every factor is the same
+    amp_of_bit = np.array([collapsed_mean_amplitude(state, 0, b)
+                           for b in (0, 1)])
     s_primes = np.indices((2,) * n_pulses).reshape(n_pulses, -1).T
-    dist_pm = _pattern_distribution(
-        (1.0 - 2.0 * s_primes) * alpha,
-        np.full(len(s_primes), 0.5 ** n_pulses), c_pm)
-    dist_eb = _pattern_distribution(
-        amp_of_bit[s_primes],
-        np.prod(bit_probs[np.arange(n_pulses), s_primes], axis=1), c_eb)
+    table_pm = _click_table((1.0 - 2.0 * s_primes) * alpha, c_pm)
+    table_eb = _click_table(amp_of_bit[s_primes], c_eb)
+    dist_pm = _pattern_distribution(table_pm, np.full(len(s_primes),
+                                                      0.5 ** n_pulses))
+    dist_eb = _pattern_distribution(table_eb, np.prod(born[s_primes], axis=1))
     analytic = 0.5 * float(np.sum(np.abs(dist_pm - dist_eb)))
 
-    empirical = None
-    sigma = 0.0
+    empirical, sigma = None, 0.0
     if trials > 0:
         rng = np.random.default_rng(seed)
-        sp_pm = rng.integers(0, 2, size=(trials, n_pulses))
-        pat_pm = _sample_pattern_ids((1.0 - 2.0 * sp_pm) * alpha, c_pm, rng)
-        sp_eb = rng.random((trials, n_pulses)) < bit_probs[:, 1]
-        pat_eb = _sample_pattern_ids(amp_of_bit[sp_eb.astype(int)], c_eb, rng)
+        ideal = DetectorModel.ideal()
+        place = 2 ** np.arange(n_pulses - 1, -1, -1)
+        k = rng.integers(0, 2, size=(trials, n_pulses)) @ place
+        pat_pm = click_pattern_ids(*ideal.sample(*table_pm[:, k], rng))
+        k = (rng.random((trials, n_pulses)) < born[1]) @ place
+        pat_eb = click_pattern_ids(*ideal.sample(*table_eb[:, k], rng))
         h_pm = np.bincount(pat_pm, minlength=4 ** n_key_bins) / trials
         h_eb = np.bincount(pat_eb, minlength=4 ** n_key_bins) / trials
         empirical = 0.5 * float(np.sum(np.abs(h_pm - h_eb)))

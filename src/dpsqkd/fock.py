@@ -156,21 +156,6 @@ class FockOperator:
             return FockVector(self.registry, self.matrix @ other.amplitudes)
         return NotImplemented
 
-    def __add__(self, other):
-        _require_same_registry(self, other)
-        return FockOperator(self.registry, self.matrix + other.matrix,
-                            hermitian=self.hermitian and other.hermitian)
-
-    def __sub__(self, other):
-        _require_same_registry(self, other)
-        return FockOperator(self.registry, self.matrix - other.matrix,
-                            hermitian=self.hermitian and other.hermitian)
-
-    def __mul__(self, scalar):
-        return FockOperator(self.registry, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
 
 def _require_same_registry(a, b):
     if a.registry != b.registry:

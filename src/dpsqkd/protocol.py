@@ -89,13 +89,14 @@ class DetectorModel:
     def click_probabilities(self, amplitudes: np.ndarray) -> np.ndarray:
         return 1.0 - np.exp(-self.efficiency * np.abs(amplitudes) ** 2)
 
-    def sample(self, b4: np.ndarray, b5: np.ndarray,
+    def sample(self, p0: np.ndarray, p1: np.ndarray,
                rng: np.random.Generator):
-        """Clicks ``(d0, d1)`` of D0 and D1 on amplitude arrays `b4` and
-        `b5` of one shape.  Draws, each in C order: every D0 click, every
+        """Clicks ``(d0, d1)`` of D0 and D1, whose photon click
+        probabilities (:meth:`click_probabilities`) are the arrays `p0` and
+        `p1` of one shape.  Draws, each in C order: every D0 click, every
         D1 click, then the dark clicks of D0 and of D1."""
-        d0 = rng.random(b4.shape) < self.click_probabilities(b4)
-        d1 = rng.random(b5.shape) < self.click_probabilities(b5)
+        d0 = rng.random(p0.shape) < p0
+        d1 = rng.random(p1.shape) < p1
         if self.dark_click_prob > 0.0:
             d0 |= rng.random(d0.shape) < self.dark_click_prob
             d1 |= rng.random(d1.shape) < self.dark_click_prob
@@ -250,8 +251,9 @@ def detect(out4: PulseTrain, out5: PulseTrain, model: DetectorModel,
     bins at both ends are outside the detection window)."""
     if out4.bin_count != out5.bin_count:
         raise ValueError("output trains differ in bin count")
-    return ClickRecord(*model.sample(out4.amplitudes[1:-1],
-                                     out5.amplitudes[1:-1], rng))
+    return ClickRecord(*model.sample(
+        model.click_probabilities(out4.amplitudes[1:-1]),
+        model.click_probabilities(out5.amplitudes[1:-1]), rng))
 
 
 def extract_bob_bits(clicks: ClickRecord):

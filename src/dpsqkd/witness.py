@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,9 +110,6 @@ class SeparableMinimum:
     state_b: np.ndarray
     grid_points: int
     refine_steps: int
-
-    def __float__(self):
-        return self.value
 
 
 def _qubit_grid(n_theta: int, n_phi: int) -> np.ndarray:
@@ -215,10 +212,6 @@ class DiagonalWitness:
                                                   projector(bb[:, b]))
         return W
 
-    def basis_product_state(self, a: int, b: int) -> Tuple[np.ndarray, np.ndarray]:
-        ba, bb = self._bases()
-        return ba[:, a].copy(), bb[:, b].copy()
-
 
 @dataclass(frozen=True)
 class DiagonalCheckResult:
@@ -260,8 +253,8 @@ def diagonal_positivity_theorem_check(witness: DiagonalWitness,
     if not lam_nonneg:
         a, b = np.unravel_index(int(np.argmin(lam)), lam.shape)
         violating_pair = (int(a), int(b))
-        va, vb = witness.basis_product_state(int(a), int(b))
-        prod = np.kron(va, vb)
+        ba, bb = witness._bases()
+        prod = np.kron(ba[:, a], bb[:, b])
         violating_val = float(np.real(prod.conj() @ W @ prod))
         ok = ok and violating_val < 0.0 and sep.value <= violating_val + grid_tolerance
     else:

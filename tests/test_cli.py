@@ -278,6 +278,11 @@ def test_simulate_bad_input_exits_2(argv, env_seed, needle, capsys,
     (["--key-bins", "3", "--trials", "100000000"], "exceeds"),
     (["--cutoff", "1000000000"], "exceeds"),
     (["--eb-delay-defect", "nan"], "finite"),
+    # truncation artefacts: the cutoff leaves out enough of the Poisson
+    # tail to fail the 1e-8 gate with no physical difference
+    (["--key-bins", "2", "--alpha2", "1"], "cutoff 12 is the smallest"),
+    (["--key-bins", "2", "--cutoff", "3"], "cutoff 7 is the smallest"),
+    (["--alpha2", "1e300"], "no cutoff within the size bound"),
 ])
 def test_eb_compare_bad_input_exits_2(argv, needle, capsys):
     t0 = time.perf_counter()

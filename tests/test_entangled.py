@@ -1,6 +1,8 @@
 """EB translation and its statistical equivalence with the P&M flow."""
 
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from dpsqkd import entangled as eb
 from dpsqkd import fock
+from dpsqkd.optics import (InterferometerConfig, interferometer_coefficients,
+                           propagate)
+from dpsqkd.povm import click_pattern_ids
+from dpsqkd.protocol import DetectorModel
 
 
 def test_state_norm_and_factorization():
@@ -154,6 +160,28 @@ def test_input_validation():
         eb.alice_reduced_density(st)
 
 
+@pytest.mark.parametrize("n_key_bins", [1, 3])
+@pytest.mark.parametrize("mu", [0.05, 0.1, 0.5, 1.0, 2.0, 4.0])
+def test_truncation_refusal_guards_the_gate(n_key_bins, mu):
+    # every cutoff the refusal lets through keeps the truncation-only
+    # analytic distance within the gate, and every refusal names the
+    # smallest cutoff it lets through
+    accepted, named = [], set()
+    for cutoff in range(1, 31):
+        try:
+            rep = eb.compare_statistics(n_key_bins, math.sqrt(mu),
+                                        cutoff=cutoff)
+        except ValueError as exc:
+            assert f"P(X > {cutoff})" in str(exc)
+            named.add(int(re.search(r"cutoff (\d+) is the smallest",
+                                    str(exc)).group(1)))
+            continue
+        accepted.append(cutoff)
+        assert rep.analytic_distance <= eb.ANALYTIC_DISTANCE_GATE
+    assert accepted == list(range(accepted[0], 31))
+    assert named == {accepted[0]}
+
+
 def test_size_bounds_refuse_before_any_work(monkeypatch):
     # 2^13 preparations x 4^12 patterns, 10^8 trials x 5 Monte Carlo
     # entries, and 4 x 10^9 coherent amplitudes: each is refused before
@@ -165,3 +193,59 @@ def test_size_bounds_refuse_before_any_work(monkeypatch):
                       (1, {"cutoff": 10 ** 9})):
         with pytest.raises(ValueError, match="exceeds the bound 300000000"):
             eb.compare_statistics(n, 0.4, **kwargs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_key_bins=st.integers(1, 5), mu=st.floats(0.0, 1.0),
+       phi2=st.floats(-math.pi, math.pi),
+       defect=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+       trials=st.integers(1, 2000), seed=st.integers(0, 2 ** 32 - 1))
+def test_monte_carlo_table_gather_matches_per_trial_route(
+        n_key_bins, mu, phi2, defect, trials, seed):
+    # oracle: the per-trial route, which propagates every trial's own
+    # (trials, N+1) pulse train and draws its clicks with the same RNG
+    # calls in the same order
+    cutoff = 16
+    alpha = math.sqrt(mu)
+    config = InterferometerConfig.compensated(phi2=phi2)
+    state = eb.build_eb_state(n_key_bins, alpha, cutoff)
+    bit_probs = np.array([state.factor_born_probabilities(i)
+                          for i in range(n_key_bins + 1)])
+    amp_of_bit = np.array([eb.collapsed_mean_amplitude(state, 0, b)
+                           for b in (0, 1)])
+    ideal = DetectorModel.ideal()
+
+    def per_trial_ids(amps, coeffs):
+        b4, b5 = propagate(amps, coeffs)
+        p0 = ideal.click_probabilities(b4[:, 1:-1])
+        p1 = ideal.click_probabilities(b5[:, 1:-1])
+        return click_pattern_ids(rng.random(p0.shape) < p0,
+                                 rng.random(p1.shape) < p1)
+
+    rng = np.random.default_rng(seed)
+    c_pm = interferometer_coefficients(config)
+    c_eb = c_pm.copy()
+    c_eb[2:] *= np.exp(1j * defect)      # the delay-arm defect
+    sp = rng.integers(0, 2, size=(trials, n_key_bins + 1))
+    want_pm = per_trial_ids((1.0 - 2.0 * sp) * alpha, c_pm)
+    sp = rng.random((trials, n_key_bins + 1)) < bit_probs[:, 1]
+    want_eb = per_trial_ids(amp_of_bit[sp.astype(int)], c_eb)
+
+    # the table-gather route inside compare_statistics; its last two
+    # pattern-id calls are the P&M and the EB Monte Carlo samples
+    got = []
+
+    def recording_ids(d0, d1):
+        got.append(click_pattern_ids(d0, d1))
+        return got[-1]
+
+    with mock.patch.object(eb, "click_pattern_ids", recording_ids):
+        rep = eb.compare_statistics(n_key_bins, alpha, trials=trials,
+                                    cutoff=cutoff, seed=seed, config=config,
+                                    eb_delay_defect=defect)
+    assert np.array_equal(got[-2], want_pm)
+    assert np.array_equal(got[-1], want_eb)
+    h_pm = np.bincount(want_pm, minlength=4 ** n_key_bins)
+    h_eb = np.bincount(want_eb, minlength=4 ** n_key_bins)
+    assert rep.empirical_distance == 0.5 * float(
+        np.sum(np.abs(h_pm / trials - h_eb / trials)))
