@@ -150,8 +150,7 @@ def collapsed_mean_amplitude(state: EbState, i: int, bit: int) -> complex:
 # ---------------------------------------------------------------------------
 # statistical equivalence of the two preparations
 
-#: largest analytic total-variation distance that certifies the two
-#: preparations equivalent
+#: largest analytic distance that certifies the two preparations equivalent
 ANALYTIC_DISTANCE_GATE = 1e-8
 
 
@@ -299,12 +298,13 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     empirical, sigma = None, 0.0
     if trials > 0:
         rng = np.random.default_rng(seed)
-        ideal = DetectorModel.ideal()
         place = 2 ** np.arange(n_pulses - 1, -1, -1)
         k = rng.integers(0, 2, size=(trials, n_pulses)) @ place
-        pat_pm = click_pattern_ids(*ideal.sample(*table_pm[:, k], rng))
+        pat_pm = click_pattern_ids(
+            *DetectorModel.ideal().sample(*np.take(table_pm, k, axis=1), rng))
         k = (rng.random((trials, n_pulses)) < born[1]) @ place
-        pat_eb = click_pattern_ids(*ideal.sample(*table_eb[:, k], rng))
+        pat_eb = click_pattern_ids(
+            *DetectorModel.ideal().sample(*np.take(table_eb, k, axis=1), rng))
         h_pm = np.bincount(pat_pm, minlength=4 ** n_key_bins) / trials
         h_eb = np.bincount(pat_eb, minlength=4 ** n_key_bins) / trials
         empirical = 0.5 * float(np.sum(np.abs(h_pm - h_eb)))
