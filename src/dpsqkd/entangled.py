@@ -9,8 +9,8 @@ stored.
 
 ``compare_statistics`` certifies that the click statistics Bob sees are
 the same whichever way the signal was prepared.  Both flows run through
-the protocol's own click kernel: :func:`~dpsqkd.optics.propagate`,
-:meth:`~dpsqkd.protocol.DetectorModel.sample` and
+the protocol's own click kernel (:func:`~dpsqkd.optics.propagate`, then
+``DetectorModel.click_probabilities`` and ``DetectorModel.sample``) and
 :func:`~dpsqkd.povm.click_pattern_ids`.
 """
 
