@@ -291,3 +291,69 @@ def test_eb_compare_bad_input_exits_2(argv, needle, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
+
+
+# full witness-demo stdout recorded while the search still ran one scalar
+# separable-minimum estimate per candidate; argv -> stdout (exit 0 for all)
+_COMMUTING_DEFAULT = (
+    "== commuting projective family\n"
+    "completeness defect = 0.000e+00\n"
+    "max pairwise commutator norm = 0.000000\n"
+    "search: resolution=default values=(1.0, -1.0, 0.5, -0.5) max_terms=3 "
+    "tried=368\n"
+    "witness: none at this resolution\n\n")
+_NONCOMMUTING_HEAD = (
+    "== non-commuting (conjugate bases) family\n"
+    "completeness defect = 0.000e+00\n"
+    "max pairwise commutator norm = 0.176777\n")
+_FOUND_COEFFICIENTS = (
+    "witness found:\n"
+    "  coefficients =\n"
+    "    -1.5000 +2.5000 +0.5000 +0.5000\n"
+    "    +2.5000 -1.5000 +0.5000 +0.5000\n"
+    "    +0.5000 +0.5000 -1.5000 +2.5000\n"
+    "    +0.5000 +0.5000 +2.5000 -1.5000\n")
+_BELL_TRACE = "  Tr(W rho_target) = -0.500000\n"
+PINNED_WITNESS_DEMO = {
+    (): _COMMUTING_DEFAULT + _NONCOMMUTING_HEAD
+        + "search: resolution=default values=(1.0, -1.0, 0.5, -0.5) "
+          "max_terms=3 tried=506\n"
+        + _FOUND_COEFFICIENTS
+        + "  separable min = 2.776e-17\n" + _BELL_TRACE,
+    ("--resolution", "coarse"):
+        "== commuting projective family\n"
+        "completeness defect = 0.000e+00\n"
+        "max pairwise commutator norm = 0.000000\n"
+        "search: resolution=coarse values=(1.0, -1.0) max_terms=2 tried=32\n"
+        "witness: none at this resolution\n"
+        "  warning: no witness at coarse resolution; this is not evidence "
+        "of absence for non-commuting families\n\n"
+        + _NONCOMMUTING_HEAD
+        + "search: resolution=coarse values=(1.0, -1.0) max_terms=2 "
+          "tried=138\n"
+        + _FOUND_COEFFICIENTS
+        + "  separable min = -2.776e-17\n" + _BELL_TRACE,
+    ("--resolution", "fine"):
+        "== commuting projective family\n"
+        "completeness defect = 0.000e+00\n"
+        "max pairwise commutator norm = 0.000000\n"
+        "search: resolution=fine values=(1.0, -1.0, 0.5, -0.5, 0.25, -0.25) "
+        "max_terms=3 tried=1104\n"
+        "witness: none at this resolution\n\n"
+        + _NONCOMMUTING_HEAD
+        + "search: resolution=fine values=(1.0, -1.0, 0.5, -0.5, 0.25, "
+          "-0.25) max_terms=3 tried=1106\n"
+        + _FOUND_COEFFICIENTS
+        + "  separable min = 0.000e+00\n" + _BELL_TRACE,
+    ("--target", "separable"): _COMMUTING_DEFAULT + _NONCOMMUTING_HEAD
+        + "search: resolution=default values=(1.0, -1.0, 0.5, -0.5) "
+          "max_terms=3 tried=5988\n"
+        "witness: none at this resolution\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_WITNESS_DEMO))
+def test_witness_demo_pinned_bytes(argv, capsys):
+    code, out, _ = run(["witness-demo", *argv], capsys)
+    assert code == 0
+    assert out == PINNED_WITNESS_DEMO[argv]
