@@ -16,6 +16,7 @@ the protocol's own click kernel (:func:`~dpsqkd.optics.propagate`, then
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -244,10 +245,10 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     comparison must catch.  (Phases on the output paths would not do:
     ideal bucket detection is insensitive to them.)
 
-    Raises ValueError, before any work, when the enumeration
-    (2^(N+1) preparations x 4^N patterns), the Monte Carlo arrays
-    (trials x (N+2)) or the state's factors (2(N+1) x (cutoff+1)) exceed
-    ``optics.DEFAULT_MAX_STATE_ENTRIES``; and, once the state is built,
+    Raises ValueError, before any work, for a non-finite `alpha` and when
+    the enumeration (2^(N+1) preparations x 4^N patterns), the Monte Carlo
+    arrays (trials x (N+2)) or the state's factors (2(N+1) x (cutoff+1))
+    exceed ``optics.DEFAULT_MAX_STATE_ENTRIES``; and, once the state is built,
     when its truncation alone could fail ``ANALYTIC_DISTANCE_GATE``: the
     Poisson tail P(X > cutoff) it leaves out shrinks each collapsed
     amplitude by a fraction of at most (cutoff+1) tail / (mu (1 - tail)),
@@ -258,6 +259,9 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     if trials < 0 or seed < 0 or not math.isfinite(eb_delay_defect):
         raise ValueError(f"trials and seed must be >= 0 and eb_delay_defect "
                          f"finite, got {trials}, {seed}, {eb_delay_defect}")
+    alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     n_pulses = n_key_bins + 1
     entries = max(2 ** n_pulses * 4 ** n_key_bins, trials * (n_key_bins + 2),
                   2 * n_pulses * (cutoff + 1))
@@ -266,7 +270,6 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
             f"{n_key_bins} key bins, {trials} trials and cutoff {cutoff} need "
             f"{entries} entries (2^(N+1) x 4^N, trials x (N+2) or 2(N+1) x "
             f"(cutoff+1)), which exceeds the bound {DEFAULT_MAX_STATE_ENTRIES}")
-    alpha = complex(alpha)
     state = build_eb_state(n_key_bins, alpha, cutoff)
     tail = 1.0 - float(np.sum(np.abs(state.factors[0]) ** 2))
     if 2 * n_key_bins * (cutoff + 1) * tail > ANALYTIC_DISTANCE_GATE * (1 - tail):

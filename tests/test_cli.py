@@ -294,7 +294,8 @@ def test_eb_compare_bad_input_exits_2(argv, needle, capsys):
 
 
 # full witness-demo stdout recorded while the search still ran one scalar
-# separable-minimum estimate per candidate; argv -> stdout (exit 0 for all)
+# separable-minimum estimate per candidate, and accepted on that estimate;
+# argv -> stdout (exit 0 for all)
 _COMMUTING_DEFAULT = (
     "== commuting projective family\n"
     "completeness defect = 0.000e+00\n"
@@ -314,12 +315,17 @@ _FOUND_COEFFICIENTS = (
     "    +0.5000 +0.5000 -1.5000 +2.5000\n"
     "    +0.5000 +0.5000 +2.5000 -1.5000\n")
 _BELL_TRACE = "  Tr(W rho_target) = -0.500000\n"
+# the one line that changed on purpose: it printed the grid estimate
+# (2.776e-17 default, -2.776e-17 coarse, 0.000e+00 fine) and now prints the
+# bound the decomposition certificate proves, with its identity shift
+_CERTIFIED_MIN = ("  separable min >= 0.000e+00 (certified: W = P + Q^TB, "
+                  "P, Q >= 0; shift eps = 9.0e-11)\n")
 PINNED_WITNESS_DEMO = {
     (): _COMMUTING_DEFAULT + _NONCOMMUTING_HEAD
         + "search: resolution=default values=(1.0, -1.0, 0.5, -0.5) "
           "max_terms=3 tried=506\n"
         + _FOUND_COEFFICIENTS
-        + "  separable min = 2.776e-17\n" + _BELL_TRACE,
+        + _CERTIFIED_MIN + _BELL_TRACE,
     ("--resolution", "coarse"):
         "== commuting projective family\n"
         "completeness defect = 0.000e+00\n"
@@ -332,7 +338,7 @@ PINNED_WITNESS_DEMO = {
         + "search: resolution=coarse values=(1.0, -1.0) max_terms=2 "
           "tried=138\n"
         + _FOUND_COEFFICIENTS
-        + "  separable min = -2.776e-17\n" + _BELL_TRACE,
+        + _CERTIFIED_MIN + _BELL_TRACE,
     ("--resolution", "fine"):
         "== commuting projective family\n"
         "completeness defect = 0.000e+00\n"
@@ -344,7 +350,7 @@ PINNED_WITNESS_DEMO = {
         + "search: resolution=fine values=(1.0, -1.0, 0.5, -0.5, 0.25, "
           "-0.25) max_terms=3 tried=1106\n"
         + _FOUND_COEFFICIENTS
-        + "  separable min = 0.000e+00\n" + _BELL_TRACE,
+        + _CERTIFIED_MIN + _BELL_TRACE,
     ("--target", "separable"): _COMMUTING_DEFAULT + _NONCOMMUTING_HEAD
         + "search: resolution=default values=(1.0, -1.0, 0.5, -0.5) "
           "max_terms=3 tried=5988\n"

@@ -160,6 +160,13 @@ def test_input_validation():
         eb.alice_reduced_density(st)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf,
+                                   complex(0.4, math.nan)])
+def test_non_finite_alpha_refused(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        eb.compare_statistics(2, alpha)
+
+
 @pytest.mark.parametrize("n_key_bins", [1, 3])
 @pytest.mark.parametrize("mu", [0.05, 0.1, 0.5, 1.0, 2.0, 4.0])
 def test_truncation_refusal_guards_the_gate(n_key_bins, mu):

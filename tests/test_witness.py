@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dpsqkd.witness import (DiagonalWitness, bb84_effect_family,
-                            bell_state_density, commutation_table,
+from dpsqkd.witness import (DiagonalWitness, _decompose, _unit_vector_grid,
+                            bb84_effect_family, bell_state_density,
+                            commutation_table,
                             diagonal_positivity_theorem_check,
                             family_completeness_defect,
                             hermitian_product_basis,
@@ -180,3 +182,110 @@ def test_search_resolutions():
     # coarse may or may not find one; a miss must carry the warning
     if not res.found:
         assert res.warning is not None
+
+
+@pytest.mark.parametrize("target, kwargs, needle", [
+    (np.eye(3, dtype=complex) / 3.0, {}, "4x4"),
+    (np.full((4, 4), np.nan, dtype=complex), {}, "finite"),
+    (np.triu(np.ones((4, 4))) / 4.0, {}, "hermitian"),
+    (np.eye(4, dtype=complex) / 2.0, {}, "unit trace"),
+    (np.diag([0.75, 0.5, 0.0, -0.25]).astype(complex), {}, "positive"),
+    (bell_state_density(), {"accept_margin": -1.0}, "accept_margin"),
+    (bell_state_density(), {"accept_margin": np.nan}, "accept_margin"),
+    (bell_state_density(), {"accept_margin": np.inf}, "accept_margin"),
+])
+def test_search_refuses_bad_input(target, kwargs, needle):
+    fam = bb84_effect_family()
+    with pytest.raises(ValueError, match=needle) as info:
+        witness_search(fam, fam, target, **kwargs)
+    assert "\n" not in str(info.value)
+
+
+def _scalar_separable_min(W, dims, grid_points=800, refine_steps=200,
+                          n_starts=8, seed=3):
+    """The per-operator loop the stacked route replaced: side-A grid,
+    eigen-minimum over side B, then alternating eigen-minimizations from
+    the best starts, one start and one step at a time."""
+    dA, dB = dims
+    W4 = W.reshape(dA, dB, dA, dB)
+    cands = _unit_vector_grid(dA, grid_points, seed)
+    Ma = np.einsum("si,ijkl,sk->sjl", cands.conj(), W4, cands)
+    evals, evecs = np.linalg.eigh(0.5 * (Ma + np.conj(np.swapaxes(Ma, 1, 2))))
+    best = np.inf
+    for s in np.argsort(evals[:, 0])[:n_starts]:
+        b, val = evecs[s][:, 0], evals[s, 0]
+        for _ in range(refine_steps):
+            Mb = np.einsum("j,ijkl,l->ik", b.conj(), W4, b)
+            a = np.linalg.eigh(0.5 * (Mb + Mb.conj().T))[1][:, 0]
+            Ma1 = np.einsum("i,ijkl,k->jl", a.conj(), W4, a)
+            wb, vb = np.linalg.eigh(0.5 * (Ma1 + Ma1.conj().T))
+            b, done, val = vb[:, 0], abs(wb[0] - val) < 1e-14, wb[0]
+            if done:
+                break
+        best = min(best, val)
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+       count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stacked_separable_min_matches_scalar_loop(dims, count, seed):
+    rng = np.random.default_rng(seed)
+    D = dims[0] * dims[1]
+    H = rng.normal(size=(count, D, D)) + 1j * rng.normal(size=(count, D, D))
+    Ws = H + np.swapaxes(H, 1, 2).conj()
+    res = min_separable_expectation(Ws, dims, grid_points=300)
+    assert res.value.shape == (count,)
+    for W, value, a, b in zip(Ws, res.value, res.state_a, res.state_b):
+        assert abs(value - _scalar_separable_min(W, dims, grid_points=300)) \
+            < 1e-12
+        prod = np.kron(a, b)
+        assert abs(np.linalg.norm(a) - 1) < 1e-12
+        assert abs(np.linalg.norm(b) - 1) < 1e-12
+        assert abs(np.real(prod.conj() @ W @ prod) - value) < 1e-12
+        assert np.linalg.eigvalsh(W)[0] - 1e-12 <= value
+    single = min_separable_expectation(Ws[0], dims, grid_points=300)
+    assert single.value == res.value[0]
+    assert single.state_a.shape == (dims[0],)
+
+
+def _partial_transpose_b(M, dA, dB):
+    out = np.empty_like(M)
+    for i in range(dA):
+        for k in range(dA):
+            out[i * dB:(i + 1) * dB, k * dB:(k + 1) * dB] = \
+                M[i * dB:(i + 1) * dB, k * dB:(k + 1) * dB].T
+    return out
+
+
+@pytest.mark.parametrize("resolution", ["default", "coarse", "fine"])
+def test_found_witness_certificate_reverifies(resolution):
+    fam = bb84_effect_family()
+    bell = bell_state_density()
+    res = witness_search(fam, fam, bell, resolution=resolution)
+    assert res.found
+    c = res.candidate
+    W = c.operator()          # already carries the shift eps I
+    Q = c.ppt_part
+    assert np.linalg.eigvalsh(Q)[0] >= -1e-12
+    assert np.linalg.eigvalsh(W - _partial_transpose_b(Q, 2, 2))[0] >= -1e-12
+    assert 0.0 <= c.shift < 1e-9 and c.separable_min >= 0.0
+    t = np.trace(W @ bell).real
+    assert abs(t - c.target_expectation) < 1e-12
+    assert t < -res.accept_margin
+
+
+def test_decomposition_certifies_known_witness():
+    # I - 2|Bell><Bell| is nonnegative on product states; its minimum 0 is
+    # attained on |01>, so the certified bound must reach it
+    W = np.eye(4, dtype=complex) - 2.0 * bell_state_density()
+    Q, lower = _decompose(W, (2, 2))
+    assert -1e-10 <= lower <= 1e-12
+    assert np.linalg.eigvalsh(Q)[0] >= -1e-12
+    # below the separable minimum a bound is sound but cannot reach zero
+    rng = np.random.default_rng(4)
+    for dims in ((2, 2), (2, 3)):
+        H = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        W = (H + H.conj().T)[:dims[0] * dims[1], :dims[0] * dims[1]]
+        sep = min_separable_expectation(W, dims).value
+        assert _decompose(W, dims)[1] <= sep + 1e-12
