@@ -10,8 +10,8 @@ over a non-commuting (BB84-style) effect family and none over commuting
 projector families.
 
 "Found" is proven: grid estimates only order the search, and a witness W
-is accepted with a decomposition W = P + Q^G, P and Q positive and G the
-partial transpose on B (Horodecki, Horodecki and Horodecki, PLA 223, 1
+is accepted with W = P + Q^G, P and Q positive, G the partial transpose on
+B, so <ab|W|ab> >= 0 (Horodecki, Horodecki and Horodecki, PLA 223, 1
 (1996)); a rejection shows a product state of negative expectation.
 "None found" is qualified by the resolution, except in the diagonal case.
 """

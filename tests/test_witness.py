@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpsqkd import witness as witness_module
 from dpsqkd.witness import (DiagonalWitness, _decompose, _unit_vector_grid,
                             bb84_effect_family, bell_state_density,
                             commutation_table,
@@ -282,10 +283,32 @@ def test_decomposition_certifies_known_witness():
     Q, lower = _decompose(W, (2, 2))
     assert -1e-10 <= lower <= 1e-12
     assert np.linalg.eigvalsh(Q)[0] >= -1e-12
-    # below the separable minimum a bound is sound but cannot reach zero
+    # on operators negative on product states the bound stays sound: it
+    # never exceeds the value a product state attains
     rng = np.random.default_rng(4)
     for dims in ((2, 2), (2, 3)):
         H = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         W = (H + H.conj().T)[:dims[0] * dims[1], :dims[0] * dims[1]]
         sep = min_separable_expectation(W, dims).value
         assert _decompose(W, dims)[1] <= sep + 1e-12
+
+
+@pytest.mark.parametrize("lower", [-1.0, -0.3])
+def test_acceptance_rests_on_the_certificate(lower, monkeypatch):
+    # a certificate that proves only W >= lower on product states forces
+    # the shift eps = -lower: the Bell witness (Tr(W rho) = -0.5) survives
+    # eps = 0.3 at the same candidate and fails with eps = 1
+    fam = bb84_effect_family()
+    plain = witness_search(fam, fam, bell_state_density())
+    monkeypatch.setattr(witness_module, "_decompose",
+                        lambda W, dims: (np.zeros_like(W), lower))
+    res = witness_search(fam, fam, bell_state_density())
+    if lower == -1.0:
+        assert not res.found
+        return
+    c = res.candidate
+    assert res.candidates_tried == plain.candidates_tried
+    assert c.shift == 0.3 and c.separable_min == 0.0
+    assert abs(c.target_expectation + 0.2) < 1e-9
+    W_plain = plain.candidate.operator() - plain.candidate.shift * np.eye(4)
+    assert np.max(np.abs(c.operator() - 0.3 * np.eye(4) - W_plain)) < 1e-9
