@@ -150,7 +150,7 @@ def min_separable_expectation(W: np.ndarray, dims: Tuple[int, int],
         raise ValueError("witness operator is not hermitian")
     K, W5 = len(Ws), Ws.reshape(-1, dA, dB, dA, dB)
 
-    # side-B operators <a_s|W|a_s>: rows conj(a_s) a_s^T times W as (A, B)
+    # side-B operators <a_s|W|a_s>: vec(conj(a_s) a_s^T) @ W as (AA, BB)
     cands = _unit_vector_grid(dA, grid_points, seed)
     S = len(cands)
     outer = (cands.conj()[:, :, None] * cands[:, None, :]).reshape(S, -1)
