@@ -180,6 +180,18 @@ PINNED_SIMULATE = {
         "0.3014934404136527\n"
         "1,200000,0.5,0.7,0.9,0.0,1.0,5,72118,0,72118,0.36059,22009,"
         "0.3051803987908705\n",
+    # honest sessions recorded while every pulse train was complex128: two
+    # on real trains (phi2 = 0), one on the complex route (phi2 = 0.7)
+    ("--eve-fraction", "0", "--alpha2", "0.1", "--efficiency", "0.9",
+     "--dark-click-prob", "0.0001", "--bins", "200000", "--seed", "5"):
+        "1,200000,0.1,0.0,0.9,0.0001,0.0,5,17102,1,17102,0.08551,13,"
+        "0.0007601450122792655\n",
+    ("--eve-fraction", "0", "--alpha2", "0.5", "--bins", "200000",
+     "--seed", "6"):
+        "1,200000,0.5,0.0,1.0,0.0,0.0,6,78818,0,78818,0.39409,0,0.0\n",
+    ("--eve-fraction", "0", "--phi2", "0.7", "--alpha2", "0.2",
+     "--bins", "200000", "--seed", "7"):
+        "1,200000,0.2,0.7,1.0,0.0,0.0,7,36075,0,36075,0.180375,0,0.0\n",
 }
 
 
