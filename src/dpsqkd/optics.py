@@ -80,16 +80,17 @@ class InterferometerConfig:
 
 @dataclass(frozen=True)
 class PulseTrain:
-    """Complex coherent amplitude per time bin on one path.
-
-    ``abs(amplitude)**2`` is the mean photon number of the bin.
+    """Coherent amplitude per time bin on one path: float64 for a real
+    train, complex otherwise.  ``abs(amplitude)**2`` is the mean photon
+    number of the bin.
     """
 
     path: object
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
+        amps = np.asarray(self.amplitudes).ravel()
+        amps = amps.astype(np.result_type(amps, float), copy=False)
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
     @property
@@ -134,12 +135,17 @@ def propagate(amps: np.ndarray, coeffs: np.ndarray):
 
     Returns two ``(..., P + 1)`` arrays: bin j carries the direct part of
     pulse j and the delayed part of pulse j - 1, so bins 1..P-1 are the
-    key bins and bins 0 and P the unmatched half-pulses.
+    key bins and bins 0 and P the unmatched half-pulses.  They are float64
+    for real `amps` behind real `coeffs` (zero imaginary parts), complex
+    otherwise.
     """
     amps = np.asarray(amps)
+    if not np.any(np.imag(coeffs)):
+        coeffs = np.real(coeffs)
     out = []
     for direct, delayed in (coeffs[0::2], coeffs[1::2]):
-        b = np.zeros(amps.shape[:-1] + (amps.shape[-1] + 1,), dtype=complex)
+        b = np.zeros(amps.shape[:-1] + (amps.shape[-1] + 1,),
+                     dtype=np.result_type(amps, coeffs))
         b[..., :-1] = direct * amps
         b[..., 1:] += delayed * amps
         out.append(b)

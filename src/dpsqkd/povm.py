@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -382,6 +383,9 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
     Raises ValueError, before any work, when a photon-number sector block
     exceeds ``optics.DEFAULT_MAX_STATE_ENTRIES``.
     """
+    for name, v in (("cutoff", cutoff), ("n_bins", n_bins)):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
     if cutoff < 3:
         raise ValueError(f"cutoff too small: need cutoff >= 3, got {cutoff}")
     if n_bins != 2:

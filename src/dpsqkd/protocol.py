@@ -17,6 +17,7 @@ are 1-based indices 1..N.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,7 +88,11 @@ class DetectorModel:
         return cls(1.0, 0.0)
 
     def click_probabilities(self, amplitudes: np.ndarray) -> np.ndarray:
-        return 1.0 - np.exp(-self.efficiency * np.abs(amplitudes) ** 2)
+        # a float array even for integer amplitudes, 0-d for a scalar
+        p = np.asarray(np.abs(amplitudes), dtype=float)
+        p **= 2
+        p *= -self.efficiency
+        return np.subtract(1.0, np.exp(p, out=p), out=p)
 
     def sample(self, p0: np.ndarray, p1: np.ndarray,
                rng: np.random.Generator):
@@ -177,6 +182,9 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key, v in (("N", self.n_bins), ("seed", self.seed)):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {v!r}")
         if self.n_bins < 0:
             raise ValueError("N must be >= 0")
         if not 0.0 <= self.alpha2 < math.inf:
@@ -241,7 +249,8 @@ def prepare_pulse_train(record: AliceRecord) -> PulseTrain:
         warnings.warn("mean photon number above 1 leaks phase information",
                       stacklevel=2)
     signs = 1.0 - 2.0 * record.s_prime.astype(float)
-    return PulseTrain(0, signs * record.alpha)
+    alpha = record.alpha if record.alpha.imag else record.alpha.real
+    return PulseTrain(0, signs * alpha)
 
 
 def detect(out4: PulseTrain, out5: PulseTrain, model: DetectorModel,
@@ -266,8 +275,7 @@ def extract_bob_bits(clicks: ClickRecord):
     """
     single = clicks.d0 ^ clicks.d1
     double = clicks.d0 & clicks.d1
-    bits = np.full(clicks.n_bins, -1, dtype=np.int8)
-    bits[single] = clicks.d1[single]
+    bits = np.where(single, clicks.d1.view(np.int8), np.int8(-1))
     disclosed = np.flatnonzero(single) + 1
     return bits, disclosed, int(np.count_nonzero(double))
 

@@ -369,6 +369,13 @@ def witness_search(alice_effects: Sequence[np.ndarray],
     if dA > DESK_DIM_LIMIT or dB > DESK_DIM_LIMIT:
         raise ValueError("effect dimensions above desk scale")
     for fam, name in ((F, "alice"), (G, "bob")):
+        for k, e in enumerate(fam):
+            if np.max(np.abs(e - e.conj().T)) > _TOL:
+                raise ValueError(f"{name} effect {k} is not hermitian")
+            lam = np.linalg.eigvalsh(e)[0]
+            if lam < -_TOL:
+                raise ValueError(f"{name} effect {k} is not positive "
+                                 f"semidefinite (eigenvalue {lam:.3e})")
         if family_completeness_defect(fam) > 1e-9:
             raise ValueError(f"{name} effect family is incomplete (sum "
                              f"deviates from identity by "

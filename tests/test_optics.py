@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpsqkd import fock, optics
 from dpsqkd.optics import (InterferometerConfig, PulseTrain,
@@ -106,6 +106,55 @@ def test_propagate_batched_rows_and_energy(shape, phi2, phi_delta, seed):
     e_in = np.sum(np.abs(amps) ** 2, axis=-1)
     e_out = np.sum(np.abs(b4) ** 2 + np.abs(b5) ** 2, axis=-1)
     assert np.allclose(e_out, e_in, rtol=1e-12, atol=0)
+
+
+def _all_complex_propagate(amps, coeffs):
+    """The route every train took while pulse trains were always
+    complex128: complex amplitudes and coefficients, complex outputs."""
+    amps = np.asarray(amps, dtype=complex)
+    out = []
+    for direct, delayed in (coeffs[0::2], coeffs[1::2]):
+        b = np.zeros(amps.shape[:-1] + (amps.shape[-1] + 1,), dtype=complex)
+        b[..., :-1] = direct * amps
+        b[..., 1:] += delayed * amps
+        out.append(b)
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 9)),
+       real_amps=st.booleans(), phi2=PHASES, phi_delta=PHASES,
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(shape=(2, 5), real_amps=True, phi2=0.0, phi_delta=0.0, seed=1)
+@example(shape=(2, 5), real_amps=True, phi2=0.7, phi_delta=0.0, seed=2)
+@example(shape=(2, 5), real_amps=False, phi2=0.0, phi_delta=0.0, seed=3)
+def test_propagate_dtype_follows_inputs(shape, real_amps, phi2, phi_delta,
+                                        seed):
+    # a real train behind a real mode map stays float64; the outputs equal
+    # the all-complex route's, so |b|^2 and every click draw are unchanged
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=shape)
+    if not real_amps:
+        amps = amps + 1j * rng.normal(size=shape)
+    c = interferometer_coefficients(
+        InterferometerConfig.compensated(phi2=phi2, phi_delta=phi_delta))
+    real = real_amps and not np.any(c.imag)
+    if phi2 == phi_delta == 0.0:
+        assert real == real_amps
+    for got, old in zip(optics.propagate(amps, c),
+                        _all_complex_propagate(amps, c)):
+        assert got.dtype == (np.float64 if real else np.complex128)
+        assert np.array_equal(got, old)
+        assert np.array_equal(np.abs(got) ** 2, np.abs(old) ** 2)
+
+
+def test_pulse_train_dtype_follows_input():
+    assert PulseTrain(0, [1, -1]).amplitudes.dtype == np.float64
+    assert PulseTrain(0, np.float32([0.5])).amplitudes.dtype == np.float64
+    assert PulseTrain(0, [0.5 + 0j]).amplitudes.dtype == np.complex128
+    o4, o5 = propagate_analytic(PulseTrain(0, [0.45, -0.45]),
+                                InterferometerConfig.compensated(phi2=0.7))
+    assert o4.amplitudes.dtype == o5.amplitudes.dtype == np.complex128
 
 
 def test_boundary_bins_carry_half_pulses():

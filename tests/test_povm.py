@@ -12,7 +12,7 @@ from dpsqkd.fock import FockOperator, FockVector
 from dpsqkd.optics import InterferometerConfig, fock_unitary, wire_registry
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, all_click_patterns,
                          build_e2_e3, build_projector_effects,
-                         click_pattern_ids,
+                         certify_noncommutativity, click_pattern_ids,
                          conjugated_commutator_norm, detection_registry,
                          pattern_diagonal, pattern_index, reduced_effect_set,
                          signal_registry, t_term, t_term_numeric)
@@ -220,6 +220,18 @@ def test_commutator_converges_with_cutoff():
 def test_build_e2_e3_cutoff_guard():
     with pytest.raises(ValueError, match="cutoff too small"):
         build_e2_e3(2)
+
+
+@pytest.mark.parametrize("kwargs, needle", [
+    ({"cutoff": 2.5}, "cutoff must be an integer"),
+    ({"cutoff": math.nan}, "cutoff must be an integer"),
+    ({"cutoff": True}, "cutoff must be an integer"),
+    ({"cutoff": 3, "n_bins": 2.0}, "n_bins must be an integer"),
+])
+def test_certify_refuses_non_integer_counts(kwargs, needle):
+    with pytest.raises(ValueError, match=needle) as info:
+        certify_noncommutativity(**kwargs)
+    assert "\n" not in str(info.value)
 
 
 def test_t_term_table():

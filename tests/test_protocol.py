@@ -33,6 +33,19 @@ def test_prepare_pulse_train_signs():
     assert np.all(tr3.amplitudes == 0.0)
 
 
+def test_prepare_real_alpha_gives_float64_train():
+    # a real session train stays float64 through propagation; a cast back
+    # to complex would double the bytes every session stage moves
+    rec = AliceRecord(np.array([0, 1, 1, 0]), 0.45)
+    tr = prepare_pulse_train(rec)
+    assert tr.amplitudes.dtype == np.float64
+    o4, o5 = propagate_analytic(tr, InterferometerConfig.compensated())
+    assert o4.amplitudes.dtype == o5.amplitudes.dtype == np.float64
+    tr_c = prepare_pulse_train(AliceRecord(rec.s_prime, 0.45j))
+    assert tr_c.amplitudes.dtype == np.complex128
+    assert np.array_equal(tr_c.amplitudes, 1j * tr.amplitudes)
+
+
 def test_prepare_warns_above_one_photon():
     with pytest.warns(UserWarning):
         prepare_pulse_train(AliceRecord(np.array([0, 1]), 1.5))
@@ -46,6 +59,9 @@ def test_detector_model_validation():
     m = DetectorModel(efficiency=0.5)
     p = m.click_probabilities(np.array([0.45]))
     assert abs(p[0] - (1 - math.exp(-0.5 * 0.2025))) < 1e-14
+    assert m.click_probabilities(0.45) == p[0]
+    assert np.array_equal(m.click_probabilities(np.array([1, 0])),
+                          [1 - math.exp(-0.5), 0.0])
 
 
 def test_detect_table_rows():
@@ -91,6 +107,42 @@ def test_extract_bob_bits_cases():
     assert list(bits) == [0, -1, -1, 1]
     assert list(disclosed) == [1, 4]
     assert n_double == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 50), real=st.booleans(), eta=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_click_probabilities_match_out_of_place_formula(n, real, eta, seed):
+    # the in-place evaluation makes the same operations in the same order
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n) if real else \
+        rng.normal(size=n) + 1j * rng.normal(size=n)
+    kept = amps.copy()
+    p = DetectorModel(efficiency=eta).click_probabilities(amps)
+    assert np.array_equal(p, 1.0 - np.exp(-eta * np.abs(amps) ** 2))
+    assert np.array_equal(amps, kept)
+
+
+def _masked_bob_bits(d0, d1):
+    """The extraction route replaced by one ``np.where``: fill with -1,
+    then assign D1's click to the single-click bins."""
+    single = d0 ^ d1
+    bits = np.full(d0.size, -1, dtype=np.int8)
+    bits[single] = d1[single]
+    return bits, np.flatnonzero(single) + 1, int(np.count_nonzero(d0 & d1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 300), p=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_extract_bob_bits_matches_masked_assignment(n, p, seed):
+    rng = np.random.default_rng(seed)
+    d0, d1 = rng.random(n) < p, rng.random(n) < p
+    bits, disclosed, n_double = extract_bob_bits(ClickRecord(d0, d1))
+    old_bits, old_disclosed, old_double = _masked_bob_bits(d0, d1)
+    assert bits.dtype == np.int8 and np.array_equal(bits, old_bits)
+    assert np.array_equal(disclosed, old_disclosed)
+    assert n_double == old_double
 
 
 def test_sift_cases():
@@ -254,6 +306,23 @@ def test_session_config_file_errors(tmp_path):
     p.write_text("N = ten\n")
     with pytest.raises(ValueError, match="invalid value"):
         load_session_config(p)
+
+
+@pytest.mark.parametrize("kwargs, needle", [
+    ({"n_bins": 2.5}, "N must be an integer"),
+    ({"n_bins": True}, "N must be an integer"),
+    ({"n_bins": 10, "seed": 1.5}, "seed must be an integer"),
+    ({"n_bins": 10, "seed": False}, "seed must be an integer"),
+])
+def test_session_config_refuses_non_integer_counts(kwargs, needle):
+    with pytest.raises(ValueError, match=needle) as info:
+        SessionConfig(**kwargs)
+    assert "\n" not in str(info.value)
+
+
+def test_session_config_takes_numpy_integers():
+    cfg = SessionConfig(n_bins=np.int64(10), seed=np.uint8(3))
+    assert run_session(cfg).n_bins == 10
 
 
 def test_csv_schema():

@@ -175,6 +175,23 @@ def test_search_rejects_incomplete_family():
         witness_search(fam, fam, bell_state_density())
 
 
+@pytest.mark.parametrize("side", ["alice", "bob"])
+@pytest.mark.parametrize("family, needle", [
+    ([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])], "positive semidefinite"),
+    ([np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]])],
+     "hermitian"),
+])
+def test_search_refuses_invalid_effects(family, needle, side):
+    # both families sum to the identity, so completeness alone lets them in
+    assert family_completeness_defect(family) == 0.0
+    fams = {"alice": bb84_effect_family(), "bob": bb84_effect_family(),
+            side: family}
+    with pytest.raises(ValueError, match=rf"{side} effect \d .*{needle}") \
+            as info:
+        witness_search(fams["alice"], fams["bob"], bell_state_density())
+    assert "\n" not in str(info.value)
+
+
 def test_search_resolutions():
     fam = bb84_effect_family()
     with pytest.raises(ValueError):
