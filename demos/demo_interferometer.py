@@ -1,23 +1,21 @@
 #!/usr/bin/env python3
 """The delay interferometer in both representations.
 
-The same optical arrangement is propagated two ways: closed-form coherent
-amplitudes (exact for laser pulses, fast) and a unitary on a truncated
-multimode Fock space (exact for any input, desk scale).  They must agree
-wherever both apply; this cross-check is the backbone of the test suite.
+The same optical arrangement is described two ways: closed-form coherent
+amplitudes (exact for laser pulses, fast) and the exact lift of its
+one-photon mode map to the Fock space, one photon-number sector at a time
+(exact for any input, nothing truncated).  The sector blocks are unitary,
+keep the vacuum and, on one photon, reproduce the per-pulse coefficients
+of the analytic route.
 """
 
-import itertools
 import math
 
 import numpy as np
 
-from dpsqkd import fock
 from dpsqkd.optics import (InterferometerConfig, PulseTrain,
-                           apply_interferometer, coherent_wire_state,
-                           fock_output_amplitudes, fock_unitary,
-                           interferometer_coefficients, mean_mode_amplitudes,
-                           propagate_analytic, single_particle_unitary)
+                           interferometer_coefficients, propagate_analytic,
+                           sector_lift, single_particle_unitary)
 
 config = InterferometerConfig.compensated()
 
@@ -41,43 +39,26 @@ for s_prime, label in (((0, 0), "equal phases"), ((0, 1), "flipped phase")):
     print(f"{label}: key-bin amplitude at D0 = {o4.amplitudes[1]:+.3f}, "
           f"at D1 = {o5.amplitudes[1]:+.3f}")
 
-# --- the Fock-space route ----------------------------------------------
+# --- the Fock-space route: exact photon-number sectors -----------------
 
-# materialized unitary at desk scale
-U = fock_unitary(config, bins=3, cutoff=3)
-print("\ndense unitary on", U.registry.n_modes, "wires, dim", U.registry.dim)
-vac = fock.vacuum(U.registry)
-print("vacuum is preserved:", abs((U @ vac).amplitudes[0]) == 1.0)
-# the total number operator N is diagonal, so [U, N] = U_ij (n_j - n_i)
-n = sum(U.registry.occupations(m) for m in U.registry.modes)
-print("photon number conserved, ||[U, N]|| =",
-      float(np.linalg.norm(U.matrix * (n[None, :] - n[:, None]))))
-# so U is block-diagonal in total photon number, and U*U - I is too
-blocks = [U.matrix[np.ix_(idx, idx)]
-          for idx in (np.flatnonzero(n == k) for k in np.unique(n))]
-print("||U*U - I|| =", math.sqrt(sum(
-    np.linalg.norm(b.conj().T @ b - np.eye(len(b))) ** 2 for b in blocks)))
+# 4 time bins = 8 wires; (0, i) is Alice's pulse in bin i before the optics
+# and detector D0 in bin i after it, (1, i) vacuum before and D1 after
+bins = 4
+sectors = list(sector_lift(config, bins, 3))
+print("\nsector dimensions for n = 0..3 photons on", 2 * bins, "wires:",
+      [block.shape[0] for _, _, block in sectors])
+print("vacuum is preserved:", sectors[0][2][0, 0] == 1.0)
+# U conserves photon number, so U*U - I is block-diagonal in n too
+print("||U*U - I|| over the blocks =", math.sqrt(sum(
+    np.linalg.norm(b.conj().T @ b - np.eye(len(b))) ** 2
+    for _, _, b in sectors)))
 
-# gate-wise evolution scales past the dense regime; a coherent product
-# input must come out as the analytically propagated coherent product
-state = coherent_wire_state(np.array([0.3, -0.3]), 3, 4)
-out = apply_interferometer(state, config)
-got = mean_mode_amplitudes(out)
-o4, o5 = propagate_analytic(PulseTrain(0, [0.3, -0.3]), config)
-expect = np.concatenate([o4.amplitudes, o5.amplitudes])
-print("\ngate evolution vs analytic amplitudes at cutoff 4, max gap:",
-      float(np.max(np.abs(got - expect))))
-
-# the same cross-validation at cutoff 6, every 3-pulse phase pattern;
-# the remaining gap is the coherent-state truncation tail, which shrinks
-# fast with the cutoff
-alpha = np.sqrt(0.04)
-rows = np.array([[(-1.0) ** b * alpha for b in sp]
-                 for sp in itertools.product((0, 1), repeat=3)])
-got = fock_output_amplitudes(rows, 4, 6, config)
-worst = 0.0
-for k in range(8):
-    o4, o5 = propagate_analytic(PulseTrain(0, rows[k]), config)
-    expect = np.concatenate([o4.amplitudes, o5.amplitudes])
-    worst = max(worst, float(np.max(np.abs(got[k] - expect))))
-print(f"cutoff-6 sweep over all 8 phase patterns, max gap: {worst:.2e}")
+# one photon in wire (0, i) leaves in D0/D1 of bins i and i+1 with the
+# analytic route's four per-pulse coefficients
+outputs, _, block = sectors[1]
+in_wire_order = np.argsort(np.argmax(outputs, axis=1))
+images = block[np.ix_(in_wire_order, in_wire_order)]
+gap = max(float(np.max(np.abs(
+    images[[i, bins + i, i + 1, bins + i + 1], i] - c)))
+    for i in range(bins - 1))
+print("one-photon images equal the per-pulse coefficients, max gap:", gap)

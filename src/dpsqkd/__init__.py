@@ -3,9 +3,8 @@ certification on truncated Fock spaces."""
 
 from .fock import (FockOperator, FockVector, ModeRegistry, coherent_state,
                    commutator_norm, expectation, ladder_operator, tensor)
-from .optics import (InterferometerConfig, PulseTrain, apply_interferometer,
-                     bs1_transform, bs2_transform, fock_unitary,
-                     propagate_analytic)
+from .optics import (InterferometerConfig, PulseTrain, bs1_transform,
+                     bs2_transform, propagate_analytic)
 from .protocol import (AliceRecord, ClickRecord, DetectorModel, SessionConfig,
                        SessionStats, detect, extract_bob_bits,
                        intercept_resend, prepare_pulse_train, run_session,

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import fock
-from .fock import FockVector, ModeRegistry
+from .fock import FockVector, ModeRegistry, _require_integers
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
                      interferometer_coefficients, propagate)
 from .povm import click_pattern_ids
@@ -245,7 +245,8 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     comparison must catch.  (Phases on the output paths would not do:
     ideal bucket detection is insensitive to them.)
 
-    Raises ValueError, before any work, for a non-finite `alpha` and when
+    Raises ValueError, before any work, for a count (`n_key_bins`, `trials`,
+    `cutoff`, `seed`) that is not an integer, for a non-finite `alpha` and when
     the enumeration (2^(N+1) preparations x 4^N patterns), the Monte Carlo
     arrays (trials x (N+2)) or the state's factors (2(N+1) x (cutoff+1))
     exceed ``optics.DEFAULT_MAX_STATE_ENTRIES``; and, once the state is built,
@@ -254,6 +255,8 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     amplitude by a fraction of at most (cutoff+1) tail / (mu (1 - tail)),
     which moves the distance by at most 2N (cutoff+1) tail / (1 - tail).
     """
+    _require_integers(n_key_bins=n_key_bins, trials=trials, cutoff=cutoff,
+                      seed=seed)
     if n_key_bins < 1:
         raise ValueError("need at least one key bin")
     if trials < 0 or seed < 0 or not math.isfinite(eb_delay_defect):

@@ -13,6 +13,7 @@ safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -88,6 +89,14 @@ class ModeRegistry:
                 raise ValueError(f"occupation {n} outside [0, {self.cutoff}]")
             idx = idx * self.local_dim + int(n)
         return idx
+
+
+def _require_integers(**values):
+    """Refuse, by name, the first value that is not an integer (a bool
+    included) with a one-line ValueError."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -1,11 +1,10 @@
 """Beam splitters and the delay interferometer, in two representations.
 
 Analytic route: coherent amplitudes per (path, time-bin), propagated in
-closed form.  Fock route: the same mode map lifted to a unitary on a
-truncated Fock space, either materialized as a dense operator at desk
-scale or applied gate-by-gate to state vectors at larger dimensions.
-Sector route: the mode map lifted exactly, one photon-number sector at a
-time, with no per-mode truncation (:func:`sector_lift`).
+closed form (:func:`propagate`); it serves the protocol statistics.
+Sector route: the one-photon mode map lifted exactly to the Fock space,
+one photon-number sector at a time, with no per-mode truncation
+(:func:`sector_lift`); it serves the measurement structure.
 
 Wire convention
 ---------------
@@ -33,15 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockOperator, FockVector, ModeRegistry, _readonly,
-                   coherent_amplitudes)
+from .fock import ModeRegistry, _readonly
 
 _COMPENSATION_TOL = 1e-12
 
-#: refuse to materialize dense unitaries above this dimension
-DEFAULT_MAX_UNITARY_DIM = 8192
-
-#: refuse to evolve state batches, or lift photon-number sector blocks,
+#: refuse to lift photon-number sector blocks, or build other arrays,
 #: above this many entries
 DEFAULT_MAX_STATE_ENTRIES = 3 * 10 ** 8
 
@@ -191,265 +186,6 @@ def single_particle_unitary(config: InterferometerConfig, bins: int) -> np.ndarr
         Ud[w0, w0] = 1.0
         Ud[B + (i + 1) % B, w1] = np.exp(1j * config.phi_delta)
     return U2 @ Ud @ U1
-
-
-def _quadratic_lift(A: np.ndarray, d: int) -> np.ndarray:
-    """exp(sum_mn A[m,n] adag_m a_n) on the truncated two-mode space."""
-    a = np.diag(np.sqrt(np.arange(1, d)), k=1)
-    ad = a.T
-    eye = np.eye(d)
-    X = (A[0, 0] * np.kron(ad @ a, eye) + A[0, 1] * np.kron(ad, a)
-         + A[1, 0] * np.kron(a, ad) + A[1, 1] * np.kron(eye, ad @ a))
-    if np.max(np.abs(X.imag)) == 0.0:
-        # real antisymmetric generator: exponentiate in the reals
-        from scipy.linalg import expm
-        return expm(X.real)
-    evals, evecs = np.linalg.eigh(-1j * X)
-    return (evecs * np.exp(1j * evals)) @ evecs.conj().T
-
-
-def _pair_gate(u2: np.ndarray, local_dim: int) -> np.ndarray:
-    """Lift a 2x2 single-particle unitary to the (d x d) two-mode truncated
-    Fock space; exactly unitary, photon-number conserving, and real
-    whenever the mode map is real.
-
-    A real map with determinant -1 has no real matrix logarithm, so it is
-    factored into a rotation (real generator) times a sign flip on the
-    second mode, both of which lift to real orthogonal gates.
-    """
-    d = local_dim
-    u2 = np.asarray(u2)
-    if np.max(np.abs(u2.imag)) == 0.0:
-        r = u2.real
-        det = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
-        flip = det < 0.0
-        if flip:
-            r = r @ np.diag([1.0, -1.0])
-        theta = math.atan2(r[1, 0], r[0, 0])
-        gate = _quadratic_lift(np.array([[0.0, -theta], [theta, 0.0]]), d)
-        if flip:
-            parity = (-1.0) ** np.arange(d)
-            gate = gate * np.kron(np.ones(d), parity)[None, :]
-        return np.ascontiguousarray(gate)
-    w, V = np.linalg.eig(u2)
-    A = (V * np.log(w)) @ np.linalg.inv(V)      # matrix log, anti-hermitian
-    return _quadratic_lift(A.astype(complex), d)
-
-
-def _apply_pair_gate(arr: np.ndarray, gate: np.ndarray, pair: int,
-                     d: int) -> np.ndarray:
-    """Apply a two-mode gate to adjacent pair axes (1 + 2*pair, 2 + 2*pair)
-    of a batch-first tensor of shape (batch, d, d, ..., d) and the gate's
-    dtype (:func:`_gate_setup`)."""
-    dd = d * d
-    pre = arr.shape[0] * dd ** pair
-    post = arr.size // (pre * dd)
-    view = arr.reshape(pre, dd, post)
-    if post == 1:
-        out = view[:, :, 0] @ gate.T
-    elif pre == 1:
-        out = gate @ view[0]
-    else:
-        out = np.matmul(gate, view)
-    return np.ascontiguousarray(out).reshape(arr.shape)
-
-
-def _gate_setup(config: InterferometerConfig, d: int, inputs_real: bool):
-    """The BS1 and BS2 pair gates and the per-photon delay phase, all of
-    one dtype: float64 when the inputs and every stage are real, complex
-    otherwise."""
-    g1 = _pair_gate(bs1_transform(config), d)
-    g2 = _pair_gate(bs2_transform(config), d)
-    phase = np.exp(1j * config.phi_delta * np.arange(d))
-    if np.max(np.abs(phase.imag)) < 1e-15:
-        phase = phase.real
-    real = inputs_real and all(x.dtype == np.float64 for x in (g1, g2, phase))
-    dtype = np.float64 if real else complex
-    return g1.astype(dtype), g2.astype(dtype), phase.astype(dtype)
-
-
-def _delay_and_bs2(t: np.ndarray, g2: np.ndarray, phase: np.ndarray,
-                   bins: int) -> np.ndarray:
-    """The delay and the second beam splitter on a batch-first tensor in
-    pair layout (A0, B0, A1, B1, ...): the content of path-1 wire i moves
-    to path-1 wire (i+1) mod B, picking up phi_delta per photon."""
-    d = phase.size
-    src = [2 + 2 * i for i in range(bins)]
-    dst = [2 + 2 * ((i + 1) % bins) for i in range(bins)]
-    t = np.ascontiguousarray(np.moveaxis(t, src, dst))
-    if not np.all(phase == 1.0):
-        for i in range(bins):
-            shape = [1] * t.ndim
-            shape[2 + 2 * i] = d
-            t = t * phase.reshape(shape)
-    for i in range(bins):
-        t = _apply_pair_gate(t, g2, i, d)
-    return t
-
-
-def _evolve_wire_batch(batch: np.ndarray, bins: int, d: int,
-                       config: InterferometerConfig) -> np.ndarray:
-    """Evolve a batch of wire-registry states through the interferometer.
-
-    `batch` has shape (n_states, dim) in the path-major Kronecker layout;
-    the result has the same shape.  Works in float64 throughout when the
-    configuration phases make every stage real.
-    """
-    B = bins
-    n = batch.shape[0]
-    batch_is_real = not np.iscomplexobj(batch) or not np.any(batch.imag)
-    g1, g2, phase = _gate_setup(config, d, batch_is_real)
-    work = np.ascontiguousarray(batch.real if g1.dtype == np.float64
-                                else batch, dtype=g1.dtype)
-
-    # path-major -> batch-first pair layout (A0, B0, A1, B1, ...)
-    t = work.reshape((n,) + (d,) * (2 * B))
-    pair_axes = [0] + [1 + (i % B) * 2 + (0 if i < B else 1) for i in range(2 * B)]
-    t = np.ascontiguousarray(t.transpose(np.argsort(pair_axes)))
-
-    for i in range(B):
-        t = _apply_pair_gate(t, g1, i, d)
-    t = _delay_and_bs2(t, g2, phase, B)
-
-    # pair layout -> path-major
-    t = np.ascontiguousarray(t.transpose(pair_axes))
-    return t.reshape(n, -1)
-
-
-def apply_interferometer(state: FockVector,
-                         config: InterferometerConfig) -> FockVector:
-    """Evolve a wire-registry state through the interferometer unitary,
-    gate by gate.  Scales to dimensions where the dense operator cannot be
-    materialized."""
-    reg = state.registry
-    bins = reg.n_modes // 2
-    if reg.modes != wire_registry(bins, reg.cutoff).modes:
-        raise ValueError("registry is not a canonical wire registry; "
-                         "build it with wire_registry()")
-    if reg.dim > DEFAULT_MAX_STATE_ENTRIES:
-        raise ValueError(
-            f"dimension {reg.dim} exceeds the evolution bound "
-            f"{DEFAULT_MAX_STATE_ENTRIES} "
-            f"({reg.n_modes} modes at cutoff {reg.cutoff})")
-    out = _evolve_wire_batch(state.amplitudes[None, :], bins, reg.local_dim,
-                             config)
-    return FockVector(reg, out[0])
-
-
-def fock_unitary(config: InterferometerConfig, bins: int,
-                 cutoff: int) -> FockOperator:
-    """Dense interferometer unitary on the 2B-wire truncated Fock space.
-
-    Satisfies ``norm(U^* U - I) <= 1e-10`` (each constituent gate is
-    exactly unitary), maps vacuum to vacuum and commutes with total photon
-    number.
-    """
-    reg = wire_registry(bins, cutoff)
-    if reg.dim > DEFAULT_MAX_UNITARY_DIM:
-        raise ValueError(
-            f"registry dimension {reg.dim} = {reg.local_dim}^{reg.n_modes} "
-            f"exceeds the dense-unitary bound {DEFAULT_MAX_UNITARY_DIM}; "
-            "use apply_interferometer for state evolution instead")
-    eye = np.eye(reg.dim)
-    cols = _evolve_wire_batch(eye, bins, reg.local_dim, config)
-    return FockOperator(reg, cols.T)
-
-
-def coherent_wire_state(train_amplitudes: np.ndarray, bins: int,
-                        cutoff: int) -> FockVector:
-    """Product coherent state on a wire registry: path-0 wires carry the
-    given per-bin amplitudes (zero-padded to `bins`), path-1 wires vacuum."""
-    amps = np.asarray(train_amplitudes, dtype=complex)
-    if amps.size > bins:
-        raise ValueError("more pulse amplitudes than wire bins")
-    reg = wire_registry(bins, cutoff)
-    d = reg.local_dim
-    vecs = [coherent_amplitudes(amps[i] if i < amps.size else 0.0, cutoff)
-            for i in range(bins)]
-    vecs += [coherent_amplitudes(0.0, cutoff)] * bins
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = np.kron(out, v)
-    return FockVector(reg, out)
-
-
-def mean_mode_amplitudes(state: FockVector) -> np.ndarray:
-    """``<a_m> / <1>`` for every registry mode: the coherent amplitude of
-    each mode when the state is (close to) a coherent product."""
-    reg = state.registry
-    amps = state.amplitudes
-    if not np.any(amps.imag):
-        amps = np.ascontiguousarray(amps.real)
-    t = amps.reshape((reg.local_dim,) * reg.n_modes)
-    return _batched_mean_amplitudes(t[None, ...])[0] / state.norm2()
-
-
-def _batched_mean_amplitudes(t: np.ndarray) -> np.ndarray:
-    """Unnormalized ``<a_m>`` per mode for a batch-first state tensor of
-    shape (n, d, d, ..., d); reshape windows keep the inner axis
-    contiguous."""
-    n = t.shape[0]
-    d = t.shape[1]
-    nmodes = t.ndim - 1
-    w = np.sqrt(np.arange(1, d))
-    flat = t.reshape(n, -1)
-    dim = flat.shape[1]
-    out = np.empty((n, nmodes), dtype=complex)
-    for ax in range(nmodes):
-        pre = d ** ax
-        post = dim // (pre * d)
-        v = flat.reshape(n, pre, d, post)
-        prod = v[:, :, :-1, :].conj() * v[:, :, 1:, :]
-        out[:, ax] = prod.sum(axis=(1, 3)) @ w
-    return out
-
-
-def fock_output_amplitudes(amp_rows: np.ndarray, bins: int, cutoff: int,
-                           config: InterferometerConfig) -> np.ndarray:
-    """Mean output amplitude of every wire after evolving product coherent
-    inputs through the truncated Fock space.
-
-    `amp_rows` is (n_states, n_pulses): per state, the path-0 per-bin
-    coherent amplitudes (zero-padded to `bins`; path 1 starts in vacuum).
-    Returns (n_states, 2 * bins) mean amplitudes ``<a_w>/<1>`` in wire
-    order.
-
-    Because path 1 enters in vacuum, the state after the first beam
-    splitter is an exact product of per-bin two-wire vectors, which is
-    built directly; only the delay shift and the second beam splitter act
-    on the full tensor.  The pipeline stays in float64 when the inputs and
-    the configuration phases are real.
-    """
-    amp_rows = np.atleast_2d(np.asarray(amp_rows))
-    n, npulse = amp_rows.shape
-    if npulse > bins:
-        raise ValueError("more pulse amplitudes than wire bins")
-    d = cutoff + 1
-    dim = d ** (2 * bins)
-    if n * dim > DEFAULT_MAX_STATE_ENTRIES:
-        raise ValueError(f"batch {n} x dimension {dim} exceeds the "
-                         f"evolution bound {DEFAULT_MAX_STATE_ENTRIES}")
-    inputs_real = not np.iscomplexobj(amp_rows) or not np.any(amp_rows.imag)
-    g1, g2, phase = _gate_setup(config, d, inputs_real)
-
-    # post-BS1 product state, pair layout (A0, B0, A1, B1, ...)
-    g1_on_vac = g1[:, ::d]            # columns (x, n_B=0)
-    t = None
-    for i in range(bins):
-        amps = amp_rows[:, i] if i < npulse else np.zeros(n, dtype=amp_rows.dtype)
-        cohs = np.stack([coherent_amplitudes(a, cutoff) for a in amps])
-        if g1.dtype == np.float64:
-            cohs = np.ascontiguousarray(cohs.real)
-        pair = cohs @ g1_on_vac.T      # (n, d*d)
-        t = pair if t is None else \
-            (t[:, :, None] * pair[:, None, :]).reshape(n, -1)
-    t = _delay_and_bs2(t.reshape((n,) + (d, d) * bins), g2, phase, bins)
-
-    amps_pair = _batched_mean_amplitudes(t)
-    norms = np.sum(np.abs(t.reshape(n, -1)) ** 2, axis=1)
-    # pair layout (A0, B0, A1, B1, ...) -> wire order (A0..A_{B-1}, B0..)
-    order = [2 * i for i in range(bins)] + [2 * i + 1 for i in range(bins)]
-    return amps_pair[:, order] / norms[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import fock
-from .fock import FockOperator, ModeRegistry
+from .fock import FockOperator, ModeRegistry, _require_integers
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
                      sector_lift)
 
@@ -383,9 +382,7 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
     Raises ValueError, before any work, when a photon-number sector block
     exceeds ``optics.DEFAULT_MAX_STATE_ENTRIES``.
     """
-    for name, v in (("cutoff", cutoff), ("n_bins", n_bins)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
+    _require_integers(cutoff=cutoff, n_bins=n_bins)
     if cutoff < 3:
         raise ValueError(f"cutoff too small: need cutoff >= 3, got {cutoff}")
     if n_bins != 2:

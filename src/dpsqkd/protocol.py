@@ -17,7 +17,6 @@ are 1-based indices 1..N.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .fock import _require_integers
 from .optics import InterferometerConfig, PulseTrain, propagate_analytic
 
 #: column order of the per-session CSV row; bump when the schema changes
@@ -182,9 +182,7 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key, v in (("N", self.n_bins), ("seed", self.seed)):
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{key} must be an integer, got {v!r}")
+        _require_integers(N=self.n_bins, seed=self.seed)
         if self.n_bins < 0:
             raise ValueError("N must be >= 0")
         if not 0.0 <= self.alpha2 < math.inf:

@@ -17,13 +17,14 @@ from dpsqkd import fock
 from dpsqkd.cli import main
 from dpsqkd.entangled import compare_statistics
 from dpsqkd.optics import (InterferometerConfig, PulseTrain,
-                           fock_output_amplitudes, propagate_analytic)
+                           propagate_analytic)
 from dpsqkd.povm import certify_noncommutativity, t_term, t_term_numeric
 from dpsqkd.protocol import SessionConfig, run_session
 from dpsqkd.witness import (DiagonalWitness, bb84_effect_family,
                             bell_state_density,
                             diagonal_positivity_theorem_check,
                             qubit_projective_effects, witness_search)
+from fock_oracle import sector_mean_amplitudes
 
 # frozen regression values (pre-build oracles)
 COMM_SILENT_C3 = 0.154605219372170
@@ -63,22 +64,29 @@ def test_criterion_1_detection_table_rates():
 def test_criterion_2_analytic_vs_fock_unitary():
     t0 = time.time()
     cfg = InterferometerConfig.compensated()
-    cutoff, bins = 6, 4
+    cutoff, bins, n_max = 6, 4, 8
     # mean photon number chosen so the cutoff-6 truncation bias on <a>
     # sits far below the 1e-8 comparison tolerance
     alpha = math.sqrt(0.04)
     rows = np.array([[(-1.0) ** b * alpha for b in sp]
                      for sp in itertools.product((0, 1), repeat=3)])
-    got = fock_output_amplitudes(rows, bins, cutoff, cfg)
+    # <a_w> from the exact sector_lift blocks of sectors n <= n_max; the
+    # input's Poisson weight above them (3 pulses, mean 3 alpha^2) is left out
+    got = sector_mean_amplitudes(cfg, bins, rows, cutoff, n_max)
+    mu = 3 * alpha ** 2
+    left_out = sum(math.exp(-mu) * mu ** n / math.factorial(n)
+                   for n in range(n_max + 1, n_max + 40))
     worst = 0.0
     for k in range(rows.shape[0]):
         o4, o5 = propagate_analytic(PulseTrain(0, rows[k]), cfg)
         expect = np.concatenate([o4.amplitudes, o5.amplitudes])
         worst = max(worst, float(np.max(np.abs(got[k] - expect))))
     elapsed = time.time() - t0
-    _announce(2, worst <= 1e-8 and elapsed < 10.0,
-              f"all 8 S' agree amplitude-wise to {worst:.2e} "
-              f"(tol 1e-8) at cutoff 6, {elapsed:.1f}s")
+    _announce(2, worst <= 1e-8 and left_out <= 1e-12 and elapsed < 10.0,
+              f"all 8 S' agree amplitude-wise to {worst:.2e} (tol 1e-8) on "
+              f"the exact sector route (sector_lift) over sectors n <= "
+              f"{n_max} of cutoff-6 inputs, leaving out input Poisson "
+              f"weight {left_out:.1e} (<= 1e-12), {elapsed:.1f}s")
 
 
 def test_criterion_3_commutation_certification(certification):

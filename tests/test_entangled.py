@@ -160,6 +160,21 @@ def test_input_validation():
         eb.alice_reduced_density(st)
 
 
+@pytest.mark.parametrize("args, kwargs, field", [
+    ((2.5, 0.3), {}, "n_key_bins"),
+    ((True, 0.3), {}, "n_key_bins"),
+    ((2, 0.3), {"trials": 2.5}, "trials"),
+    ((2, 0.3), {"cutoff": 2.5}, "cutoff"),
+    ((2, 0.3), {"seed": 2.5}, "seed"),
+    ((2, 0.3), {"seed": True}, "seed"),
+])
+def test_compare_statistics_refuses_non_integer_counts(args, kwargs, field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer") \
+            as info:
+        eb.compare_statistics(*args, **kwargs)
+    assert "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf,
                                    complex(0.4, math.nan)])
 def test_non_finite_alpha_refused(alpha):

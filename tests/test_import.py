@@ -1,9 +1,13 @@
-"""`import dpsqkd.cli` and the four subcommands leave scipy unloaded."""
+"""The library needs numpy alone: `import dpsqkd.cli` and the four
+subcommands leave scipy unloaded, and no library module imports it."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,3 +42,23 @@ def test_cli_runs_without_scipy():
     assert report["after_import"] == []
     assert report["status"] == [0, 0, 0, 0]
     assert report["after_runs"] == []
+
+
+def test_library_needs_numpy_alone():
+    # the runtime dependencies are numpy alone, and no library module
+    # imports scipy at any depth (a function-local import included)
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        deps = tomllib.load(f)["project"]["dependencies"]
+    assert [re.split(r"[\s<>=!~;\[]", d)[0] for d in deps] == ["numpy"]
+    modules = sorted((ROOT / "src" / "dpsqkd").rglob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), \
+                f"{path.name}:{node.lineno} imports scipy"

@@ -1,4 +1,4 @@
-"""Beam splitters, analytic propagation and the Fock-space unitary."""
+"""Beam splitters, analytic propagation and the exact sector lift."""
 
 import math
 
@@ -7,13 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpsqkd import fock, optics
-from dpsqkd.optics import (InterferometerConfig, PulseTrain,
-                           apply_interferometer, bs1_transform, bs2_transform,
-                           coherent_wire_state, fock_output_amplitudes,
-                           fock_unitary, interferometer_coefficients,
-                           mean_mode_amplitudes, propagate_analytic,
-                           sector_dim, sector_lift, sector_occupations,
-                           single_particle_unitary, wire_registry)
+from dpsqkd.optics import (InterferometerConfig, PulseTrain, bs1_transform,
+                           bs2_transform, interferometer_coefficients,
+                           propagate_analytic, sector_dim, sector_lift,
+                           sector_occupations, single_particle_unitary,
+                           wire_registry)
+from fock_oracle import dense_unitary, sector_mean_amplitudes
 
 
 def test_compensation_condition_enforced():
@@ -170,93 +169,6 @@ def test_single_particle_unitary_is_unitary():
     assert np.max(np.abs(u.conj().T @ u - np.eye(10))) < 1e-14
 
 
-def test_fock_unitary_properties():
-    cfg = InterferometerConfig.compensated()
-    U = fock_unitary(cfg, 3, 2)
-    M = U.matrix
-    assert np.linalg.norm(M.conj().T @ M - np.eye(M.shape[0])) < 1e-10
-    vac = fock.vacuum(U.registry)
-    out = U @ vac
-    assert abs(out.amplitudes[0] - 1.0) < 1e-14
-    n_tot = fock.number_operator(U.registry)
-    assert fock.commutator_norm(U, n_tot) < 1e-10
-
-
-def test_fock_unitary_single_photon_sector_matches_mode_map():
-    cfg = InterferometerConfig.compensated(phi2=0.35, phi_delta=0.1)
-    U = fock_unitary(cfg, 3, 2)
-    usp = single_particle_unitary(cfg, 3)
-    reg = U.registry
-    for k in range(reg.n_modes):
-        occ = [0] * reg.n_modes
-        occ[k] = 1
-        out = (U @ fock.basis_state(reg, occ)).amplitudes
-        got = np.array([out[reg.basis_index([1 if j == m else 0
-                                             for j in range(reg.n_modes)])]
-                        for m in range(reg.n_modes)])
-        assert np.max(np.abs(got - usp[:, k])) < 1e-13
-
-
-def test_fock_unitary_size_guard():
-    cfg = InterferometerConfig.compensated()
-    with pytest.raises(ValueError, match="exceeds the dense-unitary bound"):
-        fock_unitary(cfg, 6, 5)
-
-
-def test_apply_matches_dense_unitary():
-    cfg = InterferometerConfig.compensated(phi2=0.5, phi_delta=0.2)
-    U = fock_unitary(cfg, 2, 3)
-    rng = np.random.default_rng(2)
-    reg = U.registry
-    v = rng.normal(size=reg.dim) + 1j * rng.normal(size=reg.dim)
-    state = fock.FockVector(reg, v)
-    out1 = apply_interferometer(state, cfg)
-    out2 = U @ state
-    assert np.max(np.abs(out1.amplitudes - out2.amplitudes)) < 1e-12
-
-
-def test_coherent_closure_fidelity():
-    # Fock evolution of a coherent input stays coherent up to truncation
-    # (cutoff chosen so the tail sits below the truncation tolerance)
-    cfg = InterferometerConfig.compensated()
-    amps = np.array([0.25, -0.25])
-    state = coherent_wire_state(amps, 3, 6)
-    out = apply_interferometer(state, cfg)
-    o4, o5 = propagate_analytic(PulseTrain(0, amps), cfg)
-    from dpsqkd.fock import coherent_amplitudes
-    vecs = [coherent_amplitudes(a, 6) for a in o4.amplitudes] + \
-           [coherent_amplitudes(a, 6) for a in o5.amplitudes]
-    ref = vecs[0]
-    for v in vecs[1:]:
-        ref = np.kron(ref, v)
-    ref_state = fock.FockVector(out.registry, ref)
-    assert fock.fidelity(out, ref_state) >= 1.0 - fock.TRUNCATION_TOL
-
-
-def test_fock_output_amplitudes_vs_analytic_small():
-    cfg = InterferometerConfig.compensated(phi2=1.0, phi_delta=0.4)
-    amps = np.array([0.25, -0.25, 0.25])
-    got = fock_output_amplitudes(amps, 4, 5, cfg)[0]
-    o4, o5 = propagate_analytic(PulseTrain(0, amps), cfg)
-    expect = np.concatenate([o4.amplitudes, o5.amplitudes])
-    assert np.max(np.abs(got - expect)) < 1e-8
-
-
-def test_fock_output_amplitudes_matches_generic_route():
-    cfg = InterferometerConfig.compensated()
-    amps = np.array([0.3, -0.3])
-    fast = fock_output_amplitudes(amps, 3, 4, cfg)[0]
-    state = coherent_wire_state(amps, 3, 4)
-    slow = mean_mode_amplitudes(apply_interferometer(state, cfg))
-    assert np.max(np.abs(fast - slow)) < 1e-13
-
-
-def test_wire_registry_guard():
-    bad = fock.ModeRegistry([(0, 0), (1, 1)], 2)
-    with pytest.raises(ValueError, match="wire registry"):
-        apply_interferometer(fock.vacuum(bad), InterferometerConfig.compensated())
-
-
 def test_interference_determinism_exact_zeros():
     # exact zeros at the (real-arithmetic) default phases
     cfg = InterferometerConfig.compensated()
@@ -284,7 +196,7 @@ def test_sector_occupations_enumerate_in_kronecker_order():
 def test_sector_lift_matches_dense_oracle(phi2, phi_delta):
     # on sectors n <= 2 the cutoff-2 dense unitary is exact
     cfg = InterferometerConfig.compensated(phi2=phi2, phi_delta=phi_delta)
-    U = fock_unitary(cfg, 3, 2).matrix
+    U = dense_unitary(cfg, 3, 2).matrix
     reg = wire_registry(3, 2)
     real = not np.any(single_particle_unitary(cfg, 3).imag)
     for outputs, inputs, block in sector_lift(cfg, 3, 2):
@@ -310,3 +222,52 @@ def test_sector_lift_bound():
     caps = [1, 1, 1, 0, 0, 0]
     sizes = [block.shape for _, _, block in sector_lift(cfg, 3, 10, caps)]
     assert sizes == [(1, 1), (6, 3), (21, 3), (56, 1)]
+    with pytest.raises(ValueError, match="one bound per wire"):
+        sector_lift(cfg, 3, 2, [1, 1])
+
+
+def test_dense_oracle_lifts_the_mode_map():
+    # unitary, vacuum to vacuum, and the mode map on the one-photon sector
+    cfg = InterferometerConfig.compensated(phi2=0.35, phi_delta=0.1)
+    U = dense_unitary(cfg, 3, 2)
+    reg = U.registry
+    assert np.max(np.abs(U.matrix.conj().T @ U.matrix
+                         - np.eye(reg.dim))) < 1e-12
+    assert abs((U @ fock.vacuum(reg)).amplitudes[0] - 1.0) < 1e-14
+    one = [reg.basis_index(np.eye(reg.n_modes, dtype=int)[k])
+           for k in range(reg.n_modes)]
+    assert np.max(np.abs(U.matrix[np.ix_(one, one)]
+                         - single_particle_unitary(cfg, 3))) < 1e-13
+
+
+@pytest.mark.parametrize("phi2, phi_delta, amps", [
+    (0.0, 0.0, [0.3, -0.3]),
+    (1.0, 0.4, [0.25, -0.25, 0.25]),
+    (0.7, 0.3, [0.3, 0.3j]),
+])
+def test_sector_mean_amplitudes_match_analytic(phi2, phi_delta, amps):
+    # <a_w> read off the exact sector blocks of a cutoff-6 coherent input
+    cfg = InterferometerConfig.compensated(phi2=phi2, phi_delta=phi_delta)
+    got = sector_mean_amplitudes(cfg, len(amps) + 1, amps, 6, 8)[0]
+    o4, o5 = propagate_analytic(PulseTrain(0, amps), cfg)
+    expect = np.concatenate([o4.amplitudes, o5.amplitudes])
+    assert np.max(np.abs(got - expect)) < 1e-8
+
+
+def test_sector_route_coherent_closure_fidelity():
+    # a coherent product input leaves as the analytically propagated
+    # coherent product, up to the cutoff-6 input truncation
+    cfg = InterferometerConfig.compensated()
+    amps = [0.25, -0.25]
+    o4, o5 = propagate_analytic(PulseTrain(0, amps), cfg)
+    beta = np.concatenate([o4.amplitudes, o5.amplitudes])
+    overlap, norm = 0.0, 0.0
+    for outputs, inputs, block in sector_lift(cfg, 3, 12, [6, 6, 0, 0, 0, 0]):
+        c = np.prod([fock.coherent_amplitudes(a, 6)[inputs[:, i]]
+                     for i, a in enumerate(amps)], axis=0)
+        ref = np.prod([fock.coherent_amplitudes(b, 12)[outputs[:, w]]
+                       for w, b in enumerate(beta)], axis=0)
+        psi = block @ c
+        overlap += ref.conj() @ psi
+        norm += np.sum(np.abs(psi) ** 2)
+    assert abs(overlap) ** 2 / norm >= 1.0 - fock.TRUNCATION_TOL

@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from dpsqkd import fock
 from dpsqkd.fock import FockOperator, FockVector
-from dpsqkd.optics import InterferometerConfig, fock_unitary, wire_registry
+from dpsqkd.optics import InterferometerConfig, wire_registry
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, all_click_patterns,
                          build_e2_e3, build_projector_effects,
                          certify_noncommutativity, click_pattern_ids,
                          conjugated_commutator_norm, detection_registry,
                          pattern_diagonal, pattern_index, reduced_effect_set,
                          signal_registry, t_term, t_term_numeric)
+from fock_oracle import dense_unitary
 
 # frozen by the pre-build dense oracle (multinomial-expansion route)
 COMM_SILENT_C3 = 0.154605219372170
@@ -113,7 +114,7 @@ def test_probability_consistency_random_states():
     effects = build_projector_effects(1, wire_cutoff)
     for phi2, phi_delta in ((0.0, 0.0), (0.7, 0.3)):
         cfg = InterferometerConfig.compensated(phi2=phi2, phi_delta=phi_delta)
-        U = fock_unitary(cfg, 2, wire_cutoff).matrix
+        U = dense_unitary(cfg, 2, wire_cutoff).matrix
         for boundary, mask in (("marginal", 1.0), ("vacuum", silent)):
             red = reduced_effect_set(1, cutoff, cfg, boundary=boundary)
             for p, G in effects.items():
@@ -251,7 +252,7 @@ def test_t_term_table():
 
 def test_conjugated_commutator_gram_matches_dense():
     cfg = InterferometerConfig.compensated()
-    U = fock_unitary(cfg, 2, 2)
+    U = dense_unitary(cfg, 2, 2)
     wreg = U.registry
     pats = all_click_patterns(1)
     for pi, pj in itertools.combinations(pats, 2):
