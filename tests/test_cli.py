@@ -255,12 +255,33 @@ PINNED_EB_COMPARE = {
 }
 
 
-@pytest.mark.parametrize("argv, status", sorted(PINNED_EB_COMPARE))
+# recorded while the Monte Carlo still drew every flow's (trials, N+1)
+# arrays in one piece: 10^6 trials span many chunks of trial rows, and
+# 200001 trials give an odd trials x (N+1) and a short last chunk
+PINNED_EB_COMPARE_MULTI_CHUNK = {
+    (("--key-bins", "4", "--alpha2", "0.2", "--trials", "1000000",
+      "--seed", "7"), 0):
+        "keyBins = 4\nalphaSquared = 0.19999999999999998\n"
+        "analyticDistance = 1.713267114983319e-14\n"
+        "empiricalDistance = 0.0025689999999999728\ntrials = 1000000\n"
+        "sigma = 0.0007071067811865475  (bounded-differences scale)\n",
+    (("--key-bins", "4", "--trials", "200001", "--seed", "3",
+      "--eb-delay-defect", "0.4"), 1):
+        "keyBins = 4\nalphaSquared = 0.19999999999999998\n"
+        "analyticDistance = 0.0054857590398434694\n"
+        "empiricalDistance = 0.010044949775251132\ntrials = 200001\n"
+        "sigma = 0.0015811348772519376  (bounded-differences scale)\n",
+}
+
+
+@pytest.mark.parametrize("argv, status", sorted(PINNED_EB_COMPARE)
+                         + list(PINNED_EB_COMPARE_MULTI_CHUNK))
 def test_eb_compare_pinned_bytes(argv, status, capsys, monkeypatch):
     monkeypatch.delenv("DPSQKD_SEED", raising=False)
     code, out, _ = run(["eb-compare", *argv], capsys)
     assert code == status
-    assert out == PINNED_EB_COMPARE[argv, status]
+    assert out == {**PINNED_EB_COMPARE,
+                   **PINNED_EB_COMPARE_MULTI_CHUNK}[argv, status]
 
 
 @pytest.mark.parametrize("argv, env_seed, needle", [
