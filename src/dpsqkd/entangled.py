@@ -10,14 +10,15 @@ stored.
 ``compare_statistics`` certifies that the click statistics Bob sees are
 the same whichever way the signal was prepared.  Both flows run through
 the protocol's own click kernel (:func:`~dpsqkd.optics.propagate`, then
-``DetectorModel.click_probabilities`` and ``DetectorModel.sample``) and
-:func:`~dpsqkd.povm.click_pattern_ids`.
+``DetectorModel.click_probabilities``, clicks drawn in the order of
+``DetectorModel.sample``) and :func:`~dpsqkd.povm.click_pattern_ids`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -154,6 +155,13 @@ def collapsed_mean_amplitude(state: EbState, i: int, bit: int) -> complex:
 #: largest analytic distance that certifies the two preparations equivalent
 ANALYTIC_DISTANCE_GATE = 1e-8
 
+#: Monte Carlo trial rows per chunk; even, so that the S' bits of every
+#: chunk start on a whole 64-bit output of the stream
+_MC_CHUNK_ROWS = 1 << 15
+#: threads that run the chunks; NumPy releases the GIL in RNG fills and ufuncs
+_MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
 
 @dataclass(frozen=True)
 class EbComparisonReport:
@@ -210,6 +218,37 @@ def _pattern_distribution(table: np.ndarray,
     return dist
 
 
+def _positioned_rng(seed: int, outputs: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` after `outputs` 64-bit draws."""
+    return np.random.Generator(np.random.PCG64(seed).advance(outputs))
+
+
+def _chunk_pattern_ids(seed: int, trials: int, n_key_bins: int,
+                       pair_tables: np.ndarray, born1: float, r0: int):
+    """Click-pattern ids of both flows for the chunk of trial rows from r0
+    (even), drawn as a sequential ``np.random.default_rng(seed)`` draws
+    them: the P&M S' bits (trials, N+1) at 32 bits each, its D0, then D1
+    uniforms (trials, N) as :meth:`DetectorModel.sample` draws them, the EB
+    Born uniforms (trials, N+1), its D0, then D1 uniforms.  Key bin i clicks
+    with the probability ``pair_tables[flow, detector, 2 s_i + s_(i+1)]``."""
+    rows, n_pulses = min(_MC_CHUNK_ROWS, trials - r0), n_key_bins + 1
+    s = _positioned_rng(seed, r0 * n_pulses // 2).integers(
+        0, 2, (rows, n_pulses))
+    at = -(-trials * n_pulses // 2)          # the first uniform's output
+    ids = []
+    for tables in pair_tables:
+        if ids:                              # the EB flow draws its S'
+            s = _positioned_rng(seed, at + r0 * n_pulses).random(
+                (rows, n_pulses)) < born1
+            at += trials * n_pulses
+        pair = 2 * s[:, :-1] + s[:, 1:]
+        d0, d1 = (_positioned_rng(seed, at + (j * trials + r0) * n_key_bins)
+                  .random(pair.shape) < tables[j][pair] for j in (0, 1))
+        ids.append(click_pattern_ids(d0, d1))
+        at += 2 * trials * n_key_bins
+    return ids
+
+
 def _sufficient_cutoff(mu: float, n_key_bins: int, cutoff: int):
     """Smallest cutoff >= `cutoff` that passes the truncation check of
     :func:`compare_statistics`, or None when it exceeds the size bound.
@@ -234,12 +273,16 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     """Compare Bob's click-pattern distribution under P&M preparation with
     uniform S' against EB preparation plus Alice's measurement.
 
-    Each flow propagates its 2^(N+1) distinct pulse trains once, into a
-    table of D0 and D1 click probabilities (:func:`_click_table`).  The
-    analytic distance mixes the table's rows over all S' exactly; the
+    For the analytic distance, each flow propagates its 2^(N+1) distinct
+    pulse trains once, into a table of D0 and D1 click probabilities
+    (:func:`_click_table`), and mixes its rows over all S' exactly.  The
     empirical distance (when ``trials > 0``) draws each trial's S' -- P&M
-    uniformly, EB by Alice's Born probabilities -- and samples its clicks
-    from the table row of that S' with :meth:`DetectorModel.sample`.
+    uniformly, EB by Alice's Born probabilities -- and its clicks from the
+    table of the four pulse pairs, in chunks of trials on up to
+    ``_MC_WORKERS`` threads.  Each chunk draws, at their positions in the
+    stream, the numbers that a sequential ``np.random.default_rng(seed)``
+    draws for its trials in the order of :meth:`DetectorModel.sample`
+    (:func:`_chunk_pattern_ids`), so the worker count changes no report.
     `eb_delay_defect` is a test hook: it injects an uncompensated phase
     into the delay arm of the EB flow only, an inconsistency the
     comparison must catch.  (Phases on the output paths would not do:
@@ -303,16 +346,21 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
 
     empirical, sigma = None, 0.0
     if trials > 0:
-        rng = np.random.default_rng(seed)
-        place = 2 ** np.arange(n_pulses - 1, -1, -1)
-        k = rng.integers(0, 2, size=(trials, n_pulses)) @ place
-        pat_pm = click_pattern_ids(
-            *DetectorModel.ideal().sample(*np.take(table_pm, k, axis=1), rng))
-        k = (rng.random((trials, n_pulses)) < born[1]) @ place
-        pat_eb = click_pattern_ids(
-            *DetectorModel.ideal().sample(*np.take(table_eb, k, axis=1), rng))
-        h_pm = np.bincount(pat_pm, minlength=4 ** n_key_bins) / trials
-        h_eb = np.bincount(pat_eb, minlength=4 ** n_key_bins) / trials
+        from concurrent.futures import ThreadPoolExecutor
+
+        pairs = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+        pair_tables = np.stack([_click_table((1.0 - 2.0 * pairs) * alpha, c_pm),
+                                _click_table(amp_of_bit[pairs], c_eb)])[..., 0]
+
+        def histograms(r0):
+            return np.stack([np.bincount(i, minlength=4 ** n_key_bins)
+                             for i in _chunk_pattern_ids(
+                                 seed, trials, n_key_bins, pair_tables,
+                                 born[1], r0)])
+
+        starts = range(0, trials, _MC_CHUNK_ROWS)
+        with ThreadPoolExecutor(min(_MC_WORKERS, len(starts))) as pool:
+            h_pm, h_eb = sum(pool.map(histograms, starts)) / trials
         empirical = 0.5 * float(np.sum(np.abs(h_pm - h_eb)))
         sigma = 1.0 / math.sqrt(2.0 * trials)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -207,12 +207,6 @@ def vacuum(registry: ModeRegistry) -> FockVector:
     return FockVector(registry, amps, normalized=True)
 
 
-def basis_state(registry: ModeRegistry, occupations: Sequence[int]) -> FockVector:
-    amps = np.zeros(registry.dim, dtype=complex)
-    amps[registry.basis_index(occupations)] = 1.0
-    return FockVector(registry, amps, normalized=True)
-
-
 def identity(registry: ModeRegistry) -> FockOperator:
     return FockOperator(registry, np.eye(registry.dim, dtype=complex), hermitian=True)
 
@@ -241,17 +235,6 @@ def ladder_operator(registry: ModeRegistry, mode, kind: str) -> FockOperator:
     return FockOperator(registry, out)
 
 
-def number_operator(registry: ModeRegistry, mode=None) -> FockOperator:
-    """Photon-number operator of one mode, or the total number operator."""
-    if mode is not None:
-        diag = registry.occupations(mode).astype(float)
-    else:
-        diag = np.zeros(registry.dim)
-        for m in registry.modes:
-            diag = diag + registry.occupations(m)
-    return FockOperator(registry, np.diag(diag.astype(complex)), hermitian=True)
-
-
 # ---------------------------------------------------------------------------
 # algebra
 
@@ -269,37 +252,6 @@ def tensor(a, b):
         return FockOperator(reg, np.kron(a.matrix, b.matrix),
                             hermitian=a.hermitian and b.hermitian)
     raise TypeError("tensor arguments must be two FockVectors or two FockOperators")
-
-
-def permute_modes(obj: Union[FockVector, FockOperator],
-                  new_order: Sequence) -> Union[FockVector, FockOperator]:
-    """Reorder the registry modes of a vector or operator."""
-    reg = obj.registry
-    if set(new_order) != set(reg.modes) or len(new_order) != reg.n_modes:
-        raise ValueError("new_order must be a permutation of the registry modes")
-    perm = [reg.axis(m) for m in new_order]
-    new_reg = ModeRegistry(new_order, reg.cutoff)
-    d = reg.local_dim
-    M = reg.n_modes
-    if isinstance(obj, FockVector):
-        t = obj.amplitudes.reshape((d,) * M).transpose(perm)
-        return FockVector(new_reg, t.reshape(-1), normalized=obj.normalized)
-    t = obj.matrix.reshape((d,) * (2 * M))
-    t = t.transpose(perm + [M + p for p in perm])
-    return FockOperator(new_reg, t.reshape(reg.dim, reg.dim), hermitian=obj.hermitian)
-
-
-def embed(op: FockOperator, registry: ModeRegistry) -> FockOperator:
-    """Extend an operator by identity onto the extra modes of `registry`."""
-    missing = [m for m in registry.modes if m not in op.registry.modes]
-    if set(op.registry.modes) - set(registry.modes):
-        raise ValueError("target registry does not contain all operator modes")
-    if op.registry.cutoff != registry.cutoff:
-        raise ValueError("cutoff mismatch between operator and target registry")
-    if not missing:
-        return permute_modes(op, registry.modes)
-    big = tensor(op, identity(ModeRegistry(missing, registry.cutoff)))
-    return permute_modes(big, registry.modes)
 
 
 def commutator_norm(A: FockOperator, B: FockOperator) -> float:

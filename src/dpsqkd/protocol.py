@@ -7,8 +7,7 @@ corresponding potential-key bits.  An intercept-resend eavesdropper and a
 lossy/dark detector model are included as channel plumbing.
 
 Detection operates on the analytic coherent amplitudes, which is exact for
-coherent states; the Fock-space route in :mod:`dpsqkd.optics` exists for
-cross-validation.
+coherent states, through the click kernel shared with :mod:`dpsqkd.entangled`.
 
 Bin indexing: pulses occupy bins 0..N, key bins (and disclosed intervals)
 are 1-based indices 1..N.

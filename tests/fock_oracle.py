@@ -4,13 +4,16 @@
 second-quantized generator of the mode map ``u = exp(iH)``, block by block
 in total photon number.  It is exact on every sector n <= cutoff and shares
 no code with the creation-operator recursion of ``optics.sector_lift``.
+The dense helpers below it (basis states, number operators, mode
+permutation and embedding) serve only tests.
 """
 
 import itertools
 
 import numpy as np
 
-from dpsqkd.fock import FockOperator, coherent_amplitudes
+from dpsqkd.fock import (FockOperator, FockVector, ModeRegistry,
+                         coherent_amplitudes, identity, tensor)
 from dpsqkd.optics import sector_lift, single_particle_unitary, wire_registry
 
 
@@ -68,3 +71,50 @@ def sector_mean_amplitudes(config, bins, rows, cap, n_max):
                 outputs[has, w])
         prev, codes = psi, outputs @ strides
     return num / norm[:, None]
+
+
+def basis_state(registry, occupations):
+    amps = np.zeros(registry.dim, dtype=complex)
+    amps[registry.basis_index(occupations)] = 1.0
+    return FockVector(registry, amps, normalized=True)
+
+
+def number_operator(registry, mode=None):
+    """Photon-number operator of one mode, or the total number operator."""
+    if mode is not None:
+        diag = registry.occupations(mode).astype(float)
+    else:
+        diag = np.zeros(registry.dim)
+        for m in registry.modes:
+            diag = diag + registry.occupations(m)
+    return FockOperator(registry, np.diag(diag.astype(complex)), hermitian=True)
+
+
+def permute_modes(obj, new_order):
+    """Reorder the registry modes of a vector or operator."""
+    reg = obj.registry
+    if set(new_order) != set(reg.modes) or len(new_order) != reg.n_modes:
+        raise ValueError("new_order must be a permutation of the registry modes")
+    perm = [reg.axis(m) for m in new_order]
+    new_reg = ModeRegistry(new_order, reg.cutoff)
+    d = reg.local_dim
+    M = reg.n_modes
+    if isinstance(obj, FockVector):
+        t = obj.amplitudes.reshape((d,) * M).transpose(perm)
+        return FockVector(new_reg, t.reshape(-1), normalized=obj.normalized)
+    t = obj.matrix.reshape((d,) * (2 * M))
+    t = t.transpose(perm + [M + p for p in perm])
+    return FockOperator(new_reg, t.reshape(reg.dim, reg.dim), hermitian=obj.hermitian)
+
+
+def embed(op, registry):
+    """Extend an operator by identity onto the extra modes of `registry`."""
+    missing = [m for m in registry.modes if m not in op.registry.modes]
+    if set(op.registry.modes) - set(registry.modes):
+        raise ValueError("target registry does not contain all operator modes")
+    if op.registry.cutoff != registry.cutoff:
+        raise ValueError("cutoff mismatch between operator and target registry")
+    if not missing:
+        return permute_modes(op, registry.modes)
+    big = tensor(op, identity(ModeRegistry(missing, registry.cutoff)))
+    return permute_modes(big, registry.modes)

@@ -1,12 +1,14 @@
 """EB translation and its statistical equivalence with the P&M flow."""
 
+import inspect
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpsqkd import entangled as eb
 from dpsqkd import fock
@@ -221,12 +223,17 @@ def test_size_bounds_refuse_before_any_work(monkeypatch):
 @given(n_key_bins=st.integers(1, 5), mu=st.floats(0.0, 1.0),
        phi2=st.floats(-math.pi, math.pi),
        defect=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
-       trials=st.integers(1, 2000), seed=st.integers(0, 2 ** 32 - 1))
+       trials=st.integers(1, 2000), seed=st.integers(0, 2 ** 32 - 1),
+       chunk=st.integers(1, 60).map(lambda k: 2 * k))
+# an odd trials x (N+1), so the last S' bit leaves half a 64-bit output
+# unused, and a one-row last chunk
+@example(n_key_bins=2, mu=0.3, phi2=0.7, defect=0.4, trials=1001, seed=5,
+         chunk=10)
 def test_monte_carlo_table_gather_matches_per_trial_route(
-        n_key_bins, mu, phi2, defect, trials, seed):
-    # oracle: the per-trial route, which propagates every trial's own
-    # (trials, N+1) pulse train and draws its clicks with the same RNG
-    # calls in the same order
+        n_key_bins, mu, phi2, defect, trials, seed, chunk):
+    # oracle: the sequential per-trial route, which draws every flow's
+    # arrays from one generator in one piece, propagates every trial's own
+    # (trials, N+1) pulse train and draws its clicks in that order
     cutoff = 16
     alpha = math.sqrt(mu)
     config = InterferometerConfig.compensated(phi2=phi2)
@@ -253,21 +260,44 @@ def test_monte_carlo_table_gather_matches_per_trial_route(
     sp = rng.random((trials, n_key_bins + 1)) < bit_probs[:, 1]
     want_eb = per_trial_ids(amp_of_bit[sp.astype(int)], c_eb)
 
-    # the table-gather route inside compare_statistics; its last two
-    # pattern-id calls are the P&M and the EB Monte Carlo samples
-    got = []
+    # the chunked route inside compare_statistics, with every chunk's
+    # pattern ids recorded under its first row, whatever thread ran it
+    chunk_ids = eb._chunk_pattern_ids
+    got = {}
 
-    def recording_ids(d0, d1):
-        got.append(click_pattern_ids(d0, d1))
-        return got[-1]
+    def recording_ids(*args):
+        r0 = inspect.signature(chunk_ids).bind(*args).arguments["r0"]
+        got[r0] = chunk_ids(*args)
+        return got[r0]
 
-    with mock.patch.object(eb, "click_pattern_ids", recording_ids):
+    with mock.patch.object(eb, "_MC_CHUNK_ROWS", chunk), \
+            mock.patch.object(eb, "_chunk_pattern_ids", recording_ids):
         rep = eb.compare_statistics(n_key_bins, alpha, trials=trials,
                                     cutoff=cutoff, seed=seed, config=config,
                                     eb_delay_defect=defect)
-    assert np.array_equal(got[-2], want_pm)
-    assert np.array_equal(got[-1], want_eb)
+    assert sorted(got) == list(range(0, trials, chunk))
+    for flow, want in enumerate((want_pm, want_eb)):
+        assert np.array_equal(
+            np.concatenate([got[r0][flow] for r0 in sorted(got)]), want)
     h_pm = np.bincount(want_pm, minlength=4 ** n_key_bins)
     h_eb = np.bincount(want_eb, minlength=4 ** n_key_bins)
     assert rep.empirical_distance == 0.5 * float(
         np.sum(np.abs(h_pm / trials - h_eb / trials)))
+
+
+def test_monte_carlo_report_does_not_depend_on_workers():
+    # 167 chunks of 6 rows; three workers on fewer cores, switching
+    # threads every microsecond, must give the one-worker report
+    kwargs = dict(alpha=0.5, trials=1001, seed=9, eb_delay_defect=0.3)
+    reports = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 3):
+            with mock.patch.object(eb, "_MC_CHUNK_ROWS", 6), \
+                    mock.patch.object(eb, "_MC_WORKERS", workers):
+                reports.append(eb.compare_statistics(2, **kwargs))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0].empirical_distance > 0
+    assert reports[1] == reports[0] and reports[2] == reports[0]

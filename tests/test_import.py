@@ -1,5 +1,7 @@
 """The library needs numpy alone: `import dpsqkd.cli` and the four
-subcommands leave scipy unloaded, and no library module imports it."""
+subcommands leave scipy unloaded, and no library module imports it.
+`import dpsqkd.cli` loads nothing beyond numpy and the standard modules the
+library imports at module level, which keeps the CLI's start-up short."""
 
 import ast
 import json
@@ -42,6 +44,32 @@ def test_cli_runs_without_scipy():
     assert report["after_import"] == []
     assert report["status"] == [0, 0, 0, 0]
     assert report["after_runs"] == []
+
+
+# the module-level imports of the library; a fresh interpreter loads them
+# first, so that the modules `import dpsqkd.cli` adds must all be its own
+IMPORT_SCRIPT = """
+import __future__, json, sys
+import argparse, cmath, dataclasses, itertools, math, numbers, os, pathlib
+import typing, warnings
+import numpy
+before = set(sys.modules)
+import dpsqkd.cli
+print(json.dumps({"added": sorted(set(sys.modules) - before),
+                  "futures": "concurrent.futures" in sys.modules}))
+"""
+
+
+def test_cli_import_loads_nothing_else():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SCRIPT], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["added"]
+    assert [m for m in report["added"] if m.split(".")[0] != "dpsqkd"] == []
+    assert report["futures"] is False
 
 
 def test_library_needs_numpy_alone():

@@ -16,7 +16,7 @@ from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, all_click_patterns,
                          conjugated_commutator_norm, detection_registry,
                          pattern_diagonal, pattern_index, reduced_effect_set,
                          signal_registry, t_term, t_term_numeric)
-from fock_oracle import dense_unitary
+from fock_oracle import basis_state, dense_unitary, embed
 
 # frozen by the pre-build dense oracle (multinomial-expansion route)
 COMM_SILENT_C3 = 0.154605219372170
@@ -118,7 +118,7 @@ def test_probability_consistency_random_states():
         for boundary, mask in (("marginal", 1.0), ("vacuum", silent)):
             red = reduced_effect_set(1, cutoff, cfg, boundary=boundary)
             for p, G in effects.items():
-                g = np.diag(fock.embed(G, wreg).matrix).real
+                g = np.diag(embed(G, wreg).matrix).real
                 M = U.conj().T @ ((g * mask)[:, None] * U)
                 for psi, joint in zip(psis, joints):
                     assert abs(psi.conj() @ red[p].matrix @ psi
@@ -202,8 +202,8 @@ def test_e2_examples():
     reg = E2.registry
     vac = fock.vacuum(reg)
     assert fock.expectation(vac, E2) == 0.0
-    sym = FockVector(reg, (fock.basis_state(reg, [1, 0, 0]).amplitudes
-                           + fock.basis_state(reg, [0, 1, 0]).amplitudes)
+    sym = FockVector(reg, (basis_state(reg, [1, 0, 0]).amplitudes
+                           + basis_state(reg, [0, 1, 0]).amplitudes)
                      / math.sqrt(2))
     assert abs(fock.expectation(sym, E2).real - 0.5) < 1e-12
     assert fock.commutator_norm(E2, E2) == 0.0
