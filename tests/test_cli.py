@@ -194,8 +194,23 @@ PINNED_SIMULATE = {
         "1,200000,0.2,0.7,1.0,0.0,0.0,7,36075,0,36075,0.180375,0,0.0\n",
 }
 
+# recorded while every session stage ran over whole arrays: a short last
+# chunk with partial tapping, dark clicks and Alice's 100004 bits leaving a
+# buffered 32-bit half-word; and a session of the benchmark's size
+PINNED_SIMULATE_WHOLE_ARRAY = {
+    ("--bins", "100003", "--alpha2", "0.5", "--eve-fraction", "0.3",
+     "--dark-click-prob", "0.01", "--seed", "11"):
+        "1,100003,0.5,0.0,1.0,0.01,0.3,11,40190,410,40190,"
+        "0.40188794336169914,9976,0.24822095048519532\n",
+    ("--bins", "1000000", "--alpha2", "0.2", "--efficiency", "0.9",
+     "--dark-click-prob", "0.0001", "--seed", "13"):
+        "1,1000000,0.2,0.0,0.9,0.0001,0.0,13,164915,18,164915,0.164915,90,"
+        "0.0005457356820180092\n",
+}
 
-@pytest.mark.parametrize("argv", sorted(PINNED_SIMULATE))
+
+@pytest.mark.parametrize("argv", sorted(PINNED_SIMULATE)
+                         + sorted(PINNED_SIMULATE_WHOLE_ARRAY))
 def test_simulate_pinned_bytes(argv, capsys):
     code, out, _ = run(["simulate", *argv], capsys)
     assert code == 0
@@ -203,7 +218,8 @@ def test_simulate_pinned_bytes(argv, capsys):
                        "efficiency", "darkClickProb", "eveFraction", "seed",
                        "clicks", "doubleClicks", "siftedLength", "siftedRate",
                        "errors", "qber"))
-    assert out == header + "\n" + PINNED_SIMULATE[argv]
+    assert out == header + "\n" + {**PINNED_SIMULATE,
+                                    **PINNED_SIMULATE_WHOLE_ARRAY}[argv]
 
 
 def test_eb_compare_pinned_monte_carlo_lines(capsys):
