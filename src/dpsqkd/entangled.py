@@ -29,7 +29,7 @@ from .fock import FockVector, ModeRegistry, _require_integers
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
                      interferometer_coefficients, propagate)
 from .povm import click_pattern_ids
-from .protocol import DetectorModel
+from .protocol import DetectorModel, _positioned_rng
 
 
 @dataclass(frozen=True)
@@ -218,31 +218,26 @@ def _pattern_distribution(table: np.ndarray,
     return dist
 
 
-def _positioned_rng(seed: int, outputs: int) -> np.random.Generator:
-    """``np.random.default_rng(seed)`` after `outputs` 64-bit draws."""
-    return np.random.Generator(np.random.PCG64(seed).advance(outputs))
-
-
-def _chunk_pattern_ids(seed: int, trials: int, n_key_bins: int,
+def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
                        pair_tables: np.ndarray, born1: float, r0: int):
     """Click-pattern ids of both flows for the chunk of trial rows from r0
-    (even), drawn as a sequential ``np.random.default_rng(seed)`` draws
-    them: the P&M S' bits (trials, N+1) at 32 bits each, its D0, then D1
+    (even), drawn as a generator at the PCG64 state `seeded` draws them in
+    turn: the P&M S' bits (trials, N+1) at 32 bits each, its D0, then D1
     uniforms (trials, N) as :meth:`DetectorModel.sample` draws them, the EB
     Born uniforms (trials, N+1), its D0, then D1 uniforms.  Key bin i clicks
     with the probability ``pair_tables[flow, detector, 2 s_i + s_(i+1)]``."""
     rows, n_pulses = min(_MC_CHUNK_ROWS, trials - r0), n_key_bins + 1
-    s = _positioned_rng(seed, r0 * n_pulses // 2).integers(
+    s = _positioned_rng(seeded, r0 * n_pulses // 2).integers(
         0, 2, (rows, n_pulses))
     at = -(-trials * n_pulses // 2)          # the first uniform's output
     ids = []
     for tables in pair_tables:
         if ids:                              # the EB flow draws its S'
-            s = _positioned_rng(seed, at + r0 * n_pulses).random(
+            s = _positioned_rng(seeded, at + r0 * n_pulses).random(
                 (rows, n_pulses)) < born1
             at += trials * n_pulses
         pair = 2 * s[:, :-1] + s[:, 1:]
-        d0, d1 = (_positioned_rng(seed, at + (j * trials + r0) * n_key_bins)
+        d0, d1 = (_positioned_rng(seeded, at + (j * trials + r0) * n_key_bins)
                   .random(pair.shape) < tables[j][pair] for j in (0, 1))
         ids.append(click_pattern_ids(d0, d1))
         at += 2 * trials * n_key_bins
@@ -348,6 +343,7 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     if trials > 0:
         from concurrent.futures import ThreadPoolExecutor
 
+        seeded = np.random.default_rng(seed).bit_generator.state
         pairs = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
         pair_tables = np.stack([_click_table((1.0 - 2.0 * pairs) * alpha, c_pm),
                                 _click_table(amp_of_bit[pairs], c_eb)])[..., 0]
@@ -355,7 +351,7 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
         def histograms(r0):
             return np.stack([np.bincount(i, minlength=4 ** n_key_bins)
                              for i in _chunk_pattern_ids(
-                                 seed, trials, n_key_bins, pair_tables,
+                                 seeded, trials, n_key_bins, pair_tables,
                                  born[1], r0)])
 
         starts = range(0, trials, _MC_CHUNK_ROWS)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -79,17 +79,6 @@ class ModeRegistry:
         stride = d ** (self.n_modes - 1 - ax)
         return (np.arange(self.dim) // stride) % d
 
-    def basis_index(self, occupations: Sequence[int]) -> int:
-        """Flat index of an occupation tuple given in registry order."""
-        if len(occupations) != self.n_modes:
-            raise ValueError("occupation list length does not match registry")
-        idx = 0
-        for n in occupations:
-            if not 0 <= n <= self.cutoff:
-                raise ValueError(f"occupation {n} outside [0, {self.cutoff}]")
-            idx = idx * self.local_dim + int(n)
-        return idx
-
 
 def _require_integers(**values):
     """Refuse, by name, the first value that is not an integer (a bool
@@ -152,9 +141,6 @@ class FockOperator:
                     f"operator flagged hermitian deviates by {dev:.3e} "
                     f"(tolerance {_HERMITIAN_TOL})")
         object.__setattr__(self, "matrix", _readonly(m))
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.registry, self.matrix.conj().T, self.hermitian)
 
     def __matmul__(self, other):
         if isinstance(other, FockOperator):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import ModeRegistry, _readonly
+from .fock import _readonly
 
 _COMPENSATION_TOL = 1e-12
 
@@ -91,9 +91,6 @@ class PulseTrain:
     @property
     def bin_count(self) -> int:
         return self.amplitudes.size
-
-    def total_energy(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 def bs1_transform(config: InterferometerConfig) -> np.ndarray:
@@ -162,12 +159,6 @@ def propagate_analytic(train: PulseTrain, config: InterferometerConfig):
 
 # ---------------------------------------------------------------------------
 # Fock representation
-
-
-def wire_registry(bins: int, cutoff: int) -> ModeRegistry:
-    """Canonical 2B-wire registry: path-0 wires then path-1 wires."""
-    modes = [(0, i) for i in range(bins)] + [(1, i) for i in range(bins)]
-    return ModeRegistry(modes, cutoff)
 
 
 def single_particle_unitary(config: InterferometerConfig, bins: int) -> np.ndarray:

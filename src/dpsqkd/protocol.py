@@ -9,12 +9,19 @@ lossy/dark detector model are included as channel plumbing.
 Detection operates on the analytic coherent amplitudes, which is exact for
 coherent states, through the click kernel shared with :mod:`dpsqkd.entangled`.
 
+Key bin i depends on pulses i-1 and i alone, so a session runs in chunks of
+``_CHUNK_BINS`` key bins, each with the pulse before it.  A chunk draws its
+uniforms where one whole-session draw puts them, from a PCG64 jumped there
+with the stream's buffered 32-bit half-word (:func:`_positioned_rng`); so
+no output depends on the chunk size.
+
 Bin indexing: pulses occupy bins 0..N, key bins (and disclosed intervals)
 are 1-based indices 1..N.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .fock import _require_integers
-from .optics import InterferometerConfig, PulseTrain, propagate_analytic
+from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
+                     PulseTrain, propagate_analytic)
 
 #: column order of the per-session CSV row; bump when the schema changes
 CSV_SCHEMA_VERSION = 1
@@ -32,6 +40,35 @@ CSV_SCHEMA_VERSION = 1
 CSV_COLUMNS = ("schema_version", "bins", "alphaSquared", "phi2", "efficiency",
                "darkClickProb", "eveFraction", "seed", "clicks",
                "doubleClicks", "siftedLength", "siftedRate", "errors", "qber")
+
+#: key bins per session chunk, few enough for a chunk's arrays to stay in cache
+_CHUNK_BINS = 1 << 15
+
+
+def _positioned_rng(state: dict, outputs: int) -> np.random.Generator:
+    """A generator at the PCG64 ``bit_generator.state`` dict `state` after
+    `outputs` more 64-bit draws.  ``PCG64.advance`` clears the buffered
+    32-bit half-word a uint8 draw can leave; the result keeps `state`'s,
+    which ``random`` never reads and the next ``integers`` call consumes
+    first, as in the sequential stream."""
+    bits = np.random.PCG64(0)
+    bits.state = state
+    bits.state = {**bits.advance(int(outputs)).state,
+                  "has_uint32": state["has_uint32"],
+                  "uinteger": state["uinteger"]}
+    return np.random.Generator(bits)
+
+
+class _ChunkDraws:
+    """Uniforms of the key bins from 0-based `offset` of `stride`: call k of
+    ``random`` draws at output ``k * stride + offset`` after `state`, where
+    whole-session calls of `stride` uniforms each put them."""
+
+    def __init__(self, state: dict, offset: int, stride: int):
+        self._state, self._at = state, itertools.count(offset, stride)
+
+    def random(self, shape):
+        return _positioned_rng(self._state, next(self._at)).random(shape)
 
 
 @dataclass(frozen=True)
@@ -184,6 +221,9 @@ class SessionConfig:
         _require_integers(N=self.n_bins, seed=self.seed)
         if self.n_bins < 0:
             raise ValueError("N must be >= 0")
+        if self.n_bins + 1 > DEFAULT_MAX_STATE_ENTRIES:
+            raise ValueError(f"N = {self.n_bins} needs N + 1 pulses, which "
+                             f"exceeds the bound {DEFAULT_MAX_STATE_ENTRIES}")
         if not 0.0 <= self.alpha2 < math.inf:
             raise ValueError(f"alphaSquared must be finite and >= 0, "
                              f"got {self.alpha2}")
@@ -254,7 +294,8 @@ def detect(out4: PulseTrain, out5: PulseTrain, model: DetectorModel,
            rng: np.random.Generator) -> ClickRecord:
     """Sample bucket-detector clicks on the key bins of the two output
     trains (as produced by ``propagate_analytic``; the boundary half-pulse
-    bins at both ends are outside the detection window)."""
+    bins at both ends are outside the detection window).  `rng` needs only
+    the ``random`` method of a Generator."""
     if out4.bin_count != out5.bin_count:
         raise ValueError("output trains differ in bin count")
     return ClickRecord(*model.sample(
@@ -319,6 +360,12 @@ def intercept_resend(train: PulseTrain, eve_fraction: float,
     measurement/resend policy is deliberately pluggable).  Untapped pulses
     pass through untouched.
 
+    Runs in chunks of key bins; the phase chain carries the last resent
+    pulse across.  Each chunk draws its tap, D0 and D1 uniforms where one
+    whole-train draw from `rng` puts them (so `rng` must run on PCG64);
+    `rng` itself then draws the resend bits, after its buffered half-word,
+    and ends where the whole-train draws leave it.
+
     Returns ``(train_out, EveTranscript)``.
     """
     if not 0.0 <= eve_fraction <= 1.0:
@@ -329,39 +376,58 @@ def intercept_resend(train: PulseTrain, eve_fraction: float,
         return train, EveTranscript(np.zeros(n_pulses, dtype=bool), empty,
                                     empty.astype(np.uint8))
     config = config or InterferometerConfig.compensated()
-    tapped = rng.random(n_pulses) < eve_fraction
-
-    # Eve's interferometer sees vacuum in the bins she did not tap
-    eve_in = PulseTrain(0, np.where(tapped, train.amplitudes, 0.0))
-    out4, out5 = propagate_analytic(eve_in, config)
-    clicks = detect(out4, out5, DetectorModel.ideal(), rng)
-    bits, disclosed, _ = extract_bob_bits(clicks)
-
-    # a click identifies s_i only when both interfering pulses were hers
-    both = tapped[:-1] & tapped[1:]
-    usable = disclosed[both[disclosed - 1]]
-    known_bits = bits[usable - 1].astype(np.uint8)
-
-    # re-prepare: random phase bits, then chain each known pulse i onto the
-    # last unknown pulse at or before it (its anchor; pulse 0 always is):
-    # s[i] = s[anchor] ^ (the known bits after the anchor), a prefix XOR
-    alpha = np.max(np.abs(train.amplitudes))
+    # the stream holds the tap uniforms of pulses 0..N, then the D0 and the
+    # D1 uniforms of key bins 1..N, then the resend bits, which `rng` draws
+    start = rng.bit_generator.state
+    rng.bit_generator.state = _positioned_rng(
+        start, 3 * n_pulses - 2).bit_generator.state
     s_eve = rng.integers(0, 2, size=n_pulses, dtype=np.uint8)
-    anchor = np.arange(n_pulses)
-    anchor[usable] = 0
-    anchor = np.maximum.accumulate(anchor)
-    prefix = np.zeros(n_pulses, dtype=np.uint8)
-    prefix[usable] = known_bits
-    prefix = np.bitwise_xor.accumulate(prefix)
-    s_eve = s_eve[anchor] ^ prefix ^ prefix[anchor]
-    resent = (1.0 - 2.0 * s_eve.astype(float)) * alpha
-    out = np.where(tapped, resent, train.amplitudes)
-    return PulseTrain(0, out), EveTranscript(tapped, usable, known_bits)
+    alpha = np.max(np.abs(train.amplitudes))
+    tapped = np.empty(n_pulses, dtype=bool)
+    out = np.empty(n_pulses, dtype=np.result_type(train.amplitudes, float))
+    known_bins, known_bits, last = [], [], s_eve[0]
+    for a in range(0, max(n_pulses - 1, 1), _CHUNK_BINS):
+        b = min(a + _CHUNK_BINS, n_pulses - 1)     # key bins a+1..b
+        amps = train.amplitudes[a:b + 1]
+        tap = _positioned_rng(start, a).random(b + 1 - a) < eve_fraction
+        # Eve's interferometer sees vacuum in the bins she did not tap
+        out4, out5 = propagate_analytic(PulseTrain(0, amps * tap), config)
+        clicks = detect(out4, out5, DetectorModel.ideal(),
+                        _ChunkDraws(start, n_pulses + a, n_pulses - 1))
+        bits, disclosed, _ = extract_bob_bits(clicks)
+
+        # a click identifies s_i only when both interfering pulses were hers
+        both = tap[:-1] & tap[1:]
+        usable = disclosed[both[disclosed - 1]]
+        bits = bits[usable - 1].astype(np.uint8)
+
+        # re-prepare: random phase bits, then chain each run of known
+        # pulses onto the unknown pulse before it (the chunk's first pulse,
+        # resent by the chunk before, counts as unknown): known pulse i gets
+        # s[i] = s[i - 1] ^ its bit, a prefix XOR over the run
+        s = s_eve[a:b + 1].copy()
+        s[0] = last
+        run = np.flatnonzero(np.diff(usable, prepend=-1) != 1)
+        run = np.repeat(run, np.diff(run, append=usable.size))
+        xors = np.zeros(usable.size + 1, dtype=np.uint8)
+        np.bitwise_xor.accumulate(bits, out=xors[1:])
+        s[usable] = s[usable[run] - 1] ^ xors[1:] ^ xors[run]
+        last = s[-1]
+        tapped[a:b + 1] = tap
+        out[a:b + 1] = np.where(tap, np.array([alpha, -alpha])[s], amps)
+        known_bins.append(usable + a)
+        known_bits.append(bits)
+    return PulseTrain(0, out), EveTranscript(
+        tapped, np.concatenate(known_bins), np.concatenate(known_bits))
 
 
 def run_session(config: SessionConfig) -> SessionStats:
     """One full session: prepare, (attack), propagate, detect, extract,
-    sift.  Deterministic given the config, which holds the seed."""
+    sift.  Deterministic given the config, which holds the seed.
+
+    Propagation, detection, extraction and sifting run chunk by chunk; each
+    chunk draws Bob's D0, D1, dark D0 and dark D1 uniforms where one
+    whole-session draw puts them, so no stat depends on the chunk size."""
     rng = np.random.default_rng(config.seed)
     if config.n_bins == 0:
         return SessionStats(0, 0, 0.0, None, 0, np.empty(0, dtype=int), 0, config)
@@ -370,18 +436,28 @@ def run_session(config: SessionConfig) -> SessionStats:
     interf = config.interferometer()
     if config.eve_fraction > 0.0:
         train, _ = intercept_resend(train, config.eve_fraction, rng, interf)
-    out4, out5 = propagate_analytic(train, interf)
-    clicks = detect(out4, out5, config.detector(), rng)
-    bits, disclosed, n_double = extract_bob_bits(clicks)
-    alice_key, bob_key, qber = sift(alice, bits, disclosed)
-    errors = int(np.count_nonzero(alice_key != bob_key))
+    model, start = config.detector(), rng.bit_generator.state
+    n = alice.n_key_bins
+    disclosed, sifted, errors, n_double = [], 0, 0, 0
+    for a in range(0, n, _CHUNK_BINS):
+        b = min(a + _CHUNK_BINS, n)                # key bins a+1..b
+        out4, out5 = propagate_analytic(
+            PulseTrain(0, train.amplitudes[a:b + 1]), interf)
+        bits, found, doubles = extract_bob_bits(
+            detect(out4, out5, model, _ChunkDraws(start, a, n)))
+        alice_key, bob_key, _ = sift(
+            AliceRecord(alice.s_prime[a:b + 1], alice.alpha), bits, found)
+        errors += int(np.count_nonzero(alice_key != bob_key))
+        sifted += alice_key.size
+        n_double += doubles
+        disclosed.append(found + a)
     return SessionStats(
         n_bins=config.n_bins,
-        sifted_length=int(alice_key.size),
-        sifted_rate=alice_key.size / config.n_bins,
-        qber=qber,
+        sifted_length=sifted,
+        sifted_rate=sifted / config.n_bins,
+        qber=errors / sifted if sifted else None,
         double_clicks=n_double,
-        disclosed_bins=disclosed,
+        disclosed_bins=np.concatenate(disclosed),
         errors=errors,
         config=config,
     )

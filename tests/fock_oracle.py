@@ -4,8 +4,9 @@
 second-quantized generator of the mode map ``u = exp(iH)``, block by block
 in total photon number.  It is exact on every sector n <= cutoff and shares
 no code with the creation-operator recursion of ``optics.sector_lift``.
-The dense helpers below it (basis states, number operators, mode
-permutation and embedding) serve only tests.
+The dense helpers below it (the wire registry, basis states and their
+indices, adjoints, pulse energies, number operators, mode permutation and
+embedding) serve only tests.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import numpy as np
 
 from dpsqkd.fock import (FockOperator, FockVector, ModeRegistry,
                          coherent_amplitudes, identity, tensor)
-from dpsqkd.optics import sector_lift, single_particle_unitary, wire_registry
+from dpsqkd.optics import sector_lift, single_particle_unitary
 
 
 def _log_unitary(u):
@@ -73,9 +74,37 @@ def sector_mean_amplitudes(config, bins, rows, cap, n_max):
     return num / norm[:, None]
 
 
+def wire_registry(bins, cutoff):
+    """Canonical 2B-wire registry: path-0 wires then path-1 wires."""
+    modes = [(0, i) for i in range(bins)] + [(1, i) for i in range(bins)]
+    return ModeRegistry(modes, cutoff)
+
+
+def basis_index(registry, occupations):
+    """Flat index of an occupation tuple given in registry order."""
+    if len(occupations) != registry.n_modes:
+        raise ValueError("occupation list length does not match registry")
+    idx = 0
+    for n in occupations:
+        if not 0 <= n <= registry.cutoff:
+            raise ValueError(f"occupation {n} outside [0, {registry.cutoff}]")
+        idx = idx * registry.local_dim + int(n)
+    return idx
+
+
+def dagger(op):
+    """Adjoint of a dense operator."""
+    return FockOperator(op.registry, op.matrix.conj().T, op.hermitian)
+
+
+def total_energy(train):
+    """Mean photon number of a pulse train, summed over its bins."""
+    return float(np.sum(np.abs(train.amplitudes) ** 2))
+
+
 def basis_state(registry, occupations):
     amps = np.zeros(registry.dim, dtype=complex)
-    amps[registry.basis_index(occupations)] = 1.0
+    amps[basis_index(registry, occupations)] = 1.0
     return FockVector(registry, amps, normalized=True)
 
 

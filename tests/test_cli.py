@@ -7,6 +7,7 @@ import pytest
 
 from dpsqkd import fock
 from dpsqkd.cli import main
+from dpsqkd.optics import DEFAULT_MAX_STATE_ENTRIES
 from dpsqkd.povm import build_e2_e3
 
 
@@ -62,6 +63,18 @@ def test_simulate_config_file_and_override(tmp_path, capsys):
     assert code == 0
     row = out.strip().split("\n")[1].split(",")
     assert row[1] == "1000" and row[2] == "0.5" and row[7] == "9"
+
+
+def test_simulate_refuses_sessions_above_the_bound(tmp_path, capsys):
+    # N + 1 pulses one above the bound, from the flag and from a file
+    cfgfile = tmp_path / "big.cfg"
+    cfgfile.write_text(f"N = {DEFAULT_MAX_STATE_ENTRIES}\n")
+    for argv in (["--bins", str(DEFAULT_MAX_STATE_ENTRIES)],
+                 ["--config", str(cfgfile)]):
+        code, out, err = run(["simulate", *argv], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert f"exceeds the bound {DEFAULT_MAX_STATE_ENTRIES}" in err
 
 
 def test_simulate_malformed_config_names_field(tmp_path, capsys):

@@ -31,7 +31,6 @@ def test_occupations_indexing():
     occ_b = reg.occupations("b")
     for idx in range(reg.dim):
         assert idx == occ_a[idx] * 3 + occ_b[idx]
-    assert reg.basis_index([2, 1]) == 7
 
 
 def test_coherent_vacuum_case():

@@ -4,7 +4,7 @@ import numpy as np
 
 from dpsqkd import fock
 from dpsqkd.fock import FockOperator, ModeRegistry
-from fock_oracle import basis_state, embed, permute_modes
+from fock_oracle import basis_index, basis_state, embed, permute_modes
 
 
 def test_vacuum_and_basis_state():
@@ -13,7 +13,15 @@ def test_vacuum_and_basis_state():
     assert v.amplitudes[0] == 1.0
     assert v.norm() == 1.0
     b = basis_state(reg, [1, 2])
-    assert b.amplitudes[reg.basis_index([1, 2])] == 1.0
+    assert b.amplitudes[basis_index(reg, [1, 2])] == 1.0
+
+
+def test_basis_index():
+    reg = ModeRegistry(["a", "b"], 2)
+    assert basis_index(reg, [2, 1]) == 7
+    occ_a, occ_b = reg.occupations("a"), reg.occupations("b")
+    assert all(basis_index(reg, [occ_a[i], occ_b[i]]) == i
+               for i in range(reg.dim))
 
 
 def test_permute_and_embed():

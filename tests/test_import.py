@@ -90,3 +90,25 @@ def test_library_needs_numpy_alone():
                 continue
             assert not any(n.split(".")[0] == "scipy" for n in names), \
                 f"{path.name}:{node.lineno} imports scipy"
+
+
+def test_only_the_positioned_stream_helper_moves_a_pcg64():
+    # a jump in the random stream must carry its buffered 32-bit half-word,
+    # so every ``advance`` and every PCG64 built stays in one helper
+    helpers = 0
+    for path in sorted((ROOT / "src" / "dpsqkd").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = set()
+        for node in tree.body:
+            if path.name == "protocol.py" and \
+                    getattr(node, "name", None) == "_positioned_rng":
+                inside = {id(n) for n in ast.walk(node)}
+                helpers += 1
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else None
+            if name in ("advance", "PCG64"):
+                assert id(node) in inside, \
+                    f"{path.name}:{node.lineno} uses {name} outside " \
+                    f"protocol._positioned_rng"
+    assert helpers == 1

@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from dpsqkd import fock
 from dpsqkd.fock import FockOperator, FockVector
-from dpsqkd.optics import InterferometerConfig, wire_registry
+from dpsqkd.optics import InterferometerConfig
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, all_click_patterns,
                          build_e2_e3, build_projector_effects,
                          certify_noncommutativity, click_pattern_ids,
                          conjugated_commutator_norm, detection_registry,
                          pattern_diagonal, pattern_index, reduced_effect_set,
                          signal_registry, t_term, t_term_numeric)
-from fock_oracle import basis_state, dense_unitary, embed
+from fock_oracle import (basis_index, basis_state, dagger, dense_unitary,
+                         embed, wire_registry)
 
 # frozen by the pre-build dense oracle (multinomial-expansion route)
 COMM_SILENT_C3 = 0.154605219372170
@@ -104,7 +105,7 @@ def test_probability_consistency_random_states():
     silent = ((wreg.occupations((0, 0)) == 0)
               & (wreg.occupations((1, 0)) == 0))
     sreg = signal_registry(1, cutoff)
-    embed_cols = [wreg.basis_index([x0, x1, 0, 0])
+    embed_cols = [basis_index(wreg, [x0, x1, 0, 0])
                   for x0, x1 in itertools.product(range(cutoff + 1), repeat=2)]
     rng = np.random.default_rng(17)
     psis = rng.normal(size=(20, sreg.dim)) + 1j * rng.normal(size=(20, sreg.dim))
@@ -259,8 +260,8 @@ def test_conjugated_commutator_gram_matches_dense():
         di = pattern_diagonal(wreg, pi)
         dj = pattern_diagonal(wreg, pj)
         fast = conjugated_commutator_norm(U.matrix, di, dj)
-        Mi = U.dagger().matrix @ np.diag(di) @ U.matrix
-        Mj = U.dagger().matrix @ np.diag(dj) @ U.matrix
+        Mi = dagger(U).matrix @ np.diag(di) @ U.matrix
+        Mj = dagger(U).matrix @ np.diag(dj) @ U.matrix
         direct = np.linalg.norm(Mi @ Mj - Mj @ Mi)
         assert abs(fast - direct) < 1e-10
         assert fast <= 1e-10   # unitary conjugation preserves commutation

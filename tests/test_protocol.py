@@ -1,12 +1,17 @@
 """P&M session: encoding, detection, sifting, the attacker."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpsqkd.optics import InterferometerConfig, PulseTrain, propagate_analytic
+import session_oracle
+from dpsqkd import protocol
+from dpsqkd.optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
+                           PulseTrain, propagate_analytic)
 from dpsqkd.protocol import (AliceRecord, ClickRecord, DetectorModel,
                              SessionConfig, detect, extract_bob_bits,
                              intercept_resend, load_session_config,
@@ -244,6 +249,47 @@ def test_intercept_resend_chain_matches_loop(n, mode, seed):
     assert np.array_equal(out.amplitudes, expected)
 
 
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(0, 300), chunk=st.integers(1, 64),
+       tap=st.sampled_from([0.0, 0.4, 1.0]),
+       dark=st.sampled_from([0.0, 0.05]), phi2=st.sampled_from([0.0, 0.7]),
+       alpha2=st.sampled_from([0.2, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
+# Alice's ceil(9 / 4) = 3 uint32 draws leave a buffered half-word that
+# Eve's resend bits consume first
+@example(n=8, chunk=3, tap=0.4, dark=0.05, phi2=0.0, alpha2=0.9, seed=1)
+@example(n=64, chunk=16, tap=1.0, dark=0.05, phi2=0.7, alpha2=0.9, seed=2)
+@example(n=17, chunk=16, tap=0.4, dark=0.0, phi2=0.0, alpha2=0.9, seed=3)
+def test_chunked_session_matches_whole_array_oracle(n, chunk, tap, dark, phi2,
+                                                    alpha2, seed):
+    cfg = SessionConfig(n_bins=n, alpha2=alpha2, phi2=phi2,
+                        dark_click_prob=dark, eve_fraction=tap, seed=seed)
+    with mock.patch.object(protocol, "_CHUNK_BINS", chunk):
+        got = run_session(cfg)
+        rng = np.random.default_rng(seed)
+        train = prepare_pulse_train(AliceRecord.random(n, cfg.alpha, rng))
+        eve = intercept_resend(train, tap, rng, cfg.interferometer())
+    want = session_oracle.run_session(cfg)
+    for field in dataclasses.fields(SessionStats):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+    assert got.csv_row() == want.csv_row()
+
+    # Eve alone: the same train and transcript, and the generator she was
+    # passed ends where the sequential draws leave it
+    oracle_rng = np.random.default_rng(seed)
+    AliceRecord.random(n, cfg.alpha, oracle_rng)
+    want_eve = session_oracle.intercept_resend(train, tap, oracle_rng,
+                                               cfg.interferometer())
+    assert np.array_equal(eve[0].amplitudes, want_eve[0].amplitudes)
+    for a, b in zip(dataclasses.astuple(eve[1]),
+                    dataclasses.astuple(want_eve[1])):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_intercept_resend_full_attack_qber():
     # frozen from an independent straight-loop Monte Carlo oracle:
     # QBER -> 0.5*exp(-|alpha|^2) = 0.40937 at |alpha|^2 = 0.2 (sd 0.0037)
@@ -318,6 +364,15 @@ def test_session_config_refuses_non_integer_counts(kwargs, needle):
     with pytest.raises(ValueError, match=needle) as info:
         SessionConfig(**kwargs)
     assert "\n" not in str(info.value)
+
+
+def test_session_config_refuses_more_pulses_than_the_bound():
+    # refused before any draw; N + 1 = DEFAULT_MAX_STATE_ENTRIES is allowed
+    bound = f"exceeds the bound {DEFAULT_MAX_STATE_ENTRIES}"
+    with pytest.raises(ValueError, match=bound) as info:
+        SessionConfig(n_bins=DEFAULT_MAX_STATE_ENTRIES)
+    assert "\n" not in str(info.value)
+    assert SessionConfig(n_bins=DEFAULT_MAX_STATE_ENTRIES - 1).n_bins
 
 
 def test_session_config_takes_numpy_integers():
