@@ -51,11 +51,12 @@ def _positioned_rng(state: dict, outputs: int) -> np.random.Generator:
     32-bit half-word a uint8 draw can leave; the result keeps `state`'s,
     which ``random`` never reads and the next ``integers`` call consumes
     first, as in the sequential stream."""
-    bits = np.random.PCG64(0)
+    bits = np.random.PCG64(0)                  # its seed is replaced at once
     bits.state = state
-    bits.state = {**bits.advance(int(outputs)).state,
-                  "has_uint32": state["has_uint32"],
-                  "uinteger": state["uinteger"]}
+    bits.advance(int(outputs))
+    if state["has_uint32"]:
+        bits.state = {**bits.state, "has_uint32": 1,
+                      "uinteger": state["uinteger"]}
     return np.random.Generator(bits)
 
 
