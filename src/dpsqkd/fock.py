@@ -1,10 +1,11 @@
-"""Dense linear algebra over truncated multimode bosonic Fock spaces.
+"""Truncated multimode bosonic Fock spaces: mode registries, state
+vectors and coherent amplitudes.
 
-States and operators live on a :class:`ModeRegistry`: an ordered list of
-mode labels with a common per-mode photon-number cutoff.  The basis is the
-occupation-number basis in registry order, laid out Kronecker style (first
-mode = most significant axis), so ``tensor`` is ``np.kron`` and every
-reshape to ``(d, d, ..., d)`` puts one mode on one axis.
+A :class:`ModeRegistry` is an ordered list of mode labels with a common
+per-mode photon-number cutoff.  Its basis is the occupation-number basis
+in registry order, laid out Kronecker style (first mode = most
+significant axis), so every reshape to ``(d, d, ..., d)`` puts one mode
+on one axis.
 
 Values are immutable after construction (arrays are marked read-only) and
 safe to share across threads.
@@ -21,8 +22,6 @@ import numpy as np
 
 #: norm / completeness tolerance used wherever coherent-state tails appear
 TRUNCATION_TOL = 1e-9
-
-_HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -120,59 +119,8 @@ class FockVector:
         return math.sqrt(self.norm2())
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    """Dense operator over a registry, optionally certified hermitian."""
-
-    registry: ModeRegistry
-    matrix: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        dim = self.registry.dim
-        if m.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match registry dimension {dim}")
-        if self.hermitian:
-            dev = np.max(np.abs(m - m.conj().T))
-            if dev > _HERMITIAN_TOL:
-                raise ValueError(
-                    f"operator flagged hermitian deviates by {dev:.3e} "
-                    f"(tolerance {_HERMITIAN_TOL})")
-        object.__setattr__(self, "matrix", _readonly(m))
-
-    def __matmul__(self, other):
-        if isinstance(other, FockOperator):
-            _require_same_registry(self, other)
-            return FockOperator(self.registry, self.matrix @ other.matrix)
-        if isinstance(other, FockVector):
-            _require_same_registry(self, other)
-            return FockVector(self.registry, self.matrix @ other.amplitudes)
-        return NotImplemented
-
-
-def _require_same_registry(a, b):
-    if a.registry != b.registry:
-        raise ValueError("operands live on different mode registries")
-
-
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def coherent_state(alpha: complex, cutoff: int, label="mode") -> FockVector:
-    """Truncated coherent state ``|alpha>`` on a fresh single-mode registry.
-
-    Component ``n`` is ``exp(-|alpha|^2/2) alpha^n / sqrt(n!)`` for
-    ``n <= cutoff``; the squared norm falls short of 1 by the Poisson tail
-    beyond the cutoff.
-    """
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise ValueError("alpha must be finite")
-    reg = ModeRegistry([label], cutoff)
-    return FockVector(reg, coherent_amplitudes(alpha, cutoff))
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
@@ -185,81 +133,3 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     if alpha != 0:
         phase = (alpha / abs(alpha)) ** n
     return mag * phase
-
-
-def vacuum(registry: ModeRegistry) -> FockVector:
-    amps = np.zeros(registry.dim, dtype=complex)
-    amps[0] = 1.0
-    return FockVector(registry, amps, normalized=True)
-
-
-def identity(registry: ModeRegistry) -> FockOperator:
-    return FockOperator(registry, np.eye(registry.dim, dtype=complex), hermitian=True)
-
-
-def ladder_matrix(cutoff: int, kind: str) -> np.ndarray:
-    """Single-mode ladder matrix; creation annihilates the top level."""
-    d = cutoff + 1
-    a = np.diag(np.sqrt(np.arange(1, d)), k=1).astype(complex)
-    if kind == "annihilation":
-        return a
-    if kind == "creation":
-        return a.conj().T
-    raise ValueError(f"kind must be 'creation' or 'annihilation', got {kind!r}")
-
-
-def ladder_operator(registry: ModeRegistry, mode, kind: str) -> FockOperator:
-    """Creation or annihilation operator on one mode, identity elsewhere."""
-    ax = registry.axis(mode)
-    d = registry.local_dim
-    single = ladder_matrix(registry.cutoff, kind)
-    mats = [np.eye(d, dtype=complex)] * registry.n_modes
-    mats[ax] = single
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return FockOperator(registry, out)
-
-
-# ---------------------------------------------------------------------------
-# algebra
-
-
-def tensor(a, b):
-    """Kronecker product of two vectors or two operators on disjoint registries."""
-    if set(a.registry.modes) & set(b.registry.modes):
-        raise ValueError("tensor factors share mode labels")
-    if a.registry.cutoff != b.registry.cutoff:
-        raise ValueError("tensor factors have different cutoffs")
-    reg = ModeRegistry(a.registry.modes + b.registry.modes, a.registry.cutoff)
-    if isinstance(a, FockVector) and isinstance(b, FockVector):
-        return FockVector(reg, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, FockOperator) and isinstance(b, FockOperator):
-        return FockOperator(reg, np.kron(a.matrix, b.matrix),
-                            hermitian=a.hermitian and b.hermitian)
-    raise TypeError("tensor arguments must be two FockVectors or two FockOperators")
-
-
-def commutator_norm(A: FockOperator, B: FockOperator) -> float:
-    """Frobenius norm of ``AB - BA``."""
-    _require_same_registry(A, B)
-    C = A.matrix @ B.matrix
-    C = C - B.matrix @ A.matrix
-    return float(np.linalg.norm(C))
-
-
-def expectation(state: FockVector, op: FockOperator) -> complex:
-    """``<state| op |state>``; real to 1e-12 when `op` is flagged hermitian."""
-    _require_same_registry(state, op)
-    val = complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-    if op.hermitian and abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-        raise AssertionError(f"hermitian expectation has imaginary part {val.imag:.3e}")
-    return val
-
-
-def fidelity(a: FockVector, b: FockVector) -> float:
-    """``|<a|b>|^2`` after normalizing both vectors."""
-    _require_same_registry(a, b)
-    ov = np.vdot(a.amplitudes, b.amplitudes)
-    return float(abs(ov) ** 2 / (a.norm2() * b.norm2()))
-

@@ -40,6 +40,10 @@ _COMPENSATION_TOL = 1e-12
 #: above this many entries
 DEFAULT_MAX_STATE_ENTRIES = 3 * 10 ** 8
 
+#: entries, and outputs, per tile of a sector lift's images
+_LIFT_CHUNK = 2 ** 16
+_LIFT_SPAN = 2 ** 12
+
 
 @dataclass(frozen=True)
 class InterferometerConfig:
@@ -216,7 +220,8 @@ def sector_lift(config: InterferometerConfig, bins: int, n_max: int,
     order; default unbounded).  Returns an iterator of
     ``(outputs, inputs, images)`` over the sectors n that hold inputs:
     the occupation rows of the sector basis (dim_n x 2B) and of its inputs
-    (m_n x 2B), and ``images[:, i] = U |inputs[i]>`` (dim_n x m_n).
+    (m_n x 2B), and ``images[:, i] = U |inputs[i]>`` (dim_n x m_n), the
+    transposed view of a C-ordered array with one image per row.
 
     Raises ValueError, before allocating anything, when the largest block
     (dim_n x m_n entries) exceeds ``DEFAULT_MAX_STATE_ENTRIES``.
@@ -257,29 +262,51 @@ def _lift_sectors(u: np.ndarray, n_max: int, caps: np.ndarray):
     n_modes = u.shape[0]
     # base-(n_max + 1) codes sort like the rows of sector_occupations
     strides = (n_max + 1) ** np.arange(n_modes - 1, -1, -1)
-    outputs = np.zeros((1, n_modes), dtype=np.int64)
+    # images are built and kept transposed, one input's image per row, and
+    # handed out as the (outputs x inputs) view
     images = np.ones((1, 1), dtype=u.dtype)
     input_codes = np.zeros(1, dtype=np.int64)
-    yield outputs, outputs, images
+    vacuum = np.zeros((1, n_modes), dtype=np.int64)
+    yield vacuum, vacuum, images.T
     for n in range(1, n_max + 1):
         new_outputs = sector_occupations(n_modes, n)
-        codes = new_outputs @ strides
         inputs = new_outputs[np.all(new_outputs <= caps, axis=1)]
-        cols = np.arange(len(inputs))
         # each input comes from its parent one photon down, taken off its
-        # last occupied wire k
+        # last occupied wire k: U|x> = sum_j u[j, k] b_j^dag U|x - e_k>
+        # / sqrt(x_k), gathered for every output t from t - e_j with weight
+        # sqrt(t_j).  s -> s + e_j keeps the order, so the outputs with
+        # t_j > 0 are sector n - 1 in order; where t_j = 0 the weight is
+        # zero and the (clipped) gather index immaterial
         k = n_modes - 1 - np.argmax(inputs[:, ::-1] > 0, axis=1)
-        parents = np.searchsorted(input_codes,
-                                  inputs @ strides - strides[k])
-        src = images[:, parents]
-        coef = u[:, k] / np.sqrt(inputs[cols, k])
-        new_images = np.zeros((len(new_outputs), len(inputs)), dtype=u.dtype)
-        old_codes = outputs @ strides
-        for j in range(n_modes):
-            # b_j^dag: sector state s -> s + e_j with weight sqrt(s_j + 1)
-            tgt = np.searchsorted(codes, old_codes + strides[j])
-            new_images[tgt] += (np.sqrt(outputs[:, j] + 1.0)[:, None]
-                                * src * coef[j])
-        outputs, images = new_outputs, new_images
+        parents = np.searchsorted(input_codes, inputs @ strides - strides[k])
+        scale = 1.0 / np.sqrt(inputs[np.arange(len(inputs)), k])
+        occupied = np.ascontiguousarray(new_outputs.T)
+        low = np.cumsum(occupied > 0, axis=1) - 1
+        root = np.sqrt(occupied)
+        new_images = np.empty((len(inputs), len(new_outputs)), dtype=u.dtype)
+        # tiles of about _LIFT_CHUNK entries, inputs x outputs, stay in
+        # cache together with their gather indices and weights
+        span = min(len(new_outputs), _LIFT_SPAN)
+        width = max(1, _LIFT_CHUNK // span)
+        for wire in np.unique(k):
+            rows = np.flatnonzero(k == wire)
+            terms = [(low[j], root[j] * u[j, wire])
+                     for j in np.flatnonzero(u[:, wire])]
+            for c in range(0, len(rows), width):
+                chunk = rows[c:c + width]
+                src = images[parents[chunk]]
+                src *= scale[chunk, None]
+                buf = np.empty((len(chunk), span), dtype=u.dtype)
+                for a in range(0, len(new_outputs), span):
+                    cut = slice(a, a + span)
+                    acc = np.take(src, terms[0][0][cut], axis=1, mode="clip")
+                    acc *= terms[0][1][cut]
+                    for idx, weight in terms[1:]:
+                        part = buf[:, :acc.shape[1]]
+                        np.take(src, idx[cut], axis=1, out=part, mode="clip")
+                        part *= weight[cut]
+                        acc += part
+                    new_images[chunk, cut] = acc
+        images = new_images
         input_codes = inputs @ strides
-        yield outputs, inputs, images
+        yield new_outputs, inputs, images.T

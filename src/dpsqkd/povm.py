@@ -10,12 +10,13 @@ path reduces them to effects on the signal path alone, and that reduction
 is what breaks commutativity: the certified positive lower bound on
 ``||[E2, E3]||_F`` is this package's headline check.
 
-The interferometer conserves photon number, so every reduced effect is
-block diagonal in it, and the reduction is evaluated exactly, one
-photon-number sector at a time (:func:`~dpsqkd.optics.sector_lift`):
-signal states with at most `cutoff` photons per time bin reach sector
-(N+1)*cutoff, and no output wire is truncated.  The only approximation
-left in the reduced effects is the signal cutoff itself.
+The interferometer conserves photon number, so a reduced effect is held
+as its photon-number blocks alone (:class:`BlockEffects`), each the exact
+Gram matrix of rows of :func:`~dpsqkd.optics.sector_lift`: signal states
+with at most `cutoff` photons per time bin reach sector (N+1)*cutoff, and
+no output wire is truncated, so the signal cutoff is the only
+approximation.  Sums and products act block by block, squared Frobenius
+norms add over blocks, and a spectral norm is the largest block's.
 
 Effects are indexed by click patterns: a tuple with one ``(d0, d1)`` bool
 pair per key bin 1..N.  (A printed enumeration of these effects elsewhere
@@ -28,14 +29,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import fock
-from .fock import FockOperator, ModeRegistry, _require_integers
+from .fock import ModeRegistry, _require_integers
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                     sector_lift)
+                     sector_lift, sector_occupations)
 
 ClickPattern = Tuple[Tuple[bool, bool], ...]
 
@@ -44,11 +44,11 @@ ClickPattern = Tuple[Tuple[bool, bool], ...]
 E2_PATTERN: ClickPattern = ((True, False), (False, False))
 E3_PATTERN: ClickPattern = ((False, False), (False, True))
 
-#: certified positive floor for ||[E2, E3]||_F at any cutoff >= 3 (up to
-#: the sector bound), fixed by a pre-build dense evaluation: the
-#: silent-boundary value is 0.15460521937... at cutoff 3 and rises with
-#: the cutoff towards 0.1546056095; the complete-POVM value is larger
-#: (0.19311... at cutoff 3, rising)
+#: certified positive floor for ||[E2, E3]||_F at any cutoff from 3 up to
+#: the sector bound (15), fixed by a pre-build dense evaluation and run on
+#: the photon-number blocks up to cutoff 15: the silent-boundary value is
+#: 0.15460521937... at cutoff 3 and rises towards 0.1546056095; the
+#: complete-POVM value is larger (0.19311... at cutoff 3, rising)
 NONCOMMUTATIVITY_FLOOR = 0.1546
 
 G_COMMUTE_TOL = 1e-12
@@ -96,30 +96,26 @@ def pattern_diagonal(registry: ModeRegistry, pattern: ClickPattern) -> np.ndarra
     return diag
 
 
-def build_projector_effects(n_bins: int,
-                            cutoff: int) -> Dict[ClickPattern, FockOperator]:
-    """The full 4^N family of projector effects on the detection wires,
-    in :func:`all_click_patterns` order.
-
-    Each effect is diagonal in the occupation basis; they are idempotent,
-    mutually orthogonal and sum to the identity.
-    """
-    if n_bins > 3:
-        raise ValueError("full enumeration is desk scale (N <= 3); "
-                         "build single patterns via pattern_diagonal instead")
-    reg = detection_registry(n_bins, cutoff)
-    return {p: FockOperator(reg, np.diag(pattern_diagonal(reg, p)
-                                         .astype(complex)), hermitian=True)
-            for p in all_click_patterns(n_bins)}
-
-
-def signal_registry(n_bins: int, cutoff: int) -> ModeRegistry:
-    """Registry of the signal-path input modes, time bins 0..N."""
-    return ModeRegistry([(0, i) for i in range(n_bins + 1)], cutoff)
-
-
 # ---------------------------------------------------------------------------
 # reduction through the interferometer
+
+
+@dataclass(frozen=True)
+class BlockEffects:
+    """Effects on the signal path (bins 0..N, at most `cutoff` photons
+    each) as photon-number blocks: ``states[n]`` are the n-photon basis
+    states, ascending, as base-(cutoff+1) indices (bin 0 most significant),
+    and ``blocks[n][k]``, of a ``(len(patterns), m_n, m_n)`` stack, is the
+    effect of ``patterns[k]`` on them.  All other entries are zero."""
+
+    patterns: Tuple[ClickPattern, ...]
+    states: Tuple[np.ndarray, ...]
+    blocks: Tuple[np.ndarray, ...]
+
+    def __getitem__(self, pattern: ClickPattern) -> Tuple[np.ndarray, ...]:
+        """The blocks of one pattern's effect, sector by sector."""
+        k = self.patterns.index(pattern)
+        return tuple(b[k] for b in self.blocks)
 
 
 def _pattern_ids(outputs: np.ndarray, n_bins: int) -> np.ndarray:
@@ -129,20 +125,56 @@ def _pattern_ids(outputs: np.ndarray, n_bins: int) -> np.ndarray:
     return click_pattern_ids(outputs[:, 1:bins] > 0, outputs[:, bins + 1:] > 0)
 
 
+def _reduce(n_bins: int, cutoff: int, config: InterferometerConfig,
+            requests: Sequence[Tuple[ClickPattern, bool]]):
+    """States and per-sector block stacks of the reduced effects named by
+    `requests`, ``(pattern, silent)`` pairs, from one signal lift.  A
+    silent request also demands vacuum on both output wires of bin 0."""
+    bins = n_bins + 1
+    sectors = sector_lift(config, bins, bins * cutoff,
+                          max_occupation=[cutoff] * bins + [0] * bins)
+    sizes = [1]                       # signal states per photon number
+    for _ in range(bins):
+        sizes = [sum(sizes[max(0, n - cutoff):n + 1])
+                 for n in range(len(sizes) + cutoff)]
+    per_effect = sum(m * m for m in sizes)
+    if len(requests) * per_effect > DEFAULT_MAX_STATE_ENTRIES:
+        raise ValueError(
+            f"{len(requests)} reduced effects of {per_effect} block entries "
+            f"each exceed the bound {DEFAULT_MAX_STATE_ENTRIES}")
+    targets = [pattern_index(p) for p, _ in requests]
+    strides = (cutoff + 1) ** np.arange(bins - 1, -1, -1)
+    states, blocks = [], []
+    for outputs, inputs, images in sectors:
+        pids = _pattern_ids(outputs, n_bins)
+        quiet = (outputs[:, 0] == 0) & (outputs[:, bins] == 0)
+        block = np.empty((len(requests), len(inputs), len(inputs)),
+                         dtype=images.dtype)
+        # one pattern's rows at a time, gathered from the lift's transposed
+        # images: no copy of the whole image block
+        for k, (target, (_, silent)) in enumerate(zip(targets, requests)):
+            rows = pids == target
+            if silent:
+                rows &= quiet
+            W = images.T[:, rows]
+            block[k] = W.conj() @ W.T
+        states.append(inputs[:, :bins] @ strides)
+        blocks.append(block)
+    return tuple(states), tuple(blocks)
+
+
 def reduced_effect_set(n_bins: int, cutoff: int,
                        config: Optional[InterferometerConfig] = None,
                        patterns: Optional[Sequence[ClickPattern]] = None,
-                       boundary: str = "marginal"
-                       ) -> Dict[ClickPattern, FockOperator]:
-    """Reduced effects E_j on the signal registry at `cutoff`, one per
-    click pattern: the operators with matrix elements
-    ``<x,vac| U* G_j U |y,vac>`` over the path-1 wires.
+                       boundary: str = "marginal") -> BlockEffects:
+    """Reduced effects E_j on the signal path at `cutoff`, one per click
+    pattern: the operators with matrix elements ``<x,vac| U* G_j U |y,vac>``
+    over the path-1 wires, as photon-number blocks.
 
-    Every E_j is block diagonal in total photon number.  Each block is
-    built exactly from :func:`~dpsqkd.optics.sector_lift` of the signal
-    block (path-0 wires at most `cutoff`, path-1 wires in vacuum) over
-    sectors 0..(N+1)*cutoff: it is the Gram matrix of the image rows whose
-    output occupations form the click pattern.
+    Each block is built exactly from :func:`~dpsqkd.optics.sector_lift` of
+    the signal block (path-0 wires at most `cutoff`, path-1 wires in
+    vacuum) over sectors 0..(N+1)*cutoff: it is the Gram matrix of the
+    image rows whose output occupations form the click pattern.
 
     `boundary` fixes how the output wires of the edge bin 0 (outside the
     detection window) are treated: ``"marginal"`` (their outcomes are
@@ -152,75 +184,49 @@ def reduced_effect_set(n_bins: int, cutoff: int,
     illustrative effects correspond to).
 
     Raises ValueError, before allocating, when a sector block or the
-    returned operators exceed ``optics.DEFAULT_MAX_STATE_ENTRIES``.
+    returned blocks exceed ``optics.DEFAULT_MAX_STATE_ENTRIES``.
     """
     if boundary not in ("marginal", "vacuum"):
         raise ValueError(f"boundary must be 'marginal' or 'vacuum', "
                          f"got {boundary!r}")
     config = config or InterferometerConfig.compensated()
-    if patterns is None:
-        patterns = all_click_patterns(n_bins)
-    bins = n_bins + 1
-    sreg = signal_registry(n_bins, cutoff)
-    entries = len(patterns) * sreg.dim ** 2
-    if entries > DEFAULT_MAX_STATE_ENTRIES:
-        raise ValueError(
-            f"{len(patterns)} reduced effects of dimension {sreg.dim} "
-            f"= {entries} entries exceed the bound "
-            f"{DEFAULT_MAX_STATE_ENTRIES}")
-    sectors = sector_lift(config, bins, bins * cutoff,
-                          max_occupation=[cutoff] * bins + [0] * bins)
-    mats = {p: np.zeros((sreg.dim, sreg.dim), dtype=complex)
-            for p in patterns}
-    targets = [pattern_index(p) for p in patterns]
-    strides = (cutoff + 1) ** np.arange(bins - 1, -1, -1)
-    for outputs, inputs, images in sectors:
-        block = np.ix_(*2 * [inputs[:, :bins] @ strides])
-        pids = _pattern_ids(outputs, n_bins)
-        silent = (outputs[:, 0] == 0) & (outputs[:, bins] == 0)
-        for p, target in zip(patterns, targets):
-            rows = pids == target
-            if boundary == "vacuum":
-                rows &= silent
-            W = images[rows]
-            mats[p][block] = W.conj().T @ W
-    return {p: FockOperator(sreg, m, hermitian=True) for p, m in mats.items()}
+    patterns = tuple(all_click_patterns(n_bins) if patterns is None
+                     else patterns)
+    states, blocks = _reduce(n_bins, cutoff, config,
+                             [(p, boundary == "vacuum") for p in patterns])
+    return BlockEffects(patterns, states, blocks)
 
 
 # ---------------------------------------------------------------------------
 # the explicit reduced effects of the two illustrative click events
 
 
-def build_e2_e3(cutoff: int) -> Tuple[FockOperator, FockOperator]:
+def build_e2_e3(cutoff: int) -> BlockEffects:
     """Closed forms of the two illustrative reduced effects on three
-    signal time bins:
+    signal time bins, as photon-number blocks:
 
     ``E2 = sum_n (1/(4^n n!)) (A0+A1)^n |0><0| (A0+A1)*^n`` (click at D0 in
     bin 1) and ``E3`` with ``(A1-A2)`` (click at D1 in bin 2), where ``Ak``
-    is the creation operator of time bin k.  The sums run until the
-    operator powers annihilate the truncated space identically (n beyond
-    twice the cutoff); stopping at n = cutoff would visibly miss
-    high-occupation matrix elements.
+    is the creation operator of time bin k.  Term n is sector n's block:
+    ``(A0+A1)^n |0> / sqrt(4^n n!)`` is ``sqrt(C(n,k)) / 2^n`` on
+    ``|k, n-k, 0>``, and ``(A1-A2)^n |0>`` the same on ``|0, k, n-k>``
+    times ``(-1)^(n-k)``.  Creation only raises occupations, so the cutoff
+    just drops components; sector 0 is zero.
     """
     if cutoff < 3:
         raise ValueError(f"cutoff too small: need cutoff >= 3, got {cutoff}")
-    reg = signal_registry(2, cutoff)
-    vac = fock.vacuum(reg).amplitudes
-
-    def effect(raiser: np.ndarray) -> FockOperator:
-        E = np.zeros((reg.dim, reg.dim), dtype=complex)
-        v = vac.copy()
-        for n in range(1, 2 * cutoff + 1):
-            v = raiser @ v
-            if not np.any(v):
-                break
-            E += np.outer(v, v.conj()) / (4 ** n * math.factorial(n))
-        return FockOperator(reg, E, hermitian=True)
-
-    a0 = fock.ladder_operator(reg, (0, 0), "creation").matrix
-    a1 = fock.ladder_operator(reg, (0, 1), "creation").matrix
-    a2 = fock.ladder_operator(reg, (0, 2), "creation").matrix
-    return effect(a0 + a1), effect(a1 - a2)
+    strides = (cutoff + 1) ** np.arange(2, -1, -1)
+    states, blocks = [], []
+    for n in range(3 * cutoff + 1):
+        occ = sector_occupations(3, n)
+        occ = occ[np.all(occ <= cutoff, axis=1)]
+        root = np.sqrt([math.comb(n, k) for k in range(n + 1)]) / 2.0 ** n
+        v = (n > 0) * np.array([root[occ[:, 0]] * (occ[:, 2] == 0),
+                                root[occ[:, 1]] * (occ[:, 0] == 0)
+                                * (-1.0) ** occ[:, 2]])
+        states.append(occ @ strides)
+        blocks.append(v[:, :, None] * v[:, None, :])
+    return BlockEffects((E2_PATTERN, E3_PATTERN), tuple(states), tuple(blocks))
 
 
 def t_term(n: int, m: int) -> int:
@@ -229,26 +235,6 @@ def t_term(n: int, m: int) -> int:
     if n < 1 or m < 1:
         raise ValueError("t_term is defined for n, m >= 1")
     return math.factorial(n) if n == m else 0
-
-
-def t_term_numeric(n: int, m: int, cutoff: int) -> float:
-    """Same contraction evaluated by dense matrix application."""
-    if cutoff < max(n, m):
-        raise ValueError("cutoff must be at least max(n, m)")
-    reg = signal_registry(2, cutoff)
-    raise1 = fock.ladder_operator(reg, (0, 1), "creation").matrix
-    raise2 = fock.ladder_operator(reg, (0, 2), "creation").matrix
-    lower0 = fock.ladder_operator(reg, (0, 0), "annihilation").matrix
-    lower1 = fock.ladder_operator(reg, (0, 1), "annihilation").matrix
-    v = fock.vacuum(reg).amplitudes.copy()
-    for _ in range(m):
-        v = (raise1 - raise2) @ v
-    for _ in range(n):
-        v = (lower0 + lower1) @ v
-    val = complex(v[0])
-    if abs(val.imag) > 1e-12:
-        raise AssertionError(f"contraction came out complex: {val}")
-    return val.real
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +252,18 @@ def conjugated_commutator_norm(U: np.ndarray, diag_i: np.ndarray,
     X = Wi @ Wj.conj().T
     Pi = Wi @ Wi.conj().T
     Pj = Wj @ Wj.conj().T
-    XtX = X.conj().T @ X
-    t1 = np.trace(X.conj().T @ Pi @ X @ Pj).real
-    t2 = np.trace(XtX @ XtX).real
+    # tr(X* Pi X Pj) and tr((X* X)^2) = ||X X*||_F^2, with no nj^3 product
+    t1 = np.vdot(X @ Pj, Pi @ X).real
+    gram = X @ X.conj().T if len(Wi) <= len(Wj) else X.conj().T @ X
+    t2 = np.vdot(gram, gram).real
     return math.sqrt(max(2.0 * (t1 - t2), 0.0))
+
+
+def _commutator_norm(pairs) -> float:
+    """``||[A, B]||_F`` from per-sector stacks ``(2, m, m)`` of A's and
+    B's blocks."""
+    return math.sqrt(sum(np.linalg.norm(a @ b - b @ a) ** 2
+                         for a, b in pairs))
 
 
 @dataclass(frozen=True)
@@ -377,7 +371,8 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
     holds exactly); the vacuum-reduced effects are complete and positive;
     and the two illustrative reduced effects do NOT commute, with a
     commutator norm above the recorded floor, computed both from the
-    closed forms and from the generic reduction.
+    closed forms and from the generic reduction.  One signal lift serves
+    both boundary conventions; all of it runs on photon-number blocks.
 
     Raises ValueError, before any work, when a photon-number sector block
     exceeds ``optics.DEFAULT_MAX_STATE_ENTRIES``.
@@ -389,23 +384,20 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
         raise ValueError("the illustrative effects live at n_bins = 2")
     config = config or InterferometerConfig.compensated()
     bins = n_bins + 1
+    pats = all_click_patterns(n_bins)
     wire_sectors = sector_lift(config, bins, cutoff)
-    marginal = reduced_effect_set(n_bins, cutoff, config)
-    silent = reduced_effect_set(n_bins, cutoff, config,
-                                patterns=(E2_PATTERN, E3_PATTERN),
-                                boundary="vacuum")
+    states, blocks = _reduce(
+        n_bins, cutoff, config,
+        [(p, False) for p in pats] + [(E2_PATTERN, True), (E3_PATTERN, True)])
 
     dreg = detection_registry(n_bins, cutoff)
-    pats = all_click_patterns(n_bins)
-    diags = [pattern_diagonal(dreg, p) for p in pats]
-    g_comm = 0.0
-    g_orth = 0.0
-    for di, dj in itertools.combinations(diags, 2):
-        prod = di * dj
-        g_orth = max(g_orth, float(np.max(np.abs(prod))))
-        g_comm = max(g_comm, float(np.linalg.norm(prod - dj * di)))
-    g_idem = max(float(np.max(np.abs(d * d - d))) for d in diags)
-    g_sum = float(np.max(np.abs(sum(diags) - 1.0)))
+    diags = np.array([pattern_diagonal(dreg, p) for p in pats])
+    i, j = np.triu_indices(len(pats), 1)
+    prods = diags[i] * diags[j]
+    g_orth = float(np.max(np.abs(prods)))
+    g_comm = float(np.max(np.linalg.norm(prods - diags[j] * diags[i], axis=1)))
+    g_idem = float(np.max(np.abs(diags * diags - diags)))
+    g_sum = float(np.max(np.abs(diags.sum(axis=0) - 1.0)))
 
     pair_choice = ((E2_PATTERN, E3_PATTERN),
                    (pats[0], pats[-1]),
@@ -422,19 +414,19 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
                  for (pi, pj), v in zip(pair_choice, conj_sq)]
     conj_max = max(v for _, _, v in conj_vals)
 
-    E2c, E3c = build_e2_e3(cutoff)
-    e2e3_closed = fock.commutator_norm(E2c, E3c)
-
-    E2r, E3r = silent[E2_PATTERN], silent[E3_PATTERN]
-    e2e3_silent = fock.commutator_norm(E2r, E3r)
-    e2e3_marginal = fock.commutator_norm(marginal[E2_PATTERN],
-                                         marginal[E3_PATTERN])
-    gap2 = float(np.linalg.norm(E2c.matrix - E2r.matrix, 2))
-    gap3 = float(np.linalg.norm(E3c.matrix - E3r.matrix, 2))
-    e_sum = float(np.max(np.abs(
-        sum(e.matrix for e in marginal.values()) - np.eye(E2r.registry.dim))))
-    e_min = min(float(np.linalg.eigvalsh(e.matrix)[0])
-                for e in marginal.values())
+    closed = build_e2_e3(cutoff).blocks
+    marginal = [b[:len(pats)] for b in blocks]
+    silent = [b[len(pats):] for b in blocks]
+    e2e3_closed = _commutator_norm(closed)
+    e2e3_silent = _commutator_norm(silent)
+    e2e3_marginal = _commutator_norm(
+        [b[[pattern_index(E2_PATTERN), pattern_index(E3_PATTERN)]]
+         for b in marginal])
+    gap2, gap3 = np.max([np.linalg.norm(c - s, 2, axis=(1, 2))
+                         for c, s in zip(closed, silent)], axis=0)
+    e_sum = max(float(np.max(np.abs(b.sum(axis=0) - np.eye(b.shape[1]))))
+                for b in marginal)
+    e_min = min(float(np.min(np.linalg.eigvalsh(b)[:, 0])) for b in marginal)
 
     return NoncommutativityReport(
         n_bins=n_bins, cutoff=cutoff, internal_cutoff=bins * cutoff,
@@ -444,6 +436,6 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
         conjugated_pairs=tuple(conj_vals), conjugated_comm_max=conj_max,
         e2e3_comm_norm=e2e3_closed, e2e3_comm_norm_reduced=e2e3_silent,
         e2e3_comm_norm_marginal=e2e3_marginal,
-        e2_reduction_gap=gap2, e3_reduction_gap=gap3,
+        e2_reduction_gap=float(gap2), e3_reduction_gap=float(gap3),
         e_sum_defect=e_sum, e_min_eigenvalue=e_min,
     )

@@ -286,9 +286,10 @@ def prepare_pulse_train(record: AliceRecord) -> PulseTrain:
     if abs(record.alpha) ** 2 > 1.0:
         warnings.warn("mean photon number above 1 leaks phase information",
                       stacklevel=2)
-    signs = 1.0 - 2.0 * record.s_prime.astype(float)
     alpha = record.alpha if record.alpha.imag else record.alpha.real
-    return PulseTrain(0, signs * alpha)
+    # one gather from the two amplitudes, each the product the sign
+    # array times alpha would give, signed zeros included
+    return PulseTrain(0, (np.array([1.0, -1.0]) * alpha)[record.s_prime])
 
 
 def detect(out4: PulseTrain, out5: PulseTrain, model: DetectorModel,

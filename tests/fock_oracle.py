@@ -1,21 +1,64 @@
-"""Independent Fock-space oracle for the delay interferometer, numpy only.
+"""Independent Fock-space oracles for the delay interferometer and Bob's
+measurement, numpy only.
 
 :func:`dense_unitary` exponentiates ``G = sum_jk H_jk b_j^dag b_k``, the
 second-quantized generator of the mode map ``u = exp(iH)``, block by block
 in total photon number.  It is exact on every sector n <= cutoff and shares
 no code with the creation-operator recursion of ``optics.sector_lift``.
-The dense helpers below it (the wire registry, basis states and their
-indices, adjoints, pulse energies, number operators, mode permutation and
-embedding) serve only tests.
+
+:func:`dense_certification` evaluates every field of the commutation
+report on dense operators: the reduced effects scattered from the lifted
+sectors into full matrices, the two illustrative effects built from
+Kronecker-product ladder operators, and dense sums, eigenvalues,
+commutators and spectral norms.  The library's photon-number-block route
+shares only the lift and the click-pattern bookkeeping with it.
+
+The dense helpers below them (operators, the wire and signal registries,
+basis states and their indices, ladder and number operators, coherent
+states, tensor products, expectations, fidelities, pulse energies, mode
+permutation and embedding, the projector effects and the numeric vacuum
+contraction) serve only tests.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from dpsqkd.fock import (FockOperator, FockVector, ModeRegistry,
-                         coherent_amplitudes, identity, tensor)
-from dpsqkd.optics import sector_lift, single_particle_unitary
+from dpsqkd.fock import FockVector, ModeRegistry, coherent_amplitudes
+from dpsqkd.optics import (InterferometerConfig, sector_lift,
+                           single_particle_unitary)
+from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, _pattern_ids,
+                         all_click_patterns, conjugated_commutator_norm,
+                         detection_registry, pattern_diagonal, pattern_index)
+
+
+class FockOperator:
+    """Dense operator over a registry, optionally certified hermitian."""
+
+    def __init__(self, registry, matrix, hermitian=False):
+        m = np.array(matrix, dtype=complex)
+        if m.shape != (registry.dim, registry.dim):
+            raise ValueError(f"matrix shape {m.shape} does not match "
+                             f"registry dimension {registry.dim}")
+        if hermitian:
+            dev = np.max(np.abs(m - m.conj().T))
+            if dev > 1e-12:
+                raise ValueError(f"operator flagged hermitian deviates by "
+                                 f"{dev:.3e} (tolerance 1e-12)")
+        m.setflags(write=False)
+        self.registry, self.matrix, self.hermitian = registry, m, hermitian
+
+    def __matmul__(self, other):
+        _require_same_registry(self, other)
+        if isinstance(other, FockOperator):
+            return FockOperator(self.registry, self.matrix @ other.matrix)
+        return FockVector(self.registry, self.matrix @ other.amplitudes)
+
+
+def _require_same_registry(a, b):
+    if a.registry != b.registry:
+        raise ValueError("operands live on different mode registries")
 
 
 def _log_unitary(u):
@@ -147,3 +190,216 @@ def embed(op, registry):
         return permute_modes(op, registry.modes)
     big = tensor(op, identity(ModeRegistry(missing, registry.cutoff)))
     return permute_modes(big, registry.modes)
+
+
+def vacuum(registry):
+    amps = np.zeros(registry.dim, dtype=complex)
+    amps[0] = 1.0
+    return FockVector(registry, amps, normalized=True)
+
+
+def identity(registry):
+    return FockOperator(registry, np.eye(registry.dim), hermitian=True)
+
+
+def coherent_state(alpha, cutoff, label="mode"):
+    """Truncated coherent state on a fresh single-mode registry."""
+    alpha = complex(alpha)
+    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+        raise ValueError("alpha must be finite")
+    reg = ModeRegistry([label], cutoff)
+    return FockVector(reg, coherent_amplitudes(alpha, cutoff))
+
+
+def ladder_operator(registry, mode, kind):
+    """Creation or annihilation operator on one mode, identity elsewhere;
+    creation annihilates the top truncated level."""
+    if kind not in ("creation", "annihilation"):
+        raise ValueError(f"kind must be 'creation' or 'annihilation', "
+                         f"got {kind!r}")
+    ax = registry.axis(mode)
+    d = registry.local_dim
+    a = np.diag(np.sqrt(np.arange(1, d)), k=1)
+    mats = [np.eye(d)] * registry.n_modes
+    mats[ax] = a if kind == "annihilation" else a.T
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return FockOperator(registry, out)
+
+
+def tensor(a, b):
+    """Kronecker product of two vectors or two operators on disjoint
+    registries."""
+    if set(a.registry.modes) & set(b.registry.modes):
+        raise ValueError("tensor factors share mode labels")
+    if a.registry.cutoff != b.registry.cutoff:
+        raise ValueError("tensor factors have different cutoffs")
+    reg = ModeRegistry(a.registry.modes + b.registry.modes, a.registry.cutoff)
+    if isinstance(a, FockVector) and isinstance(b, FockVector):
+        return FockVector(reg, np.kron(a.amplitudes, b.amplitudes))
+    return FockOperator(reg, np.kron(a.matrix, b.matrix),
+                        hermitian=a.hermitian and b.hermitian)
+
+
+def commutator_norm(A, B):
+    """Frobenius norm of ``AB - BA``."""
+    _require_same_registry(A, B)
+    return float(np.linalg.norm(A.matrix @ B.matrix - B.matrix @ A.matrix))
+
+
+def expectation(state, op):
+    """``<state| op |state>``."""
+    _require_same_registry(state, op)
+    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
+
+
+def fidelity(a, b):
+    """``|<a|b>|^2`` after normalizing both vectors."""
+    _require_same_registry(a, b)
+    ov = np.vdot(a.amplitudes, b.amplitudes)
+    return float(abs(ov) ** 2 / (a.norm2() * b.norm2()))
+
+
+# ---------------------------------------------------------------------------
+# Bob's measurement, densely
+
+
+def signal_registry(n_bins, cutoff):
+    """Registry of the signal-path input modes, time bins 0..N."""
+    return ModeRegistry([(0, i) for i in range(n_bins + 1)], cutoff)
+
+
+def build_projector_effects(n_bins, cutoff):
+    """The full 4^N family of projector effects on the detection wires,
+    in ``all_click_patterns`` order: diagonal, idempotent, mutually
+    orthogonal, summing to the identity."""
+    if n_bins > 3:
+        raise ValueError("full enumeration is desk scale (N <= 3); "
+                         "build single patterns via pattern_diagonal instead")
+    reg = detection_registry(n_bins, cutoff)
+    return {p: FockOperator(reg, np.diag(pattern_diagonal(reg, p)),
+                            hermitian=True)
+            for p in all_click_patterns(n_bins)}
+
+
+def t_term_numeric(n, m, cutoff):
+    """``<0| (a0+a1)^n (A1-A2)^m |0>`` by dense matrix application."""
+    if cutoff < max(n, m):
+        raise ValueError("cutoff must be at least max(n, m)")
+    reg = signal_registry(2, cutoff)
+    raise1 = ladder_operator(reg, (0, 1), "creation").matrix
+    raise2 = ladder_operator(reg, (0, 2), "creation").matrix
+    lower0 = ladder_operator(reg, (0, 0), "annihilation").matrix
+    lower1 = ladder_operator(reg, (0, 1), "annihilation").matrix
+    v = vacuum(reg).amplitudes.copy()
+    for _ in range(m):
+        v = (raise1 - raise2) @ v
+    for _ in range(n):
+        v = (lower0 + lower1) @ v
+    val = complex(v[0])
+    if abs(val.imag) > 1e-12:
+        raise AssertionError(f"contraction came out complex: {val}")
+    return val.real
+
+
+def dense_effects(effects):
+    """Scatter photon-number block effects into full matrices on the
+    signal registry: ``{pattern: matrix}``."""
+    dim = sum(len(s) for s in effects.states)
+    out = {}
+    for k, p in enumerate(effects.patterns):
+        m = np.zeros((dim, dim), dtype=complex)
+        for states, block in zip(effects.states, effects.blocks):
+            m[np.ix_(states, states)] = block[k]
+        out[p] = m
+    return out
+
+
+def dense_reduced_effects(n_bins, cutoff, config, patterns, boundary):
+    """Reduced effects as full matrices, each the sum over sectors of the
+    Gram matrices of its image rows, scattered by registry index."""
+    bins = n_bins + 1
+    dim = (cutoff + 1) ** bins
+    strides = (cutoff + 1) ** np.arange(bins - 1, -1, -1)
+    mats = {p: np.zeros((dim, dim), dtype=complex) for p in patterns}
+    for outputs, inputs, images in sector_lift(
+            config, bins, bins * cutoff, [cutoff] * bins + [0] * bins):
+        block = np.ix_(*2 * [inputs[:, :bins] @ strides])
+        pids = _pattern_ids(outputs, n_bins)
+        silent = (outputs[:, 0] == 0) & (outputs[:, bins] == 0)
+        for p in patterns:
+            rows = pids == pattern_index(p)
+            if boundary == "vacuum":
+                rows &= silent
+            W = images[rows]
+            mats[p][block] = W.conj().T @ W
+    return mats
+
+
+def dense_e2_e3(cutoff):
+    """The two illustrative closed forms, summed term by term from
+    ladder-operator powers on the cutoff-`cutoff` signal registry."""
+    reg = signal_registry(2, cutoff)
+    a0, a1, a2 = (ladder_operator(reg, (0, i), "creation").matrix
+                  for i in range(3))
+
+    def one(raiser):
+        E = np.zeros((reg.dim, reg.dim), dtype=complex)
+        v = vacuum(reg).amplitudes.copy()
+        for n in range(1, 2 * cutoff + 1):
+            v = raiser @ v
+            if not np.any(v):
+                break
+            E += np.outer(v, v.conj()) / (4 ** n * math.factorial(n))
+        return E
+
+    return one(a0 + a1), one(a1 - a2)
+
+
+def dense_certification(cutoff, config=None):
+    """Every numeric field of ``certify_noncommutativity(cutoff, 2,
+    config)``, from dense operators, as a dict."""
+    config = config or InterferometerConfig.compensated()
+    pats = all_click_patterns(2)
+    marginal = dense_reduced_effects(2, cutoff, config, pats, "marginal")
+    silent = dense_reduced_effects(2, cutoff, config,
+                                   (E2_PATTERN, E3_PATTERN), "vacuum")
+    diags = [pattern_diagonal(detection_registry(2, cutoff), p) for p in pats]
+    g_comm = g_orth = 0.0
+    for di, dj in itertools.combinations(diags, 2):
+        g_orth = max(g_orth, float(np.max(np.abs(di * dj))))
+        g_comm = max(g_comm, float(np.linalg.norm(di * dj - dj * di)))
+    pairs = ((E2_PATTERN, E3_PATTERN), (pats[0], pats[-1]),
+             (E2_PATTERN, pats[-1]))
+    conj_sq = np.zeros(3)
+    for outputs, _, U in sector_lift(config, 3, cutoff):
+        pids = _pattern_ids(outputs, 2)
+        for k, (pi, pj) in enumerate(pairs):
+            conj_sq[k] += conjugated_commutator_norm(
+                U, pids == pattern_index(pi), pids == pattern_index(pj)) ** 2
+
+    def comm(a, b):
+        return float(np.linalg.norm(a @ b - b @ a))
+
+    E2c, E3c = dense_e2_e3(cutoff)
+    eye = np.eye(len(E2c))
+    return {
+        "detection_dim": len(diags[0]),
+        "wire_dim": sum(len(o) for o, _, _ in sector_lift(config, 3, cutoff)),
+        "g_comm_max": g_comm,
+        "g_idempotency_max": max(float(np.max(np.abs(d * d - d)))
+                                 for d in diags),
+        "g_orthogonality_max": g_orth,
+        "g_sum_defect": float(np.max(np.abs(sum(diags) - 1.0))),
+        "conjugated_comm_max": float(np.sqrt(conj_sq.max())),
+        "e2e3_comm_norm": comm(E2c, E3c),
+        "e2e3_comm_norm_reduced": comm(silent[E2_PATTERN], silent[E3_PATTERN]),
+        "e2e3_comm_norm_marginal": comm(marginal[E2_PATTERN],
+                                        marginal[E3_PATTERN]),
+        "e2_reduction_gap": float(np.linalg.norm(E2c - silent[E2_PATTERN], 2)),
+        "e3_reduction_gap": float(np.linalg.norm(E3c - silent[E3_PATTERN], 2)),
+        "e_sum_defect": float(np.max(np.abs(sum(marginal.values()) - eye))),
+        "e_min_eigenvalue": min(float(np.linalg.eigvalsh(m)[0])
+                                for m in marginal.values()),
+    }

@@ -13,18 +13,17 @@ import time
 import numpy as np
 import pytest
 
-from dpsqkd import fock
 from dpsqkd.cli import main
 from dpsqkd.entangled import compare_statistics
 from dpsqkd.optics import (InterferometerConfig, PulseTrain,
                            propagate_analytic)
-from dpsqkd.povm import certify_noncommutativity, t_term, t_term_numeric
+from dpsqkd.povm import certify_noncommutativity, t_term
 from dpsqkd.protocol import SessionConfig, run_session
 from dpsqkd.witness import (DiagonalWitness, bb84_effect_family,
                             bell_state_density,
                             diagonal_positivity_theorem_check,
                             qubit_projective_effects, witness_search)
-from fock_oracle import sector_mean_amplitudes
+from fock_oracle import sector_mean_amplitudes, t_term_numeric
 
 # frozen regression values (pre-build oracles)
 COMM_SILENT_C3 = 0.154605219372170

@@ -1,14 +1,19 @@
 """Command-line surface: dispatch, exit codes, report formats."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dpsqkd import fock
 from dpsqkd.cli import main
 from dpsqkd.optics import DEFAULT_MAX_STATE_ENTRIES
-from dpsqkd.povm import build_e2_e3
+from fock_oracle import dense_e2_e3
 
 
 def run(argv, capsys):
@@ -128,7 +133,8 @@ def test_verify_povm_cutoffs_4_to_6(capsys):
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True
-        oracle = fock.commutator_norm(*build_e2_e3(cutoff))
+        E2, E3 = dense_e2_e3(cutoff)
+        oracle = np.linalg.norm(E2 @ E3 - E3 @ E2)
         assert abs(payload["e2e3_comm_norm_reduced"] - oracle) <= 1e-9
         marginal.append(payload["e2e3_comm_norm_marginal"])
     assert all(a < b for a, b in zip(marginal, marginal[1:]))
@@ -425,3 +431,22 @@ def test_witness_demo_pinned_bytes(argv, capsys):
     code, out, _ = run(["witness-demo", *argv], capsys)
     assert code == 0
     assert out == PINNED_WITNESS_DEMO[argv]
+
+
+@pytest.mark.slow
+def test_verify_povm_cutoff_12_time_and_memory():
+    # the largest cutoff documented as a desk run: a pass, under 20 s and
+    # under 1 GB peak resident memory for the child process
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "dpsqkd", "verify-povm",
+                           "--cutoff", "12", "--json"], env=env,
+                          capture_output=True, text=True, timeout=600)
+    elapsed = time.perf_counter() - t0
+    peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
+    assert elapsed < 20.0, f"{elapsed:.1f} s"
+    assert peak_kb < 1024 ** 2, f"{peak_kb / 1024:.0f} MB"

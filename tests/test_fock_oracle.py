@@ -1,15 +1,18 @@
 """The dense test-only helpers of :mod:`fock_oracle`."""
 
 import numpy as np
+import pytest
 
-from dpsqkd import fock
-from dpsqkd.fock import FockOperator, ModeRegistry
-from fock_oracle import basis_index, basis_state, embed, permute_modes
+from dpsqkd.fock import ModeRegistry
+from dpsqkd.povm import all_click_patterns, detection_registry
+from fock_oracle import (FockOperator, basis_index, basis_state,
+                         build_projector_effects, embed, expectation,
+                         permute_modes, vacuum)
 
 
 def test_vacuum_and_basis_state():
     reg = ModeRegistry(["a", "b"], 2)
-    v = fock.vacuum(reg)
+    v = vacuum(reg)
     assert v.amplitudes[0] == 1.0
     assert v.norm() == 1.0
     b = basis_state(reg, [1, 2])
@@ -42,3 +45,30 @@ def test_permute_and_embed():
     lhs = full.conj() @ big.matrix @ full
     rhs = (v.conj() @ M @ v) * (w.conj() @ w)
     assert abs(lhs - rhs) < 1e-10
+
+
+def test_effect_family_structure():
+    effects = build_projector_effects(2, 3)
+    assert list(effects) == list(all_click_patterns(2))
+    mats = [E.matrix for E in effects.values()]
+    assert len(mats) == 16
+    eye = np.eye(detection_registry(2, 3).dim)
+    assert np.max(np.abs(sum(mats) - eye)) <= 1e-10
+    for m in mats:
+        assert np.max(np.abs(m @ m - m)) <= 1e-12
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            assert np.max(np.abs(mats[i] @ mats[j])) <= 1e-12
+            comm = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
+            assert comm <= 1e-12
+
+
+def test_all_vacuum_effect_fixes_vacuum():
+    g1 = build_projector_effects(2, 3)[all_click_patterns(2)[0]]
+    vac = vacuum(g1.registry)
+    assert abs(expectation(vac, g1).real - 1.0) < 1e-14
+
+
+def test_enumeration_guard():
+    with pytest.raises(ValueError):
+        build_projector_effects(4, 2)

@@ -1,6 +1,7 @@
 """Beam splitters, analytic propagation and the exact sector lift."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dpsqkd.optics import (InterferometerConfig, PulseTrain, bs1_transform,
                            propagate_analytic, sector_dim, sector_lift,
                            sector_occupations, single_particle_unitary)
 from fock_oracle import (basis_index, dense_unitary, sector_mean_amplitudes,
-                         total_energy, wire_registry)
+                         total_energy, vacuum, wire_registry)
 
 
 def test_compensation_condition_enforced():
@@ -210,6 +211,21 @@ def test_sector_lift_matches_dense_oracle(phi2, phi_delta):
         assert np.max(np.abs(outside), initial=0.0) < 1e-12
 
 
+@settings(max_examples=20, deadline=None)
+@given(span=st.integers(1, 12), chunk=st.integers(1, 40), phi2=PHASES,
+       phi_delta=PHASES)
+def test_sector_lift_tiles_match_dense_oracle(span, chunk, phi2, phi_delta):
+    # tiles of any shape, a partial last one included, give the blocks of
+    # the dense unitary on sectors n <= 2 (1, 6 and 21 states)
+    cfg = InterferometerConfig.compensated(phi2=phi2, phi_delta=phi_delta)
+    U = dense_unitary(cfg, 3, 2).matrix
+    reg = wire_registry(3, 2)
+    with mock.patch.multiple(optics, _LIFT_SPAN=span, _LIFT_CHUNK=chunk):
+        for outputs, inputs, block in sector_lift(cfg, 3, 2):
+            idx = [basis_index(reg, o) for o in outputs]
+            assert np.max(np.abs(block - U[np.ix_(idx, idx)])) < 1e-12
+
+
 def test_sector_lift_bound():
     cfg = InterferometerConfig.compensated()
     with pytest.raises(ValueError, match="sector 40 block .* exceeds the "
@@ -233,7 +249,7 @@ def test_dense_oracle_lifts_the_mode_map():
     reg = U.registry
     assert np.max(np.abs(U.matrix.conj().T @ U.matrix
                          - np.eye(reg.dim))) < 1e-12
-    assert abs((U @ fock.vacuum(reg)).amplitudes[0] - 1.0) < 1e-14
+    assert abs((U @ vacuum(reg)).amplitudes[0] - 1.0) < 1e-14
     one = [basis_index(reg, np.eye(reg.n_modes, dtype=int)[k])
            for k in range(reg.n_modes)]
     assert np.max(np.abs(U.matrix[np.ix_(one, one)]

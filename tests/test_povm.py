@@ -1,5 +1,6 @@
 """Projector effects, their reduction, and the commutation structure."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,17 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpsqkd import fock
-from dpsqkd.fock import FockOperator, FockVector
+from dpsqkd import povm
 from dpsqkd.optics import InterferometerConfig
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, all_click_patterns,
-                         build_e2_e3, build_projector_effects,
-                         certify_noncommutativity, click_pattern_ids,
-                         conjugated_commutator_norm, detection_registry,
+                         build_e2_e3, certify_noncommutativity,
+                         click_pattern_ids, conjugated_commutator_norm,
                          pattern_diagonal, pattern_index, reduced_effect_set,
-                         signal_registry, t_term, t_term_numeric)
-from fock_oracle import (basis_index, basis_state, dagger, dense_unitary,
-                         embed, wire_registry)
+                         t_term)
+from fock_oracle import (basis_index, basis_state, build_projector_effects,
+                         dagger, dense_certification, dense_e2_e3,
+                         dense_effects, dense_unitary, embed, signal_registry,
+                         t_term_numeric, wire_registry)
 
 # frozen by the pre-build dense oracle (multinomial-expansion route)
 COMM_SILENT_C3 = 0.154605219372170
@@ -27,48 +28,8 @@ COMM_SILENT_C2 = 0.154580929198511
 COMM_MARGINAL_C2 = 0.186778649145374
 
 
-def closed_form_e2_e3(cutoff):
-    """Test-local independent construction of the two explicit effects."""
-    reg = signal_registry(2, cutoff)
-    vac = np.zeros(reg.dim, dtype=complex)
-    vac[0] = 1.0
-    a0 = fock.ladder_operator(reg, (0, 0), "creation").matrix
-    a1 = fock.ladder_operator(reg, (0, 1), "creation").matrix
-    a2 = fock.ladder_operator(reg, (0, 2), "creation").matrix
-
-    def one(raiser):
-        E = np.zeros((reg.dim, reg.dim), dtype=complex)
-        v = vac.copy()
-        for n in range(1, 2 * cutoff + 1):
-            v = raiser @ v
-            if not np.any(v):
-                break
-            E += np.outer(v, v.conj()) / (4 ** n * math.factorial(n))
-        return E
-
-    return one(a0 + a1), one(a1 - a2), reg
-
-
-def test_effect_family_structure():
-    effects = build_projector_effects(2, 3)
-    assert list(effects) == list(all_click_patterns(2))
-    mats = [E.matrix for E in effects.values()]
-    assert len(mats) == 16
-    eye = np.eye(detection_registry(2, 3).dim)
-    assert np.max(np.abs(sum(mats) - eye)) <= 1e-10
-    for m in mats:
-        assert np.max(np.abs(m @ m - m)) <= 1e-12
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            assert np.max(np.abs(mats[i] @ mats[j])) <= 1e-12
-            comm = np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-            assert comm <= 1e-12
-
-
-def test_all_vacuum_effect_fixes_vacuum():
-    g1 = build_projector_effects(2, 3)[all_click_patterns(2)[0]]
-    vac = fock.vacuum(g1.registry)
-    assert abs(fock.expectation(vac, g1).real - 1.0) < 1e-14
+def comm(a, b):
+    return float(np.linalg.norm(a @ b - b @ a))
 
 
 def test_pattern_indexing():
@@ -117,12 +78,13 @@ def test_probability_consistency_random_states():
         cfg = InterferometerConfig.compensated(phi2=phi2, phi_delta=phi_delta)
         U = dense_unitary(cfg, 2, wire_cutoff).matrix
         for boundary, mask in (("marginal", 1.0), ("vacuum", silent)):
-            red = reduced_effect_set(1, cutoff, cfg, boundary=boundary)
+            red = dense_effects(reduced_effect_set(1, cutoff, cfg,
+                                                   boundary=boundary))
             for p, G in effects.items():
                 g = np.diag(embed(G, wreg).matrix).real
                 M = U.conj().T @ ((g * mask)[:, None] * U)
                 for psi, joint in zip(psis, joints):
-                    assert abs(psi.conj() @ red[p].matrix @ psi
+                    assert abs(psi.conj() @ red[p] @ psi
                                - joint.conj() @ M @ joint) < 1e-10
 
 
@@ -132,89 +94,100 @@ PHASES = st.floats(-math.pi, math.pi, allow_nan=False)
 @settings(max_examples=15, deadline=None)
 @given(n_bins=st.sampled_from([1, 2]), phi2=PHASES, phi_delta=PHASES)
 def test_reduced_family_complete_and_positive(n_bins, phi2, phi_delta):
+    # block by block: every sector's effects sum to its identity and are
+    # positive, and the sectors tile the signal registry
     cfg = InterferometerConfig.compensated(phi2=phi2, phi_delta=phi_delta)
     red = reduced_effect_set(n_bins, 2, cfg)
-    total = sum(E.matrix for E in red.values())
-    assert np.max(np.abs(total - np.eye(total.shape[0]))) <= 1e-9
-    for E in red.values():
-        assert np.linalg.eigvalsh(E.matrix)[0] >= -1e-10
+    assert len(red.patterns) == 4 ** n_bins
+    assert np.array_equal(np.sort(np.concatenate(red.states)),
+                          np.arange(3 ** (n_bins + 1)))
+    for states, block in zip(red.states, red.blocks):
+        assert block.shape == (4 ** n_bins, len(states), len(states))
+        assert np.max(np.abs(block.sum(axis=0) - np.eye(len(states)))) <= 1e-9
+        assert np.max(np.abs(block - block.conj().transpose(0, 2, 1))) <= 1e-14
+        assert np.min(np.linalg.eigvalsh(block)) >= -1e-10
 
 
 def test_reduced_effect_low_block_matches_closed_form():
     # the reduction is exact in photon number: the cutoff-3 effects,
     # restricted to signal states with at most 2 photons per bin, are the
     # cutoff-2 closed forms
-    E2c, E3c, _ = closed_form_e2_e3(2)
-    red = reduced_effect_set(2, 3, boundary="vacuum",
-                             patterns=(E2_PATTERN, E3_PATTERN))
+    E2c, E3c = dense_e2_e3(2)
+    red = dense_effects(reduced_effect_set(2, 3, boundary="vacuum",
+                                           patterns=(E2_PATTERN, E3_PATTERN)))
     reg = signal_registry(2, 3)
     low = np.flatnonzero(np.all([reg.occupations(m) <= 2
                                  for m in reg.modes], axis=0))
     for E, closed in ((red[E2_PATTERN], E2c), (red[E3_PATTERN], E3c)):
-        assert np.max(np.abs(E.matrix[np.ix_(low, low)] - closed)) < 1e-12
+        assert np.max(np.abs(E[np.ix_(low, low)] - closed)) < 1e-12
 
 
 def test_reduced_effect_set_cutoff_4():
     red = reduced_effect_set(2, 4)
-    total = sum(E.matrix for E in red.values())
-    assert np.max(np.abs(total - np.eye(total.shape[0]))) <= 1e-9
-    silent = reduced_effect_set(2, 4, boundary="vacuum",
-                                patterns=(E2_PATTERN, E3_PATTERN))
-    comm = fock.commutator_norm(silent[E2_PATTERN], silent[E3_PATTERN])
-    assert abs(comm - COMM_SILENT_C4) < 1e-12
+    for block in red.blocks:
+        assert np.max(np.abs(block.sum(axis=0)
+                             - np.eye(block.shape[1]))) <= 1e-9
+    silent = dense_effects(reduced_effect_set(
+        2, 4, boundary="vacuum", patterns=(E2_PATTERN, E3_PATTERN)))
+    assert abs(comm(silent[E2_PATTERN], silent[E3_PATTERN])
+               - COMM_SILENT_C4) < 1e-12
 
 
 def test_reduced_effect_set_bounds():
-    # both refusals come before any allocation
-    with pytest.raises(ValueError, match="16 reduced effects .* exceed"):
-        reduced_effect_set(2, 40)
+    # every refusal comes before any allocation: the top sector alone, the
+    # largest sector block, and the stored blocks of 4^8 effects
+    with pytest.raises(ValueError, match="sector 135 of .* exceeds"):
+        reduced_effect_set(2, 45)
     with pytest.raises(ValueError, match="sector 45 block .* exceeds"):
         reduced_effect_set(2, 21, patterns=(E2_PATTERN,))
+    with pytest.raises(ValueError, match="65536 reduced effects of 48620 "
+                                         "block entries each exceed"):
+        reduced_effect_set(8, 1)
 
 
 def test_reduced_effect_set_exact_block_matches_closed_form():
     cutoff = 2
-    E2c, E3c, _ = closed_form_e2_e3(cutoff)
-    red = reduced_effect_set(2, cutoff, boundary="vacuum",
-                             patterns=(E2_PATTERN, E3_PATTERN))
-    assert np.max(np.abs(red[E2_PATTERN].matrix - E2c)) < 1e-12
-    assert np.max(np.abs(red[E3_PATTERN].matrix - E3c)) < 1e-12
-    comm = fock.commutator_norm(red[E2_PATTERN], red[E3_PATTERN])
-    assert abs(comm - COMM_SILENT_C2) < 1e-12
+    E2c, E3c = dense_e2_e3(cutoff)
+    red = dense_effects(reduced_effect_set(2, cutoff, boundary="vacuum",
+                                           patterns=(E2_PATTERN, E3_PATTERN)))
+    assert np.max(np.abs(red[E2_PATTERN] - E2c)) < 1e-12
+    assert np.max(np.abs(red[E3_PATTERN] - E3c)) < 1e-12
+    assert abs(comm(red[E2_PATTERN], red[E3_PATTERN]) - COMM_SILENT_C2) < 1e-12
 
 
 def test_marginal_reduction_regression_value():
-    red = reduced_effect_set(2, 2, boundary="marginal",
-                             patterns=(E2_PATTERN, E3_PATTERN))
-    comm = fock.commutator_norm(red[E2_PATTERN], red[E3_PATTERN])
-    assert abs(comm - COMM_MARGINAL_C2) < 1e-12
+    red = dense_effects(reduced_effect_set(2, 2, boundary="marginal",
+                                           patterns=(E2_PATTERN, E3_PATTERN)))
+    assert abs(comm(red[E2_PATTERN], red[E3_PATTERN])
+               - COMM_MARGINAL_C2) < 1e-12
 
 
 def test_build_e2_e3_matches_oracle_values():
-    E2, E3 = build_e2_e3(3)
-    assert abs(fock.commutator_norm(E2, E3) - COMM_SILENT_C3) < 1e-12
-    E2c, E3c, _ = closed_form_e2_e3(3)
-    assert np.max(np.abs(E2.matrix - E2c)) < 1e-14
-    assert np.max(np.abs(E3.matrix - E3c)) < 1e-14
+    closed = build_e2_e3(3)
+    assert closed.patterns == (E2_PATTERN, E3_PATTERN)
+    E2, E3 = dense_effects(closed).values()
+    assert abs(comm(E2, E3) - COMM_SILENT_C3) < 1e-12
+    E2c, E3c = dense_e2_e3(3)
+    assert np.max(np.abs(E2 - E2c)) < 1e-14
+    assert np.max(np.abs(E3 - E3c)) < 1e-14
+    # the blocks sit on the same sectors as the lifted ones
+    red = reduced_effect_set(2, 3, patterns=(E2_PATTERN,))
+    assert all(np.array_equal(a, b) for a, b in zip(closed.states, red.states))
 
 
 def test_e2_examples():
-    E2, E3 = build_e2_e3(3)
-    reg = E2.registry
-    vac = fock.vacuum(reg)
-    assert fock.expectation(vac, E2) == 0.0
-    sym = FockVector(reg, (basis_state(reg, [1, 0, 0]).amplitudes
-                           + basis_state(reg, [0, 1, 0]).amplitudes)
-                     / math.sqrt(2))
-    assert abs(fock.expectation(sym, E2).real - 0.5) < 1e-12
-    assert fock.commutator_norm(E2, E2) == 0.0
+    E2, E3 = dense_effects(build_e2_e3(3)).values()
+    reg = signal_registry(2, 3)
+    assert E2[0, 0] == 0.0
+    sym = (basis_state(reg, [1, 0, 0]).amplitudes
+           + basis_state(reg, [0, 1, 0]).amplitudes) / math.sqrt(2)
+    assert abs((sym.conj() @ E2 @ sym).real - 0.5) < 1e-12
+    assert comm(E2, E2) == 0.0
 
 
 def test_commutator_converges_with_cutoff():
-    E2a, E3a = build_e2_e3(3)
-    E2b, E3b = build_e2_e3(4)
-    va = fock.commutator_norm(E2a, E3a)
-    vb = fock.commutator_norm(E2b, E3b)
+    va = comm(*dense_effects(build_e2_e3(3)).values())
+    vb = comm(*dense_effects(build_e2_e3(4)).values())
     assert abs(vb - COMM_SILENT_C4) < 1e-12
     assert abs(vb - va) < 1e-6   # truncation-tail sized drift
 
@@ -267,6 +240,38 @@ def test_conjugated_commutator_gram_matches_dense():
         assert fast <= 1e-10   # unitary conjugation preserves commutation
 
 
-def test_enumeration_guard():
-    with pytest.raises(ValueError):
-        build_projector_effects(4, 2)
+@settings(max_examples=8, deadline=None)
+@given(cutoff=st.sampled_from([3, 4]), phi2=PHASES, phi_delta=PHASES)
+def test_block_certification_matches_dense_oracle(cutoff, phi2, phi_delta):
+    # every number of the report, block route against dense operators
+    cfg = InterferometerConfig.compensated(phi2=phi2, phi_delta=phi_delta)
+    report = certify_noncommutativity(cutoff, config=cfg)
+    dense = dense_certification(cutoff, cfg)
+    fields = {f.name for f in dataclasses.fields(report)}
+    assert set(dense) <= fields
+    assert report.internal_cutoff == 3 * cutoff
+    for name, value in dense.items():
+        assert abs(getattr(report, name) - value) <= 1e-12, name
+
+
+def test_certification_lifts_the_signal_once(monkeypatch):
+    # two lifts in all: the wire sectors and the signal block, which
+    # serves both boundary conventions
+    calls = []
+    lift = povm.sector_lift
+
+    def counted(config, bins, n_max, max_occupation=None):
+        calls.append(max_occupation)
+        return lift(config, bins, n_max, max_occupation)
+
+    monkeypatch.setattr(povm, "sector_lift", counted)
+    report = certify_noncommutativity(3)
+    assert report.passed
+    assert calls == [None, [3, 3, 3, 0, 0, 0]]
+
+
+def test_blocks_of_one_effect():
+    red = reduced_effect_set(2, 3, patterns=(E3_PATTERN, E2_PATTERN))
+    e2 = red[E2_PATTERN]
+    assert len(e2) == len(red.states) == 10
+    assert all(np.array_equal(b, stack[1]) for b, stack in zip(e2, red.blocks))

@@ -51,6 +51,28 @@ def test_prepare_real_alpha_gives_float64_train():
     assert np.array_equal(tr_c.amplitudes, 1j * tr.amplitudes)
 
 
+SIGNED_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                         st.floats(-0.7, 0.7, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=40),
+       re=SIGNED_PARTS, im=SIGNED_PARTS)
+@example(bits=[0, 1], re=0.0, im=-0.45)
+@example(bits=[1, 0], re=-0.0, im=0.45)
+@example(bits=[0, 1, 1], re=-0.0, im=0.0)
+def test_prepare_matches_the_sign_array_product_bit_for_bit(bits, re, im):
+    # the lookup gives the bytes of the sign-array product it replaced,
+    # signed zeros included, for real and complex alpha alike
+    rec = AliceRecord(np.array(bits), complex(re, im))
+    signs = 1.0 - 2.0 * rec.s_prime.astype(float)
+    alpha = rec.alpha if rec.alpha.imag else rec.alpha.real
+    expect = signs * alpha
+    got = prepare_pulse_train(rec).amplitudes
+    assert got.dtype == expect.dtype
+    assert got.tobytes() == expect.tobytes()
+
+
 def test_prepare_warns_above_one_photon():
     with pytest.warns(UserWarning):
         prepare_pulse_train(AliceRecord(np.array([0, 1]), 1.5))
