@@ -275,3 +275,41 @@ def test_blocks_of_one_effect():
     e2 = red[E2_PATTERN]
     assert len(e2) == len(red.states) == 10
     assert all(np.array_equal(b, stack[1]) for b, stack in zip(e2, red.blocks))
+
+
+def test_report_fields_follow_perturbed_blocks(monkeypatch):
+    # completeness, the least eigenvalue and the reduction gap are read off
+    # every block: perturb blocks well above rounding noise and compare
+    # with dense evaluations of the same perturbed operators
+    delta = 1e-3
+    reduce, seen = povm._reduce, []
+
+    def perturbed(*args):
+        states, blocks = reduce(*args)
+        blocks = [b.copy() for b in blocks]
+        blocks[-1][15] += 2 * delta           # all-click effect, top sector
+        low = np.linalg.eigh(blocks[4][0])[1][:, 0]
+        blocks[4][0] -= delta * np.outer(low, low)
+        blocks[4][16] += delta * np.eye(len(states[4]))   # silent E2
+        seen.append((states, blocks))
+        return states, tuple(blocks)
+
+    monkeypatch.setattr(povm, "_reduce", perturbed)
+    report = certify_noncommutativity(3)
+    states, blocks = seen[0]
+    pats = all_click_patterns(2)
+    marginal = dense_effects(povm.BlockEffects(
+        pats, states, tuple(b[:16] for b in blocks)))
+    silent = dense_effects(povm.BlockEffects(
+        (E2_PATTERN, E3_PATTERN), states, tuple(b[16:] for b in blocks)))
+    eye = np.eye(len(marginal[pats[0]]))
+    e_sum = np.max(np.abs(sum(marginal.values()) - eye))
+    e_min = min(np.linalg.eigvalsh(m)[0] for m in marginal.values())
+    gap2 = np.linalg.norm(dense_e2_e3(3)[0] - silent[E2_PATTERN], 2)
+    assert abs(e_sum - 2 * delta) < 1e-12
+    assert abs(report.e_sum_defect - e_sum) < 1e-12
+    assert e_min < -delta / 2
+    assert abs(report.e_min_eigenvalue - e_min) < 1e-12
+    assert abs(gap2 - delta) < 1e-12
+    assert abs(report.e2_reduction_gap - gap2) < 1e-12
+    assert not report.passed
