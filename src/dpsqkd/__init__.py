@@ -3,10 +3,8 @@ certification on truncated Fock spaces."""
 
 from .optics import (InterferometerConfig, PulseTrain, bs1_transform,
                      bs2_transform, propagate_analytic, sector_lift)
-from .protocol import (AliceRecord, ClickRecord, DetectorModel, SessionConfig,
-                       SessionStats, detect, extract_bob_bits,
-                       intercept_resend, prepare_pulse_train, run_session,
-                       sift)
+from .protocol import (AliceRecord, DetectorModel, SessionConfig, SessionStats,
+                       intercept_resend, prepare_pulse_train, run_session)
 from .entangled import (EbState, alice_measure, build_eb_state,
                         compare_statistics)
 from .povm import (BlockEffects, build_e2_e3, certify_noncommutativity,

@@ -11,7 +11,8 @@ stored.
 the same whichever way the signal was prepared.  Both flows run through
 the protocol's own click kernel (:func:`~dpsqkd.optics.propagate`, then
 ``DetectorModel.click_probabilities``, clicks drawn in the order of
-``DetectorModel.sample``) and :func:`~dpsqkd.povm.click_pattern_ids`.
+``DetectorModel.sample``) and :func:`~dpsqkd.povm.click_pattern_ids`; the
+Monte Carlo reads it through the sessions' table of pulse pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .fock import FockVector, ModeRegistry, _require_integers
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
                      interferometer_coefficients, propagate)
 from .povm import click_pattern_ids
-from .protocol import DetectorModel, _positioned_rng
+from .protocol import DetectorModel, _pair_table, _positioned_rng
 
 
 @dataclass(frozen=True)
@@ -224,21 +225,23 @@ def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
     (even), drawn as a generator at the PCG64 state `seeded` draws them in
     turn: the P&M S' bits (trials, N+1) at 32 bits each, its D0, then D1
     uniforms (trials, N) as :meth:`DetectorModel.sample` draws them, the EB
-    Born uniforms (trials, N+1), its D0, then D1 uniforms.  Key bin i clicks
-    with the probability ``pair_tables[flow, detector, 2 s_i + s_(i+1)]``."""
+    Born uniforms (trials, N+1), its D0, then D1 uniforms, by one generator
+    of the chunk's own moved from draw to draw.  Key bin i clicks with the
+    probability ``pair_tables[flow, detector, 2 s_i + s_(i+1)]``."""
     rows, n_pulses = min(_MC_CHUNK_ROWS, trials - r0), n_key_bins + 1
-    s = _positioned_rng(seeded, r0 * n_pulses // 2).integers(
-        0, 2, (rows, n_pulses))
+    rng = _positioned_rng(seeded, r0 * n_pulses // 2)
+    s = rng.integers(0, 2, (rows, n_pulses))
     at = -(-trials * n_pulses // 2)          # the first uniform's output
     ids = []
     for tables in pair_tables:
         if ids:                              # the EB flow draws its S'
-            s = _positioned_rng(seeded, at + r0 * n_pulses).random(
+            s = _positioned_rng(seeded, at + r0 * n_pulses, rng).random(
                 (rows, n_pulses)) < born1
             at += trials * n_pulses
         pair = 2 * s[:, :-1] + s[:, 1:]
-        d0, d1 = (_positioned_rng(seeded, at + (j * trials + r0) * n_key_bins)
-                  .random(pair.shape) < tables[j][pair] for j in (0, 1))
+        d0, d1 = (_positioned_rng(seeded, at + (j * trials + r0) * n_key_bins,
+                                  rng).random(pair.shape) < tables[j][pair]
+                  for j in (0, 1))
         ids.append(click_pattern_ids(d0, d1))
         at += 2 * trials * n_key_bins
     return ids
@@ -344,9 +347,10 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
         from concurrent.futures import ThreadPoolExecutor
 
         seeded = np.random.default_rng(seed).bit_generator.state
-        pairs = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-        pair_tables = np.stack([_click_table((1.0 - 2.0 * pairs) * alpha, c_pm),
-                                _click_table(amp_of_bit[pairs], c_eb)])[..., 0]
+        ideal = DetectorModel.ideal()
+        pair_tables = np.stack([
+            _pair_table(ideal, np.array([1.0, -1.0]) * alpha, c_pm),
+            _pair_table(ideal, amp_of_bit, c_eb)])
 
         def histograms(r0):
             return np.stack([np.bincount(i, minlength=4 ** n_key_bins)

@@ -75,8 +75,12 @@ def click_pattern_ids(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
     """Bin-major base-4 index (digit = 2*d0 + d1) of the click patterns
     given as bool arrays ``(..., N)`` of D0 and D1 clicks per key bin; the
     index of a pattern is its position in :func:`all_click_patterns`."""
-    digits = 2 * np.asarray(d0, dtype=np.int64) + np.asarray(d1, dtype=np.int64)
-    return digits @ 4 ** np.arange(digits.shape[-1] - 1, -1, -1)
+    digits = 2 * np.asarray(d0, dtype=np.uint8) + np.asarray(d1, dtype=np.uint8)
+    ids = np.zeros(digits.shape[:-1], dtype=np.int64)
+    for k in range(digits.shape[-1]):          # Horner's rule, bin by bin
+        ids <<= 2
+        ids += digits[..., k]
+    return ids
 
 
 def pattern_index(pattern: ClickPattern) -> int:

@@ -6,14 +6,19 @@ detectors; the classical channel discloses click bins; both sides keep the
 corresponding potential-key bits.  An intercept-resend eavesdropper and a
 lossy/dark detector model are included as channel plumbing.
 
-Detection operates on the analytic coherent amplitudes, which is exact for
-coherent states, through the click kernel shared with :mod:`dpsqkd.entangled`.
+Sessions and the attacker work on bits.  Key bin i depends on pulses i-1
+and i alone, and a pulse carries one of S symbols (S = 2 for Bob's +-alpha;
+S = 3 for Eve's interferometer, which also sees vacuum), so every key bin's
+click probabilities are an entry of one table of the S^2 pulse pairs
+(:func:`_pair_table`), built by the click kernel shared with
+:mod:`dpsqkd.entangled`: exact for coherent states, and the floats a
+propagation of the whole train gives.
 
-Key bin i depends on pulses i-1 and i alone, so a session runs in chunks of
-``_CHUNK_BINS`` key bins, each with the pulse before it.  A chunk draws its
-uniforms where one whole-session draw puts them, from a PCG64 jumped there
-with the stream's buffered 32-bit half-word (:func:`_positioned_rng`); so
-no output depends on the chunk size.
+A session runs in chunks of ``_CHUNK_BINS`` key bins, each with the pulse
+before it.  A chunk draws its uniforms where one whole-session draw puts
+them, from a PCG64 jumped there with the stream's buffered 32-bit
+half-word (:func:`_positioned_rng`); so no output depends on the chunk
+size.
 
 Bin indexing: pulses occupy bins 0..N, key bins (and disclosed intervals)
 are 1-based indices 1..N.
@@ -32,7 +37,7 @@ import numpy as np
 
 from .fock import _require_integers
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                     PulseTrain, propagate_analytic)
+                     PulseTrain, interferometer_coefficients, propagate)
 
 #: column order of the per-session CSV row; bump when the schema changes
 CSV_SCHEMA_VERSION = 1
@@ -45,31 +50,40 @@ CSV_COLUMNS = ("schema_version", "bins", "alphaSquared", "phi2", "efficiency",
 _CHUNK_BINS = 1 << 15
 
 
-def _positioned_rng(state: dict, outputs: int) -> np.random.Generator:
-    """A generator at the PCG64 ``bit_generator.state`` dict `state` after
-    `outputs` more 64-bit draws.  ``PCG64.advance`` clears the buffered
-    32-bit half-word a uint8 draw can leave; the result keeps `state`'s,
-    which ``random`` never reads and the next ``integers`` call consumes
-    first, as in the sequential stream."""
-    bits = np.random.PCG64(0)                  # its seed is replaced at once
+def _positioned_rng(state: dict, outputs: int,
+                    rng: Optional[np.random.Generator] = None
+                    ) -> np.random.Generator:
+    """`rng` (a Generator on PCG64), or a new generator when None, moved to
+    the ``bit_generator.state`` dict `state` after `outputs` more 64-bit
+    draws.  ``PCG64.advance`` clears the buffered 32-bit half-word a uint8
+    draw can leave; the result keeps `state`'s, which ``random`` never reads
+    and the next ``integers`` call consumes first, as in the sequential
+    stream."""
+    if rng is None:                # its seed is replaced at once
+        rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
     bits.state = state
     bits.advance(int(outputs))
     if state["has_uint32"]:
         bits.state = {**bits.state, "has_uint32": 1,
                       "uinteger": state["uinteger"]}
-    return np.random.Generator(bits)
+    return rng
 
 
 class _ChunkDraws:
     """Uniforms of the key bins from 0-based `offset` of `stride`: call k of
     ``random`` draws at output ``k * stride + offset`` after `state`, where
-    whole-session calls of `stride` uniforms each put them."""
+    whole-session calls of `stride` uniforms each put them, from `rng`
+    moved there."""
 
-    def __init__(self, state: dict, offset: int, stride: int):
+    def __init__(self, state: dict, offset: int, stride: int,
+                 rng: np.random.Generator):
         self._state, self._at = state, itertools.count(offset, stride)
+        self._rng = rng
 
     def random(self, shape):
-        return _positioned_rng(self._state, next(self._at)).random(shape)
+        return _positioned_rng(self._state, next(self._at),
+                               self._rng).random(shape)
 
 
 @dataclass(frozen=True)
@@ -143,28 +157,6 @@ class DetectorModel:
             d0 |= rng.random(d0.shape) < self.dark_click_prob
             d1 |= rng.random(d1.shape) < self.dark_click_prob
         return d0, d1
-
-
-@dataclass(frozen=True)
-class ClickRecord:
-    """Detection events at D0 and D1 for key bins 1..N."""
-
-    d0: np.ndarray
-    d1: np.ndarray
-
-    def __post_init__(self):
-        d0 = np.asarray(self.d0, dtype=bool).ravel()
-        d1 = np.asarray(self.d1, dtype=bool).ravel()
-        if d0.size != d1.size:
-            raise ValueError("click arrays differ in length")
-        d0.setflags(write=False)
-        d1.setflags(write=False)
-        object.__setattr__(self, "d0", d0)
-        object.__setattr__(self, "d1", d1)
-
-    @property
-    def n_bins(self) -> int:
-        return self.d0.size
 
 
 @dataclass(frozen=True)
@@ -281,63 +273,31 @@ def load_session_config(path) -> SessionConfig:
 # protocol steps
 
 
+def _warn_if_bright(alpha: complex):
+    if abs(alpha) ** 2 > 1.0:
+        warnings.warn("mean photon number above 1 leaks phase information",
+                      stacklevel=3)
+
+
 def prepare_pulse_train(record: AliceRecord) -> PulseTrain:
     """Alice's train: bin i carries amplitude ``(-1)^{s'_i} alpha``."""
-    if abs(record.alpha) ** 2 > 1.0:
-        warnings.warn("mean photon number above 1 leaks phase information",
-                      stacklevel=2)
+    _warn_if_bright(record.alpha)
     alpha = record.alpha if record.alpha.imag else record.alpha.real
     # one gather from the two amplitudes, each the product the sign
     # array times alpha would give, signed zeros included
     return PulseTrain(0, (np.array([1.0, -1.0]) * alpha)[record.s_prime])
 
 
-def detect(out4: PulseTrain, out5: PulseTrain, model: DetectorModel,
-           rng: np.random.Generator) -> ClickRecord:
-    """Sample bucket-detector clicks on the key bins of the two output
-    trains (as produced by ``propagate_analytic``; the boundary half-pulse
-    bins at both ends are outside the detection window).  `rng` needs only
-    the ``random`` method of a Generator."""
-    if out4.bin_count != out5.bin_count:
-        raise ValueError("output trains differ in bin count")
-    return ClickRecord(*model.sample(
-        model.click_probabilities(out4.amplitudes[1:-1]),
-        model.click_probabilities(out5.amplitudes[1:-1]), rng))
-
-
-def extract_bob_bits(clicks: ClickRecord):
-    """Turn clicks into key material: bins with exactly one click yield a
-    bit (D0 -> 0, D1 -> 1) and are disclosed; double-click bins are
-    discarded and counted.
-
-    Returns ``(bits, disclosed_bins, n_double)`` where `bits` holds -1 for
-    bins contributing nothing and `disclosed_bins` uses 1-based indices.
-    """
-    single = clicks.d0 ^ clicks.d1
-    double = clicks.d0 & clicks.d1
-    bits = np.where(single, clicks.d1.view(np.int8), np.int8(-1))
-    disclosed = np.flatnonzero(single) + 1
-    return bits, disclosed, int(np.count_nonzero(double))
-
-
-def sift(alice: AliceRecord, bob_bits: np.ndarray, disclosed_bins: np.ndarray):
-    """Restrict both keys to the disclosed bins.
-
-    Returns ``(alice_key, bob_key, qber)``; `qber` is None when nothing
-    was disclosed.
-    """
-    disclosed_bins = np.asarray(disclosed_bins, dtype=int)
-    if disclosed_bins.size and not (
-            disclosed_bins.min() >= 1 and disclosed_bins.max() <= alice.n_key_bins):
-        raise ValueError("disclosed bins outside 1..N")
-    alice_key = alice.s[disclosed_bins - 1] if disclosed_bins.size else \
-        np.empty(0, dtype=np.uint8)
-    bob_key = np.asarray(bob_bits, dtype=np.int8)[disclosed_bins - 1].astype(np.uint8) \
-        if disclosed_bins.size else np.empty(0, dtype=np.uint8)
-    if alice_key.size == 0:
-        return alice_key, bob_key, None
-    qber = float(np.count_nonzero(alice_key != bob_key)) / alice_key.size
-    return alice_key, bob_key, qber
+def _pair_table(model: DetectorModel, symbols: np.ndarray,
+                coeffs: np.ndarray) -> np.ndarray:
+    """Click probabilities ``(2, S * S)`` of D0 and D1 in a key bin whose
+    two pulses carry ``symbols[u]``, then ``symbols[v]`` (S symbols), at
+    index ``S * u + v``: the floats that :func:`~dpsqkd.optics.propagate`
+    and :meth:`DetectorModel.click_probabilities` give that key bin of any
+    train, behind the mode map with coefficients `coeffs`."""
+    symbols = np.asarray(symbols)
+    pairs = symbols[np.indices((symbols.size,) * 2).reshape(2, -1).T]
+    return model.click_probabilities(np.stack(propagate(pairs, coeffs))[..., 1])
 
 
 @dataclass(frozen=True)
@@ -352,7 +312,7 @@ class EveTranscript:
 def intercept_resend(train: PulseTrain, eve_fraction: float,
                      rng: np.random.Generator,
                      config: Optional[InterferometerConfig] = None):
-    """Intercept-resend attack on a pulse train.
+    """Intercept-resend attack on a pulse train of amplitudes a and -a.
 
     Eve taps each pulse independently with probability `eve_fraction`,
     routes the tapped pulses through her own identical interferometer with
@@ -362,13 +322,16 @@ def intercept_resend(train: PulseTrain, eve_fraction: float,
     measurement/resend policy is deliberately pluggable).  Untapped pulses
     pass through untouched.
 
-    Runs in chunks of key bins; the phase chain carries the last resent
-    pulse across.  Each chunk draws its tap, D0 and D1 uniforms where one
-    whole-train draw from `rng` puts them (so `rng` must run on PCG64);
-    `rng` itself then draws the resend bits, after its buffered half-word,
-    and ends where the whole-train draws leave it.
+    Her interferometer sees each pulse as vacuum (untapped), a or -a, so
+    her clicks come from the table of those 9 pulse pairs.  Runs in chunks
+    of key bins; the phase chain carries the last resent pulse across.
+    Each chunk draws its tap, D0 and D1 uniforms where one whole-train draw
+    from `rng` puts them (so `rng` must run on PCG64); `rng` itself then
+    draws the resend bits, after its buffered half-word, and ends where the
+    whole-train draws leave it.
 
-    Returns ``(train_out, EveTranscript)``.
+    Returns ``(train_out, EveTranscript)``.  Raises ValueError for a train
+    that takes other values.
     """
     if not 0.0 <= eve_fraction <= 1.0:
         raise ValueError("eve_fraction must lie in [0, 1]")
@@ -377,31 +340,37 @@ def intercept_resend(train: PulseTrain, eve_fraction: float,
         empty = np.empty(0, dtype=int)
         return train, EveTranscript(np.zeros(n_pulses, dtype=bool), empty,
                                     empty.astype(np.uint8))
-    config = config or InterferometerConfig.compensated()
+    amps = train.amplitudes
+    table = _pair_table(DetectorModel.ideal(), np.array([0, 1, -1]) * amps[0],
+                        interferometer_coefficients(
+                            config or InterferometerConfig.compensated()))
     # the stream holds the tap uniforms of pulses 0..N, then the D0 and the
     # D1 uniforms of key bins 1..N, then the resend bits, which `rng` draws
     start = rng.bit_generator.state
-    rng.bit_generator.state = _positioned_rng(
-        start, 3 * n_pulses - 2).bit_generator.state
-    s_eve = rng.integers(0, 2, size=n_pulses, dtype=np.uint8)
-    alpha = np.max(np.abs(train.amplitudes))
+    s_eve = _positioned_rng(start, 3 * n_pulses - 2, rng).integers(
+        0, 2, size=n_pulses, dtype=np.uint8)
+    alpha = np.max(np.abs(amps))
+    draws = _positioned_rng(start, 0)
     tapped = np.empty(n_pulses, dtype=bool)
-    out = np.empty(n_pulses, dtype=np.result_type(train.amplitudes, float))
+    out = np.empty(n_pulses, dtype=np.result_type(amps, float))
     known_bins, known_bits, last = [], [], s_eve[0]
     for a in range(0, max(n_pulses - 1, 1), _CHUNK_BINS):
         b = min(a + _CHUNK_BINS, n_pulses - 1)     # key bins a+1..b
-        amps = train.amplitudes[a:b + 1]
-        tap = _positioned_rng(start, a).random(b + 1 - a) < eve_fraction
-        # Eve's interferometer sees vacuum in the bins she did not tap
-        out4, out5 = propagate_analytic(PulseTrain(0, amps * tap), config)
-        clicks = detect(out4, out5, DetectorModel.ideal(),
-                        _ChunkDraws(start, n_pulses + a, n_pulses - 1))
-        bits, disclosed, _ = extract_bob_bits(clicks)
+        chunk = amps[a:b + 1]
+        tap = _positioned_rng(start, a, draws).random(b + 1 - a) < eve_fraction
+        flip = chunk != amps[0]
+        if np.any(flip & (chunk != -amps[0])):
+            raise ValueError("intercept_resend needs a train of amplitudes "
+                             "a and -a")
+        # Eve's symbol of each pulse: 0 untapped, else 1 + its sign bit
+        seen = (flip.view(np.uint8) + 1) * tap
+        d0, d1 = DetectorModel.ideal().sample(
+            *table.take((3 * seen[:-1] + seen[1:]).astype(np.intp), axis=1),
+            _ChunkDraws(start, n_pulses + a, n_pulses - 1, draws))
 
         # a click identifies s_i only when both interfering pulses were hers
-        both = tap[:-1] & tap[1:]
-        usable = disclosed[both[disclosed - 1]]
-        bits = bits[usable - 1].astype(np.uint8)
+        usable = np.flatnonzero((d0 ^ d1) & tap[:-1] & tap[1:]) + 1
+        bits = d1[usable - 1].view(np.uint8)
 
         # re-prepare: random phase bits, then chain each run of known
         # pulses onto the unknown pulse before it (the chunk's first pulse,
@@ -416,7 +385,7 @@ def intercept_resend(train: PulseTrain, eve_fraction: float,
         s[usable] = s[usable[run] - 1] ^ xors[1:] ^ xors[run]
         last = s[-1]
         tapped[a:b + 1] = tap
-        out[a:b + 1] = np.where(tap, np.array([alpha, -alpha])[s], amps)
+        out[a:b + 1] = np.where(tap, np.array([alpha, -alpha])[s], chunk)
         known_bins.append(usable + a)
         known_bits.append(bits)
     return PulseTrain(0, out), EveTranscript(
@@ -424,42 +393,59 @@ def intercept_resend(train: PulseTrain, eve_fraction: float,
 
 
 def run_session(config: SessionConfig) -> SessionStats:
-    """One full session: prepare, (attack), propagate, detect, extract,
-    sift.  Deterministic given the config, which holds the seed.
+    """One full session: prepare, (attack), detect, extract, sift.
+    Deterministic given the config, which holds the seed.
 
-    Propagation, detection, extraction and sifting run chunk by chunk; each
-    chunk draws Bob's D0, D1, dark D0 and dark D1 uniforms where one
-    whole-session draw puts them, so no stat depends on the chunk size."""
+    Bob's side works on the bits of the pulses: each key bin's click
+    probabilities come from the table of the four pulse pairs, and the
+    sifted bits, errors and double clicks are counted from the clicks and
+    Alice's bits.  An honest session builds no pulse amplitudes.  It runs
+    chunk by chunk; each chunk draws Bob's D0, D1, dark D0 and dark D1
+    uniforms where one whole-session draw puts them, so no stat depends on
+    the chunk size."""
     rng = np.random.default_rng(config.seed)
     if config.n_bins == 0:
         return SessionStats(0, 0, 0.0, None, 0, np.empty(0, dtype=int), 0, config)
     alice = AliceRecord.random(config.n_bins, config.alpha, rng)
-    train = prepare_pulse_train(alice)
+    # the amplitudes of bits 0 and 1, as prepare_pulse_train makes them
+    symbols = np.array([1.0, -1.0]) * config.alpha
     interf = config.interferometer()
     if config.eve_fraction > 0.0:
-        train, _ = intercept_resend(train, config.eve_fraction, rng, interf)
+        train, _ = intercept_resend(prepare_pulse_train(alice),
+                                    config.eve_fraction, rng, interf)
+        # Eve resends +-alpha too: the bits of the train Bob receives
+        pulses = (train.amplitudes != symbols[0]).view(np.uint8)
+    else:
+        _warn_if_bright(alice.alpha)
+        pulses = alice.s_prime
     model, start = config.detector(), rng.bit_generator.state
-    n = alice.n_key_bins
-    disclosed, sifted, errors, n_double = [], 0, 0, 0
+    table = _pair_table(model, symbols, interferometer_coefficients(interf))
+    draws = _positioned_rng(start, 0)
+    n = config.n_bins
+    disclosed, errors, n_double = [], 0, 0
     for a in range(0, n, _CHUNK_BINS):
         b = min(a + _CHUNK_BINS, n)                # key bins a+1..b
-        out4, out5 = propagate_analytic(
-            PulseTrain(0, train.amplitudes[a:b + 1]), interf)
-        bits, found, doubles = extract_bob_bits(
-            detect(out4, out5, model, _ChunkDraws(start, a, n)))
-        alice_key, bob_key, _ = sift(
-            AliceRecord(alice.s_prime[a:b + 1], alice.alpha), bits, found)
-        errors += int(np.count_nonzero(alice_key != bob_key))
-        sifted += alice_key.size
-        n_double += doubles
-        disclosed.append(found + a)
+        # a gather by intp indices: one from uint8 indices is several
+        # times slower
+        pair = (2 * pulses[a:b] + pulses[a + 1:b + 1]).astype(np.intp)
+        d0, d1 = model.sample(*table.take(pair, axis=1),
+                              _ChunkDraws(start, a, n, draws))
+        # a single click discloses the bin, with Bob's bit d1; Alice's bit
+        # is s_i = s'_(i-1) ^ s'_i
+        single = d0 ^ d1
+        key = alice.s_prime[a:b] ^ alice.s_prime[a + 1:b + 1]
+        errors += int(np.count_nonzero(single & (d1 ^ key.view(bool))))
+        n_double += int(np.count_nonzero(d0 & d1))
+        disclosed.append(np.flatnonzero(single) + (a + 1))
+    disclosed = np.concatenate(disclosed)
+    sifted = disclosed.size
     return SessionStats(
         n_bins=config.n_bins,
         sifted_length=sifted,
         sifted_rate=sifted / config.n_bins,
         qber=errors / sifted if sifted else None,
         double_clicks=n_double,
-        disclosed_bins=np.concatenate(disclosed),
+        disclosed_bins=disclosed,
         errors=errors,
         config=config,
     )

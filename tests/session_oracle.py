@@ -1,17 +1,90 @@
 """Whole-array session pipeline, numpy only: the sequential oracle for the
-chunked one of ``protocol.run_session``.
+chunked pair-table one of ``protocol.run_session``.
 
-Every stage runs once over all N key bins, and one generator draws in
-order: Alice's S', Eve's tap uniforms, her D0 and D1 uniforms and her
-resend bits, then Bob's D0, D1, dark D0 and dark D1 uniforms.
+Every stage runs once over all N key bins on the pulse amplitudes:
+propagate the whole train, take each key bin's click probabilities,
+draw the clicks (:func:`detect`), turn them into Bob's bits
+(:func:`extract_bob_bits`) and restrict both keys to the disclosed bins
+(:func:`sift`).  One generator draws in order: Alice's S', Eve's tap
+uniforms, her D0 and D1 uniforms and her resend bits, then Bob's D0, D1,
+dark D0 and dark D1 uniforms.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from dpsqkd.optics import InterferometerConfig, PulseTrain, propagate_analytic
 from dpsqkd.protocol import (AliceRecord, DetectorModel, EveTranscript,
-                             SessionStats, detect, extract_bob_bits,
-                             prepare_pulse_train, sift)
+                             SessionStats, prepare_pulse_train)
+
+
+@dataclass(frozen=True)
+class ClickRecord:
+    """Detection events at D0 and D1 for key bins 1..N."""
+
+    d0: np.ndarray
+    d1: np.ndarray
+
+    def __post_init__(self):
+        d0 = np.asarray(self.d0, dtype=bool).ravel()
+        d1 = np.asarray(self.d1, dtype=bool).ravel()
+        if d0.size != d1.size:
+            raise ValueError("click arrays differ in length")
+        d0.setflags(write=False)
+        d1.setflags(write=False)
+        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "d1", d1)
+
+    @property
+    def n_bins(self) -> int:
+        return self.d0.size
+
+
+def detect(out4, out5, model, rng):
+    """Sample bucket-detector clicks on the key bins of the two output
+    trains (as produced by ``propagate_analytic``; the boundary half-pulse
+    bins at both ends are outside the detection window)."""
+    if out4.bin_count != out5.bin_count:
+        raise ValueError("output trains differ in bin count")
+    return ClickRecord(*model.sample(
+        model.click_probabilities(out4.amplitudes[1:-1]),
+        model.click_probabilities(out5.amplitudes[1:-1]), rng))
+
+
+def extract_bob_bits(clicks):
+    """Turn clicks into key material: bins with exactly one click yield a
+    bit (D0 -> 0, D1 -> 1) and are disclosed; double-click bins are
+    discarded and counted.
+
+    Returns ``(bits, disclosed_bins, n_double)`` where `bits` holds -1 for
+    bins contributing nothing and `disclosed_bins` uses 1-based indices.
+    """
+    single = clicks.d0 ^ clicks.d1
+    double = clicks.d0 & clicks.d1
+    bits = np.where(single, clicks.d1.view(np.int8), np.int8(-1))
+    disclosed = np.flatnonzero(single) + 1
+    return bits, disclosed, int(np.count_nonzero(double))
+
+
+def sift(alice, bob_bits, disclosed_bins):
+    """Restrict both keys to the disclosed bins.
+
+    Returns ``(alice_key, bob_key, qber)``; `qber` is None when nothing
+    was disclosed.
+    """
+    disclosed_bins = np.asarray(disclosed_bins, dtype=int)
+    if disclosed_bins.size and not (
+            disclosed_bins.min() >= 1 and disclosed_bins.max() <= alice.n_key_bins):
+        raise ValueError("disclosed bins outside 1..N")
+    alice_key = alice.s[disclosed_bins - 1] if disclosed_bins.size else \
+        np.empty(0, dtype=np.uint8)
+    bob_key = np.asarray(bob_bits, dtype=np.int8)[disclosed_bins - 1].astype(np.uint8) \
+        if disclosed_bins.size else np.empty(0, dtype=np.uint8)
+    if alice_key.size == 0:
+        return alice_key, bob_key, None
+    qber = float(np.count_nonzero(alice_key != bob_key)) / alice_key.size
+    return alice_key, bob_key, qber
 
 
 def intercept_resend(train, eve_fraction, rng, config=None):

@@ -227,9 +227,27 @@ PINNED_SIMULATE_WHOLE_ARRAY = {
         "0.0005457356820180092\n",
 }
 
+# recorded while sessions still propagated and detected every key bin, before
+# they read their click probabilities from a table of pulse pairs: a train of
+# signed zeros (alphaSquared 0), and the warning path with a complex table,
+# Eve's three-symbol alphabet and a short last chunk
+PINNED_SIMULATE_PER_BIN = {
+    ("--alpha2", "0", "--bins", "100003", "--dark-click-prob", "0.05",
+     "--eve-fraction", "0.4", "--seed", "9"):
+        "1,100003,0.0,0.0,1.0,0.05,0.4,9,9631,251,9631,0.0963071107866764,"
+        "4839,0.502440037379296\n",
+    ("--alpha2", "0", "--bins", "1000", "--seed", "9"):
+        "1,1000,0.0,0.0,1.0,0.0,0.0,9,0,0,0,0.0,0,\n",
+    ("--alpha2", "1.5", "--eve-fraction", "0.5", "--phi2", "0.3",
+     "--dark-click-prob", "0.01", "--bins", "100003"):
+        "1,100003,1.5,0.3,1.0,0.01,0.5,0,77221,785,77221,0.7721868343949682,"
+        "21204,0.2745885186672019\n",
+}
+
 
 @pytest.mark.parametrize("argv", sorted(PINNED_SIMULATE)
-                         + sorted(PINNED_SIMULATE_WHOLE_ARRAY))
+                         + sorted(PINNED_SIMULATE_WHOLE_ARRAY)
+                         + sorted(PINNED_SIMULATE_PER_BIN))
 def test_simulate_pinned_bytes(argv, capsys):
     code, out, _ = run(["simulate", *argv], capsys)
     assert code == 0
@@ -238,7 +256,8 @@ def test_simulate_pinned_bytes(argv, capsys):
                        "clicks", "doubleClicks", "siftedLength", "siftedRate",
                        "errors", "qber"))
     assert out == header + "\n" + {**PINNED_SIMULATE,
-                                    **PINNED_SIMULATE_WHOLE_ARRAY}[argv]
+                                    **PINNED_SIMULATE_WHOLE_ARRAY,
+                                    **PINNED_SIMULATE_PER_BIN}[argv]
 
 
 def test_eb_compare_pinned_monte_carlo_lines(capsys):

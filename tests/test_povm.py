@@ -56,6 +56,21 @@ def test_click_pattern_ids_match_pattern_index():
             ids.reshape(4, -1))
 
 
+@settings(max_examples=120, deadline=None)
+@given(shape=st.lists(st.integers(0, 4), max_size=3), n=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_click_pattern_ids_match_the_weighted_digit_sum(shape, n, seed):
+    # Horner's rule on uint8 digits gives the ids of the int64 product of
+    # the digits with the powers of 4 that it replaced
+    rng = np.random.default_rng(seed)
+    d0, d1 = rng.random((2, *shape, n)) < 0.5
+    digits = 2 * np.asarray(d0, dtype=np.int64) + np.asarray(d1, dtype=np.int64)
+    want = digits @ 4 ** np.arange(digits.shape[-1] - 1, -1, -1)
+    got = click_pattern_ids(d0, d1)
+    assert got.dtype == want.dtype == np.int64
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
 def test_probability_consistency_random_states():
     # <psi|E_j|psi> equals the joint-state expectation of the conjugated
     # effect under the dense oracle, for random signal states at cutoff 2.

@@ -1,7 +1,9 @@
 """P&M session: encoding, detection, sifting, the attacker."""
 
+import contextlib
 import dataclasses
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -11,12 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 import session_oracle
 from dpsqkd import protocol
 from dpsqkd.optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                           PulseTrain, propagate_analytic)
-from dpsqkd.protocol import (AliceRecord, ClickRecord, DetectorModel,
-                             SessionConfig, detect, extract_bob_bits,
+                           PulseTrain, interferometer_coefficients, propagate,
+                           propagate_analytic)
+from dpsqkd.protocol import (AliceRecord, DetectorModel, SessionConfig,
                              intercept_resend, load_session_config,
-                             prepare_pulse_train, run_session, sift,
-                             SessionStats)
+                             prepare_pulse_train, run_session, SessionStats)
+# the whole-array oracle route, whose pieces the tests below also check
+from session_oracle import ClickRecord, detect, extract_bob_bits, sift
 
 
 def test_alice_record_key_relation():
@@ -76,6 +79,76 @@ def test_prepare_matches_the_sign_array_product_bit_for_bit(bits, re, im):
 def test_prepare_warns_above_one_photon():
     with pytest.warns(UserWarning):
         prepare_pulse_train(AliceRecord(np.array([0, 1]), 1.5))
+
+
+@pytest.mark.parametrize("tap", [0.0, 0.5])
+def test_sessions_warn_once_above_one_photon(tap):
+    # an honest session builds no pulse train, and warns all the same
+    with pytest.warns(UserWarning, match="above 1") as record:
+        run_session(SessionConfig(n_bins=10, alpha2=1.5, eve_fraction=tap))
+    assert len(record) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), eve=st.booleans(),
+       alpha=st.one_of(st.sampled_from([0.0, -0.0, 0.45j, 0.3 + 0.4j,
+                                        -0.6 - 0.0j]),
+                       st.floats(0.0, 1.0)),
+       phi2=st.sampled_from([0.0, 0.7]), eta=st.sampled_from([1.0, 0.35]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=5, eve=True, alpha=0.0, phi2=0.7, eta=0.35, seed=1)
+@example(n=5, eve=False, alpha=-0.0, phi2=0.0, eta=1.0, seed=2)
+def test_pair_table_gather_matches_the_propagated_train(n, eve, alpha, phi2,
+                                                        eta, seed):
+    # every key bin's click probabilities are its pulse pair's table entry,
+    # byte for byte: Bob's symbols (alpha, -alpha) on Alice's train, and
+    # Eve's (vacuum, a, -a) on her input, the train times the taps
+    rng = np.random.default_rng(seed)
+    model = DetectorModel(efficiency=eta)
+    coeffs = interferometer_coefficients(
+        InterferometerConfig.compensated(phi2=phi2))
+    bits = rng.integers(0, 2, n + 1)
+    train = prepare_pulse_train(AliceRecord(bits, alpha)).amplitudes
+    if eve:
+        tap = rng.random(n + 1) < 0.6
+        symbols = np.array([0, 1, -1]) * train[0]
+        x = ((train != train[0]) + 1) * tap
+        train = train * tap
+    else:
+        symbols = prepare_pulse_train(AliceRecord([0, 1], alpha)).amplitudes
+        x = bits
+    want = [model.click_probabilities(b[1:-1])
+            for b in propagate(train, coeffs)]
+    table = protocol._pair_table(model, symbols, coeffs)
+    got = table.take(len(symbols) * x[:-1] + x[1:], axis=1)
+    for w, g in zip(want, got):
+        assert w.dtype == g.dtype and w.tobytes() == g.tobytes()
+
+
+def test_sessions_propagate_pulse_pairs_only():
+    # the per-bin route must not come back: each propagation holds at most
+    # the 9 two-pulse trains of a pair table, at any session length
+    shapes = []
+
+    def guarded(amps, coeffs):
+        shapes.append(np.shape(amps))
+        return propagate(amps, coeffs)
+
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "dpsqkd" and \
+                    getattr(module, "propagate", None) is propagate:
+                stack.enter_context(
+                    mock.patch.object(module, "propagate", guarded))
+        for tap in (0.0, 0.5):
+            run_session(SessionConfig(n_bins=10 ** 5, eve_fraction=tap,
+                                      dark_click_prob=0.01, phi2=0.7))
+        rng = np.random.default_rng(4)
+        train = prepare_pulse_train(AliceRecord.random(10 ** 5, 0.45, rng))
+        intercept_resend(train, 0.7, rng)
+    assert len(shapes) == 4         # Bob; Eve and Bob; Eve
+    for shape in shapes:
+        assert shape[-1] == 2 and math.prod(shape[:-1]) <= 9, shape
 
 
 def test_detector_model_validation():
@@ -194,6 +267,13 @@ def test_sift_constructed_error_rate():
     bits[41] ^= 1  # one flipped bin out of 100 disclosed
     ak, bk, qber = sift(rec, bits, np.arange(1, 101))
     assert qber == 0.01
+
+
+def test_intercept_resend_refuses_other_amplitudes():
+    # Eve's table holds the pulse pairs of a train of a and -a alone
+    train = PulseTrain(0, np.array([0.45, -0.45, 0.3, 0.45]))
+    with pytest.raises(ValueError, match="amplitudes a and -a"):
+        intercept_resend(train, 0.5, np.random.default_rng(0))
 
 
 def test_intercept_resend_noop_at_zero():
