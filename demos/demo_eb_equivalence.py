@@ -13,29 +13,62 @@ import math
 
 import numpy as np
 
-from dpsqkd.entangled import (alice_measure, alice_reduced_density,
-                              build_eb_state, compare_statistics,
-                              factor_schmidt_values, pulse_train_vector,
-                              von_neumann_entropy)
+from dpsqkd.entangled import (alice_reduced_density, build_eb_state,
+                              compare_statistics)
+from dpsqkd.fock import coherent_amplitudes
 
+
+def norm2(state):
+    """Squared norm of the state: the product of its factors' norms."""
+    return math.prod(float(np.sum(np.abs(f) ** 2)) for f in state.factors)
+
+
+def schmidt_values(factor):
+    """Schmidt coefficients of one bin's (2, cutoff+1) factor."""
+    return np.linalg.svd(factor, compute_uv=False) / np.linalg.norm(factor)
+
+
+def entropy_bits(rho):
+    """Von Neumann entropy in bits of a density matrix."""
+    w = np.linalg.eigvalsh(rho)
+    w = w[w > 1e-15]
+    return float(-np.sum(w * np.log2(w)))
+
+
+def measure_alice(state, rng):
+    """Alice's outcomes, bin by bin with their Born probabilities, and the
+    photonic vector Bob's half collapses onto."""
+    bits, vec = [], np.ones(1)
+    for i in range(state.n_pulses):
+        bits.append(int(rng.random() < state.factor_born_probabilities(i)[1]))
+        vec = np.kron(vec, state.collapsed_bin_state(i, bits[-1]))
+    return bits, vec
+
+
+def prepared_train(alpha, bits, cutoff):
+    """The pulse train Alice would prepare for `bits`, as one vector."""
+    vec = np.ones(1)
+    for b in bits:
+        row = coherent_amplitudes((-1) ** b * alpha, cutoff)
+        vec = np.kron(vec, row / np.linalg.norm(row))
+    return vec
 
 
 def fidelity(a, b):
     """|<a|b>|^2 of two state vectors after normalizing both."""
-    ov = np.vdot(a.amplitudes, b.amplitudes)
-    return float(abs(ov) ** 2 / (a.norm2() * b.norm2()))
+    return float(abs(np.vdot(a, b)) ** 2 / (np.vdot(a, a) * np.vdot(b, b)).real)
 
 
 alpha = 0.45
 state = build_eb_state(2, alpha, cutoff=12)
 print("distributed state over", state.n_pulses, "time bins,",
-      "norm^2 =", round(state.norm2(), 12))
+      "norm^2 =", round(norm2(state), 12))
 
 # each factor is genuinely entangled for alpha != 0: two nonzero Schmidt
 # coefficients, limited by the overlap <alpha|-alpha> = exp(-2 alpha^2)
-print("per-bin Schmidt coefficients:", np.round(factor_schmidt_values(state, 0), 6))
+print("per-bin Schmidt coefficients:", np.round(schmidt_values(state.factors[0]), 6))
 pair = build_eb_state(0, alpha, cutoff=20)
-S = von_neumann_entropy(alice_reduced_density(pair))
+S = entropy_bits(alice_reduced_density(pair))
 g = math.exp(-2 * alpha ** 2)
 lam = np.array([(1 + g) / 2, (1 - g) / 2])
 print("single-pair entanglement entropy:", round(S, 9), "bits",
@@ -43,8 +76,8 @@ print("single-pair entanglement entropy:", round(S, 9), "bits",
 
 # Alice measures: uniform outcomes, collapsed train matches preparation
 rng = np.random.default_rng(3)
-bits, collapsed = alice_measure(state, rng)
-reference = pulse_train_vector(state, bits)
+bits, collapsed = measure_alice(state, rng)
+reference = prepared_train(alpha, bits, cutoff=12)
 print("\nAlice measured S' =", "".join(map(str, bits)))
 print("collapsed state vs prepared train, fidelity:",
       round(fidelity(collapsed, reference), 12))

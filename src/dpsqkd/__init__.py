@@ -5,8 +5,7 @@ from .optics import (InterferometerConfig, PulseTrain, bs1_transform,
                      bs2_transform, propagate_analytic, sector_lift)
 from .protocol import (AliceRecord, DetectorModel, SessionConfig, SessionStats,
                        intercept_resend, prepare_pulse_train, run_session)
-from .entangled import (EbState, alice_measure, build_eb_state,
-                        compare_statistics)
+from .entangled import EbState, build_eb_state, compare_statistics
 from .povm import (BlockEffects, build_e2_e3, certify_noncommutativity,
                    reduced_effect_set, t_term)
 from .witness import (DiagonalWitness, WitnessCandidate,

@@ -233,6 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.output:        # probed before any work, which may take minutes
+        existed = os.path.lexists(args.output)
+        try:
+            open(args.output, "a").close()      # appends nothing
+        except OSError as exc:
+            print(f"error: cannot write --output {args.output}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        if not existed:                         # the probe made it
+            os.remove(args.output)
     return args.func(args)
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import fock
-from .fock import FockVector, ModeRegistry, _require_integers
+from .fock import ModeRegistry, _require_integers
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
                      interferometer_coefficients, propagate)
 from .povm import click_pattern_ids
@@ -61,12 +61,6 @@ class EbState:
         row = self.factors[i][bit]
         return row / np.linalg.norm(row)
 
-    def norm2(self) -> float:
-        out = 1.0
-        for i in range(self.n_pulses):
-            out *= float(np.sum(np.abs(self.factors[i]) ** 2))
-        return out
-
 
 def build_eb_state(n_key_bins: int, alpha: complex, cutoff: int) -> EbState:
     """Construct the distributed state for N key bins (N+1 pulses)."""
@@ -78,35 +72,6 @@ def build_eb_state(n_key_bins: int, alpha: complex, cutoff: int) -> EbState:
     factor = np.stack([row0, row1])
     factors = tuple(factor.copy() for _ in range(n_pulses))
     return EbState(reg, alpha, factors)
-
-
-def alice_measure(state: EbState, rng: np.random.Generator):
-    """Project Alice's register in the computational basis.
-
-    Returns ``(s_prime, collapsed)``: the sampled bit string (uniform by
-    construction) and the post-measurement photonic state, which is the
-    corresponding pulse-train vector.
-    """
-    bits = np.empty(state.n_pulses, dtype=np.uint8)
-    vec = None
-    for i in range(state.n_pulses):
-        p = state.factor_born_probabilities(i)
-        b = int(rng.random() < p[1])
-        bits[i] = b
-        row = state.collapsed_bin_state(i, b)
-        vec = row if vec is None else np.kron(vec, row)
-    return bits, FockVector(state.registry, vec, normalized=True)
-
-
-def pulse_train_vector(state: EbState, s_prime: np.ndarray) -> FockVector:
-    """The P&M pulse-train vector for a given S', on the same registry and
-    cutoff as the EB state (normalized)."""
-    vec = None
-    for b in np.asarray(s_prime, dtype=int):
-        row = fock.coherent_amplitudes((-1) ** b * state.alpha, state.registry.cutoff)
-        row = row / np.linalg.norm(row)
-        vec = row if vec is None else np.kron(vec, row)
-    return FockVector(state.registry, vec, normalized=True)
 
 
 def alice_reduced_density(state: EbState) -> np.ndarray:
@@ -127,20 +92,6 @@ def alice_reduced_density(state: EbState) -> np.ndarray:
         gram = f @ f.conj().T
         rho = np.kron(rho, gram / np.trace(gram).real)
     return rho
-
-
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy in bits of a density matrix."""
-    w = np.linalg.eigvalsh(rho)
-    w = w[w > 1e-15]
-    return float(-np.sum(w * np.log2(w)))
-
-
-def factor_schmidt_values(state: EbState, i: int) -> np.ndarray:
-    """Schmidt coefficients of factor i (both nonzero iff entangled)."""
-    f = state.factors[i]
-    s = np.linalg.svd(f, compute_uv=False)
-    return s / np.linalg.norm(f)
 
 
 def collapsed_mean_amplitude(state: EbState, i: int, bit: int) -> complex:

@@ -1,5 +1,5 @@
-"""Truncated multimode bosonic Fock spaces: mode registries, state
-vectors and coherent amplitudes.
+"""Truncated multimode bosonic Fock spaces: mode registries and coherent
+amplitudes.
 
 A :class:`ModeRegistry` is an ordered list of mode labels with a common
 per-mode photon-number cutoff.  Its basis is the occupation-number basis
@@ -13,7 +13,6 @@ safe to share across threads.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable
@@ -91,32 +90,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class FockVector:
-    """State vector over a registry; ``amplitudes[i]`` indexes the
-    occupation basis in Kronecker order."""
-
-    registry: ModeRegistry
-    amplitudes: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if amps.size != self.registry.dim:
-            raise ValueError(
-                f"amplitude length {amps.size} does not match registry "
-                f"dimension {self.registry.dim}")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
-        if self.normalized and abs(self.norm2() - 1.0) > TRUNCATION_TOL:
-            raise ValueError("vector flagged normalized is not normalized")
-
-    def norm2(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm2())
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ detectors; the classical channel discloses click bins; both sides keep the
 corresponding potential-key bits.  An intercept-resend eavesdropper and a
 lossy/dark detector model are included as channel plumbing.
 
-Sessions and the attacker work on bits.  Key bin i depends on pulses i-1
-and i alone, and a pulse carries one of S symbols (S = 2 for Bob's +-alpha;
-S = 3 for Eve's interferometer, which also sees vacuum), so every key bin's
-click probabilities are an entry of one table of the S^2 pulse pairs
-(:func:`_pair_table`), built by the click kernel shared with
+Sessions work on bits end to end: Alice's S' fixes every pulse to
++-alpha, and Eve's intercept-resend (:func:`intercept_resend`) maps her
+bits to those of the +-alpha train Bob receives.  Key bin i depends on
+pulses i-1 and i alone, and a pulse carries one of S symbols (S = 2 for
+Bob's +-alpha; S = 3 for Eve's interferometer, which also sees vacuum), so
+every key bin's click probabilities are an entry of one table of the S^2
+pulse pairs (:func:`_pair_table`), built by the click kernel shared with
 :mod:`dpsqkd.entangled`: exact for coherent states, and the floats a
 propagation of the whole train gives.
 
@@ -26,6 +28,7 @@ are 1-based indices 1..N.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import warnings
@@ -246,8 +249,9 @@ _CONFIG_KEYS = {"N": ("n_bins", int), "alphaSquared": ("alpha2", float),
 
 def load_session_config(path) -> SessionConfig:
     """Parse a plain-text session config: one ``key = value`` per line,
-    ``#`` comments allowed.  Unknown keys are rejected by name."""
-    kwargs = {}
+    ``#`` comments allowed.  Unknown keys are refused by name, and a key
+    set twice with both line numbers."""
+    kwargs, first_line = {}, {}
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -258,6 +262,10 @@ def load_session_config(path) -> SessionConfig:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{ln}: config key {key!r} is set again, "
+                             f"first on line {first_line[key]}")
+        first_line[key] = ln
         attr, conv = _CONFIG_KEYS[key]
         try:
             kwargs[attr] = conv(value.strip())
@@ -279,13 +287,16 @@ def _warn_if_bright(alpha: complex):
                       stacklevel=3)
 
 
+def _symbols(alpha: complex) -> np.ndarray:
+    """The amplitudes ``(alpha, -alpha)`` of bits 0 and 1, real for a real
+    `alpha`, signed zeros included."""
+    return np.array([1.0, -1.0]) * (alpha if alpha.imag else alpha.real)
+
+
 def prepare_pulse_train(record: AliceRecord) -> PulseTrain:
     """Alice's train: bin i carries amplitude ``(-1)^{s'_i} alpha``."""
     _warn_if_bright(record.alpha)
-    alpha = record.alpha if record.alpha.imag else record.alpha.real
-    # one gather from the two amplitudes, each the product the sign
-    # array times alpha would give, signed zeros included
-    return PulseTrain(0, (np.array([1.0, -1.0]) * alpha)[record.s_prime])
+    return PulseTrain(0, _symbols(record.alpha)[record.s_prime])
 
 
 def _pair_table(model: DetectorModel, symbols: np.ndarray,
@@ -309,61 +320,65 @@ class EveTranscript:
     known_bits: np.ndarray
 
 
-def intercept_resend(train: PulseTrain, eve_fraction: float,
+def intercept_resend(alice: AliceRecord, eve_fraction: float,
                      rng: np.random.Generator,
                      config: Optional[InterferometerConfig] = None):
-    """Intercept-resend attack on a pulse train of amplitudes a and -a.
+    """Intercept-resend attack on Alice's train, pulse i of amplitude
+    ``(-1)^{s'_i} alpha``, run on her bits.
 
     Eve taps each pulse independently with probability `eve_fraction`,
     routes the tapped pulses through her own identical interferometer with
-    ideal bucket detectors, and re-prepares them: bins whose relative
-    phase she resolved are chained onto her own reference bit, the rest
-    get uniformly random phases (the simplest unbiased strategy; the
-    measurement/resend policy is deliberately pluggable).  Untapped pulses
-    pass through untouched.
+    ideal bucket detectors, and re-prepares them as pulses of amplitude
+    alpha or -alpha: bins whose relative phase she resolved are chained
+    onto her own reference bit, the rest get uniformly random phases (the
+    simplest unbiased strategy; the measurement/resend policy is
+    deliberately pluggable).  Untapped pulses pass through untouched.
 
-    Her interferometer sees each pulse as vacuum (untapped), a or -a, so
-    her clicks come from the table of those 9 pulse pairs.  Runs in chunks
-    of key bins; the phase chain carries the last resent pulse across.
-    Each chunk draws its tap, D0 and D1 uniforms where one whole-train draw
-    from `rng` puts them (so `rng` must run on PCG64); `rng` itself then
-    draws the resend bits, after its buffered half-word, and ends where the
+    Her interferometer sees each pulse as vacuum (untapped), or as pulse
+    0's amplitude times +1 or -1 (bit ``s'_i ^ s'_0``), so her clicks come
+    from the table of those 9 pulse pairs.  Runs in chunks of key bins;
+    the phase chain carries the last resent pulse across.  Each chunk
+    draws its tap, D0 and D1 uniforms where one whole-train draw from
+    `rng` puts them (so `rng` must run on PCG64); `rng` itself then draws
+    the resend bits, after its buffered half-word, and ends where the
     whole-train draws leave it.
 
-    Returns ``(train_out, EveTranscript)``.  Raises ValueError for a train
-    that takes other values.
+    Returns ``(bits, EveTranscript)``, `bits` (uint8) those of the train
+    Bob receives.  Raises ValueError for an `eve_fraction` outside [0, 1]
+    or a non-finite alpha.
     """
     if not 0.0 <= eve_fraction <= 1.0:
         raise ValueError("eve_fraction must lie in [0, 1]")
-    n_pulses = train.bin_count
-    if eve_fraction == 0.0 or n_pulses == 0:
+    if not cmath.isfinite(alice.alpha):
+        raise ValueError(f"intercept_resend needs a finite alpha, "
+                         f"got {alice.alpha}")
+    sp = alice.s_prime
+    n_pulses = sp.size
+    if eve_fraction == 0.0:
         empty = np.empty(0, dtype=int)
-        return train, EveTranscript(np.zeros(n_pulses, dtype=bool), empty,
-                                    empty.astype(np.uint8))
-    amps = train.amplitudes
-    table = _pair_table(DetectorModel.ideal(), np.array([0, 1, -1]) * amps[0],
+        return sp, EveTranscript(np.zeros(n_pulses, dtype=bool), empty,
+                                 empty.astype(np.uint8))
+    table = _pair_table(DetectorModel.ideal(),
+                        np.array([0, 1, -1]) * _symbols(alice.alpha)[sp[0]],
                         interferometer_coefficients(
                             config or InterferometerConfig.compensated()))
     # the stream holds the tap uniforms of pulses 0..N, then the D0 and the
     # D1 uniforms of key bins 1..N, then the resend bits, which `rng` draws
+    # into `out`; the chunks make them Bob's bits in place
     start = rng.bit_generator.state
-    s_eve = _positioned_rng(start, 3 * n_pulses - 2, rng).integers(
+    out = _positioned_rng(start, 3 * n_pulses - 2, rng).integers(
         0, 2, size=n_pulses, dtype=np.uint8)
-    alpha = np.max(np.abs(amps))
     draws = _positioned_rng(start, 0)
     tapped = np.empty(n_pulses, dtype=bool)
-    out = np.empty(n_pulses, dtype=np.result_type(amps, float))
-    known_bins, known_bits, last = [], [], s_eve[0]
+    known = np.zeros(n_pulses, dtype=bool)
+    known_bits = []
     for a in range(0, max(n_pulses - 1, 1), _CHUNK_BINS):
         b = min(a + _CHUNK_BINS, n_pulses - 1)     # key bins a+1..b
-        chunk = amps[a:b + 1]
+        chunk = sp[a:b + 1]
         tap = _positioned_rng(start, a, draws).random(b + 1 - a) < eve_fraction
-        flip = chunk != amps[0]
-        if np.any(flip & (chunk != -amps[0])):
-            raise ValueError("intercept_resend needs a train of amplitudes "
-                             "a and -a")
-        # Eve's symbol of each pulse: 0 untapped, else 1 + its sign bit
-        seen = (flip.view(np.uint8) + 1) * tap
+        # Eve's symbol of each pulse: 0 untapped, else 1 + its bit
+        # relative to pulse 0
+        seen = ((chunk ^ sp[0]) + 1) * tap
         d0, d1 = DetectorModel.ideal().sample(
             *table.take((3 * seen[:-1] + seen[1:]).astype(np.intp), axis=1),
             _ChunkDraws(start, n_pulses + a, n_pulses - 1, draws))
@@ -375,21 +390,24 @@ def intercept_resend(train: PulseTrain, eve_fraction: float,
         # re-prepare: random phase bits, then chain each run of known
         # pulses onto the unknown pulse before it (the chunk's first pulse,
         # resent by the chunk before, counts as unknown): known pulse i gets
-        # s[i] = s[i - 1] ^ its bit, a prefix XOR over the run
-        s = s_eve[a:b + 1].copy()
-        s[0] = last
+        # s[i] = s[i - 1] ^ its bit, a prefix XOR over the run (an untapped
+        # first pulse starts none, so Alice's bit there is never read)
+        s = out[a:b + 1]
         run = np.flatnonzero(np.diff(usable, prepend=-1) != 1)
         run = np.repeat(run, np.diff(run, append=usable.size))
         xors = np.zeros(usable.size + 1, dtype=np.uint8)
         np.bitwise_xor.accumulate(bits, out=xors[1:])
         s[usable] = s[usable[run] - 1] ^ xors[1:] ^ xors[run]
-        last = s[-1]
+        # untapped pulses pass through: s = tap ? s : Alice's bit, as a
+        # bitwise select (a copy masked by the random taps is 20x slower)
+        s ^= chunk
+        s &= tap.view(np.uint8)
+        s ^= chunk
         tapped[a:b + 1] = tap
-        out[a:b + 1] = np.where(tap, np.array([alpha, -alpha])[s], chunk)
-        known_bins.append(usable + a)
+        known[usable + a] = True
         known_bits.append(bits)
-    return PulseTrain(0, out), EveTranscript(
-        tapped, np.concatenate(known_bins), np.concatenate(known_bits))
+    return out, EveTranscript(tapped, np.flatnonzero(known),
+                              np.concatenate(known_bits))
 
 
 def run_session(config: SessionConfig) -> SessionStats:
@@ -399,30 +417,29 @@ def run_session(config: SessionConfig) -> SessionStats:
     Bob's side works on the bits of the pulses: each key bin's click
     probabilities come from the table of the four pulse pairs, and the
     sifted bits, errors and double clicks are counted from the clicks and
-    Alice's bits.  An honest session builds no pulse amplitudes.  It runs
-    chunk by chunk; each chunk draws Bob's D0, D1, dark D0 and dark D1
+    Alice's bits.  No session builds pulse amplitudes: Eve's attack takes
+    and gives bits too (:func:`intercept_resend`).  Bob's side runs chunk
+    by chunk; each chunk draws Bob's D0, D1, dark D0 and dark D1
     uniforms where one whole-session draw puts them, so no stat depends on
     the chunk size."""
     rng = np.random.default_rng(config.seed)
     if config.n_bins == 0:
         return SessionStats(0, 0, 0.0, None, 0, np.empty(0, dtype=int), 0, config)
     alice = AliceRecord.random(config.n_bins, config.alpha, rng)
-    # the amplitudes of bits 0 and 1, as prepare_pulse_train makes them
-    symbols = np.array([1.0, -1.0]) * config.alpha
+    _warn_if_bright(alice.alpha)
     interf = config.interferometer()
+    # the bits of the train Bob receives: Eve resends +-alpha too
+    pulses = alice.s_prime
     if config.eve_fraction > 0.0:
-        train, _ = intercept_resend(prepare_pulse_train(alice),
-                                    config.eve_fraction, rng, interf)
-        # Eve resends +-alpha too: the bits of the train Bob receives
-        pulses = (train.amplitudes != symbols[0]).view(np.uint8)
-    else:
-        _warn_if_bright(alice.alpha)
-        pulses = alice.s_prime
+        # the transcript goes at once, before Bob's arrays are made
+        pulses = intercept_resend(alice, config.eve_fraction, rng, interf)[0]
     model, start = config.detector(), rng.bit_generator.state
-    table = _pair_table(model, symbols, interferometer_coefficients(interf))
+    table = _pair_table(model, _symbols(alice.alpha),
+                        interferometer_coefficients(interf))
     draws = _positioned_rng(start, 0)
     n = config.n_bins
-    disclosed, errors, n_double = [], 0, 0
+    single = np.empty(n, dtype=bool)       # per key bin: one click alone
+    errors, n_double = 0, 0
     for a in range(0, n, _CHUNK_BINS):
         b = min(a + _CHUNK_BINS, n)                # key bins a+1..b
         # a gather by intp indices: one from uint8 indices is several
@@ -432,12 +449,12 @@ def run_session(config: SessionConfig) -> SessionStats:
                               _ChunkDraws(start, a, n, draws))
         # a single click discloses the bin, with Bob's bit d1; Alice's bit
         # is s_i = s'_(i-1) ^ s'_i
-        single = d0 ^ d1
+        one = np.bitwise_xor(d0, d1, out=single[a:b])
         key = alice.s_prime[a:b] ^ alice.s_prime[a + 1:b + 1]
-        errors += int(np.count_nonzero(single & (d1 ^ key.view(bool))))
+        errors += int(np.count_nonzero(one & (d1 ^ key.view(bool))))
         n_double += int(np.count_nonzero(d0 & d1))
-        disclosed.append(np.flatnonzero(single) + (a + 1))
-    disclosed = np.concatenate(disclosed)
+    disclosed = np.flatnonzero(single)
+    disclosed += 1                         # 1-based, in place
     sifted = disclosed.size
     return SessionStats(
         n_bins=config.n_bins,

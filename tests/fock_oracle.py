@@ -13,11 +13,14 @@ Kronecker-product ladder operators, and dense sums, eigenvalues,
 commutators and spectral norms.  The library's photon-number-block route
 shares only the lift and the click-pattern bookkeeping with it.
 
-The dense helpers below them (operators, the wire and signal registries,
+The dense helpers below them (state vectors and operators, the wire and
+signal registries,
 basis states and their indices, ladder and number operators, coherent
 states, tensor products, expectations, fidelities, pulse energies, mode
 permutation and embedding, the projector effects and the numeric vacuum
-contraction) serve only tests.
+contraction) serve only tests, as do the views of the entanglement-based
+state at the end (its norm, Schmidt values and entropy, Alice's
+measurement and the pulse-train vector she prepares).
 """
 
 import itertools
@@ -25,12 +28,35 @@ import math
 
 import numpy as np
 
-from dpsqkd.fock import FockVector, ModeRegistry, coherent_amplitudes
+from dpsqkd.fock import (TRUNCATION_TOL, ModeRegistry, _readonly,
+                         coherent_amplitudes)
 from dpsqkd.optics import (InterferometerConfig, sector_lift,
                            single_particle_unitary)
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, _pattern_ids,
                          all_click_patterns, conjugated_commutator_norm,
                          detection_registry, pattern_diagonal, pattern_index)
+
+
+class FockVector:
+    """State vector over a registry; ``amplitudes[i]`` indexes the
+    occupation basis in Kronecker order."""
+
+    def __init__(self, registry, amplitudes, normalized=False):
+        amps = np.asarray(amplitudes, dtype=complex).ravel()
+        if amps.size != registry.dim:
+            raise ValueError(
+                f"amplitude length {amps.size} does not match registry "
+                f"dimension {registry.dim}")
+        self.registry, self.amplitudes = registry, _readonly(amps)
+        self.normalized = normalized
+        if normalized and abs(self.norm2() - 1.0) > TRUNCATION_TOL:
+            raise ValueError("vector flagged normalized is not normalized")
+
+    def norm2(self):
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+
+    def norm(self):
+        return math.sqrt(self.norm2())
 
 
 class FockOperator:
@@ -403,3 +429,55 @@ def dense_certification(cutoff, config=None):
         "e_min_eigenvalue": min(float(np.linalg.eigvalsh(m)[0])
                                 for m in marginal.values()),
     }
+
+
+# ---------------------------------------------------------------------------
+# the entanglement-based state, on its dense registry
+
+
+def eb_norm2(state):
+    """Squared norm of an ``entangled.EbState``: the product of its
+    factors' squared norms."""
+    out = 1.0
+    for f in state.factors:
+        out *= float(np.sum(np.abs(f) ** 2))
+    return out
+
+
+def factor_schmidt_values(state, i):
+    """Schmidt coefficients of factor i (both nonzero iff entangled)."""
+    f = state.factors[i]
+    return np.linalg.svd(f, compute_uv=False) / np.linalg.norm(f)
+
+
+def von_neumann_entropy(rho):
+    """Entropy in bits of a density matrix."""
+    w = np.linalg.eigvalsh(rho)
+    w = w[w > 1e-15]
+    return float(-np.sum(w * np.log2(w)))
+
+
+def alice_measure(state, rng):
+    """Project Alice's register in the computational basis, bin by bin.
+
+    Returns ``(s_prime, collapsed)``: the sampled bit string (uniform by
+    construction) and the post-measurement photonic state, which is the
+    corresponding pulse-train vector.
+    """
+    bits = np.empty(state.n_pulses, dtype=np.uint8)
+    vec = np.ones(1)
+    for i in range(state.n_pulses):
+        bits[i] = rng.random() < state.factor_born_probabilities(i)[1]
+        vec = np.kron(vec, state.collapsed_bin_state(i, bits[i]))
+    return bits, FockVector(state.registry, vec, normalized=True)
+
+
+def pulse_train_vector(state, s_prime):
+    """The P&M pulse-train vector for a given S', on the same registry and
+    cutoff as the EB state (normalized)."""
+    vec = np.ones(1)
+    for b in np.asarray(s_prime, dtype=int):
+        row = coherent_amplitudes((-1) ** b * state.alpha,
+                                  state.registry.cutoff)
+        vec = np.kron(vec, row / np.linalg.norm(row))
+    return FockVector(state.registry, vec, normalized=True)

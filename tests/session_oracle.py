@@ -88,7 +88,9 @@ def sift(alice, bob_bits, disclosed_bins):
 
 
 def intercept_resend(train, eve_fraction, rng, config=None):
-    """``protocol.intercept_resend`` over the whole train."""
+    """``protocol.intercept_resend`` over the whole train of amplitudes:
+    it returns the resent train, whose pulses' sign bits are the bits the
+    library returns."""
     n_pulses = train.bin_count
     if eve_fraction == 0.0 or n_pulses == 0:
         empty = np.empty(0, dtype=int)

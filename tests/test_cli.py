@@ -88,6 +88,12 @@ def test_simulate_malformed_config_names_field(tmp_path, capsys):
     code, _, err = run(["simulate", "--config", str(cfgfile)], capsys)
     assert code == 2
     assert "wibble" in err
+    # a key set twice names both lines, in place of the last one winning
+    cfgfile.write_text("N = 5\nalphaSquared = 0.2\n\nN = 6\n")
+    code, out, err = run(["simulate", "--config", str(cfgfile)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'N'" in err and ":4:" in err and "line 1" in err
 
 
 def test_simulate_requires_bins(capsys):
@@ -354,6 +360,47 @@ def test_simulate_bad_input_exits_2(argv, env_seed, needle, capsys,
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
+
+
+#: each subcommand's work, which an unwritable --output must pre-empt
+_CLI_WORK = ("run_session", "certify_noncommutativity", "compare_statistics",
+             "witness_search")
+
+
+@pytest.mark.parametrize("command", [["simulate", "--bins", "10"],
+                                     ["verify-povm", "--cutoff", "15"],
+                                     ["eb-compare"], ["witness-demo"]])
+@pytest.mark.parametrize("target, needle", [
+    ("missing/x.csv", "No such file or directory"),
+    (".", "Is a directory")])
+def test_unwritable_output_exits_2_before_the_work(command, target, needle,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    for name in _CLI_WORK:
+        monkeypatch.setattr(f"dpsqkd.cli.{name}", no_work)
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run([*command, "--output", str(tmp_path / target)],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--output" in err and needle in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_output_probe_leaves_no_file_on_bad_input(tmp_path, capsys):
+    # the probe's file goes again when the input is then refused
+    target = tmp_path / "report.txt"
+    code, _, err = run(["verify-povm", "--cutoff", "2", "--output",
+                        str(target)], capsys)
+    assert code == 2 and err.startswith("error: ")
+    assert not target.exists()
+    target.write_text("kept\n")
+    code, _, _ = run(["eb-compare", "--trials", "-5", "--output",
+                      str(target)], capsys)
+    assert code == 2 and target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("argv, needle", [

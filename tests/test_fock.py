@@ -1,5 +1,5 @@
-"""Truncated Fock-space algebra: the library's registries, vectors and
-coherent amplitudes, and the dense operators of the test oracle."""
+"""Truncated Fock-space algebra: the library's registries and coherent
+amplitudes, and the dense vectors and operators of the test oracle."""
 
 import math
 
@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dpsqkd.fock import FockVector, ModeRegistry
-from fock_oracle import (FockOperator, basis_state, coherent_state,
+from dpsqkd.fock import ModeRegistry
+from fock_oracle import (FockOperator, FockVector, basis_state, coherent_state,
                          commutator_norm, expectation, identity,
                          ladder_operator, number_operator, tensor, vacuum)
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import session_oracle
 from dpsqkd import protocol
 from dpsqkd.optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                           PulseTrain, interferometer_coefficients, propagate,
+                           interferometer_coefficients, propagate,
                            propagate_analytic)
 from dpsqkd.protocol import (AliceRecord, DetectorModel, SessionConfig,
                              intercept_resend, load_session_config,
@@ -144,8 +144,7 @@ def test_sessions_propagate_pulse_pairs_only():
             run_session(SessionConfig(n_bins=10 ** 5, eve_fraction=tap,
                                       dark_click_prob=0.01, phi2=0.7))
         rng = np.random.default_rng(4)
-        train = prepare_pulse_train(AliceRecord.random(10 ** 5, 0.45, rng))
-        intercept_resend(train, 0.7, rng)
+        intercept_resend(AliceRecord.random(10 ** 5, 0.45, rng), 0.7, rng)
     assert len(shapes) == 4         # Bob; Eve and Bob; Eve
     for shape in shapes:
         assert shape[-1] == 2 and math.prod(shape[:-1]) <= 9, shape
@@ -270,32 +269,40 @@ def test_sift_constructed_error_rate():
 
 
 def test_intercept_resend_refuses_other_amplitudes():
-    # Eve's table holds the pulse pairs of a train of a and -a alone
-    train = PulseTrain(0, np.array([0.45, -0.45, 0.3, 0.45]))
-    with pytest.raises(ValueError, match="amplitudes a and -a"):
-        intercept_resend(train, 0.5, np.random.default_rng(0))
+    # Alice's bits fix every pulse to +-alpha; a non-finite alpha would
+    # fill Eve's table with nan, and a tap probability lies in [0, 1]
+    rng = np.random.default_rng(0)
+    for alpha in (math.nan, math.inf, complex(0.3, math.nan)):
+        with pytest.raises(ValueError, match="finite alpha") as info:
+            intercept_resend(AliceRecord([0, 1, 0], alpha), 0.5, rng)
+        assert "\n" not in str(info.value)
+    for fraction in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="eve_fraction"):
+            intercept_resend(AliceRecord([0, 1, 0], 0.45), fraction, rng)
 
 
 def test_intercept_resend_noop_at_zero():
     rng = np.random.default_rng(1)
-    tr = PulseTrain(0, np.array([0.45, -0.45, 0.45]))
-    out, transcript = intercept_resend(tr, 0.0, rng)
-    assert out is tr
+    rec = AliceRecord(np.array([0, 1, 0]), 0.45)
+    state = rng.bit_generator.state
+    out, transcript = intercept_resend(rec, 0.0, rng)
+    assert out is rec.s_prime
     assert not transcript.intercepted.any()
+    assert rng.bit_generator.state == state
 
 
 def test_intercept_resend_full_knowledge_zero_qber():
     # amplified pulses: Eve resolves every interval, resend is faithful
     rng = np.random.default_rng(2)
     rec = AliceRecord.random(500, 6.0, rng)
+    out, transcript = intercept_resend(rec, 1.0, rng)
+    assert transcript.known_bins.size == 500
+    cfg = InterferometerConfig.compensated()
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        tr = prepare_pulse_train(rec)
-    out, transcript = intercept_resend(tr, 1.0, rng)
-    assert transcript.known_bins.size == 500
-    cfg = InterferometerConfig.compensated()
-    o4, o5 = propagate_analytic(out, cfg)
+        resent = prepare_pulse_train(AliceRecord(out, rec.alpha))
+    o4, o5 = propagate_analytic(resent, cfg)
     clicks = detect(o4, o5, DetectorModel.ideal(), rng)
     bits, disclosed, _ = extract_bob_bits(clicks)
     _, _, qber = sift(rec, bits, disclosed)
@@ -319,23 +326,21 @@ class _RecordingRng:
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(0, 40), mode=st.sampled_from(["random", "all", "none"]),
+@given(n=st.integers(1, 41), mode=st.sampled_from(["random", "all", "none"]),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(n=0, mode="random", seed=1)
-@example(n=40, mode="all", seed=2)
-@example(n=40, mode="none", seed=3)
+@example(n=1, mode="random", seed=1)
+@example(n=41, mode="all", seed=2)
+@example(n=41, mode="none", seed=3)
 def test_intercept_resend_chain_matches_loop(n, mode, seed):
-    # the sequential phase chain, as an oracle for the vectorized one:
-    # bright pulses make every interval known, faint ones none
+    # the sequential phase chain over n pulses, as an oracle for the
+    # vectorized one: bright pulses make every interval known, faint ones
+    # none
     rng = np.random.default_rng(seed)
     alpha = {"random": rng.uniform(0.2, 1.5), "all": 6.0, "none": 1e-9}[mode]
     fraction = rng.uniform(0.05, 1.0) if mode == "random" else 1.0
-    train = PulseTrain(0, alpha * (1 - 2 * rng.integers(0, 2, n)))
+    rec = AliceRecord(rng.integers(0, 2, n), alpha)
     eve_rng = _RecordingRng(seed)
-    out, transcript = intercept_resend(train, fraction, eve_rng)
-    if n == 0:
-        assert out is train and eve_rng.integers_drawn == []
-        return
+    out, transcript = intercept_resend(rec, fraction, eve_rng)
     known_bins = {"random": transcript.known_bins,
                   "all": np.arange(1, n), "none": np.empty(0, dtype=int)}[mode]
     assert np.array_equal(transcript.known_bins, known_bins)
@@ -346,21 +351,27 @@ def test_intercept_resend_chain_matches_loop(n, mode, seed):
     for i in range(1, n):
         if i in bit_of:
             s[i] = s[i - 1] ^ bit_of[i]
-    resent = (1.0 - 2.0 * s.astype(float)) * np.max(np.abs(train.amplitudes))
-    expected = np.where(transcript.intercepted, resent, train.amplitudes)
-    assert np.array_equal(out.amplitudes, expected)
+    expected = np.where(transcript.intercepted, s, rec.s_prime)
+    assert out.dtype == np.uint8 and np.array_equal(out, expected)
 
 
 @settings(max_examples=120, deadline=None)
 @given(n=st.integers(0, 300), chunk=st.integers(1, 64),
        tap=st.sampled_from([0.0, 0.4, 1.0]),
        dark=st.sampled_from([0.0, 0.05]), phi2=st.sampled_from([0.0, 0.7]),
-       alpha2=st.sampled_from([0.2, 0.9]), seed=st.integers(0, 2 ** 32 - 1))
+       alpha2=st.sampled_from([0.0, 0.2, 0.9]),
+       seed=st.integers(0, 2 ** 32 - 1))
 # Alice's ceil(9 / 4) = 3 uint32 draws leave a buffered half-word that
 # Eve's resend bits consume first
 @example(n=8, chunk=3, tap=0.4, dark=0.05, phi2=0.0, alpha2=0.9, seed=1)
 @example(n=64, chunk=16, tap=1.0, dark=0.05, phi2=0.7, alpha2=0.9, seed=2)
 @example(n=17, chunk=16, tap=0.4, dark=0.0, phi2=0.0, alpha2=0.9, seed=3)
+# alpha = 0: no clicks but dark ones, and every pulse is +-0.0
+@example(n=33, chunk=16, tap=1.0, dark=0.05, phi2=0.7, alpha2=0.0, seed=4)
+@example(n=16, chunk=16, tap=0.4, dark=0.0, phi2=0.0, alpha2=0.0, seed=5)
+# one bin either side of a chunk boundary
+@example(n=31, chunk=32, tap=1.0, dark=0.0, phi2=0.0, alpha2=0.9, seed=6)
+@example(n=33, chunk=32, tap=0.4, dark=0.05, phi2=0.7, alpha2=0.2, seed=7)
 def test_chunked_session_matches_whole_array_oracle(n, chunk, tap, dark, phi2,
                                                     alpha2, seed):
     cfg = SessionConfig(n_bins=n, alpha2=alpha2, phi2=phi2,
@@ -368,8 +379,8 @@ def test_chunked_session_matches_whole_array_oracle(n, chunk, tap, dark, phi2,
     with mock.patch.object(protocol, "_CHUNK_BINS", chunk):
         got = run_session(cfg)
         rng = np.random.default_rng(seed)
-        train = prepare_pulse_train(AliceRecord.random(n, cfg.alpha, rng))
-        eve = intercept_resend(train, tap, rng, cfg.interferometer())
+        alice = AliceRecord.random(n, cfg.alpha, rng)
+        eve = intercept_resend(alice, tap, rng, cfg.interferometer())
     want = session_oracle.run_session(cfg)
     for field in dataclasses.fields(SessionStats):
         a, b = getattr(got, field.name), getattr(want, field.name)
@@ -379,17 +390,46 @@ def test_chunked_session_matches_whole_array_oracle(n, chunk, tap, dark, phi2,
             assert type(a) is type(b) and a == b, field.name
     assert got.csv_row() == want.csv_row()
 
-    # Eve alone: the same train and transcript, and the generator she was
-    # passed ends where the sequential draws leave it
+    # Eve alone: the bits of the oracle's resent amplitude train, the same
+    # transcript, and the generator she was passed ends where the
+    # sequential draws leave it
     oracle_rng = np.random.default_rng(seed)
     AliceRecord.random(n, cfg.alpha, oracle_rng)
-    want_eve = session_oracle.intercept_resend(train, tap, oracle_rng,
-                                               cfg.interferometer())
-    assert np.array_equal(eve[0].amplitudes, want_eve[0].amplitudes)
+    want_eve = session_oracle.intercept_resend(
+        prepare_pulse_train(alice), tap, oracle_rng, cfg.interferometer())
+    amps = want_eve[0].amplitudes
+    assert eve[0].dtype == np.uint8
+    if alpha2 > 0:
+        assert np.array_equal(eve[0], amps != cfg.alpha)
+    # every pulse is +-alpha, so its sign bit is its bit, also at alpha = 0,
+    # where the oracle's +-0.0 compare equal
+    assert np.array_equal(eve[0], np.signbit(amps))
     for a, b in zip(dataclasses.astuple(eve[1]),
                     dataclasses.astuple(want_eve[1])):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_attacked_session_memory_is_bits_per_key_bin():
+    # an attacked session holds no amplitude train: under tracemalloc its
+    # peak stays within the bound of the bit route.  Per key bin: Alice's
+    # S', Eve's resend bits and her tap and known-bin masks, one byte
+    # each, and per known bin (at most 1 - exp(-mu) of the bins, where one
+    # of her ideal detectors clicks) an 8-byte index and 2 bytes of bits;
+    # plus 32 bytes per bin of a chunk for the chunks' temporaries.  Two
+    # float64 trains (16 bytes per bin) alone break it: at this size the
+    # float route peaked at 27.7 bytes per bin, the bit route at 9.3
+    import tracemalloc
+    mu, n = 0.5, 1 << 18
+    cfg = SessionConfig(n_bins=n, alpha2=mu, eve_fraction=1.0, seed=3)
+    bound = (4 + 10 * (1 - math.exp(-mu))) * n + 32 * protocol._CHUNK_BINS
+    tracemalloc.start()
+    try:
+        run_session(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak / n, bound / n)
 
 
 def test_intercept_resend_full_attack_qber():
@@ -454,6 +494,41 @@ def test_session_config_file_errors(tmp_path):
     p.write_text("N = ten\n")
     with pytest.raises(ValueError, match="invalid value"):
         load_session_config(p)
+    p.write_text("N = 5\n# N = 7 in a comment is no setting\n"
+                 "seed = 1\nN = 6\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:4: config key 'N' is "
+                                         r"set again, first on line 1"):
+        load_session_config(p)
+
+
+_FRACTIONS = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields=st.fixed_dictionaries(
+           {"n_bins": st.integers(0, DEFAULT_MAX_STATE_ENTRIES - 1)},
+           optional={"alpha2": st.floats(0.0, 1e6), "phi2": st.floats(-7, 7),
+                     "efficiency": _FRACTIONS, "dark_click_prob": _FRACTIONS,
+                     "eve_fraction": _FRACTIONS,
+                     "seed": st.integers(0, 2 ** 63)}),
+       order=st.randoms(use_true_random=False),
+       pad=st.sampled_from(["", " ", "\t"]),
+       comment=st.sampled_from(["", "  # note", "#"]))
+def test_session_config_file_round_trip(fields, order, pad, comment,
+                                        tmp_path_factory):
+    # any valid config, written as text in any key order, with blank lines
+    # and comments, reads back field for field; unset keys keep defaults
+    names = {attr: key for key, (attr, _) in protocol._CONFIG_KEYS.items()}
+    lines = [f"{pad}{names[attr]}{pad}={pad}{value!r}{comment}"
+             for attr, value in fields.items()]
+    order.shuffle(lines)
+    p = tmp_path_factory.mktemp("cfg") / "session.cfg"
+    p.write_text("# a session\n\n" + "\n".join(lines) + "\n")
+    got = load_session_config(p)
+    want = SessionConfig(**fields)
+    for field in dataclasses.fields(SessionConfig):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b) and repr(a) == repr(b), field.name
 
 
 @pytest.mark.parametrize("kwargs, needle", [
