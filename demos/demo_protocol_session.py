@@ -12,8 +12,9 @@ import math
 import numpy as np
 
 from dpsqkd.protocol import (AliceRecord, DetectorModel, SessionConfig,
-                             prepare_pulse_train, run_session)
-from dpsqkd.optics import InterferometerConfig, propagate_analytic
+                             run_session)
+from dpsqkd.optics import (InterferometerConfig, interferometer_coefficients,
+                           propagate)
 
 rng = np.random.default_rng(7)
 
@@ -23,13 +24,14 @@ alice = AliceRecord.random(16, math.sqrt(0.2), rng)
 print("Alice's raw bits S':", "".join(map(str, alice.s_prime)))
 print("potential key  S  : ", "".join(map(str, alice.s)))
 
-train = prepare_pulse_train(alice)
-print("pulse amplitudes  :", np.round(train.amplitudes.real, 3))
+# pulse i carries amplitude (-1)^{s'_i} alpha
+train = (1.0 - 2.0 * alice.s_prime) * alice.alpha.real
+print("pulse amplitudes  :", np.round(train, 3))
 
 config = InterferometerConfig.compensated()
-out4, out5 = propagate_analytic(train, config)
+out4, out5 = propagate(train, interferometer_coefficients(config))
 # the two edge bins carry unmatched half-pulses, outside the window
-feed0, feed1 = out4.amplitudes[1:-1], out5.amplitudes[1:-1]
+feed0, feed1 = out4[1:-1], out5[1:-1]
 print("detector D0 feed  :", np.round(np.abs(feed0) ** 2, 3))
 print("detector D1 feed  :", np.round(np.abs(feed1) ** 2, 3))
 

@@ -1,10 +1,10 @@
 """Differential-phase-shift QKD: simulation and measurement-structure
 certification on truncated Fock spaces."""
 
-from .optics import (InterferometerConfig, PulseTrain, bs1_transform,
-                     bs2_transform, propagate_analytic, sector_lift)
+from .optics import (InterferometerConfig, bs1_transform, bs2_transform,
+                     interferometer_coefficients, propagate, sector_lift)
 from .protocol import (AliceRecord, DetectorModel, SessionConfig, SessionStats,
-                       intercept_resend, prepare_pulse_train, run_session)
+                       intercept_resend, run_session)
 from .entangled import EbState, build_eb_state, compare_statistics
 from .povm import (BlockEffects, build_e2_e3, certify_noncommutativity,
                    reduced_effect_set, t_term)

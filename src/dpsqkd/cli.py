@@ -80,10 +80,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_povm(args) -> int:
-    if args.cutoff < 3:
-        print(f"error: cutoff too small: need cutoff >= 3, got {args.cutoff}",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
     try:
         report = certify_noncommutativity(args.cutoff, n_bins=args.bins)
     except ValueError as exc:

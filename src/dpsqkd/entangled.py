@@ -8,11 +8,12 @@ Bob's signal remotely.  The state factorizes per time bin as
 stored.
 
 ``compare_statistics`` certifies that the click statistics Bob sees are
-the same whichever way the signal was prepared.  Both flows run through
-the protocol's own click kernel (:func:`~dpsqkd.optics.propagate`, then
-``DetectorModel.click_probabilities``, clicks drawn in the order of
-``DetectorModel.sample``) and :func:`~dpsqkd.povm.click_pattern_ids`; the
-Monte Carlo reads it through the sessions' table of pulse pairs.
+the same whichever way the signal was prepared.  Both flows read the
+sessions' table of the four pulse pairs (``protocol._pair_table``): the
+analytic distance gathers every key bin's click probabilities from it,
+and the Monte Carlo draws its clicks with the sessions' sampler
+(``protocol._sample_pairs``); :func:`~dpsqkd.povm.click_pattern_ids`
+numbers the patterns.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ import numpy as np
 from . import fock
 from .fock import ModeRegistry, _require_integers
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                     interferometer_coefficients, propagate)
+                     interferometer_coefficients)
 from .povm import click_pattern_ids
-from .protocol import DetectorModel, _pair_table, _positioned_rng
+from .protocol import (DetectorModel, _pair_table, _positioned_rng,
+                       _sample_pairs)
 
 
 @dataclass(frozen=True)
@@ -140,18 +142,12 @@ class EbComparisonReport:
         return "\n".join(lines)
 
 
-def _click_table(amps: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Click probabilities (2, K, N) of ideal D0 and D1 on the key bins of
-    the pulse trains ``amps`` (K, N+1) behind the mode map `c`."""
-    return DetectorModel.ideal().click_probabilities(
-        np.stack(propagate(amps, c))[..., 1:-1])
-
-
 def _pattern_distribution(table: np.ndarray,
                           weights: np.ndarray) -> np.ndarray:
     """Bob's click-pattern distribution, indexed by
     :func:`~dpsqkd.povm.click_pattern_ids`, for the mixture with `weights`
-    (K,) of the pulse trains with click `table` (:func:`_click_table`)."""
+    (K,) of the pulse trains with click probabilities `table` (2, K, N)
+    of D0 and D1 in their key bins."""
     p0, p1 = table
     # cells[k, i, x, y]: probability of the clicks (D0, D1) = (x, y) in
     # key bin i under pulse train k
@@ -184,16 +180,14 @@ def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
     s = rng.integers(0, 2, (rows, n_pulses))
     at = -(-trials * n_pulses // 2)          # the first uniform's output
     ids = []
-    for tables in pair_tables:
+    for table in pair_tables:
         if ids:                              # the EB flow draws its S'
             s = _positioned_rng(seeded, at + r0 * n_pulses, rng).random(
                 (rows, n_pulses)) < born1
             at += trials * n_pulses
-        pair = 2 * s[:, :-1] + s[:, 1:]
-        d0, d1 = (_positioned_rng(seeded, at + (j * trials + r0) * n_key_bins,
-                                  rng).random(pair.shape) < tables[j][pair]
-                  for j in (0, 1))
-        ids.append(click_pattern_ids(d0, d1))
+        ids.append(click_pattern_ids(*_sample_pairs(
+            DetectorModel.ideal(), table, s, seeded, at + r0 * n_key_bins,
+            trials * n_key_bins, rng)))
         at += 2 * trials * n_key_bins
     return ids
 
@@ -222,12 +216,12 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     """Compare Bob's click-pattern distribution under P&M preparation with
     uniform S' against EB preparation plus Alice's measurement.
 
-    For the analytic distance, each flow propagates its 2^(N+1) distinct
-    pulse trains once, into a table of D0 and D1 click probabilities
-    (:func:`_click_table`), and mixes its rows over all S' exactly.  The
-    empirical distance (when ``trials > 0``) draws each trial's S' -- P&M
-    uniformly, EB by Alice's Born probabilities -- and its clicks from the
-    table of the four pulse pairs, in chunks of trials on up to
+    Each flow's key-bin click probabilities come from its table of the
+    four pulse pairs.  For the analytic distance, each flow gathers them
+    for its 2^(N+1) preparations S' and mixes the patterns over all S'
+    exactly.  The empirical distance (when ``trials > 0``) draws each
+    trial's S' -- P&M uniformly, EB by Alice's Born probabilities -- and
+    its clicks from the same tables, in chunks of trials on up to
     ``_MC_WORKERS`` threads.  Each chunk draws, at their positions in the
     stream, the numbers that a sequential ``np.random.default_rng(seed)``
     draws for its trials in the order of :meth:`DetectorModel.sample`
@@ -281,13 +275,18 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     # the test hook: an uncompensated phase in the EB flow's delay arm
     c_eb = c_pm * np.exp(1j * eb_delay_defect * np.array([0, 0, 1, 1]))
 
-    # row k of each table is the pulse train of S' = the N+1 bits of k
     born = state.factor_born_probabilities(0)    # every factor is the same
     amp_of_bit = np.array([collapsed_mean_amplitude(state, 0, b)
                            for b in (0, 1)])
+    ideal = DetectorModel.ideal()
+    pair_tables = np.stack([
+        _pair_table(ideal, np.array([1.0, -1.0]) * alpha, c_pm),
+        _pair_table(ideal, amp_of_bit, c_eb)])
+
+    # row k of S' holds the N+1 bits of k
     s_primes = np.indices((2,) * n_pulses).reshape(n_pulses, -1).T
-    table_pm = _click_table((1.0 - 2.0 * s_primes) * alpha, c_pm)
-    table_eb = _click_table(amp_of_bit[s_primes], c_eb)
+    table_pm, table_eb = pair_tables[:, :, 2 * s_primes[:, :-1]
+                                     + s_primes[:, 1:]]
     dist_pm = _pattern_distribution(table_pm, np.full(len(s_primes),
                                                       0.5 ** n_pulses))
     dist_eb = _pattern_distribution(table_eb, np.prod(born[s_primes], axis=1))
@@ -298,10 +297,6 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
         from concurrent.futures import ThreadPoolExecutor
 
         seeded = np.random.default_rng(seed).bit_generator.state
-        ideal = DetectorModel.ideal()
-        pair_tables = np.stack([
-            _pair_table(ideal, np.array([1.0, -1.0]) * alpha, c_pm),
-            _pair_table(ideal, amp_of_bit, c_eb)])
 
         def histograms(r0):
             return np.stack([np.bincount(i, minlength=4 ** n_key_bins)

@@ -7,8 +7,8 @@ in registry order, laid out Kronecker style (first mode = most
 significant axis), so every reshape to ``(d, d, ..., d)`` puts one mode
 on one axis.
 
-Values are immutable after construction (arrays are marked read-only) and
-safe to share across threads.
+A registry is immutable after construction and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-
-#: norm / completeness tolerance used wherever coherent-state tails appear
-TRUNCATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,12 +81,6 @@ def _require_integers(**values):
     for name, v in values.items():
         if isinstance(v, bool) or not isinstance(v, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 # ---------------------------------------------------------------------------

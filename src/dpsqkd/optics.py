@@ -32,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import _readonly
-
 _COMPENSATION_TOL = 1e-12
 
 #: refuse to lift photon-number sector blocks, or build other arrays,
@@ -75,26 +73,6 @@ class InterferometerConfig:
     def compensated(cls, phi2: float = 0.0, phi_delta: float = 0.0):
         """Config with ``phi1`` chosen to satisfy the compensation condition."""
         return cls(phi1=phi_delta - phi2, phi2=phi2, phi_delta=phi_delta)
-
-
-@dataclass(frozen=True)
-class PulseTrain:
-    """Coherent amplitude per time bin on one path: float64 for a real
-    train, complex otherwise.  ``abs(amplitude)**2`` is the mean photon
-    number of the bin.
-    """
-
-    path: object
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes).ravel()
-        amps = amps.astype(np.result_type(amps, float), copy=False)
-        object.__setattr__(self, "amplitudes", _readonly(amps))
-
-    @property
-    def bin_count(self) -> int:
-        return self.amplitudes.size
 
 
 def bs1_transform(config: InterferometerConfig) -> np.ndarray:
@@ -146,19 +124,6 @@ def propagate(amps: np.ndarray, coeffs: np.ndarray):
         b[..., 1:] += delayed * amps
         out.append(b)
     return tuple(out)
-
-
-def propagate_analytic(train: PulseTrain, config: InterferometerConfig):
-    """Propagate a path-0 pulse train through the interferometer.
-
-    Returns the two output trains on paths 4 and 5 with ``bin_count + 1``
-    bins (:func:`propagate`).
-    """
-    if train.bin_count == 0:
-        raise ValueError("cannot propagate an empty pulse train")
-    out4, out5 = propagate(train.amplitudes,
-                           interferometer_coefficients(config))
-    return PulseTrain(4, out4), PulseTrain(5, out5)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ bits to those of the +-alpha train Bob receives.  Key bin i depends on
 pulses i-1 and i alone, and a pulse carries one of S symbols (S = 2 for
 Bob's +-alpha; S = 3 for Eve's interferometer, which also sees vacuum), so
 every key bin's click probabilities are an entry of one table of the S^2
-pulse pairs (:func:`_pair_table`), built by the click kernel shared with
-:mod:`dpsqkd.entangled`: exact for coherent states, and the floats a
-propagation of the whole train gives.
+pulse pairs (:func:`_pair_table`): exact for coherent states, and the
+floats a propagation of the whole train gives.  The table is the only
+place in the package that turns amplitudes into click probabilities, and
+:func:`_sample_pairs` the only place that draws clicks from it; Bob, Eve
+and :mod:`dpsqkd.entangled` all go through the two.
 
 A session runs in chunks of ``_CHUNK_BINS`` key bins, each with the pulse
 before it.  A chunk draws its uniforms where one whole-session draw puts
@@ -31,6 +33,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import types
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +43,7 @@ import numpy as np
 
 from .fock import _require_integers
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                     PulseTrain, interferometer_coefficients, propagate)
+                     interferometer_coefficients, propagate)
 
 #: column order of the per-session CSV row; bump when the schema changes
 CSV_SCHEMA_VERSION = 1
@@ -71,22 +74,6 @@ def _positioned_rng(state: dict, outputs: int,
         bits.state = {**bits.state, "has_uint32": 1,
                       "uinteger": state["uinteger"]}
     return rng
-
-
-class _ChunkDraws:
-    """Uniforms of the key bins from 0-based `offset` of `stride`: call k of
-    ``random`` draws at output ``k * stride + offset`` after `state`, where
-    whole-session calls of `stride` uniforms each put them, from `rng`
-    moved there."""
-
-    def __init__(self, state: dict, offset: int, stride: int,
-                 rng: np.random.Generator):
-        self._state, self._at = state, itertools.count(offset, stride)
-        self._rng = rng
-
-    def random(self, shape):
-        return _positioned_rng(self._state, next(self._at),
-                               self._rng).random(shape)
 
 
 @dataclass(frozen=True)
@@ -281,22 +268,10 @@ def load_session_config(path) -> SessionConfig:
 # protocol steps
 
 
-def _warn_if_bright(alpha: complex):
-    if abs(alpha) ** 2 > 1.0:
-        warnings.warn("mean photon number above 1 leaks phase information",
-                      stacklevel=3)
-
-
 def _symbols(alpha: complex) -> np.ndarray:
     """The amplitudes ``(alpha, -alpha)`` of bits 0 and 1, real for a real
     `alpha`, signed zeros included."""
     return np.array([1.0, -1.0]) * (alpha if alpha.imag else alpha.real)
-
-
-def prepare_pulse_train(record: AliceRecord) -> PulseTrain:
-    """Alice's train: bin i carries amplitude ``(-1)^{s'_i} alpha``."""
-    _warn_if_bright(record.alpha)
-    return PulseTrain(0, _symbols(record.alpha)[record.s_prime])
 
 
 def _pair_table(model: DetectorModel, symbols: np.ndarray,
@@ -309,6 +284,29 @@ def _pair_table(model: DetectorModel, symbols: np.ndarray,
     symbols = np.asarray(symbols)
     pairs = symbols[np.indices((symbols.size,) * 2).reshape(2, -1).T]
     return model.click_probabilities(np.stack(propagate(pairs, coeffs))[..., 1])
+
+
+def _sample_pairs(model: DetectorModel, table: np.ndarray, pulses: np.ndarray,
+                  state: dict, offset: int, stride: int,
+                  rng: np.random.Generator):
+    """Clicks ``(d0, d1)`` of `model` in the key bins between consecutive
+    pulses along the last axis of `pulses`, each pulse the index of its
+    symbol in the pair `table` (:func:`_pair_table`).  Draw k of
+    :meth:`DetectorModel.sample` comes at output ``k * stride + offset``
+    after the PCG64 state `state`, where whole-session draws of `stride`
+    uniforms each put it, from `rng` moved there."""
+    size = math.isqrt(table.shape[1])
+    # a gather by intp indices: one from uint8 indices is several times
+    # slower.  One gather per detector, and no indices held over the
+    # draws: a single (2, ...) gather, or the indices kept, raised the
+    # peak RSS of 10^6-trial eb-compare runs by about 2 MB
+    pair = (size * pulses[..., :-1] + pulses[..., 1:]).astype(np.intp)
+    probs = table[0].take(pair), table[1].take(pair)
+    del pair
+    at = itertools.count(offset, stride)
+    draws = types.SimpleNamespace(random=lambda shape: _positioned_rng(
+        state, next(at), rng).random(shape))
+    return model.sample(*probs, draws)
 
 
 @dataclass(frozen=True)
@@ -331,8 +329,8 @@ def intercept_resend(alice: AliceRecord, eve_fraction: float,
     ideal bucket detectors, and re-prepares them as pulses of amplitude
     alpha or -alpha: bins whose relative phase she resolved are chained
     onto her own reference bit, the rest get uniformly random phases (the
-    simplest unbiased strategy; the measurement/resend policy is
-    deliberately pluggable).  Untapped pulses pass through untouched.
+    simplest unbiased strategy, and the only policy implemented).
+    Untapped pulses pass through untouched.
 
     Her interferometer sees each pulse as vacuum (untapped), or as pulse
     0's amplitude times +1 or -1 (bit ``s'_i ^ s'_0``), so her clicks come
@@ -379,9 +377,8 @@ def intercept_resend(alice: AliceRecord, eve_fraction: float,
         # Eve's symbol of each pulse: 0 untapped, else 1 + its bit
         # relative to pulse 0
         seen = ((chunk ^ sp[0]) + 1) * tap
-        d0, d1 = DetectorModel.ideal().sample(
-            *table.take((3 * seen[:-1] + seen[1:]).astype(np.intp), axis=1),
-            _ChunkDraws(start, n_pulses + a, n_pulses - 1, draws))
+        d0, d1 = _sample_pairs(DetectorModel.ideal(), table, seen, start,
+                               n_pulses + a, n_pulses - 1, draws)
 
         # a click identifies s_i only when both interfering pulses were hers
         usable = np.flatnonzero((d0 ^ d1) & tap[:-1] & tap[1:]) + 1
@@ -426,7 +423,9 @@ def run_session(config: SessionConfig) -> SessionStats:
     if config.n_bins == 0:
         return SessionStats(0, 0, 0.0, None, 0, np.empty(0, dtype=int), 0, config)
     alice = AliceRecord.random(config.n_bins, config.alpha, rng)
-    _warn_if_bright(alice.alpha)
+    if abs(alice.alpha) ** 2 > 1.0:
+        warnings.warn("mean photon number above 1 leaks phase information",
+                      stacklevel=2)
     interf = config.interferometer()
     # the bits of the train Bob receives: Eve resends +-alpha too
     pulses = alice.s_prime
@@ -442,11 +441,8 @@ def run_session(config: SessionConfig) -> SessionStats:
     errors, n_double = 0, 0
     for a in range(0, n, _CHUNK_BINS):
         b = min(a + _CHUNK_BINS, n)                # key bins a+1..b
-        # a gather by intp indices: one from uint8 indices is several
-        # times slower
-        pair = (2 * pulses[a:b] + pulses[a + 1:b + 1]).astype(np.intp)
-        d0, d1 = model.sample(*table.take(pair, axis=1),
-                              _ChunkDraws(start, a, n, draws))
+        d0, d1 = _sample_pairs(model, table, pulses[a:b + 1], start, a, n,
+                               draws)
         # a single click discloses the bin, with Bob's bit d1; Alice's bit
         # is s_i = s'_(i-1) ^ s'_i
         one = np.bitwise_xor(d0, d1, out=single[a:b])

@@ -30,6 +30,10 @@ _TOL = 1e-9
 #: complex entries in one chunk of the (operators, grid, dB, dB) block: 4 MB
 _GRID_BLOCK_ENTRIES = 1 << 18
 _DECOMPOSE_TOL, _DECOMPOSE_STEPS = 1e-10, 2000
+#: alternating refinement steps and grid starts of the separable minimum
+_REFINE_STEPS, _REFINE_STARTS = 200, 8
+#: slack of the separable minimum's grid in the diagonal positivity check
+_GRID_TOLERANCE = 1e-3
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
@@ -130,15 +134,14 @@ def _lowest_eigenvalues(M: np.ndarray) -> np.ndarray:
 
 
 def min_separable_expectation(W: np.ndarray, dims: Tuple[int, int],
-                              grid_points: int = 800, refine_steps: int = 200,
-                              n_starts: int = 8, seed: int = 3
+                              grid_points: int = 800, seed: int = 3
                               ) -> SeparableMinimum:
     """Minimize ``<a,b| W |a,b>`` over product states, for one operator
     ``W`` (D, D) or each of a stack (K, D, D): a side-A grid with the exact
     side-B minimum, in chunks of ``_GRID_BLOCK_ENTRIES``, then alternating
-    exact eigen-minimizations from the `n_starts` best points of all
-    operators at once, each until a step moves it by less than 1e-14 or for
-    `refine_steps` steps; the returned state attains the value."""
+    exact eigen-minimizations from the ``_REFINE_STARTS`` best points of
+    all operators at once, each until a step moves it by less than 1e-14 or
+    for ``_REFINE_STEPS`` steps; the returned state attains the value."""
     (dA, dB), W = dims, np.asarray(W, dtype=complex)
     if max(dims) > DESK_DIM_LIMIT or W.shape[-2:] != (dA * dB, dA * dB) \
             or W.ndim not in (2, 3):
@@ -156,7 +159,7 @@ def min_separable_expectation(W: np.ndarray, dims: Tuple[int, int],
     outer = (cands.conj()[:, :, None] * cands[:, None, :]).reshape(S, -1)
     W_ab = W5.transpose(0, 1, 3, 2, 4).reshape(K, dA * dA, dB * dB)
     chunk = max(1, _GRID_BLOCK_ENTRIES // (S * dB * dB))
-    starts = np.empty((K, min(n_starts, S)), dtype=int)
+    starts = np.empty((K, min(_REFINE_STARTS, S)), dtype=int)
     for lo in range(0, K, chunk):
         M = (outer @ W_ab[lo:lo + chunk]).reshape(-1, S, dB, dB)
         starts[lo:lo + chunk] = np.argsort(_lowest_eigenvalues(M),
@@ -166,7 +169,7 @@ def min_separable_expectation(W: np.ndarray, dims: Tuple[int, int],
     wb, vb = np.linalg.eigh(M.reshape(starts.shape + (dB, dB)))
     a, b, val = cands[starts], vb[..., 0], wb[..., 0]
     live = np.ones(val.shape, dtype=bool)
-    for _ in range(refine_steps):
+    for _ in range(_REFINE_STEPS):
         k, j = np.nonzero(live)
         if not k.size:
             break
@@ -249,30 +252,30 @@ class DiagonalCheckResult:
         return self.verdict == "PASS"
 
 
-def diagonal_positivity_theorem_check(witness: DiagonalWitness,
-                                      grid_tolerance: float = 1e-3
-                                      ) -> DiagonalCheckResult:
+def diagonal_positivity_theorem_check(
+        witness: DiagonalWitness) -> DiagonalCheckResult:
     """Check the positivity chain on a concrete diagonal witness.
 
     PASS means the equivalence held: the separable minimum is nonnegative
-    (up to the grid tolerance) exactly when all lambdas are, and then the
+    (up to ``_GRID_TOLERANCE``) exactly when all lambdas are, and then the
     operator is positive (min eigenvalue >= -1e-12), so it witnesses
     nothing."""
     W, lam = witness.assemble(), witness.lambdas
     min_lambda, w_min = float(lam.min()), float(np.linalg.eigvalsh(W)[0])
     sep = min_separable_expectation(W, lam.shape).value
-    ok = (min_lambda >= 0.0) == (sep >= -grid_tolerance)
+    ok = (min_lambda >= 0.0) == (sep >= -_GRID_TOLERANCE)
     pair = violating_val = None
     if min_lambda < 0.0:
         a, b = np.unravel_index(int(np.argmin(lam)), lam.shape)
         pair, (ba, bb) = (int(a), int(b)), witness._bases()
         prod = np.kron(ba[:, a], bb[:, b])
         violating_val = float(np.real(prod.conj() @ W @ prod))
-        ok = ok and violating_val < 0.0 and sep <= violating_val + grid_tolerance
+        ok = ok and violating_val < 0.0 and \
+            sep <= violating_val + _GRID_TOLERANCE
     else:
         ok = ok and w_min >= -1e-12
     return DiagonalCheckResult("PASS" if ok else "FAIL", min_lambda, w_min,
-                               sep, grid_tolerance, pair, violating_val)
+                               sep, _GRID_TOLERANCE, pair, violating_val)
 
 
 # ---------------------------------------------------------------------------

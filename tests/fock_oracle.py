@@ -28,13 +28,15 @@ import math
 
 import numpy as np
 
-from dpsqkd.fock import (TRUNCATION_TOL, ModeRegistry, _readonly,
-                         coherent_amplitudes)
+from dpsqkd.fock import ModeRegistry, coherent_amplitudes
 from dpsqkd.optics import (InterferometerConfig, sector_lift,
                            single_particle_unitary)
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, _pattern_ids,
                          all_click_patterns, conjugated_commutator_norm,
                          detection_registry, pattern_diagonal, pattern_index)
+
+#: norm tolerance of a vector flagged normalized
+TRUNCATION_TOL = 1e-9
 
 
 class FockVector:
@@ -47,7 +49,8 @@ class FockVector:
             raise ValueError(
                 f"amplitude length {amps.size} does not match registry "
                 f"dimension {registry.dim}")
-        self.registry, self.amplitudes = registry, _readonly(amps)
+        amps.setflags(write=False)
+        self.registry, self.amplitudes = registry, amps
         self.normalized = normalized
         if normalized and abs(self.norm2() - 1.0) > TRUNCATION_TOL:
             raise ValueError("vector flagged normalized is not normalized")
@@ -166,9 +169,10 @@ def dagger(op):
     return FockOperator(op.registry, op.matrix.conj().T, op.hermitian)
 
 
-def total_energy(train):
-    """Mean photon number of a pulse train, summed over its bins."""
-    return float(np.sum(np.abs(train.amplitudes) ** 2))
+def total_energy(amps):
+    """Mean photon number of a pulse train of amplitudes, summed over its
+    bins."""
+    return float(np.sum(np.abs(amps) ** 2))
 
 
 def basis_state(registry, occupations):

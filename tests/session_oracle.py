@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dpsqkd.optics import InterferometerConfig, PulseTrain, propagate_analytic
+from dpsqkd.optics import (InterferometerConfig, interferometer_coefficients,
+                           propagate)
 from dpsqkd.protocol import (AliceRecord, DetectorModel, EveTranscript,
-                             SessionStats, prepare_pulse_train)
+                             SessionStats, _symbols)
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,13 @@ class ClickRecord:
 
 def detect(out4, out5, model, rng):
     """Sample bucket-detector clicks on the key bins of the two output
-    trains (as produced by ``propagate_analytic``; the boundary half-pulse
-    bins at both ends are outside the detection window)."""
-    if out4.bin_count != out5.bin_count:
+    trains of amplitudes (as ``propagate`` gives them; the boundary
+    half-pulse bins at both ends are outside the detection window)."""
+    if out4.size != out5.size:
         raise ValueError("output trains differ in bin count")
-    return ClickRecord(*model.sample(
-        model.click_probabilities(out4.amplitudes[1:-1]),
-        model.click_probabilities(out5.amplitudes[1:-1]), rng))
+    return ClickRecord(*model.sample(model.click_probabilities(out4[1:-1]),
+                                     model.click_probabilities(out5[1:-1]),
+                                     rng))
 
 
 def extract_bob_bits(clicks):
@@ -91,21 +92,21 @@ def intercept_resend(train, eve_fraction, rng, config=None):
     """``protocol.intercept_resend`` over the whole train of amplitudes:
     it returns the resent train, whose pulses' sign bits are the bits the
     library returns."""
-    n_pulses = train.bin_count
+    n_pulses = train.size
     if eve_fraction == 0.0 or n_pulses == 0:
         empty = np.empty(0, dtype=int)
         return train, EveTranscript(np.zeros(n_pulses, dtype=bool), empty,
                                     empty.astype(np.uint8))
     config = config or InterferometerConfig.compensated()
     tapped = rng.random(n_pulses) < eve_fraction
-    eve_in = PulseTrain(0, np.where(tapped, train.amplitudes, 0.0))
-    out4, out5 = propagate_analytic(eve_in, config)
+    out4, out5 = propagate(np.where(tapped, train, 0.0),
+                           interferometer_coefficients(config))
     clicks = detect(out4, out5, DetectorModel.ideal(), rng)
     bits, disclosed, _ = extract_bob_bits(clicks)
     both = tapped[:-1] & tapped[1:]
     usable = disclosed[both[disclosed - 1]]
     known_bits = bits[usable - 1].astype(np.uint8)
-    alpha = np.max(np.abs(train.amplitudes))
+    alpha = np.max(np.abs(train))
     s_eve = rng.integers(0, 2, size=n_pulses, dtype=np.uint8)
     anchor = np.arange(n_pulses)
     anchor[usable] = 0
@@ -115,8 +116,8 @@ def intercept_resend(train, eve_fraction, rng, config=None):
     prefix = np.bitwise_xor.accumulate(prefix)
     s_eve = s_eve[anchor] ^ prefix ^ prefix[anchor]
     resent = (1.0 - 2.0 * s_eve.astype(float)) * alpha
-    out = np.where(tapped, resent, train.amplitudes)
-    return PulseTrain(0, out), EveTranscript(tapped, usable, known_bits)
+    out = np.where(tapped, resent, train)
+    return out, EveTranscript(tapped, usable, known_bits)
 
 
 def run_session(config):
@@ -126,11 +127,11 @@ def run_session(config):
         return SessionStats(0, 0, 0.0, None, 0, np.empty(0, dtype=int), 0,
                             config)
     alice = AliceRecord.random(config.n_bins, config.alpha, rng)
-    train = prepare_pulse_train(alice)
+    train = _symbols(alice.alpha)[alice.s_prime]
     interf = config.interferometer()
     if config.eve_fraction > 0.0:
         train, _ = intercept_resend(train, config.eve_fraction, rng, interf)
-    out4, out5 = propagate_analytic(train, interf)
+    out4, out5 = propagate(train, interferometer_coefficients(interf))
     clicks = detect(out4, out5, config.detector(), rng)
     bits, disclosed, n_double = extract_bob_bits(clicks)
     alice_key, bob_key, qber = sift(alice, bits, disclosed)

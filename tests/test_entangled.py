@@ -139,6 +139,65 @@ def test_monte_carlo_distance_consistent_with_zero():
     assert abs(rep.sigma - 1 / math.sqrt(2e5)) < 1e-12
 
 
+_SMALL_ALPHAS = st.one_of(
+    st.sampled_from([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
+                     complex(-0.0, -0.0), 0.45j]),
+    st.floats(-0.8, 0.8),
+    st.complex_numbers(max_magnitude=0.8, allow_nan=False,
+                       allow_infinity=False))
+_PHASES = st.one_of(st.just(0.0), st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_key_bins=st.integers(1, 6), alpha=_SMALL_ALPHAS, phi2=_PHASES,
+       defect=_PHASES)
+@example(n_key_bins=6, alpha=-0.0, phi2=0.7, defect=0.3)
+@example(n_key_bins=1, alpha=complex(0.3, -0.4), phi2=0.0, defect=0.0)
+@example(n_key_bins=3, alpha=-0.45, phi2=-2.0, defect=1.1)
+def test_analytic_gather_matches_whole_train_propagation(n_key_bins, alpha,
+                                                         phi2, defect):
+    # oracle: the whole-train route the pair tables replaced, which
+    # propagates each flow's 2^(N+1) pulse trains; the pair-table gather
+    # gives its click probabilities and pattern distributions bit for bit
+    n_pulses, cutoff = n_key_bins + 1, 16
+    state = eb.build_eb_state(n_key_bins, alpha, cutoff)
+    amp_of_bit = np.array([eb.collapsed_mean_amplitude(state, 0, b)
+                           for b in (0, 1)])
+    born = state.factor_born_probabilities(0)
+    s_primes = np.indices((2,) * n_pulses).reshape(n_pulses, -1).T
+    c_pm = interferometer_coefficients(
+        InterferometerConfig.compensated(phi2=phi2))
+    c_eb = c_pm * np.exp(1j * defect * np.array([0, 0, 1, 1]))
+
+    def click_table(amps, c):
+        return DetectorModel.ideal().click_probabilities(
+            np.stack(propagate(amps, c))[..., 1:-1])
+
+    want = [(click_table((1.0 - 2.0 * s_primes) * complex(alpha), c_pm),
+             np.full(len(s_primes), 0.5 ** n_pulses)),
+            (click_table(amp_of_bit[s_primes], c_eb),
+             np.prod(born[s_primes], axis=1))]
+
+    distribution = eb._pattern_distribution
+    got = []
+
+    def recording(table, weights):
+        got.append((np.array(table), distribution(table, weights)))
+        return got[-1][1]
+
+    with mock.patch.object(eb, "_pattern_distribution", recording):
+        eb.compare_statistics(n_key_bins, alpha, cutoff=cutoff,
+                              config=InterferometerConfig.compensated(
+                                  phi2=phi2), eb_delay_defect=defect)
+    assert len(got) == 2
+    for (table, dist), (want_table, weights) in zip(got, want):
+        assert table.dtype == want_table.dtype
+        assert table.shape == want_table.shape == (2, 2 ** n_pulses,
+                                                   n_key_bins)
+        assert table.tobytes() == want_table.tobytes()
+        assert dist.tobytes() == distribution(want_table, weights).tobytes()
+
+
 def test_delay_defect_hook_is_caught():
     rep = eb.compare_statistics(3, math.sqrt(0.2), eb_delay_defect=0.4)
     assert rep.analytic_distance > 1e-4

@@ -112,3 +112,35 @@ def test_only_the_positioned_stream_helper_moves_a_pcg64():
                     f"{path.name}:{node.lineno} uses {name} outside " \
                     f"protocol._positioned_rng"
     assert helpers == 1
+
+
+def test_one_table_and_one_sampler_make_every_click():
+    # amplitudes become click probabilities only in the pair table, and
+    # clicks are drawn only by the positioned sampler; the whole-train
+    # routes they replaced stay gone
+    owners = {"propagate": "_pair_table", "click_probabilities": "_pair_table",
+              "sample": "_sample_pairs"}
+    helpers = set()
+    for path in sorted((ROOT / "src" / "dpsqkd").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {}
+        for node in tree.body:
+            name = getattr(node, "name", None)
+            if path.name == "protocol.py" and name in owners.values():
+                inside[name] = {id(n) for n in ast.walk(node)}
+                helpers.add(name)
+        for node in ast.walk(tree):
+            names = {getattr(node, "name", None)} | {
+                getattr(t, "id", None) for t in getattr(node, "targets", ())}
+            assert not {"_click_table", "_ChunkDraws", "PulseTrain"} & names, \
+                f"{path.name} defines or imports one of {names}"
+            if isinstance(node, ast.alias):
+                assert node.name not in owners or node.asname in (
+                    None, node.name), f"{path.name} renames {node.name}"
+            ref = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else None
+            if ref in owners:
+                assert id(node) in inside.get(owners[ref], ()), \
+                    f"{path.name}:{node.lineno} uses {ref} outside " \
+                    f"protocol.{owners[ref]}"
+    assert helpers == {"_pair_table", "_sample_pairs"}

@@ -8,12 +8,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpsqkd import fock, optics
-from dpsqkd.optics import (InterferometerConfig, PulseTrain, bs1_transform,
+from dpsqkd.optics import (InterferometerConfig, bs1_transform,
                            bs2_transform, interferometer_coefficients,
-                           propagate_analytic, sector_dim, sector_lift,
+                           propagate, sector_dim, sector_lift,
                            sector_occupations, single_particle_unitary)
 from fock_oracle import (basis_index, dense_unitary, sector_mean_amplitudes,
                          total_energy, vacuum, wire_registry)
+
+
+def _propagate(amps, cfg):
+    """D0 and D1 output trains of one pulse train behind `cfg`."""
+    return propagate(amps, interferometer_coefficients(cfg))
 
 
 def test_compensation_condition_enforced():
@@ -49,25 +54,26 @@ def test_composition_phase_free():
 def test_propagate_constant_phase():
     # equal consecutive phases: all light reaches D0's path
     cfg = InterferometerConfig.compensated()
-    o4, o5 = propagate_analytic(PulseTrain(0, [0.45, 0.45, 0.45]), cfg)
-    assert np.allclose(o4.amplitudes[1:-1], 0.45)
-    assert np.all(o5.amplitudes[1:-1] == 0.0)
+    o4, o5 = _propagate([0.45, 0.45, 0.45], cfg)
+    assert np.allclose(o4[1:-1], 0.45)
+    assert np.all(o5[1:-1] == 0.0)
 
 
 def test_propagate_phase_flip():
     # a flip sends the full amplitude to D1's path, phase e^{i phi2}
     cfg = InterferometerConfig.compensated(phi2=0.8)
-    o4, o5 = propagate_analytic(PulseTrain(0, [0.45, -0.45]), cfg)
-    assert abs(o4.amplitudes[1]) < 1e-15
-    assert abs(o5.amplitudes[1] - 0.45 * np.exp(0.8j)) < 1e-14
+    o4, o5 = _propagate([0.45, -0.45], cfg)
+    assert abs(o4[1]) < 1e-15
+    assert abs(o5[1] - 0.45 * np.exp(0.8j)) < 1e-14
 
 
 def test_propagate_zero_train_and_empty():
+    # an empty train has no key bin: it gives one empty output bin
     cfg = InterferometerConfig.compensated()
-    o4, o5 = propagate_analytic(PulseTrain(0, np.zeros(4)), cfg)
-    assert np.all(o4.amplitudes == 0) and np.all(o5.amplitudes == 0)
-    with pytest.raises(ValueError):
-        propagate_analytic(PulseTrain(0, []), cfg)
+    o4, o5 = _propagate(np.zeros(4), cfg)
+    assert np.all(o4 == 0) and np.all(o5 == 0)
+    o4, o5 = _propagate(np.zeros(0), cfg)
+    assert o4.shape == o5.shape == (1,) and o4[0] == o5[0] == 0
 
 
 def test_energy_conservation_with_boundaries():
@@ -76,11 +82,10 @@ def test_energy_conservation_with_boundaries():
     for _ in range(25):
         n = int(rng.integers(1, 30))
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-        tr = PulseTrain(0, amps)
-        o4, o5 = propagate_analytic(tr, cfg)
-        assert o4.bin_count == n + 1
-        assert abs(total_energy(o4) + total_energy(o5) - total_energy(tr)) \
-            < 1e-12 * max(total_energy(tr), 1.0)
+        o4, o5 = _propagate(amps, cfg)
+        assert o4.size == o5.size == n + 1
+        assert abs(total_energy(o4) + total_energy(o5) - total_energy(amps)) \
+            < 1e-12 * max(total_energy(amps), 1.0)
 
 
 PHASES = st.one_of(st.just(0.0), st.floats(-math.pi, math.pi,
@@ -148,20 +153,11 @@ def test_propagate_dtype_follows_inputs(shape, real_amps, phi2, phi_delta,
         assert np.array_equal(np.abs(got) ** 2, np.abs(old) ** 2)
 
 
-def test_pulse_train_dtype_follows_input():
-    assert PulseTrain(0, [1, -1]).amplitudes.dtype == np.float64
-    assert PulseTrain(0, np.float32([0.5])).amplitudes.dtype == np.float64
-    assert PulseTrain(0, [0.5 + 0j]).amplitudes.dtype == np.complex128
-    o4, o5 = propagate_analytic(PulseTrain(0, [0.45, -0.45]),
-                                InterferometerConfig.compensated(phi2=0.7))
-    assert o4.amplitudes.dtype == o5.amplitudes.dtype == np.complex128
-
-
 def test_boundary_bins_carry_half_pulses():
     cfg = InterferometerConfig.compensated()
-    o4, o5 = propagate_analytic(PulseTrain(0, [0.6]), cfg)
-    assert np.allclose(o4.amplitudes, [0.3, 0.3])
-    assert np.allclose(o5.amplitudes, [-0.3, 0.3])
+    o4, o5 = _propagate([0.6], cfg)
+    assert np.allclose(o4, [0.3, 0.3])
+    assert np.allclose(o5, [-0.3, 0.3])
 
 
 def test_single_particle_unitary_is_unitary():
@@ -173,14 +169,14 @@ def test_single_particle_unitary_is_unitary():
 def test_interference_determinism_exact_zeros():
     # exact zeros at the (real-arithmetic) default phases
     cfg = InterferometerConfig.compensated()
-    same = propagate_analytic(PulseTrain(0, [0.7, 0.7]), cfg)
-    assert same[1].amplitudes[1] == 0.0
-    flipped = propagate_analytic(PulseTrain(0, [0.7, -0.7]), cfg)
-    assert flipped[0].amplitudes[1] == 0.0
+    same = _propagate([0.7, 0.7], cfg)
+    assert same[1][1] == 0.0
+    flipped = _propagate([0.7, -0.7], cfg)
+    assert flipped[0][1] == 0.0
     # general phases: zero to rounding of the phase factors
     cfg2 = InterferometerConfig.compensated(phi2=0.3, phi_delta=0.0)
-    flipped2 = propagate_analytic(PulseTrain(0, [0.7, -0.7]), cfg2)
-    assert abs(flipped2[0].amplitudes[1]) < 1e-15
+    flipped2 = _propagate([0.7, -0.7], cfg2)
+    assert abs(flipped2[0][1]) < 1e-15
 
 
 def test_sector_occupations_enumerate_in_kronecker_order():
@@ -265,8 +261,7 @@ def test_sector_mean_amplitudes_match_analytic(phi2, phi_delta, amps):
     # <a_w> read off the exact sector blocks of a cutoff-6 coherent input
     cfg = InterferometerConfig.compensated(phi2=phi2, phi_delta=phi_delta)
     got = sector_mean_amplitudes(cfg, len(amps) + 1, amps, 6, 8)[0]
-    o4, o5 = propagate_analytic(PulseTrain(0, amps), cfg)
-    expect = np.concatenate([o4.amplitudes, o5.amplitudes])
+    expect = np.concatenate(_propagate(amps, cfg))
     assert np.max(np.abs(got - expect)) < 1e-8
 
 
@@ -275,8 +270,7 @@ def test_sector_route_coherent_closure_fidelity():
     # coherent product, up to the cutoff-6 input truncation
     cfg = InterferometerConfig.compensated()
     amps = [0.25, -0.25]
-    o4, o5 = propagate_analytic(PulseTrain(0, amps), cfg)
-    beta = np.concatenate([o4.amplitudes, o5.amplitudes])
+    beta = np.concatenate(_propagate(amps, cfg))
     overlap, norm = 0.0, 0.0
     for outputs, inputs, block in sector_lift(cfg, 3, 12, [6, 6, 0, 0, 0, 0]):
         c = np.prod([fock.coherent_amplitudes(a, 6)[inputs[:, i]]
@@ -286,4 +280,4 @@ def test_sector_route_coherent_closure_fidelity():
         psi = block @ c
         overlap += ref.conj() @ psi
         norm += np.sum(np.abs(psi) ** 2)
-    assert abs(overlap) ** 2 / norm >= 1.0 - fock.TRUNCATION_TOL
+    assert abs(overlap) ** 2 / norm >= 1.0 - 1e-9

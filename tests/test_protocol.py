@@ -13,13 +13,22 @@ from hypothesis import example, given, settings, strategies as st
 import session_oracle
 from dpsqkd import protocol
 from dpsqkd.optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                           interferometer_coefficients, propagate,
-                           propagate_analytic)
+                           interferometer_coefficients, propagate)
 from dpsqkd.protocol import (AliceRecord, DetectorModel, SessionConfig,
-                             intercept_resend, load_session_config,
-                             prepare_pulse_train, run_session, SessionStats)
+                             _symbols, intercept_resend, load_session_config,
+                             run_session, SessionStats)
 # the whole-array oracle route, whose pieces the tests below also check
 from session_oracle import ClickRecord, detect, extract_bob_bits, sift
+
+
+def _train(rec):
+    """Alice's pulse train: pulse i carries ``(-1)^{s'_i} alpha``."""
+    return _symbols(rec.alpha)[rec.s_prime]
+
+
+def _feeds(rec, cfg):
+    """The D0 and D1 output trains of Alice's train behind `cfg`."""
+    return propagate(_train(rec), interferometer_coefficients(cfg))
 
 
 def test_alice_record_key_relation():
@@ -32,26 +41,18 @@ def test_alice_record_key_relation():
         AliceRecord(np.array([], dtype=np.uint8), 0.45)
 
 
-def test_prepare_pulse_train_signs():
-    tr = prepare_pulse_train(AliceRecord(np.array([0, 0, 0]), 0.45))
-    assert np.allclose(tr.amplitudes, [0.45, 0.45, 0.45])
-    tr2 = prepare_pulse_train(AliceRecord(np.array([0, 1, 0]), 0.45))
-    assert np.allclose(tr2.amplitudes, [0.45, -0.45, 0.45])
-    tr3 = prepare_pulse_train(AliceRecord(np.array([0, 1]), 0.0))
-    assert np.all(tr3.amplitudes == 0.0)
-
-
 def test_prepare_real_alpha_gives_float64_train():
-    # a real session train stays float64 through propagation; a cast back
-    # to complex would double the bytes every session stage moves
+    # a real train stays float64 through propagation, and so does the pair
+    # table built from its symbols; a cast back to complex would double
+    # the bytes
     rec = AliceRecord(np.array([0, 1, 1, 0]), 0.45)
-    tr = prepare_pulse_train(rec)
-    assert tr.amplitudes.dtype == np.float64
-    o4, o5 = propagate_analytic(tr, InterferometerConfig.compensated())
-    assert o4.amplitudes.dtype == o5.amplitudes.dtype == np.float64
-    tr_c = prepare_pulse_train(AliceRecord(rec.s_prime, 0.45j))
-    assert tr_c.amplitudes.dtype == np.complex128
-    assert np.array_equal(tr_c.amplitudes, 1j * tr.amplitudes)
+    tr = _train(rec)
+    assert tr.dtype == np.float64
+    o4, o5 = _feeds(rec, InterferometerConfig.compensated())
+    assert o4.dtype == o5.dtype == np.float64
+    tr_c = _train(AliceRecord(rec.s_prime, 0.45j))
+    assert tr_c.dtype == np.complex128
+    assert np.array_equal(tr_c, 1j * tr)
 
 
 SIGNED_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
@@ -65,20 +66,15 @@ SIGNED_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
 @example(bits=[1, 0], re=-0.0, im=0.45)
 @example(bits=[0, 1, 1], re=-0.0, im=0.0)
 def test_prepare_matches_the_sign_array_product_bit_for_bit(bits, re, im):
-    # the lookup gives the bytes of the sign-array product it replaced,
-    # signed zeros included, for real and complex alpha alike
+    # Alice's symbol lookup gives the bytes of the sign-array product it
+    # replaced, signed zeros included, for real and complex alpha alike
     rec = AliceRecord(np.array(bits), complex(re, im))
     signs = 1.0 - 2.0 * rec.s_prime.astype(float)
     alpha = rec.alpha if rec.alpha.imag else rec.alpha.real
     expect = signs * alpha
-    got = prepare_pulse_train(rec).amplitudes
+    got = _train(rec)
     assert got.dtype == expect.dtype
     assert got.tobytes() == expect.tobytes()
-
-
-def test_prepare_warns_above_one_photon():
-    with pytest.warns(UserWarning):
-        prepare_pulse_train(AliceRecord(np.array([0, 1]), 1.5))
 
 
 @pytest.mark.parametrize("tap", [0.0, 0.5])
@@ -108,14 +104,14 @@ def test_pair_table_gather_matches_the_propagated_train(n, eve, alpha, phi2,
     coeffs = interferometer_coefficients(
         InterferometerConfig.compensated(phi2=phi2))
     bits = rng.integers(0, 2, n + 1)
-    train = prepare_pulse_train(AliceRecord(bits, alpha)).amplitudes
+    train = _train(AliceRecord(bits, alpha))
     if eve:
         tap = rng.random(n + 1) < 0.6
         symbols = np.array([0, 1, -1]) * train[0]
         x = ((train != train[0]) + 1) * tap
         train = train * tap
     else:
-        symbols = prepare_pulse_train(AliceRecord([0, 1], alpha)).amplitudes
+        symbols = _symbols(complex(alpha))
         x = bits
     want = [model.click_probabilities(b[1:-1])
             for b in propagate(train, coeffs)]
@@ -169,7 +165,7 @@ def test_detect_table_rows():
     rng = np.random.default_rng(0)
     n = 40000
     rec = AliceRecord(np.zeros(n + 1, dtype=np.uint8), math.sqrt(0.2))
-    o4, o5 = propagate_analytic(prepare_pulse_train(rec), cfg)
+    o4, o5 = _feeds(rec, cfg)
     clicks = detect(o4, o5, DetectorModel.ideal(), rng)
     p = 1 - math.exp(-0.2)
     rate = clicks.d0.mean()
@@ -178,7 +174,7 @@ def test_detect_table_rows():
 
     # alternating phases: all bits 1, only D1 clicks
     rec2 = AliceRecord(np.arange(n + 1) % 2, math.sqrt(0.2))
-    o4, o5 = propagate_analytic(prepare_pulse_train(rec2), cfg)
+    o4, o5 = _feeds(rec2, cfg)
     clicks2 = detect(o4, o5, DetectorModel.ideal(), rng)
     assert not clicks2.d0.any()
     assert abs(clicks2.d1.mean() - p) < 3 * math.sqrt(p * (1 - p) / n)
@@ -191,11 +187,9 @@ def test_click_probability_phase_independent():
     rec = AliceRecord(np.array([0, 1, 1, 0]), 0.45)
     neg = AliceRecord(rec.s_prime, -0.45)
     for a, b in ((rec, neg),):
-        oa = propagate_analytic(prepare_pulse_train(a), cfg)
-        ob = propagate_analytic(prepare_pulse_train(b), cfg)
-        for ta, tb in zip(oa, ob):
-            pa = model.click_probabilities(ta.amplitudes)
-            pb = model.click_probabilities(tb.amplitudes)
+        for ta, tb in zip(_feeds(a, cfg), _feeds(b, cfg)):
+            pa = model.click_probabilities(ta)
+            pb = model.click_probabilities(tb)
             assert np.allclose(pa, pb, atol=1e-15)
 
 
@@ -297,12 +291,8 @@ def test_intercept_resend_full_knowledge_zero_qber():
     rec = AliceRecord.random(500, 6.0, rng)
     out, transcript = intercept_resend(rec, 1.0, rng)
     assert transcript.known_bins.size == 500
-    cfg = InterferometerConfig.compensated()
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        resent = prepare_pulse_train(AliceRecord(out, rec.alpha))
-    o4, o5 = propagate_analytic(resent, cfg)
+    o4, o5 = _feeds(AliceRecord(out, rec.alpha),
+                    InterferometerConfig.compensated())
     clicks = detect(o4, o5, DetectorModel.ideal(), rng)
     bits, disclosed, _ = extract_bob_bits(clicks)
     _, _, qber = sift(rec, bits, disclosed)
@@ -396,8 +386,8 @@ def test_chunked_session_matches_whole_array_oracle(n, chunk, tap, dark, phi2,
     oracle_rng = np.random.default_rng(seed)
     AliceRecord.random(n, cfg.alpha, oracle_rng)
     want_eve = session_oracle.intercept_resend(
-        prepare_pulse_train(alice), tap, oracle_rng, cfg.interferometer())
-    amps = want_eve[0].amplitudes
+        _train(alice), tap, oracle_rng, cfg.interferometer())
+    amps = want_eve[0]
     assert eve[0].dtype == np.uint8
     if alpha2 > 0:
         assert np.array_equal(eve[0], amps != cfg.alpha)
