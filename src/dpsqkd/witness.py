@@ -27,8 +27,11 @@ import numpy as np
 
 DESK_DIM_LIMIT = 4
 _TOL = 1e-9
-#: complex entries in one chunk of the (operators, grid, dB, dB) block: 4 MB
-_GRID_BLOCK_ENTRIES = 1 << 18
+#: entries of the largest array one block of the witness layer holds: a grid
+#: chunk (operators, grid, dB, dB), a refinement block (operators, starts,
+#: D, D) or a candidate stack (candidates, D, D); 512 KB of complex entries,
+#: so a block and its same-size temporaries stay in a 2 MB L2 cache
+_GRID_BLOCK_ENTRIES = 1 << 15
 _DECOMPOSE_TOL, _DECOMPOSE_STEPS = 1e-10, 2000
 #: alternating refinement steps and grid starts of the separable minimum
 _REFINE_STEPS, _REFINE_STARTS = 200, 8
@@ -133,30 +136,34 @@ def _lowest_eigenvalues(M: np.ndarray) -> np.ndarray:
     return 0.5 * (p + r) - np.hypot(0.5 * (p - r), np.abs(M[..., 1, 0]))
 
 
-def min_separable_expectation(W: np.ndarray, dims: Tuple[int, int],
-                              grid_points: int = 800, seed: int = 3
-                              ) -> SeparableMinimum:
-    """Minimize ``<a,b| W |a,b>`` over product states, for one operator
-    ``W`` (D, D) or each of a stack (K, D, D): a side-A grid with the exact
-    side-B minimum, in chunks of ``_GRID_BLOCK_ENTRIES``, then alternating
-    exact eigen-minimizations from the ``_REFINE_STARTS`` best points of
-    all operators at once, each until a step moves it by less than 1e-14 or
-    for ``_REFINE_STEPS`` steps; the returned state attains the value."""
-    (dA, dB), W = dims, np.asarray(W, dtype=complex)
-    if max(dims) > DESK_DIM_LIMIT or W.shape[-2:] != (dA * dB, dA * dB) \
-            or W.ndim not in (2, 3):
-        raise ValueError(f"need dims up to the desk scale {DESK_DIM_LIMIT} "
-                         f"and W of shape ([K,] D, D) with D = dA dB, got "
-                         f"dims {dims} and shape {W.shape}")
-    Ws = W.reshape(-1, dA * dB, dA * dB)
-    if np.max(np.abs(Ws - np.swapaxes(Ws, 1, 2).conj()), initial=0.0) > 1e-10:
-        raise ValueError("witness operator is not hermitian")
-    K, W5 = len(Ws), Ws.reshape(-1, dA, dB, dA, dB)
+def _lowest_eigenpairs(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenvalue and a unit eigenvector of each hermitian block
+    ``M[..., d, d]`` (lower triangle).  For 2x2 the vector is the longer of
+    (r - l, -c) and (-conj(c), p - l), whose long entry max(p, r) - l is
+    |p - r| / 2 + hypot((p - r) / 2, |c|) without cancellation; a multiple
+    of the identity gets (1, 0)."""
+    if M.shape[-1] != 2:
+        w, v = np.linalg.eigh(M)
+        return w[..., 0], v[..., 0]
+    p, r, c = M[..., 0, 0].real, M[..., 1, 1].real, M[..., 1, 0]
+    half = 0.5 * (p - r)
+    long = np.abs(half) + np.hypot(half, np.abs(c))
+    v = np.where((r >= p)[..., None], np.stack([long, -c], axis=-1),
+                 np.stack([-c.conj(), long], axis=-1))
+    norm = np.hypot(long, np.abs(c))
+    flat = norm == 0.0
+    v = v / np.where(flat, 1.0, norm)[..., None]
+    v[flat, 0] = 1.0
+    return _lowest_eigenvalues(M), v
 
-    # side-B operators <a_s|W|a_s>: vec(conj(a_s) a_s^T) @ W as (AA, BB)
-    cands = _unit_vector_grid(dA, grid_points, seed)
+
+def _separable_block(W5: np.ndarray, cands: np.ndarray, outer: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least value and its (a, b) for each operator of one block
+    ``W5`` (K, dA, dB, dA, dB): the grid pass, then the refinement."""
+    K, dA, dB = W5.shape[:3]
     S = len(cands)
-    outer = (cands.conj()[:, :, None] * cands[:, None, :]).reshape(S, -1)
+    # side-B operators <a_s|W|a_s>: vec(conj(a_s) a_s^T) @ W as (AA, BB)
     W_ab = W5.transpose(0, 1, 3, 2, 4).reshape(K, dA * dA, dB * dB)
     chunk = max(1, _GRID_BLOCK_ENTRIES // (S * dB * dB))
     starts = np.empty((K, min(_REFINE_STARTS, S)), dtype=int)
@@ -166,27 +173,64 @@ def min_separable_expectation(W: np.ndarray, dims: Tuple[int, int],
                                            axis=1)[:, :starts.shape[1]]
 
     M = np.einsum("knp,kpq->knq", outer[starts], W_ab)
-    wb, vb = np.linalg.eigh(M.reshape(starts.shape + (dB, dB)))
-    a, b, val = cands[starts], vb[..., 0], wb[..., 0]
+    val, b = _lowest_eigenpairs(M.reshape(starts.shape + (dB, dB)))
+    a = cands[starts]
     live = np.ones(val.shape, dtype=bool)
     for _ in range(_REFINE_STEPS):
         k, j = np.nonzero(live)
         if not k.size:
             break
         Wk, bk = W5[k], b[k, j]
-        ak = np.linalg.eigh(np.einsum("mj,mijkl,ml->mik",
-                                      bk.conj(), Wk, bk))[1][..., 0]
-        wb, vb = np.linalg.eigh(np.einsum("mi,mijkl,mk->mjl",
-                                          ak.conj(), Wk, ak))
-        a[k, j], b[k, j] = ak, vb[..., 0]
-        settled = np.abs(wb[:, 0] - val[k, j]) < 1e-14
-        val[k, j] = wb[:, 0]
+        ak = _lowest_eigenpairs(np.einsum("mj,mijkl,ml->mik",
+                                          bk.conj(), Wk, bk))[1]
+        wb, b[k, j] = _lowest_eigenpairs(np.einsum("mi,mijkl,mk->mjl",
+                                                   ak.conj(), Wk, ak))
+        a[k, j] = ak
+        settled = np.abs(wb - val[k, j]) < 1e-14
+        val[k, j] = wb
         live[k[settled], j[settled]] = False
 
     best = np.arange(K), np.argmin(val, axis=1)
+    return val[best], a[best], b[best]
+
+
+def min_separable_expectation(W: np.ndarray, dims: Tuple[int, int],
+                              grid_points: int = 800, seed: int = 3
+                              ) -> SeparableMinimum:
+    """Minimize ``<a,b| W |a,b>`` over product states, for one operator
+    ``W`` (D, D) or each of a stack (K, D, D): a side-A grid with the exact
+    side-B minimum, then alternating exact eigen-minimizations from the
+    ``_REFINE_STARTS`` best points of each operator, each until a step
+    moves it by less than 1e-14 or for ``_REFINE_STEPS`` steps; the returned
+    state attains the value.  The stack runs block by block (hermiticity
+    check, grid pass, refinement), each array bounded by
+    ``_GRID_BLOCK_ENTRIES`` entries; operators are independent, so the
+    block size never changes a result."""
+    (dA, dB), W = dims, np.asarray(W, dtype=complex)
+    if max(dims) > DESK_DIM_LIMIT or W.shape[-2:] != (dA * dB, dA * dB) \
+            or W.ndim not in (2, 3):
+        raise ValueError(f"need dims up to the desk scale {DESK_DIM_LIMIT} "
+                         f"and W of shape ([K,] D, D) with D = dA dB, got "
+                         f"dims {dims} and shape {W.shape}")
+    Ws = W.reshape(-1, dA * dB, dA * dB)
+    cands = _unit_vector_grid(dA, grid_points, seed)
+    outer = (cands.conj()[:, :, None] * cands[:, None, :]).reshape(
+        len(cands), -1)
+    K = len(Ws)
+    val = np.empty(K)
+    a, b = np.empty((K, dA), dtype=complex), np.empty((K, dB), dtype=complex)
+    step = max(1, _GRID_BLOCK_ENTRIES
+               // (min(_REFINE_STARTS, len(cands)) * (dA * dB) ** 2))
+    for lo in range(0, K, step):
+        rows = slice(lo, lo + step)
+        block = Ws[rows]
+        if np.max(np.abs(block - np.swapaxes(block, 1, 2).conj())) > 1e-10:
+            raise ValueError("witness operator is not hermitian")
+        val[rows], a[rows], b[rows] = _separable_block(
+            block.reshape(-1, dA, dB, dA, dB), cands, outer)
     if W.ndim == 2:
-        return SeparableMinimum(float(val[best][0]), a[best][0], b[best][0])
-    return SeparableMinimum(val[best], a[best], b[best])
+        return SeparableMinimum(float(val[0]), a[0], b[0])
+    return SeparableMinimum(val, a, b)
 
 
 def _decompose(W: np.ndarray, dims: Tuple[int, int]
@@ -353,11 +397,14 @@ def witness_search(alice_effects: Sequence[np.ndarray],
     and a coarse coefficient grid, such that ``W = sum c_ab F_a x G_b`` is
     nonnegative on product states and negative on `target_state`.
 
-    Each term count's candidates that pass the trace screen get one
-    :func:`min_separable_expectation` call, plus one for those reading
-    negative, shifted by the identity when the family can express it.
-    Acceptance needs the :func:`_decompose` certificate and its shift eps:
-    ``Tr(W rho) + eps < -accept_margin``.
+    Each term count's candidates are drawn in blocks of at most
+    ``_GRID_BLOCK_ENTRIES`` stacked entries; a block's candidates that pass
+    the trace screen get one :func:`min_separable_expectation` call, plus
+    one for those reading negative, shifted by the identity when the
+    family can express it, before the next block is drawn.  Acceptance
+    needs the :func:`_decompose` certificate and its shift eps:
+    ``Tr(W rho) + eps < -accept_margin``.  Candidates are independent, so
+    the blocks change neither the candidate found nor the counts.
     """
     if resolution not in _RESOLUTIONS:
         raise ValueError(f"unknown resolution {resolution!r}; "
@@ -411,37 +458,45 @@ def witness_search(alice_effects: Sequence[np.ndarray],
         return WitnessSearchResult(cand, resolution, values, max_terms,
                                    tried, screened, accept_margin, warning)
 
+    # one block of candidates stacks at most _GRID_BLOCK_ENTRIES entries
+    per_block = max(1, _GRID_BLOCK_ENTRIES // (dA * dB) ** 2)
     for k in range(1, min(max_terms, len(usable)) + 1):
-        idx, cs = map(np.array, zip(*itertools.product(
+        pending = itertools.product(
             itertools.combinations(range(len(usable)), k),
-            itertools.product(values, repeat=k))))
-        keep = np.flatnonzero(sum(cs[:, i] * traces[idx[:, i]]
-                                  for i in range(k)) < -accept_margin)
-        Ws = sum(cs[keep, i, None, None] * usable[idx[keep, i]]
-                 for i in range(k))
-        sep = min_separable_expectation(Ws, dims, grid_points=grid_points,
-                                        seed=seed).value
-        # push a negative separable minimum back to zero with an identity term
-        shifted = Ws - sep[:, None, None] * identity_dir
-        t, t_shift = np.einsum("skij,ji->sk", np.stack([Ws, shifted]), rho).real
-        direct = (sep >= -1e-9) & (t < -accept_margin)
-        retry = (can_shift & ~direct & (-0.75 <= sep) & (sep < 0.0)
-                 & (t_shift < -accept_margin))
-        if retry.any():
-            retry[retry] = min_separable_expectation(
-                shifted[retry], dims, grid_points=max(grid_points, 1500),
-                seed=seed + 1).value >= -1e-9
-        for j in np.flatnonzero(direct | retry).tolist():
-            W, t_j = (Ws[j], t[j]) if direct[j] else (shifted[j], t_shift[j])
-            Q, lower = _decompose(W, dims)
-            shift = max(0.0, -lower)
-            if t_j + shift < -accept_margin:
-                # coefficients over the actual effect products
-                c_flat = np.linalg.lstsq(A.T, _flatten_real(
-                    W + shift * identity_dir), rcond=None)[0]
-                cand = WitnessCandidate(
-                    c_flat.reshape(len(F), len(G)), tuple(F), tuple(G),
-                    lower + shift, shift, Q, float(t_j + shift))
-                return finish(cand, tried + int(keep[j]) + 1, screened + j + 1)
-        tried, screened = tried + len(idx), screened + len(keep)
+            itertools.product(values, repeat=k))
+        while block := list(itertools.islice(pending, per_block)):
+            idx, cs = map(np.array, zip(*block))
+            keep = np.flatnonzero(sum(cs[:, i] * traces[idx[:, i]]
+                                      for i in range(k)) < -accept_margin)
+            Ws = sum(cs[keep, i, None, None] * usable[idx[keep, i]]
+                     for i in range(k))
+            sep = min_separable_expectation(Ws, dims, grid_points=grid_points,
+                                            seed=seed).value
+            # push a negative separable minimum back to zero with an
+            # identity term
+            shifted = Ws - sep[:, None, None] * identity_dir
+            t = np.einsum("kij,ji->k", Ws, rho).real
+            t_shift = np.einsum("kij,ji->k", shifted, rho).real
+            direct = (sep >= -1e-9) & (t < -accept_margin)
+            retry = (can_shift & ~direct & (-0.75 <= sep) & (sep < 0.0)
+                     & (t_shift < -accept_margin))
+            if retry.any():
+                retry[retry] = min_separable_expectation(
+                    shifted[retry], dims, grid_points=max(grid_points, 1500),
+                    seed=seed + 1).value >= -1e-9
+            for j in np.flatnonzero(direct | retry).tolist():
+                W, t_j = (Ws[j], t[j]) if direct[j] else (shifted[j],
+                                                          t_shift[j])
+                Q, lower = _decompose(W, dims)
+                shift = max(0.0, -lower)
+                if t_j + shift < -accept_margin:
+                    # coefficients over the actual effect products
+                    c_flat = np.linalg.lstsq(A.T, _flatten_real(
+                        W + shift * identity_dir), rcond=None)[0]
+                    cand = WitnessCandidate(
+                        c_flat.reshape(len(F), len(G)), tuple(F), tuple(G),
+                        lower + shift, shift, Q, float(t_j + shift))
+                    return finish(cand, tried + int(keep[j]) + 1,
+                                  screened + j + 1)
+            tried, screened = tried + len(idx), screened + len(keep)
     return finish(None, tried, screened)

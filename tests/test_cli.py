@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpsqkd import witness
 from dpsqkd.cli import main
 from dpsqkd.optics import DEFAULT_MAX_STATE_ENTRIES
 from fock_oracle import dense_e2_e3
@@ -187,6 +188,27 @@ def test_witness_demo_separable_target(capsys):
 def test_witness_demo_coarse(capsys):
     code, out, _ = run(["witness-demo", "--resolution", "coarse"], capsys)
     assert code == 0
+
+
+def test_witness_demo_separable_target_fails_on_any_found_witness(
+        capsys, monkeypatch):
+    # a certified witness negative on I/4 contradicts its own certificate,
+    # so the conjugate-bases family reporting one fails the demo as well
+    fam = witness.bb84_effect_family()
+    bell_hit = witness.witness_search(fam, fam, witness.bell_state_density())
+    assert bell_hit.found
+
+    def search(alice, bob, target, resolution):
+        if witness.commutation_table(alice).max() > 0.0:
+            return bell_hit
+        return witness.witness_search(alice, bob, target,
+                                      resolution=resolution)
+
+    monkeypatch.setattr("dpsqkd.cli.witness_search", search)
+    code, out, _ = run(["witness-demo", "--target", "separable"], capsys)
+    assert code == 1
+    assert out.count("witness found") == 1
+    assert out.count("none at this resolution") == 1
 
 
 # stdout bytes recorded before the sessions and the EB check shared one

@@ -1,5 +1,8 @@
 """Witness assembly, the diagonal positivity theorem, and the search."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,6 +268,83 @@ def test_stacked_separable_min_matches_scalar_loop(dims, count, seed):
     single = min_separable_expectation(Ws[0], dims, grid_points=300)
     assert single.value == res.value[0]
     assert single.state_a.shape == (dims[0],)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 12])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_separable_min_block_budget_changes_no_bit(dims, budget,
+                                                   monkeypatch):
+    # operators are independent, so blocks of one operator, or of a few
+    # grid chunks and refinement blocks, give the default's bits
+    rng = np.random.default_rng(dims[0] * 10 + dims[1])
+    D = dims[0] * dims[1]
+    H = rng.normal(size=(37, D, D)) + 1j * rng.normal(size=(37, D, D))
+    Ws = H + np.swapaxes(H, 1, 2).conj()
+    default = min_separable_expectation(Ws, dims, grid_points=300)
+    monkeypatch.setattr(witness_module, "_GRID_BLOCK_ENTRIES", budget)
+    res = min_separable_expectation(Ws, dims, grid_points=300)
+    for field in ("value", "state_a", "state_b"):
+        assert getattr(res, field).tobytes() == \
+            getattr(default, field).tobytes()
+
+
+def _six_state_family():
+    s = 1.0 / np.sqrt(2.0)
+    return [projector(v) / 3.0 for v in ([1.0, 0.0], [0.0, 1.0], [s, s],
+                                          [s, -s], [s, 1j * s], [s, -1j * s])]
+
+
+def _assert_same_bits(x, y):
+    if dataclasses.is_dataclass(x):
+        assert type(x) is type(y)
+        for f in dataclasses.fields(x):
+            _assert_same_bits(getattr(x, f.name), getattr(y, f.name))
+    elif isinstance(x, tuple):
+        assert len(x) == len(y)
+        for u, v in zip(x, y):
+            _assert_same_bits(u, v)
+    elif x is None or isinstance(x, str):
+        assert x == y
+    else:
+        assert type(x) is type(y)
+        assert np.shape(x) == np.shape(y)
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("target", ["bell", "separable"])
+@pytest.mark.parametrize("family, resolution", [
+    (qubit_projective_effects, "coarse"), (qubit_projective_effects, "default"),
+    (qubit_projective_effects, "fine"), (bb84_effect_family, "coarse"),
+    (bb84_effect_family, "default"), (bb84_effect_family, "fine"),
+    (_six_state_family, "coarse")])
+def test_streamed_search_matches_one_block_search(family, resolution, target,
+                                                  monkeypatch):
+    # 2^9 entries hold 32 candidates of a two-qubit operator, so a term
+    # count spans up to 567 blocks; 2^20 holds 65,536, so each is one block
+    rho = bell_state_density() if target == "bell" \
+        else np.eye(4, dtype=complex) / 4.0
+    fam = family()
+    runs = []
+    for budget in (1 << 20, 1 << 9):
+        monkeypatch.setattr(witness_module, "_GRID_BLOCK_ENTRIES", budget)
+        runs.append(witness_search(fam, fam, rho, resolution=resolution))
+    assert runs[0].candidates_tried <= (1 << 20) // 16
+    _assert_same_bits(*runs)
+
+
+def test_search_memory_is_bounded_by_one_block():
+    # stacking a whole term count at once peaks at 21.9 MB here; one
+    # block of 2^15 entries and its temporaries stay near 3 MB
+    fam = bb84_effect_family()
+    tracemalloc.start()
+    try:
+        res = witness_search(fam, fam, np.eye(4, dtype=complex) / 4.0,
+                             resolution="fine")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.found and res.candidates_tried == 19494
+    assert peak <= 5e6
 
 
 def _partial_transpose_b(M, dA, dB):
