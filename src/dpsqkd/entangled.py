@@ -4,8 +4,8 @@ Instead of preparing pulse trains, a bipartite state is distributed whose
 Alice half is a register of qubits and whose Bob half is the photonic
 train; Alice's projective measurement in the computational basis prepares
 Bob's signal remotely.  The state factorizes per time bin as
-``(|0>|alpha> + |1>|-alpha>)/sqrt(2)``, and only the per-bin factors are
-stored.
+``(|0>|alpha> + |1>|-alpha>)/sqrt(2)``, and only the per-bin factors, the
+truncated :func:`coherent_amplitudes` of +-alpha, are stored.
 
 ``compare_statistics`` certifies that the click statistics Bob sees are
 the same whichever way the signal was prepared.  Both flows read the
@@ -26,10 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import fock
-from .fock import ModeRegistry, _require_integers
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                     interferometer_coefficients)
+                     _require_integers, interferometer_coefficients)
 from .povm import click_pattern_ids
 from .protocol import (DetectorModel, _pair_table, _positioned_rng,
                        _sample_pairs)
@@ -44,7 +42,6 @@ class EbState:
     is the tensor product of the factors.
     """
 
-    registry: ModeRegistry
     alpha: complex
     factors: tuple
 
@@ -64,36 +61,27 @@ class EbState:
         return row / np.linalg.norm(row)
 
 
+def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+    """Length ``cutoff+1`` amplitude array of a truncated coherent state."""
+    if alpha == 0:
+        return np.eye(1, cutoff + 1, dtype=complex)[0]
+    n = np.arange(cutoff + 1)
+    logfact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff + 1))]))
+    mag = np.exp(-abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - logfact / 2)
+    return mag * (alpha / abs(alpha)) ** n
+
+
 def build_eb_state(n_key_bins: int, alpha: complex, cutoff: int) -> EbState:
     """Construct the distributed state for N key bins (N+1 pulses)."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     n_pulses = n_key_bins + 1
     alpha = complex(alpha)
-    reg = ModeRegistry([(0, i) for i in range(n_pulses)], cutoff)
-    row0 = fock.coherent_amplitudes(alpha, cutoff) / math.sqrt(2.0)
-    row1 = fock.coherent_amplitudes(-alpha, cutoff) / math.sqrt(2.0)
+    row0 = coherent_amplitudes(alpha, cutoff) / math.sqrt(2.0)
+    row1 = coherent_amplitudes(-alpha, cutoff) / math.sqrt(2.0)
     factor = np.stack([row0, row1])
     factors = tuple(factor.copy() for _ in range(n_pulses))
-    return EbState(reg, alpha, factors)
-
-
-def alice_reduced_density(state: EbState) -> np.ndarray:
-    """Alice's reduced density matrix: the Kronecker product of every
-    factor's normalized 2x2 Gram matrix, exact because the state is a
-    product over bins.
-
-    Raises ValueError, before allocating, when the 2^(N+1) x 2^(N+1)
-    result exceeds ``optics.DEFAULT_MAX_STATE_ENTRIES``.
-    """
-    entries = 4 ** state.n_pulses
-    if entries > DEFAULT_MAX_STATE_ENTRIES:
-        raise ValueError(f"reduced density of {state.n_pulses} qubits has "
-                         f"{entries} entries, above the bound "
-                         f"{DEFAULT_MAX_STATE_ENTRIES}")
-    rho = np.ones((1, 1))
-    for f in state.factors:
-        gram = f @ f.conj().T
-        rho = np.kron(rho, gram / np.trace(gram).real)
-    return rho
+    return EbState(alpha, factors)
 
 
 def collapsed_mean_amplitude(state: EbState, i: int, bit: int) -> complex:
@@ -248,6 +236,8 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     if trials < 0 or seed < 0 or not math.isfinite(eb_delay_defect):
         raise ValueError(f"trials and seed must be >= 0 and eb_delay_defect "
                          f"finite, got {trials}, {seed}, {eb_delay_defect}")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")

@@ -8,7 +8,7 @@ one photon-number sector at a time, with no per-mode truncation
 
 Wire convention
 ---------------
-The Fock-space registry uses 2B "wires" for B time bins, labelled
+The Fock-space route uses 2B "wires" for B time bins, labelled
 ``(0, i)`` and ``(1, i)``, path-major.  Before the optics wire ``(0, i)``
 carries input path 0 (Alice's pulse in bin i) and wire ``(1, i)`` carries
 input path 1 (vacuum).  After the optics wire ``(0, i)`` carries output
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,14 @@ DEFAULT_MAX_STATE_ENTRIES = 3 * 10 ** 8
 #: entries, and outputs, per tile of a sector lift's images
 _LIFT_CHUNK = 2 ** 16
 _LIFT_SPAN = 2 ** 12
+
+
+def _require_integers(**values):
+    """Refuse, by name, the first value that is not an integer (a bool
+    included) with a one-line ValueError."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -159,8 +168,7 @@ def sector_dim(n_modes: int, n: int) -> int:
 
 def sector_occupations(n_modes: int, n: int) -> np.ndarray:
     """Occupations of every n-photon basis state of `n_modes` modes, one
-    row per state, in ascending Kronecker order (the order any registry
-    holding these states lists them in)."""
+    row per state, in ascending Kronecker order."""
     occ = np.zeros((1, 0), dtype=np.int64)
     for _ in range(n_modes - 1):
         reps = n + 1 - occ.sum(axis=1)

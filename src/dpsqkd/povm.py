@@ -19,9 +19,11 @@ approximation.  Sums and products act block by block, squared Frobenius
 norms add over blocks, and a spectral norm is the largest block's.
 
 Effects are indexed by click patterns: a tuple with one ``(d0, d1)`` bool
-pair per key bin 1..N.  (A printed enumeration of these effects elsewhere
-repeats a factor in one row; the systematic one-factor-per-mode indexing
-used here is the intended reading.)
+pair per key bin 1..N, numbered by :func:`click_pattern_ids`, which also
+sorts the detection wires' occupation rows into the projectors' 0/1
+diagonals.  (A printed enumeration of these effects elsewhere repeats a
+factor in one row; the systematic one-factor-per-mode indexing used here
+is the intended reading.)
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fock import ModeRegistry, _require_integers
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                     sector_lift, sector_occupations)
+                     _require_integers, sector_lift, sector_occupations)
 
 ClickPattern = Tuple[Tuple[bool, bool], ...]
 
@@ -55,14 +56,6 @@ G_COMMUTE_TOL = 1e-12
 CONJUGATED_COMMUTE_TOL = 1e-10
 COMPLETENESS_TOL = 1e-9
 PSD_TOL = 1e-10
-
-
-def detection_registry(n_bins: int, cutoff: int) -> ModeRegistry:
-    """Registry of the 2N detection wires for key bins 1..N, path-major:
-    wire (0, i) feeds detector D0 and wire (1, i) detector D1."""
-    modes = [(0, i) for i in range(1, n_bins + 1)] + \
-            [(1, i) for i in range(1, n_bins + 1)]
-    return ModeRegistry(modes, cutoff)
 
 
 def all_click_patterns(n_bins: int) -> Tuple[ClickPattern, ...]:
@@ -89,15 +82,14 @@ def pattern_index(pattern: ClickPattern) -> int:
     return int(click_pattern_ids(d0, d1))
 
 
-def pattern_diagonal(registry: ModeRegistry, pattern: ClickPattern) -> np.ndarray:
-    """Diagonal (0/1) of the projector onto a click pattern, on any registry
-    containing the detection wires (identity on other modes)."""
-    diag = np.ones(registry.dim)
-    for i, (d0, d1) in enumerate(pattern, start=1):
-        for path, clicked in ((0, d0), (1, d1)):
-            occ = registry.occupations((path, i))
-            diag = diag * ((occ >= 1) if clicked else (occ == 0))
-    return diag
+def _pattern_diagonals(n_bins: int, cutoff: int) -> np.ndarray:
+    """Diagonals (0/1), one row per pattern of :func:`all_click_patterns`,
+    of the projectors onto the click patterns, over the occupation basis
+    of the 2N detection wires in Kronecker order: the D0 wires of key bins
+    1..N, then their D1 wires."""
+    occ = np.indices((cutoff + 1,) * (2 * n_bins)).reshape(2 * n_bins, -1)
+    ids = click_pattern_ids(occ[:n_bins].T > 0, occ[n_bins:].T > 0)
+    return (ids == np.arange(4 ** n_bins)[:, None]).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +386,7 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
         n_bins, cutoff, config,
         [(p, False) for p in pats] + [(E2_PATTERN, True), (E3_PATTERN, True)])
 
-    dreg = detection_registry(n_bins, cutoff)
-    diags = np.array([pattern_diagonal(dreg, p) for p in pats])
+    diags = _pattern_diagonals(n_bins, cutoff)
     i, j = np.triu_indices(len(pats), 1)
     prods = diags[i] * diags[j]
     g_orth = float(np.max(np.abs(prods)))
@@ -434,7 +425,7 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
 
     return NoncommutativityReport(
         n_bins=n_bins, cutoff=cutoff, internal_cutoff=bins * cutoff,
-        detection_dim=dreg.dim, wire_dim=wire_dim,
+        detection_dim=diags.shape[1], wire_dim=wire_dim,
         g_comm_max=g_comm, g_idempotency_max=g_idem,
         g_orthogonality_max=g_orth, g_sum_defect=g_sum,
         conjugated_pairs=tuple(conj_vals), conjugated_comm_max=conj_max,

@@ -41,9 +41,9 @@ from typing import Optional
 
 import numpy as np
 
-from .fock import _require_integers
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                     interferometer_coefficients, propagate)
+                     _require_integers, interferometer_coefficients,
+                     propagate)
 
 #: column order of the per-session CSV row; bump when the schema changes
 CSV_SCHEMA_VERSION = 1

@@ -13,30 +13,91 @@ Kronecker-product ladder operators, and dense sums, eigenvalues,
 commutators and spectral norms.  The library's photon-number-block route
 shares only the lift and the click-pattern bookkeeping with it.
 
+The oracle owns the mode registry (:class:`ModeRegistry`), the ordered
+modes of a truncated multimode Fock space that every dense vector and
+operator here lives on.  The projector diagonals it checks the library
+against come from the registry route (:func:`detection_registry`,
+:func:`pattern_diagonal`): one occupation test per detection wire, not
+the library's click-pattern numbering of occupation rows.
+
 The dense helpers below them (state vectors and operators, the wire and
-signal registries,
-basis states and their indices, ladder and number operators, coherent
-states, tensor products, expectations, fidelities, pulse energies, mode
-permutation and embedding, the projector effects and the numeric vacuum
-contraction) serve only tests, as do the views of the entanglement-based
-state at the end (its norm, Schmidt values and entropy, Alice's
-measurement and the pulse-train vector she prepares).
+signal registries, basis states and their indices, ladder and number
+operators, coherent states, tensor products, expectations, fidelities,
+pulse energies, mode permutation and embedding, the projector effects and
+the numeric vacuum contraction) serve only tests, as do the views of the
+entanglement-based state at the end (its registry, norm, Schmidt values,
+entropy and Alice's reduced density, Alice's measurement and the
+pulse-train vector she prepares).
 """
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from dpsqkd.fock import ModeRegistry, coherent_amplitudes
-from dpsqkd.optics import (InterferometerConfig, sector_lift,
-                           single_particle_unitary)
+from dpsqkd.entangled import coherent_amplitudes
+from dpsqkd.optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
+                           sector_lift, single_particle_unitary)
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, _pattern_ids,
                          all_click_patterns, conjugated_commutator_norm,
-                         detection_registry, pattern_diagonal, pattern_index)
+                         pattern_index)
 
 #: norm tolerance of a vector flagged normalized
 TRUNCATION_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class ModeRegistry:
+    """Ordered set of bosonic modes sharing one photon-number cutoff.
+
+    Its basis is the occupation-number basis in registry order, laid out
+    Kronecker style (first mode = most significant axis), so every reshape
+    to ``(d, d, ..., d)`` puts one mode on one axis.  Mode labels are
+    typically ``(path, time_bin)`` tuples, path-major, time-bin minor; the
+    local dimension is ``cutoff + 1``.
+    """
+
+    modes: tuple
+    cutoff: int
+
+    def __init__(self, modes: Iterable, cutoff: int):
+        modes = tuple(modes)
+        if len(set(modes)) != len(modes):
+            raise ValueError("mode labels must be unique")
+        if not modes:
+            raise ValueError("registry needs at least one mode")
+        if cutoff < 1:
+            raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "cutoff", int(cutoff))
+
+    @property
+    def local_dim(self):
+        return self.cutoff + 1
+
+    @property
+    def n_modes(self):
+        return len(self.modes)
+
+    @property
+    def dim(self):
+        return self.local_dim ** self.n_modes
+
+    def axis(self, mode):
+        """Tensor axis of a mode label."""
+        try:
+            return self.modes.index(mode)
+        except ValueError:
+            raise ValueError(f"unknown mode label {mode!r}") from None
+
+    def occupations(self, mode):
+        """Occupation of `mode` for every basis state, as a length-dim array."""
+        ax = self.axis(mode)
+        d = self.local_dim
+        stride = d ** (self.n_modes - 1 - ax)
+        return (np.arange(self.dim) // stride) % d
 
 
 class FockVector:
@@ -295,6 +356,25 @@ def fidelity(a, b):
 # Bob's measurement, densely
 
 
+def detection_registry(n_bins, cutoff):
+    """Registry of the 2N detection wires for key bins 1..N, path-major:
+    wire (0, i) feeds detector D0 and wire (1, i) detector D1."""
+    modes = [(0, i) for i in range(1, n_bins + 1)] + \
+            [(1, i) for i in range(1, n_bins + 1)]
+    return ModeRegistry(modes, cutoff)
+
+
+def pattern_diagonal(registry, pattern):
+    """Diagonal (0/1) of the projector onto a click pattern, on any registry
+    containing the detection wires (identity on other modes)."""
+    diag = np.ones(registry.dim)
+    for i, (d0, d1) in enumerate(pattern, start=1):
+        for path, clicked in ((0, d0), (1, d1)):
+            occ = registry.occupations((path, i))
+            diag = diag * ((occ >= 1) if clicked else (occ == 0))
+    return diag
+
+
 def signal_registry(n_bins, cutoff):
     """Registry of the signal-path input modes, time bins 0..N."""
     return ModeRegistry([(0, i) for i in range(n_bins + 1)], cutoff)
@@ -439,6 +519,33 @@ def dense_certification(cutoff, config=None):
 # the entanglement-based state, on its dense registry
 
 
+def eb_registry(state):
+    """Registry of the photonic modes of an ``entangled.EbState``: one
+    signal-path mode per pulse, at the cutoff of its factors."""
+    return ModeRegistry([(0, i) for i in range(state.n_pulses)],
+                        state.factors[0].shape[1] - 1)
+
+
+def alice_reduced_density(state):
+    """Alice's reduced density matrix: the Kronecker product of every
+    factor's normalized 2x2 Gram matrix, exact because the state is a
+    product over bins.
+
+    Raises ValueError, before allocating, when the 2^(N+1) x 2^(N+1)
+    result exceeds ``optics.DEFAULT_MAX_STATE_ENTRIES``.
+    """
+    entries = 4 ** state.n_pulses
+    if entries > DEFAULT_MAX_STATE_ENTRIES:
+        raise ValueError(f"reduced density of {state.n_pulses} qubits has "
+                         f"{entries} entries, above the bound "
+                         f"{DEFAULT_MAX_STATE_ENTRIES}")
+    rho = np.ones((1, 1))
+    for f in state.factors:
+        gram = f @ f.conj().T
+        rho = np.kron(rho, gram / np.trace(gram).real)
+    return rho
+
+
 def eb_norm2(state):
     """Squared norm of an ``entangled.EbState``: the product of its
     factors' squared norms."""
@@ -473,15 +580,15 @@ def alice_measure(state, rng):
     for i in range(state.n_pulses):
         bits[i] = rng.random() < state.factor_born_probabilities(i)[1]
         vec = np.kron(vec, state.collapsed_bin_state(i, bits[i]))
-    return bits, FockVector(state.registry, vec, normalized=True)
+    return bits, FockVector(eb_registry(state), vec, normalized=True)
 
 
 def pulse_train_vector(state, s_prime):
     """The P&M pulse-train vector for a given S', on the same registry and
     cutoff as the EB state (normalized)."""
+    reg = eb_registry(state)
     vec = np.ones(1)
     for b in np.asarray(s_prime, dtype=int):
-        row = coherent_amplitudes((-1) ** b * state.alpha,
-                                  state.registry.cutoff)
+        row = coherent_amplitudes((-1) ** b * state.alpha, reg.cutoff)
         vec = np.kron(vec, row / np.linalg.norm(row))
-    return FockVector(state.registry, vec, normalized=True)
+    return FockVector(reg, vec, normalized=True)

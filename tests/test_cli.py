@@ -439,6 +439,9 @@ def test_output_probe_leaves_no_file_on_bad_input(tmp_path, capsys):
     (["--key-bins", "2", "--alpha2", "1"], "cutoff 12 is the smallest"),
     (["--key-bins", "2", "--cutoff", "3"], "cutoff 7 is the smallest"),
     (["--alpha2", "1e300"], "no cutoff within the size bound"),
+    (["--cutoff", "0"], "cutoff must be >= 1"),
+    (["--cutoff", "-3"], "cutoff must be >= 1"),
+    (["--alpha2", "0", "--cutoff", "0"], "cutoff must be >= 1"),
 ])
 def test_eb_compare_bad_input_exits_2(argv, needle, capsys):
     t0 = time.perf_counter()

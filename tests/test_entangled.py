@@ -11,14 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpsqkd import entangled as eb
-from dpsqkd import fock
 from dpsqkd.optics import (InterferometerConfig, interferometer_coefficients,
                            propagate)
 from dpsqkd.povm import click_pattern_ids
 from dpsqkd.protocol import DetectorModel
-from fock_oracle import (FockVector, alice_measure, eb_norm2,
-                         factor_schmidt_values, fidelity, pulse_train_vector,
-                         von_neumann_entropy)
+from fock_oracle import (FockVector, alice_measure, alice_reduced_density,
+                         eb_norm2, eb_registry, factor_schmidt_values,
+                         fidelity, pulse_train_vector, von_neumann_entropy)
 
 
 def test_state_norm_and_factorization():
@@ -28,7 +27,7 @@ def test_state_norm_and_factorization():
     assert len(st.factors) == 3
     assert all(f.shape == (2, 13) for f in st.factors)
     # the reduced density works at any size below the entry bound
-    rho = eb.alice_reduced_density(eb.build_eb_state(5, 0.45, 8))
+    rho = alice_reduced_density(eb.build_eb_state(5, 0.45, 8))
     assert rho.shape == (64, 64)
     assert abs(np.trace(rho) - 1.0) < 1e-12
 
@@ -45,13 +44,13 @@ def test_alice_reduced_density_matches_joint_oracle(n_key_bins, alpha):
         joint = np.einsum("ap,bq->abpq", joint, f).reshape(
             2 * joint.shape[0], -1)
     oracle = joint @ joint.conj().T / np.vdot(joint, joint).real
-    assert np.allclose(eb.alice_reduced_density(state), oracle,
+    assert np.allclose(alice_reduced_density(state), oracle,
                        rtol=0, atol=1e-12)
 
 
 def test_alpha_zero_is_product_state():
     st = eb.build_eb_state(1, 0.0, 5)
-    rho = eb.alice_reduced_density(st)
+    rho = alice_reduced_density(st)
     # Alice's outcome distribution is uniform; the pre-measurement reduced
     # state is pure (|alpha> = |-alpha> at alpha = 0, so nothing entangles)
     assert np.allclose(np.diag(rho).real, 0.25)
@@ -70,7 +69,7 @@ def test_single_pair_entropy_matches_gram_oracle():
     # overlap g = exp(-2|a|^2)
     alpha = 0.45
     st = eb.build_eb_state(0, alpha, 20)
-    S = von_neumann_entropy(eb.alice_reduced_density(st))
+    S = von_neumann_entropy(alice_reduced_density(st))
     g = math.exp(-2 * alpha ** 2)
     lam = np.array([(1 + g) / 2, (1 - g) / 2])
     S_oracle = float(-np.sum(lam * np.log2(lam)))
@@ -112,7 +111,7 @@ def test_collapsed_specific_outcome():
     ref = pulse_train_vector(st, np.array([0, 1]))
     v0 = st.collapsed_bin_state(0, 0)
     v1 = st.collapsed_bin_state(1, 1)
-    direct = FockVector(st.registry, np.kron(v0, v1), normalized=True)
+    direct = FockVector(eb_registry(st), np.kron(v0, v1), normalized=True)
     assert fidelity(direct, ref) >= 1.0 - 1e-9
     amp0 = eb.collapsed_mean_amplitude(st, 0, 0)
     amp1 = eb.collapsed_mean_amplitude(st, 1, 1)
@@ -218,10 +217,12 @@ def test_input_validation():
                    {"eb_delay_defect": math.nan}):
         with pytest.raises(ValueError, match=">= 0"):
             eb.compare_statistics(2, 0.4, **kwargs)
+    with pytest.raises(ValueError, match="cutoff must be >= 1, got 0"):
+        eb.build_eb_state(1, 0.4, 0)
     # 4^15 entries of Alice's 15-qubit reduced density
     st = eb.build_eb_state(14, 0.45, 2)
     with pytest.raises(ValueError, match="above the bound"):
-        eb.alice_reduced_density(st)
+        alice_reduced_density(st)
 
 
 @pytest.mark.parametrize("args, kwargs, field", [
@@ -274,7 +275,7 @@ def test_size_bounds_refuse_before_any_work(monkeypatch):
     # the state is built
     def unreachable(*args):
         raise AssertionError("state built before the bound check")
-    monkeypatch.setattr(fock, "coherent_amplitudes", unreachable)
+    monkeypatch.setattr(eb, "coherent_amplitudes", unreachable)
     for n, kwargs in ((12, {}), (3, {"trials": 10 ** 8}),
                       (1, {"cutoff": 10 ** 9})):
         with pytest.raises(ValueError, match="exceeds the bound 300000000"):

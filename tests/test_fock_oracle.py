@@ -1,13 +1,32 @@
-"""The dense test-only helpers of :mod:`fock_oracle`."""
+"""The mode registry and the dense test-only helpers of :mod:`fock_oracle`."""
 
 import numpy as np
 import pytest
 
-from dpsqkd.fock import ModeRegistry
-from dpsqkd.povm import all_click_patterns, detection_registry
-from fock_oracle import (FockOperator, basis_index, basis_state,
-                         build_projector_effects, embed, expectation,
-                         permute_modes, vacuum)
+from dpsqkd.povm import all_click_patterns
+from fock_oracle import (FockOperator, ModeRegistry, basis_index, basis_state,
+                         build_projector_effects, detection_registry, embed,
+                         expectation, permute_modes, vacuum)
+
+
+def test_registry_validation():
+    with pytest.raises(ValueError):
+        ModeRegistry([(0, 0), (0, 0)], 2)
+    with pytest.raises(ValueError):
+        ModeRegistry([(0, 0)], 0)
+    reg = ModeRegistry([(0, 0), (0, 1), (1, 0)], 3)
+    assert reg.dim == 4 ** 3
+    assert reg.axis((0, 1)) == 1
+    with pytest.raises(ValueError):
+        reg.axis("nope")
+
+
+def test_occupations_indexing():
+    reg = ModeRegistry(["a", "b"], 2)
+    occ_a = reg.occupations("a")
+    occ_b = reg.occupations("b")
+    for idx in range(reg.dim):
+        assert idx == occ_a[idx] * 3 + occ_b[idx]
 
 
 def test_vacuum_and_basis_state():

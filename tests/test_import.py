@@ -117,7 +117,8 @@ def test_only_the_positioned_stream_helper_moves_a_pcg64():
 def test_one_table_and_one_sampler_make_every_click():
     # amplitudes become click probabilities only in the pair table, and
     # clicks are drawn only by the positioned sampler; the whole-train
-    # routes they replaced stay gone
+    # routes they replaced stay gone, as do the mode registry and the fock
+    # module, since click-pattern ids number the projector diagonals
     owners = {"propagate": "_pair_table", "click_probabilities": "_pair_table",
               "sample": "_sample_pairs"}
     helpers = set()
@@ -130,9 +131,13 @@ def test_one_table_and_one_sampler_make_every_click():
                 inside[name] = {id(n) for n in ast.walk(node)}
                 helpers.add(name)
         for node in ast.walk(tree):
-            names = {getattr(node, "name", None)} | {
-                getattr(t, "id", None) for t in getattr(node, "targets", ())}
-            assert not {"_click_table", "_ChunkDraws", "PulseTrain"} & names, \
+            # every part of a dotted name, so `import dpsqkd.fock` counts
+            names = {getattr(t, "id", None)
+                     for t in getattr(node, "targets", ())} | {
+                part for attr in ("name", "module")
+                for part in (getattr(node, attr, None) or "").split(".")}
+            assert not {"_click_table", "_ChunkDraws", "PulseTrain",
+                        "ModeRegistry", "fock"} & names, \
                 f"{path.name} defines or imports one of {names}"
             if isinstance(node, ast.alias):
                 assert node.name not in owners or node.asname in (

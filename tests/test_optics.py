@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpsqkd import fock, optics
+from dpsqkd import optics
+from dpsqkd.entangled import coherent_amplitudes
 from dpsqkd.optics import (InterferometerConfig, bs1_transform,
                            bs2_transform, interferometer_coefficients,
                            propagate, sector_dim, sector_lift,
@@ -273,9 +274,9 @@ def test_sector_route_coherent_closure_fidelity():
     beta = np.concatenate(_propagate(amps, cfg))
     overlap, norm = 0.0, 0.0
     for outputs, inputs, block in sector_lift(cfg, 3, 12, [6, 6, 0, 0, 0, 0]):
-        c = np.prod([fock.coherent_amplitudes(a, 6)[inputs[:, i]]
+        c = np.prod([coherent_amplitudes(a, 6)[inputs[:, i]]
                      for i, a in enumerate(amps)], axis=0)
-        ref = np.prod([fock.coherent_amplitudes(b, 12)[outputs[:, w]]
+        ref = np.prod([coherent_amplitudes(b, 12)[outputs[:, w]]
                        for w, b in enumerate(beta)], axis=0)
         psi = block @ c
         overlap += ref.conj() @ psi

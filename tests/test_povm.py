@@ -13,11 +13,11 @@ from dpsqkd.optics import InterferometerConfig
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, all_click_patterns,
                          build_e2_e3, certify_noncommutativity,
                          click_pattern_ids, conjugated_commutator_norm,
-                         pattern_diagonal, pattern_index, reduced_effect_set,
-                         t_term)
+                         pattern_index, reduced_effect_set, t_term)
 from fock_oracle import (basis_index, basis_state, build_projector_effects,
                          dagger, dense_certification, dense_e2_e3,
-                         dense_effects, dense_unitary, embed, signal_registry,
+                         dense_effects, dense_unitary, detection_registry,
+                         embed, pattern_diagonal, signal_registry,
                          t_term_numeric, wire_registry)
 
 # frozen by the pre-build dense oracle (multinomial-expansion route)
@@ -237,6 +237,22 @@ def test_t_term_table():
         t_term(0, 1)
     with pytest.raises(ValueError):
         t_term_numeric(3, 3, 2)
+
+
+@pytest.mark.parametrize("n_bins", [1, 2, 3])
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_pattern_diagonals_match_registry_route(n_bins, cutoff):
+    # oracle: one occupation test per detection wire on the registry, D0's
+    # wires first; a D0/D1 swap in the library's rows fails here, though
+    # every projector field of the report is blind to it
+    diags = povm._pattern_diagonals(n_bins, cutoff)
+    reg = detection_registry(n_bins, cutoff)
+    pats = all_click_patterns(n_bins)
+    assert diags.shape == (len(pats), reg.dim)
+    for k, p in enumerate(pats):
+        want = pattern_diagonal(reg, p)
+        assert diags[k].dtype == want.dtype
+        assert diags[k].tobytes() == want.tobytes()
 
 
 def test_conjugated_commutator_gram_matches_dense():
