@@ -19,7 +19,8 @@ from dpsqkd.entangled import (build_eb_state, coherent_amplitudes,
 
 def norm2(state):
     """Squared norm of the state: the product of its factors' norms."""
-    return math.prod(float(np.sum(np.abs(f) ** 2)) for f in state.factors)
+    return math.prod(float(np.sum(np.abs(state.factor) ** 2))
+                     for _ in range(state.n_pulses))
 
 
 def schmidt_values(factor):
@@ -32,8 +33,8 @@ def alice_density(state):
     factor's normalized 2x2 Gram matrix, exact because the state is a
     product over bins."""
     rho = np.ones((1, 1))
-    for f in state.factors:
-        gram = f @ f.conj().T
+    for _ in range(state.n_pulses):
+        gram = state.factor @ state.factor.conj().T
         rho = np.kron(rho, gram / np.trace(gram).real)
     return rho
 
@@ -49,9 +50,9 @@ def measure_alice(state, rng):
     """Alice's outcomes, bin by bin with their Born probabilities, and the
     photonic vector Bob's half collapses onto."""
     bits, vec = [], np.ones(1)
-    for i in range(state.n_pulses):
-        bits.append(int(rng.random() < state.factor_born_probabilities(i)[1]))
-        vec = np.kron(vec, state.collapsed_bin_state(i, bits[-1]))
+    for _ in range(state.n_pulses):
+        bits.append(int(rng.random() < state.factor_born_probabilities()[1]))
+        vec = np.kron(vec, state.collapsed_bin_state(bits[-1]))
     return bits, vec
 
 
@@ -76,7 +77,7 @@ print("distributed state over", state.n_pulses, "time bins,",
 
 # each factor is genuinely entangled for alpha != 0: two nonzero Schmidt
 # coefficients, limited by the overlap <alpha|-alpha> = exp(-2 alpha^2)
-print("per-bin Schmidt coefficients:", np.round(schmidt_values(state.factors[0]), 6))
+print("per-bin Schmidt coefficients:", np.round(schmidt_values(state.factor), 6))
 pair = build_eb_state(0, alpha, cutoff=20)
 S = entropy_bits(alice_density(pair))
 g = math.exp(-2 * alpha ** 2)

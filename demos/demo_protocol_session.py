@@ -36,8 +36,10 @@ print("detector D0 feed  :", np.round(np.abs(feed0) ** 2, 3))
 print("detector D1 feed  :", np.round(np.abs(feed1) ** 2, 3))
 
 detector = DetectorModel.ideal()
-d0, d1 = detector.sample(detector.click_probabilities(feed0),
-                         detector.click_probabilities(feed1), rng)
+# one uniform per bin at each detector, D0's first; a bin's detector clicks
+# when its uniform falls below the click probability (no dark counts here)
+d0 = rng.random(feed0.shape) < detector.click_probabilities(feed0)
+d1 = rng.random(feed1.shape) < detector.click_probabilities(feed1)
 # a bin with exactly one click is disclosed and carries Bob's bit (D1 -> 1);
 # both keep their bits of the disclosed bins
 single = d0 ^ d1

@@ -4,8 +4,8 @@ Instead of preparing pulse trains, a bipartite state is distributed whose
 Alice half is a register of qubits and whose Bob half is the photonic
 train; Alice's projective measurement in the computational basis prepares
 Bob's signal remotely.  The state factorizes per time bin as
-``(|0>|alpha> + |1>|-alpha>)/sqrt(2)``, and only the per-bin factors, the
-truncated :func:`coherent_amplitudes` of +-alpha, are stored.
+``(|0>|alpha> + |1>|-alpha>)/sqrt(2)``, and only that one factor, the
+truncated :func:`coherent_amplitudes` of +-alpha, is stored.
 
 ``compare_statistics`` certifies that the click statistics Bob sees are
 the same whichever way the signal was prepared.  Both flows read the
@@ -35,29 +35,25 @@ from .protocol import (DetectorModel, _pair_table, _positioned_rng,
 
 @dataclass(frozen=True)
 class EbState:
-    """The distributed bipartite state, one factor per time bin.
+    """The distributed bipartite state: one factor per time bin, all equal.
 
-    ``factors[i]`` is a (2, cutoff+1) array: row b holds the (unnormalized)
-    photonic amplitudes paired with Alice outcome b in bin i.  The state
-    is the tensor product of the factors.
+    ``factor`` is a (2, cutoff+1) array: row b holds the (unnormalized)
+    photonic amplitudes paired with Alice outcome b in a bin.  The state
+    is the tensor product of `n_pulses` copies of it.
     """
 
     alpha: complex
-    factors: tuple
+    factor: np.ndarray
+    n_pulses: int
 
-    @property
-    def n_pulses(self) -> int:
-        return len(self.factors)
-
-    def factor_born_probabilities(self, i: int) -> np.ndarray:
-        """Born probabilities of Alice's two outcomes in bin i."""
-        f = self.factors[i]
-        w = np.sum(np.abs(f) ** 2, axis=1)
+    def factor_born_probabilities(self) -> np.ndarray:
+        """Born probabilities of Alice's two outcomes in any bin."""
+        w = np.sum(np.abs(self.factor) ** 2, axis=1)
         return w / w.sum()
 
-    def collapsed_bin_state(self, i: int, bit: int) -> np.ndarray:
-        """Normalized photonic state of bin i given Alice outcome `bit`."""
-        row = self.factors[i][bit]
+    def collapsed_bin_state(self, bit: int) -> np.ndarray:
+        """Normalized photonic state of a bin given Alice outcome `bit`."""
+        row = self.factor[bit]
         return row / np.linalg.norm(row)
 
 
@@ -72,21 +68,24 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
 
 
 def build_eb_state(n_key_bins: int, alpha: complex, cutoff: int) -> EbState:
-    """Construct the distributed state for N key bins (N+1 pulses)."""
+    """The distributed state for N key bins (N+1 pulses).  Raises ValueError
+    for a non-integer count, N < 0, a cutoff below 1 or a non-finite alpha."""
+    _require_integers(n_key_bins=n_key_bins, cutoff=cutoff)
+    if n_key_bins < 0:
+        raise ValueError(f"n_key_bins must be >= 0, got {n_key_bins}")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    n_pulses = n_key_bins + 1
     alpha = complex(alpha)
-    row0 = coherent_amplitudes(alpha, cutoff) / math.sqrt(2.0)
-    row1 = coherent_amplitudes(-alpha, cutoff) / math.sqrt(2.0)
-    factor = np.stack([row0, row1])
-    factors = tuple(factor.copy() for _ in range(n_pulses))
-    return EbState(alpha, factors)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    factor = np.stack([coherent_amplitudes(alpha, cutoff),
+                       coherent_amplitudes(-alpha, cutoff)]) / math.sqrt(2.0)
+    return EbState(alpha, factor, n_key_bins + 1)
 
 
-def collapsed_mean_amplitude(state: EbState, i: int, bit: int) -> complex:
-    """Coherent amplitude of bin i's collapsed state, from the state itself."""
-    v = state.collapsed_bin_state(i, bit)
+def collapsed_mean_amplitude(state: EbState, bit: int) -> complex:
+    """Coherent amplitude of a bin's collapsed state, from the state itself."""
+    v = state.collapsed_bin_state(bit)
     w = np.sqrt(np.arange(1, v.size))
     return complex(np.sum(v[:-1].conj() * v[1:] * w))
 
@@ -159,7 +158,7 @@ def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
     """Click-pattern ids of both flows for the chunk of trial rows from r0
     (even), drawn as a generator at the PCG64 state `seeded` draws them in
     turn: the P&M S' bits (trials, N+1) at 32 bits each, its D0, then D1
-    uniforms (trials, N) as :meth:`DetectorModel.sample` draws them, the EB
+    uniforms (trials, N) as :func:`_sample_pairs` draws them, the EB
     Born uniforms (trials, N+1), its D0, then D1 uniforms, by one generator
     of the chunk's own moved from draw to draw.  Key bin i clicks with the
     probability ``pair_tables[flow, detector, 2 s_i + s_(i+1)]``."""
@@ -183,9 +182,9 @@ def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
 def _sufficient_cutoff(mu: float, n_key_bins: int, cutoff: int):
     """Smallest cutoff >= `cutoff` that passes the truncation check of
     :func:`compare_statistics`, or None when it exceeds the size bound.
-    The tail P(X > c) of X ~ Poisson(mu) exceeds 1/4 for every c < mu, so
+    The tail P(X > c) of X ~ Poisson(mu > 0) exceeds 1/4 for every c < mu, so
     the search spans 12 sigma above max(cutoff, mu) in log space."""
-    largest = DEFAULT_MAX_STATE_ENTRIES // (2 * n_key_bins + 2) - 1
+    largest = DEFAULT_MAX_STATE_ENTRIES // 2 - 1
     lo = max(cutoff, math.floor(mu))
     if lo > largest:
         return None
@@ -212,7 +211,7 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     its clicks from the same tables, in chunks of trials on up to
     ``_MC_WORKERS`` threads.  Each chunk draws, at their positions in the
     stream, the numbers that a sequential ``np.random.default_rng(seed)``
-    draws for its trials in the order of :meth:`DetectorModel.sample`
+    draws for its trials in the order of :func:`_sample_pairs`
     (:func:`_chunk_pattern_ids`), so the worker count changes no report.
     `eb_delay_defect` is a test hook: it injects an uncompensated phase
     into the delay arm of the EB flow only, an inconsistency the
@@ -222,10 +221,10 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     Raises ValueError, before any work, for a count (`n_key_bins`, `trials`,
     `cutoff`, `seed`) that is not an integer, for a non-finite `alpha` and when
     the enumeration (2^(N+1) preparations x 4^N patterns), the Monte Carlo
-    arrays (trials x (N+2)) or the state's factors (2(N+1) x (cutoff+1))
-    exceed ``optics.DEFAULT_MAX_STATE_ENTRIES``; and, once the state is built,
-    when its truncation alone could fail ``ANALYTIC_DISTANCE_GATE``: the
-    Poisson tail P(X > cutoff) it leaves out shrinks each collapsed
+    arrays (trials x (N+2)) or the state's factor (2 x (cutoff+1)) exceed
+    ``optics.DEFAULT_MAX_STATE_ENTRIES``; and when the truncation alone could
+    fail ``ANALYTIC_DISTANCE_GATE``, judged on the exact Poisson tail
+    P(X > cutoff) it leaves out: that tail shrinks each collapsed
     amplitude by a fraction of at most (cutoff+1) tail / (mu (1 - tail)),
     which moves the distance by at most 2N (cutoff+1) tail / (1 - tail).
     """
@@ -243,16 +242,17 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
         raise ValueError(f"alpha must be finite, got {alpha}")
     n_pulses = n_key_bins + 1
     entries = max(2 ** n_pulses * 4 ** n_key_bins, trials * (n_key_bins + 2),
-                  2 * n_pulses * (cutoff + 1))
+                  2 * (cutoff + 1))
     if entries > DEFAULT_MAX_STATE_ENTRIES:
         raise ValueError(
             f"{n_key_bins} key bins, {trials} trials and cutoff {cutoff} need "
-            f"{entries} entries (2^(N+1) x 4^N, trials x (N+2) or 2(N+1) x "
+            f"{entries} entries (2^(N+1) x 4^N, trials x (N+2) or 2 x "
             f"(cutoff+1)), which exceeds the bound {DEFAULT_MAX_STATE_ENTRIES}")
-    state = build_eb_state(n_key_bins, alpha, cutoff)
-    tail = 1.0 - float(np.sum(np.abs(state.factors[0]) ** 2))
-    if 2 * n_key_bins * (cutoff + 1) * tail > ANALYTIC_DISTANCE_GATE * (1 - tail):
-        enough = _sufficient_cutoff(abs(alpha) ** 2, n_key_bins, cutoff)
+    mu = abs(alpha) ** 2
+    enough = _sufficient_cutoff(mu, n_key_bins, cutoff) if mu else cutoff
+    if enough != cutoff:
+        amps = coherent_amplitudes(alpha, cutoff)
+        tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
         raise ValueError(
             f"cutoff {cutoff} leaves out the Poisson tail P(X > {cutoff}) = "
             f"{tail:.3g} of each pulse, which alone could push the analytic "
@@ -260,14 +260,14 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
                 f"cutoff {enough} is the smallest that suffices"
                 if enough is not None else
                 "no cutoff within the size bound suffices"))
+    state = build_eb_state(n_key_bins, alpha, cutoff)
     c_pm = interferometer_coefficients(config or
                                        InterferometerConfig.compensated())
     # the test hook: an uncompensated phase in the EB flow's delay arm
     c_eb = c_pm * np.exp(1j * eb_delay_defect * np.array([0, 0, 1, 1]))
 
-    born = state.factor_born_probabilities(0)    # every factor is the same
-    amp_of_bit = np.array([collapsed_mean_amplitude(state, 0, b)
-                           for b in (0, 1)])
+    born = state.factor_born_probabilities()
+    amp_of_bit = np.array([collapsed_mean_amplitude(state, b) for b in (0, 1)])
     ideal = DetectorModel.ideal()
     pair_tables = np.stack([
         _pair_table(ideal, np.array([1.0, -1.0]) * alpha, c_pm),
@@ -300,5 +300,5 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
         empirical = 0.5 * float(np.sum(np.abs(h_pm - h_eb)))
         sigma = 1.0 / math.sqrt(2.0 * trials)
 
-    return EbComparisonReport(n_key_bins, abs(alpha) ** 2, analytic,
+    return EbComparisonReport(n_key_bins, mu, analytic,
                               empirical, trials, sigma)

@@ -58,14 +58,13 @@ class InterferometerConfig:
 
     ``phi1`` (first beam splitter), ``phi2`` (second beam splitter) and
     ``phi_delta`` (phase picked up in the delay arm) must satisfy the
-    compensation condition ``phi1 + phi2 == phi_delta``.  ``delta_t`` is
-    the delay in time bins and is fixed at one bin.
+    compensation condition ``phi1 + phi2 == phi_delta``.  The delay is one
+    time bin.
     """
 
     phi1: float = 0.0
     phi2: float = 0.0
     phi_delta: float = 0.0
-    delta_t: int = 1
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.phi1, self.phi2, self.phi_delta))):
@@ -75,8 +74,6 @@ class InterferometerConfig:
             raise ValueError(
                 "compensation condition phi1 + phi2 = phi_delta violated: "
                 f"{self.phi1} + {self.phi2} != {self.phi_delta}")
-        if self.delta_t != 1:
-            raise ValueError("the delay is fixed at one time bin")
 
     @classmethod
     def compensated(cls, phi2: float = 0.0, phi_delta: float = 0.0):

@@ -179,8 +179,9 @@ def reduced_effect_set(n_bins: int, cutoff: int,
     silence there; the convention the explicit closed forms of the two
     illustrative effects correspond to).
 
-    Raises ValueError, before allocating, when a sector block or the
-    returned blocks exceed ``optics.DEFAULT_MAX_STATE_ENTRIES``.
+    Raises ValueError for a pattern that is not N (D0, D1) pairs, and before
+    allocating when a sector block or the returned blocks exceed
+    ``optics.DEFAULT_MAX_STATE_ENTRIES``.
     """
     if boundary not in ("marginal", "vacuum"):
         raise ValueError(f"boundary must be 'marginal' or 'vacuum', "
@@ -188,6 +189,9 @@ def reduced_effect_set(n_bins: int, cutoff: int,
     config = config or InterferometerConfig.compensated()
     patterns = tuple(all_click_patterns(n_bins) if patterns is None
                      else patterns)
+    for p in patterns:
+        if np.shape(p) != (n_bins, 2):
+            raise ValueError(f"need {n_bins} (D0, D1) pairs, got {p!r}")
     states, blocks = _reduce(n_bins, cutoff, config,
                              [(p, boundary == "vacuum") for p in patterns])
     return BlockEffects(patterns, states, blocks)

@@ -31,9 +31,7 @@ are 1-based indices 1..N.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-import types
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,19 +132,6 @@ class DetectorModel:
         p **= 2
         p *= -self.efficiency
         return np.subtract(1.0, np.exp(p, out=p), out=p)
-
-    def sample(self, p0: np.ndarray, p1: np.ndarray,
-               rng: np.random.Generator):
-        """Clicks ``(d0, d1)`` of D0 and D1, whose photon click
-        probabilities (:meth:`click_probabilities`) are the arrays `p0` and
-        `p1` of one shape.  Draws, each in C order: every D0 click, every
-        D1 click, then the dark clicks of D0 and of D1."""
-        d0 = rng.random(p0.shape) < p0
-        d1 = rng.random(p1.shape) < p1
-        if self.dark_click_prob > 0.0:
-            d0 |= rng.random(d0.shape) < self.dark_click_prob
-            d1 |= rng.random(d1.shape) < self.dark_click_prob
-        return d0, d1
 
 
 @dataclass(frozen=True)
@@ -291,8 +276,9 @@ def _sample_pairs(model: DetectorModel, table: np.ndarray, pulses: np.ndarray,
                   rng: np.random.Generator):
     """Clicks ``(d0, d1)`` of `model` in the key bins between consecutive
     pulses along the last axis of `pulses`, each pulse the index of its
-    symbol in the pair `table` (:func:`_pair_table`).  Draw k of
-    :meth:`DetectorModel.sample` comes at output ``k * stride + offset``
+    symbol in the pair `table` (:func:`_pair_table`).  Draws the D0, then
+    the D1 uniforms and, with dark counts, the dark uniforms of D0 and of
+    D1, each in C order: draw k comes at output ``k * stride + offset``
     after the PCG64 state `state`, where whole-session draws of `stride`
     uniforms each put it, from `rng` moved there."""
     size = math.isqrt(table.shape[1])
@@ -303,10 +289,13 @@ def _sample_pairs(model: DetectorModel, table: np.ndarray, pulses: np.ndarray,
     pair = (size * pulses[..., :-1] + pulses[..., 1:]).astype(np.intp)
     probs = table[0].take(pair), table[1].take(pair)
     del pair
-    at = itertools.count(offset, stride)
-    draws = types.SimpleNamespace(random=lambda shape: _positioned_rng(
-        state, next(at), rng).random(shape))
-    return model.sample(*probs, draws)
+    d0, d1 = (_positioned_rng(state, k * stride + offset, rng).random(
+        p.shape) < p for k, p in enumerate(probs))
+    if model.dark_click_prob > 0.0:
+        for k, d in enumerate((d0, d1), 2):
+            d |= _positioned_rng(state, k * stride + offset, rng).random(
+                d.shape) < model.dark_click_prob
+    return d0, d1
 
 
 @dataclass(frozen=True)

@@ -521,9 +521,9 @@ def dense_certification(cutoff, config=None):
 
 def eb_registry(state):
     """Registry of the photonic modes of an ``entangled.EbState``: one
-    signal-path mode per pulse, at the cutoff of its factors."""
+    signal-path mode per pulse, at the cutoff of its factor."""
     return ModeRegistry([(0, i) for i in range(state.n_pulses)],
-                        state.factors[0].shape[1] - 1)
+                        state.factor.shape[1] - 1)
 
 
 def alice_reduced_density(state):
@@ -539,9 +539,9 @@ def alice_reduced_density(state):
         raise ValueError(f"reduced density of {state.n_pulses} qubits has "
                          f"{entries} entries, above the bound "
                          f"{DEFAULT_MAX_STATE_ENTRIES}")
+    gram = state.factor @ state.factor.conj().T
     rho = np.ones((1, 1))
-    for f in state.factors:
-        gram = f @ f.conj().T
+    for _ in range(state.n_pulses):
         rho = np.kron(rho, gram / np.trace(gram).real)
     return rho
 
@@ -550,14 +550,14 @@ def eb_norm2(state):
     """Squared norm of an ``entangled.EbState``: the product of its
     factors' squared norms."""
     out = 1.0
-    for f in state.factors:
-        out *= float(np.sum(np.abs(f) ** 2))
+    for _ in range(state.n_pulses):
+        out *= float(np.sum(np.abs(state.factor) ** 2))
     return out
 
 
-def factor_schmidt_values(state, i):
-    """Schmidt coefficients of factor i (both nonzero iff entangled)."""
-    f = state.factors[i]
+def factor_schmidt_values(state):
+    """Schmidt coefficients of the factor (both nonzero iff entangled)."""
+    f = state.factor
     return np.linalg.svd(f, compute_uv=False) / np.linalg.norm(f)
 
 
@@ -578,8 +578,8 @@ def alice_measure(state, rng):
     bits = np.empty(state.n_pulses, dtype=np.uint8)
     vec = np.ones(1)
     for i in range(state.n_pulses):
-        bits[i] = rng.random() < state.factor_born_probabilities(i)[1]
-        vec = np.kron(vec, state.collapsed_bin_state(i, bits[i]))
+        bits[i] = rng.random() < state.factor_born_probabilities()[1]
+        vec = np.kron(vec, state.collapsed_bin_state(bits[i]))
     return bits, FockVector(eb_registry(state), vec, normalized=True)
 
 

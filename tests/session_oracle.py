@@ -45,12 +45,19 @@ class ClickRecord:
 def detect(out4, out5, model, rng):
     """Sample bucket-detector clicks on the key bins of the two output
     trains of amplitudes (as ``propagate`` gives them; the boundary
-    half-pulse bins at both ends are outside the detection window)."""
+    half-pulse bins at both ends are outside the detection window).
+    `rng` draws, each over all key bins: the D0 uniforms, the D1 uniforms,
+    then, with dark counts, the dark uniforms of D0 and of D1."""
     if out4.size != out5.size:
         raise ValueError("output trains differ in bin count")
-    return ClickRecord(*model.sample(model.click_probabilities(out4[1:-1]),
-                                     model.click_probabilities(out5[1:-1]),
-                                     rng))
+    p0 = model.click_probabilities(out4[1:-1])
+    p1 = model.click_probabilities(out5[1:-1])
+    d0 = rng.random(p0.shape) < p0
+    d1 = rng.random(p1.shape) < p1
+    if model.dark_click_prob > 0.0:
+        d0 |= rng.random(d0.shape) < model.dark_click_prob
+        d1 |= rng.random(d1.shape) < model.dark_click_prob
+    return ClickRecord(d0, d1)
 
 
 def extract_bob_bits(clicks):

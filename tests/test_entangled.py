@@ -1,5 +1,6 @@
 """EB translation and its statistical equivalence with the P&M flow."""
 
+import dataclasses
 import inspect
 import math
 import re
@@ -24,8 +25,7 @@ def test_state_norm_and_factorization():
     st = eb.build_eb_state(2, 0.45, 12)
     assert abs(eb_norm2(st) - 1.0) < 1e-10
     assert st.n_pulses == 3
-    assert len(st.factors) == 3
-    assert all(f.shape == (2, 13) for f in st.factors)
+    assert st.factor.shape == (2, 13)
     # the reduced density works at any size below the entry bound
     rho = alice_reduced_density(eb.build_eb_state(5, 0.45, 8))
     assert rho.shape == (64, 64)
@@ -40,8 +40,8 @@ def test_alice_reduced_density_matches_joint_oracle(n_key_bins, alpha):
     # per-bin factors, and Alice's reduced state J J* / |J|^2
     state = eb.build_eb_state(n_key_bins, alpha, 8)
     joint = np.ones((1, 1))
-    for f in state.factors:
-        joint = np.einsum("ap,bq->abpq", joint, f).reshape(
+    for _ in range(state.n_pulses):
+        joint = np.einsum("ap,bq->abpq", joint, state.factor).reshape(
             2 * joint.shape[0], -1)
     oracle = joint @ joint.conj().T / np.vdot(joint, joint).real
     assert np.allclose(alice_reduced_density(state), oracle,
@@ -55,9 +55,7 @@ def test_alpha_zero_is_product_state():
     # state is pure (|alpha> = |-alpha> at alpha = 0, so nothing entangles)
     assert np.allclose(np.diag(rho).real, 0.25)
     assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12
-    for i in range(2):
-        s = factor_schmidt_values(st, i)
-        assert s[1] < 1e-12   # Schmidt rank one per factor
+    assert factor_schmidt_values(st)[1] < 1e-12   # Schmidt rank one
     rng = np.random.default_rng(0)
     _, collapsed = alice_measure(st, rng)
     # collapsed photonic state is vacuum whatever the outcome
@@ -77,10 +75,8 @@ def test_single_pair_entropy_matches_gram_oracle():
 
 
 def test_factor_schmidt_rank_two_for_nonzero_alpha():
-    st = eb.build_eb_state(2, 0.45, 12)
-    for i in range(3):
-        s = factor_schmidt_values(st, i)
-        assert s[0] > 0 and s[1] > 0.01
+    s = factor_schmidt_values(eb.build_eb_state(2, 0.45, 12))
+    assert s[0] > 0 and s[1] > 0.01
 
 
 def test_alice_measure_uniform_distribution():
@@ -109,12 +105,12 @@ def test_collapsed_specific_outcome():
     # outcome (0,1) collapses onto |alpha> x |-alpha>
     st = eb.build_eb_state(1, 0.45, 12)
     ref = pulse_train_vector(st, np.array([0, 1]))
-    v0 = st.collapsed_bin_state(0, 0)
-    v1 = st.collapsed_bin_state(1, 1)
+    v0 = st.collapsed_bin_state(0)
+    v1 = st.collapsed_bin_state(1)
     direct = FockVector(eb_registry(st), np.kron(v0, v1), normalized=True)
     assert fidelity(direct, ref) >= 1.0 - 1e-9
-    amp0 = eb.collapsed_mean_amplitude(st, 0, 0)
-    amp1 = eb.collapsed_mean_amplitude(st, 1, 1)
+    amp0 = eb.collapsed_mean_amplitude(st, 0)
+    amp1 = eb.collapsed_mean_amplitude(st, 1)
     assert abs(amp0 - 0.45) < 1e-9 and abs(amp1 + 0.45) < 1e-9
 
 
@@ -160,9 +156,9 @@ def test_analytic_gather_matches_whole_train_propagation(n_key_bins, alpha,
     # gives its click probabilities and pattern distributions bit for bit
     n_pulses, cutoff = n_key_bins + 1, 16
     state = eb.build_eb_state(n_key_bins, alpha, cutoff)
-    amp_of_bit = np.array([eb.collapsed_mean_amplitude(state, 0, b)
+    amp_of_bit = np.array([eb.collapsed_mean_amplitude(state, b)
                            for b in (0, 1)])
-    born = state.factor_born_probabilities(0)
+    born = state.factor_born_probabilities()
     s_primes = np.indices((2,) * n_pulses).reshape(n_pulses, -1).T
     c_pm = interferometer_coefficients(
         InterferometerConfig.compensated(phi2=phi2))
@@ -219,6 +215,16 @@ def test_input_validation():
             eb.compare_statistics(2, 0.4, **kwargs)
     with pytest.raises(ValueError, match="cutoff must be >= 1, got 0"):
         eb.build_eb_state(1, 0.4, 0)
+    # build_eb_state refuses what compare_statistics refuses, in one line
+    for args, needle in (((-1, 0.4, 3), "n_key_bins must be >= 0, got -1"),
+                         ((1, math.nan, 3), "alpha must be finite"),
+                         ((1, complex(1, math.inf), 3), "alpha must be"),
+                         ((True, 0.4, 3), "n_key_bins must be an integer"),
+                         ((1.5, 0.4, 3), "n_key_bins must be an integer"),
+                         ((1, 0.4, 3.0), "cutoff must be an integer")):
+        with pytest.raises(ValueError, match=needle) as info:
+            eb.build_eb_state(*args)
+        assert "\n" not in str(info.value)
     # 4^15 entries of Alice's 15-qubit reduced density
     st = eb.build_eb_state(14, 0.45, 2)
     with pytest.raises(ValueError, match="above the bound"):
@@ -269,6 +275,28 @@ def test_truncation_refusal_guards_the_gate(n_key_bins, mu):
     assert named == {accepted[0]}
 
 
+def test_truncation_check_reads_the_exact_tail(monkeypatch):
+    # at cutoff 3 x 10^6 the exact Poisson tail is nil, while 1 - sum |a|^2
+    # measured on a state holds a few ulp of rounding, which the bound's
+    # 2N (cutoff+1) factor would push past the gate.  A stand-in state at
+    # cutoff 10, shrunk so that its measured tail is about 1e-15, passes:
+    # the exact tail decides alone
+    assert eb._sufficient_cutoff(0.2, 4, 3_000_000) == 3_000_000
+    build = eb.build_eb_state
+
+    def stand_in(n_key_bins, alpha, cutoff):
+        state = build(n_key_bins, alpha, 10)
+        return dataclasses.replace(state, factor=state.factor * (1 - 4e-16))
+
+    monkeypatch.setattr(eb, "build_eb_state", stand_in)
+    rep = eb.compare_statistics(4, math.sqrt(0.2), cutoff=3_000_000)
+    assert rep.analytic_distance <= eb.ANALYTIC_DISTANCE_GATE
+    # a cutoff too small is refused before any state is built
+    monkeypatch.setattr(eb, "build_eb_state", None)
+    with pytest.raises(ValueError, match="cutoff 7 is the smallest"):
+        eb.compare_statistics(2, math.sqrt(0.2), cutoff=3)
+
+
 def test_size_bounds_refuse_before_any_work(monkeypatch):
     # 2^13 preparations x 4^12 patterns, 10^8 trials x 5 Monte Carlo
     # entries, and 4 x 10^9 coherent amplitudes: each is refused before
@@ -301,9 +329,8 @@ def test_monte_carlo_table_gather_matches_per_trial_route(
     alpha = math.sqrt(mu)
     config = InterferometerConfig.compensated(phi2=phi2)
     state = eb.build_eb_state(n_key_bins, alpha, cutoff)
-    bit_probs = np.array([state.factor_born_probabilities(i)
-                          for i in range(n_key_bins + 1)])
-    amp_of_bit = np.array([eb.collapsed_mean_amplitude(state, 0, b)
+    born1 = state.factor_born_probabilities()[1]
+    amp_of_bit = np.array([eb.collapsed_mean_amplitude(state, b)
                            for b in (0, 1)])
     ideal = DetectorModel.ideal()
 
@@ -320,7 +347,7 @@ def test_monte_carlo_table_gather_matches_per_trial_route(
     c_eb[2:] *= np.exp(1j * defect)      # the delay-arm defect
     sp = rng.integers(0, 2, size=(trials, n_key_bins + 1))
     want_pm = per_trial_ids((1.0 - 2.0 * sp) * alpha, c_pm)
-    sp = rng.random((trials, n_key_bins + 1)) < bit_probs[:, 1]
+    sp = rng.random((trials, n_key_bins + 1)) < born1
     want_eb = per_trial_ids(amp_of_bit[sp.astype(int)], c_eb)
 
     # the chunked route inside compare_statistics, with every chunk's

@@ -117,8 +117,9 @@ def test_only_the_positioned_stream_helper_moves_a_pcg64():
 def test_one_table_and_one_sampler_make_every_click():
     # amplitudes become click probabilities only in the pair table, and
     # clicks are drawn only by the positioned sampler; the whole-train
-    # routes they replaced stay gone, as do the mode registry and the fock
-    # module, since click-pattern ids number the projector diagonals
+    # routes they replaced stay gone, as do the detector's own sampler, the
+    # mode registry and the fock module, since click-pattern ids number the
+    # projector diagonals
     owners = {"propagate": "_pair_table", "click_probabilities": "_pair_table",
               "sample": "_sample_pairs"}
     helpers = set()
@@ -137,7 +138,7 @@ def test_one_table_and_one_sampler_make_every_click():
                 part for attr in ("name", "module")
                 for part in (getattr(node, attr, None) or "").split(".")}
             assert not {"_click_table", "_ChunkDraws", "PulseTrain",
-                        "ModeRegistry", "fock"} & names, \
+                        "ModeRegistry", "fock", "sample"} & names, \
                 f"{path.name} defines or imports one of {names}"
             if isinstance(node, ast.alias):
                 assert node.name not in owners or node.asname in (

@@ -160,6 +160,18 @@ def test_reduced_effect_set_bounds():
         reduced_effect_set(8, 1)
 
 
+@pytest.mark.parametrize("pattern", [((True, False),), (True, False),
+                                     ((False, False),) * 3, ()])
+def test_reduced_effect_set_refuses_malformed_patterns(pattern):
+    # at N = 2, one (D0, D1) pair, bare or in a one-bin pattern, once gave
+    # the effect of ((False, False), (True, False)), and three bins a zero
+    # effect; each is refused before the lift
+    with pytest.raises(ValueError, match=r"need 2 \(D0, D1\) pairs, got") \
+            as info:
+        reduced_effect_set(2, 2, patterns=(E2_PATTERN, pattern))
+    assert "\n" not in str(info.value)
+
+
 def test_reduced_effect_set_exact_block_matches_closed_form():
     cutoff = 2
     E2c, E3c = dense_e2_e3(cutoff)

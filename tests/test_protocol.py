@@ -456,6 +456,47 @@ def test_seed_determinism_bitwise():
     assert np.array_equal(a.disclosed_bins, b.disclosed_bins)
 
 
+@pytest.mark.parametrize("mu, eta, dark, tap, seed", [
+    (0.2, 0.5, 1e-3, 0.0, 11), (0.5, 0.9, 1e-2, 0.0, 12),
+    (0.1, 1.0, 0.05, 0.0, 13), (1.0, 0.3, 1e-4, 0.0, 14),
+    (0.2, 1.0, 0.0, 0.3, 21), (0.5, 1.0, 0.0, 0.5, 22),
+    (1.0, 1.0, 0.0, 0.25, 23)])
+def test_session_rates_follow_closed_form_laws(mu, eta, dark, tap, seed):
+    # laws derived by hand, not from the pair table; grid, seeds and 5
+    # sigma bounds fixed before the first run.  Honest: the detector the
+    # phase picks clicks with p = 1 - (1-d) exp(-eta mu), the other with
+    # d alone.  Attacked, ideal detectors: Bob always gets +-alpha pulses;
+    # a bin keeps its phase when neither pulse was tapped, or both were
+    # and Eve saw a single click (she then knows the bin), and is random
+    # otherwise.  Honest bins are independent; attacked bins that share a
+    # tapped pulse are not, so those sigmas are widened by sqrt(3)
+    n = 10 ** 6
+    stats = run_session(SessionConfig(n_bins=n, alpha2=mu, efficiency=eta,
+                                      dark_click_prob=dark, eve_fraction=tap,
+                                      seed=seed))
+    if tap == 0.0:
+        p = 1 - (1 - dark) * math.exp(-eta * mu)
+        rate = p * (1 - dark) + dark * (1 - p)
+        laws = [("sifted rate", stats.sifted_rate, rate, n, 1),
+                ("qber", stats.qber, dark * (1 - p) / rate, n * rate, 1),
+                ("double-click rate", stats.double_clicks / n, p * dark, n, 1)]
+    else:
+        rng = np.random.default_rng(seed)
+        _, eve = intercept_resend(AliceRecord.random(n, math.sqrt(mu), rng),
+                                  tap, rng)
+        e = math.exp(-mu)
+        laws = [("sifted rate", stats.sifted_rate, 1 - e, n, 1),
+                ("qber", stats.qber, (2 * tap * (1 - tap) + tap ** 2 * e) / 2,
+                 n * (1 - e), 3),
+                ("known-bin ratio", eve.known_bins.size / n,
+                 tap ** 2 * (1 - e), n, 3)]
+        assert stats.double_clicks == 0
+    for name, got, law, trials, widen in laws:
+        sigma = math.sqrt(widen * law * (1 - law) / trials)
+        assert abs(got - law) < 5 * sigma, (name, got, law,
+                                            (got - law) / sigma)
+
+
 def test_dark_clicks_make_doubles_possible():
     st = run_session(SessionConfig(n_bins=50000, alpha2=0.2,
                                    dark_click_prob=0.05, seed=12))
