@@ -13,12 +13,14 @@ environment variable; every subcommand is deterministic under a fixed
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import math
 import os
 import sys
 
-from .entangled import ANALYTIC_DISTANCE_GATE, compare_statistics
+from .entangled import compare_statistics
 from .optics import InterferometerConfig
 from .povm import certify_noncommutativity
 from .protocol import SessionConfig, SessionStats, load_session_config, run_session
@@ -38,53 +40,47 @@ def _env_seed():
     return int(raw) if raw else None
 
 
-def _emit(text: str, path):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _emit(parts, path, sep="\n"):
+    """Write `parts`, joined by `sep`, and a newline to `path` or stdout,
+    each part as soon as it is made."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        for k, part in enumerate(parts):
+            fh.write(sep + part if k else part)
+        fh.write("\n")
 
 
 def cmd_simulate(args) -> int:
-    try:
-        base = load_session_config(args.config) if args.config else \
-            SessionConfig(n_bins=0)
-        overrides = {}
-        if args.bins is not None:
-            overrides["n_bins"] = args.bins
-        elif not args.config:
-            raise ValueError("missing required parameter: N (--bins)")
-        for attr in ("alpha2", "phi2", "efficiency", "dark_click_prob",
-                     "eve_fraction"):
-            if getattr(args, attr) is not None:
-                overrides[attr] = getattr(args, attr)
-        seed = args.seed if args.seed is not None else _env_seed()
-        if seed is not None:
-            overrides["seed"] = seed
-        config = dataclasses.replace(base, **overrides)
-        if args.repeat < 1:
-            raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    base = load_session_config(args.config) if args.config else \
+        SessionConfig(n_bins=0)
+    overrides = {}
+    if args.bins is not None:
+        overrides["n_bins"] = args.bins
+    elif not args.config:
+        raise ValueError("missing required parameter: N (--bins)")
+    for attr in ("alpha2", "phi2", "efficiency", "dark_click_prob",
+                 "eve_fraction"):
+        if getattr(args, attr) is not None:
+            overrides[attr] = getattr(args, attr)
+    seed = args.seed if args.seed is not None else _env_seed()
+    if seed is not None:
+        overrides["seed"] = seed
+    config = dataclasses.replace(base, **overrides)
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
 
-    rows = [run_session(dataclasses.replace(config, seed=config.seed + k))
-            for k in range(args.repeat)]
+    # each session is rendered and written as it ends, and none is held
+    sessions = (run_session(dataclasses.replace(config, seed=config.seed + k))
+                for k in range(args.repeat))
     if args.format == "csv":
-        out = "\n".join([SessionStats.csv_header()] + [s.csv_row() for s in rows])
+        rows = map(SessionStats.csv_row, sessions)
+        _emit(itertools.chain([SessionStats.csv_header()], rows), args.output)
     else:
-        out = "\n\n".join(s.to_text() for s in rows)
-    _emit(out, args.output)
+        _emit(map(SessionStats.to_text, sessions), args.output, sep="\n\n")
     return EXIT_OK
 
 
 def cmd_verify_povm(args) -> int:
-    try:
-        report = certify_noncommutativity(args.cutoff, n_bins=args.bins)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    report = certify_noncommutativity(args.cutoff, n_bins=args.bins)
     if args.json:
         import json
         payload = dataclasses.asdict(report)
@@ -92,31 +88,24 @@ def cmd_verify_povm(args) -> int:
             {"pattern_i": str(pi), "pattern_j": str(pj), "norm": v}
             for pi, pj, v in report.conjugated_pairs]
         payload["passed"] = report.passed
-        _emit(json.dumps(payload, indent=2), args.output)
-    elif args.format == "csv":
-        _emit(report.to_csv(), args.output)
+        _emit([json.dumps(payload, indent=2)], args.output)
     else:
-        _emit(report.to_text(), args.output)
+        _emit([report.to_text()], args.output)
     return EXIT_OK if report.passed else EXIT_FAILED_CHECK
 
 
 def cmd_eb_compare(args) -> int:
-    try:
-        seed = args.seed if args.seed is not None else (_env_seed() or 0)
-        if not 0.0 <= args.alpha2 < math.inf:
-            raise ValueError(f"alphaSquared must be finite and >= 0, "
-                             f"got {args.alpha2}")
-        config = InterferometerConfig.compensated(phi2=args.phi2)
-        report = compare_statistics(args.key_bins, args.alpha2 ** 0.5,
-                                    trials=args.trials, cutoff=args.cutoff,
-                                    seed=seed, config=config,
-                                    eb_delay_defect=args.eb_delay_defect)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    _emit(report.to_text(), args.output)
-    return EXIT_OK if report.analytic_distance <= ANALYTIC_DISTANCE_GATE \
-        else EXIT_FAILED_CHECK
+    seed = args.seed if args.seed is not None else (_env_seed() or 0)
+    if not 0.0 <= args.alpha2 < math.inf:
+        raise ValueError(f"alphaSquared must be finite and >= 0, "
+                         f"got {args.alpha2}")
+    config = InterferometerConfig.compensated(phi2=args.phi2)
+    report = compare_statistics(args.key_bins, args.alpha2 ** 0.5,
+                                trials=args.trials, cutoff=args.cutoff,
+                                seed=seed, config=config,
+                                eb_delay_defect=args.eb_delay_defect)
+    _emit([report.to_text()], args.output)
+    return EXIT_OK if report.passed else EXIT_FAILED_CHECK
 
 
 def cmd_witness_demo(args) -> int:
@@ -155,18 +144,15 @@ def cmd_witness_demo(args) -> int:
             lines.append("witness: none at this resolution")
             if result.warning:
                 lines.append(f"  warning: {result.warning}")
-        if expect_found and not result.found:
-            if args.resolution == "coarse":
-                lines.append("  (expected at default resolution; coarse "
-                             "search is allowed to miss it)")
-            else:
-                ok = False
-        if not expect_found and result.found:
-            # contradicts the positivity theorem (commuting family) or the
-            # witness's own certificate (negative on the separable I/4)
+        if expect_found and not result.found and args.resolution == "coarse":
+            lines.append("  (expected at default resolution; coarse "
+                         "search is allowed to miss it)")
+        elif result.found != expect_found:
+            # a witness found contradicts the positivity theorem (commuting
+            # family) or its own certificate (negative on the separable I/4)
             ok = False
         lines.append("")
-    _emit("\n".join(lines).rstrip(), args.output)
+    _emit(["\n".join(lines).rstrip()], args.output)
     return EXIT_OK if ok else EXIT_FAILED_CHECK
 
 
@@ -199,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--cutoff", type=int, default=3)
     ver.add_argument("--bins", type=int, default=2, help="key bins N")
     ver.add_argument("--json", action="store_true", help="structured output")
-    ver.add_argument("--format", choices=("text", "csv"), default="text")
     ver.add_argument("--output")
     ver.set_defaults(func=cmd_verify_povm)
 
@@ -241,7 +226,11 @@ def main(argv=None) -> int:
             return EXIT_BAD_INPUT
         if not existed:                         # the probe made it
             os.remove(args.output)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

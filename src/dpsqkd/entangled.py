@@ -107,7 +107,8 @@ _MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 @dataclass(frozen=True)
 class EbComparisonReport:
     """Total-variation distance between Bob's click-pattern distributions
-    under the two preparations."""
+    under the two preparations, which pass as equivalent when the analytic
+    distance is at most ``ANALYTIC_DISTANCE_GATE``."""
 
     n_key_bins: int
     alpha2: float
@@ -115,6 +116,10 @@ class EbComparisonReport:
     empirical_distance: Optional[float]
     trials: int
     sigma: float
+
+    @property
+    def passed(self) -> bool:
+        return self.analytic_distance <= ANALYTIC_DISTANCE_GATE
 
     def to_text(self) -> str:
         lines = [f"keyBins = {self.n_key_bins}",

@@ -28,6 +28,7 @@ is the intended reading.)
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,11 +52,6 @@ E3_PATTERN: ClickPattern = ((False, False), (False, True))
 #: 0.15460521937... at cutoff 3 and rises towards 0.1546056095; the
 #: complete-POVM value is larger (0.19311... at cutoff 3, rising)
 NONCOMMUTATIVITY_FLOOR = 0.1546
-
-G_COMMUTE_TOL = 1e-12
-CONJUGATED_COMMUTE_TOL = 1e-10
-COMPLETENESS_TOL = 1e-9
-PSD_TOL = 1e-10
 
 
 def all_click_patterns(n_bins: int) -> Tuple[ClickPattern, ...]:
@@ -266,6 +262,13 @@ def _commutator_norm(pairs) -> float:
                          for a, b in pairs))
 
 
+#: one row of a verdict table: `value` passes when it stands in `relation`
+#: ("<=" or ">=") to `threshold`, and prints as `label` and the value in
+#: format `fmt`, then, given a `note` such as "floor", the note and threshold
+Check = collections.namedtuple(
+    "Check", "label value fmt relation threshold note", defaults=("",))
+
+
 @dataclass(frozen=True)
 class NoncommutativityReport:
     """Outcome of the commutation certification.
@@ -296,66 +299,57 @@ class NoncommutativityReport:
     e3_reduction_gap: float
     e_sum_defect: float
     e_min_eigenvalue: float
-    g_zero_tol: float = G_COMMUTE_TOL
-    conj_zero_tol: float = CONJUGATED_COMMUTE_TOL
-    completeness_tol: float = COMPLETENESS_TOL
-    psd_tol: float = PSD_TOL
+    g_zero_tol: float = 1e-12
+    conj_zero_tol: float = 1e-10
+    completeness_tol: float = 1e-9
+    psd_tol: float = 1e-10
     nonzero_floor: float = NONCOMMUTATIVITY_FLOOR
     reduction_agreement_tol: float = 1e-9
 
+    def checks(self) -> Tuple[Check, ...]:
+        """The verdict table, one row per printed check line, in order."""
+        g, floor = self.g_zero_tol, self.nonzero_floor
+        return (
+            Check("max ||[G_i, G_j]||_F", self.g_comm_max, ".3e", "<=", g,
+                  "zero threshold"),
+            Check("max |G^2 - G|", self.g_idempotency_max, ".3e", "<=", g),
+            Check("max |G_i G_j| (i != j)", self.g_orthogonality_max, ".3e",
+                  "<=", g),
+            Check("|sum G - I|", self.g_sum_defect, ".3e", "<=", g),
+            Check("max ||[U*G_iU, U*G_jU]||_F", self.conjugated_comm_max,
+                  ".3e", "<=", self.conj_zero_tol, "zero threshold"),
+            Check("||[E2, E3]||_F closed form", self.e2e3_comm_norm, ".15f",
+                  ">=", floor),
+            Check("||[E2, E3]||_F silent boundary",
+                  self.e2e3_comm_norm_reduced, ".15f", ">=", floor, "floor"),
+            Check("||[E2, E3]||_F complete POVM",
+                  self.e2e3_comm_norm_marginal, ".15f", ">=", floor, "floor"),
+            Check("|E2 closed - reduced|", self.e2_reduction_gap, ".3e", "<=",
+                  self.reduction_agreement_tol, "threshold"),
+            Check("|E3 closed - reduced|", self.e3_reduction_gap, ".3e", "<=",
+                  self.reduction_agreement_tol),
+            Check("|sum E - I|", self.e_sum_defect, ".3e", "<=",
+                  self.completeness_tol, "threshold"),
+            Check("min eigenvalue over E_j", self.e_min_eigenvalue, ".3e",
+                  ">=", -self.psd_tol, "PSD threshold"),
+        )
+
     @property
     def passed(self) -> bool:
-        return (self.g_comm_max <= self.g_zero_tol
-                and self.conjugated_comm_max <= self.conj_zero_tol
-                and self.e2e3_comm_norm >= self.nonzero_floor
-                and self.e2e3_comm_norm_reduced >= self.nonzero_floor
-                and self.e2e3_comm_norm_marginal >= self.nonzero_floor
-                and self.e2_reduction_gap <= self.reduction_agreement_tol
-                and self.e3_reduction_gap <= self.reduction_agreement_tol
-                and self.e_sum_defect <= self.completeness_tol
-                and self.e_min_eigenvalue >= -self.psd_tol)
+        return all(c.value <= c.threshold if c.relation == "<="
+                   else c.value >= c.threshold for c in self.checks())
 
     def to_text(self) -> str:
-        lines = [
+        return "\n".join([
             f"keyBins = {self.n_bins}, cutoff = {self.cutoff} "
             f"(reduction exact over photon-number sectors "
             f"0..{self.internal_cutoff})",
             f"detection dim = {self.detection_dim}, wire dim = {self.wire_dim}"
             f" (conjugated checks on wire sectors 0..{self.cutoff})",
-            f"max ||[G_i, G_j]||_F           = {self.g_comm_max:.3e}"
-            f"   (zero threshold {self.g_zero_tol:.0e})",
-            f"max |G^2 - G|                  = {self.g_idempotency_max:.3e}",
-            f"max |G_i G_j| (i != j)         = {self.g_orthogonality_max:.3e}",
-            f"|sum G - I|                    = {self.g_sum_defect:.3e}",
-            f"max ||[U*G_iU, U*G_jU]||_F     = {self.conjugated_comm_max:.3e}"
-            f"   (zero threshold {self.conj_zero_tol:.0e})",
-            f"||[E2, E3]||_F closed form     = {self.e2e3_comm_norm:.15f}",
-            f"||[E2, E3]||_F silent boundary = {self.e2e3_comm_norm_reduced:.15f}"
-            f"   (floor {self.nonzero_floor})",
-            f"||[E2, E3]||_F complete POVM   = {self.e2e3_comm_norm_marginal:.15f}"
-            f"   (floor {self.nonzero_floor})",
-            f"|E2 closed - reduced|          = {self.e2_reduction_gap:.3e}"
-            f"   (threshold {self.reduction_agreement_tol:.0e})",
-            f"|E3 closed - reduced|          = {self.e3_reduction_gap:.3e}",
-            f"|sum E - I|                    = {self.e_sum_defect:.3e}"
-            f"   (threshold {self.completeness_tol:.0e})",
-            f"min eigenvalue over E_j        = {self.e_min_eigenvalue:.3e}"
-            f"   (PSD threshold -{self.psd_tol:.0e})",
-            f"verdict: {'PASS' if self.passed else 'FAIL'}",
-        ]
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        head = ("schema_version,keyBins,cutoff,internalCutoff,gCommMax,"
-                "conjCommMax,e2e3CommClosed,e2e3CommSilentBoundary,"
-                "e2e3CommCompletePovm,eSumDefect,eMinEigenvalue,passed")
-        row = (f"1,{self.n_bins},{self.cutoff},{self.internal_cutoff},"
-               f"{self.g_comm_max!r},{self.conjugated_comm_max!r},"
-               f"{self.e2e3_comm_norm!r},{self.e2e3_comm_norm_reduced!r},"
-               f"{self.e2e3_comm_norm_marginal!r},"
-               f"{self.e_sum_defect!r},{self.e_min_eigenvalue!r},"
-               f"{int(self.passed)}")
-        return head + "\n" + row
+            *(f"{c.label:<31}= {c.value:{c.fmt}}"
+              + (f"   ({c.note} {c.threshold:g})" if c.note else "")
+              for c in self.checks()),
+            f"verdict: {'PASS' if self.passed else 'FAIL'}"])
 
 
 def certify_noncommutativity(cutoff: int, n_bins: int = 2,
@@ -363,16 +357,19 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
                              ) -> NoncommutativityReport:
     """Certify the commutation structure at desk scale.
 
-    Checks, with every threshold recorded in the report: the projector
-    effects commute pairwise (and are idempotent, orthogonal and
-    complete), on their 0/1 diagonals; conjugation with the
+    Each check is a row of :meth:`NoncommutativityReport.checks`, with its
+    threshold, and the report passes when every row does: the projector
+    effects commute pairwise and are idempotent, orthogonal and complete,
+    all at `g_zero_tol`, on their 0/1 diagonals; conjugation with the
     interferometer unitary preserves commutation on sampled pairs, on
     every wire sector 0..cutoff (the states a cutoff-`cutoff` wire box
-    holds exactly); the vacuum-reduced effects are complete and positive;
-    and the two illustrative reduced effects do NOT commute, with a
-    commutator norm above the recorded floor, computed both from the
-    closed forms and from the generic reduction.  One signal lift serves
-    both boundary conventions; all of it runs on photon-number blocks.
+    holds exactly); the closed forms of the two illustrative reduced
+    effects agree with the generic reduction; the vacuum-reduced effects
+    are complete and positive; and the two illustrative reduced effects do
+    NOT commute, with a commutator norm above the recorded floor from the
+    closed forms and from both boundary conventions of the reduction.  One
+    signal lift serves both conventions; all of it runs on photon-number
+    blocks.
 
     Raises ValueError, before any work, when a photon-number sector block
     exceeds ``optics.DEFAULT_MAX_STATE_ENTRIES``.

@@ -37,6 +37,9 @@ _DECOMPOSE_TOL, _DECOMPOSE_STEPS = 1e-10, 2000
 _REFINE_STEPS, _REFINE_STARTS = 200, 8
 #: slack of the separable minimum's grid in the diagonal positivity check
 _GRID_TOLERANCE = 1e-3
+#: how far below zero a witness's certified target expectation must lie,
+#: and the seed of the search's separable-minimum grids
+_ACCEPT_MARGIN, _SEARCH_SEED = 1e-4, 3
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
@@ -283,17 +286,13 @@ class DiagonalWitness:
 
 @dataclass(frozen=True)
 class DiagonalCheckResult:
-    verdict: str                       # "PASS" or "FAIL"
+    passed: bool
     min_lambda: float
     w_min_eigenvalue: float
     separable_min: float
     grid_tolerance: float
     violating_pair: Optional[Tuple[int, int]]
     violating_expectation: Optional[float]
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "PASS"
 
 
 def diagonal_positivity_theorem_check(
@@ -318,8 +317,8 @@ def diagonal_positivity_theorem_check(
             sep <= violating_val + _GRID_TOLERANCE
     else:
         ok = ok and w_min >= -1e-12
-    return DiagonalCheckResult("PASS" if ok else "FAIL", min_lambda, w_min,
-                               sep, _GRID_TOLERANCE, pair, violating_val)
+    return DiagonalCheckResult(ok, min_lambda, w_min, sep, _GRID_TOLERANCE,
+                               pair, violating_val)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +388,7 @@ def _checked_state(rho, dim: int) -> np.ndarray:
 def witness_search(alice_effects: Sequence[np.ndarray],
                    bob_effects: Sequence[np.ndarray],
                    target_state: np.ndarray,
-                   resolution: str = "default",
-                   accept_margin: float = 1e-4,
-                   seed: int = 3) -> WitnessSearchResult:
+                   resolution: str = "default") -> WitnessSearchResult:
     """First real c, in ``itertools`` order over at most `max_terms`
     hermitian product-basis directions in the span of the effect products
     and a coarse coefficient grid, such that ``W = sum c_ab F_a x G_b`` is
@@ -403,15 +400,12 @@ def witness_search(alice_effects: Sequence[np.ndarray],
     one for those reading negative, shifted by the identity when the
     family can express it, before the next block is drawn.  Acceptance
     needs the :func:`_decompose` certificate and its shift eps:
-    ``Tr(W rho) + eps < -accept_margin``.  Candidates are independent, so
+    ``Tr(W rho) + eps < -_ACCEPT_MARGIN``.  Candidates are independent, so
     the blocks change neither the candidate found nor the counts.
     """
     if resolution not in _RESOLUTIONS:
         raise ValueError(f"unknown resolution {resolution!r}; "
                          f"choose from {sorted(_RESOLUTIONS)}")
-    if not 0.0 <= accept_margin < math.inf:
-        raise ValueError(f"accept_margin must be finite and >= 0, got "
-                         f"{accept_margin}")
     values, max_terms, grid_points = _RESOLUTIONS[resolution]
     F = [np.asarray(f, dtype=complex) for f in alice_effects]
     G = [np.asarray(g, dtype=complex) for g in bob_effects]
@@ -456,7 +450,7 @@ def witness_search(alice_effects: Sequence[np.ndarray],
             "no witness at coarse resolution; this is not evidence of "
             "absence for non-commuting families")
         return WitnessSearchResult(cand, resolution, values, max_terms,
-                                   tried, screened, accept_margin, warning)
+                                   tried, screened, _ACCEPT_MARGIN, warning)
 
     # one block of candidates stacks at most _GRID_BLOCK_ENTRIES entries
     per_block = max(1, _GRID_BLOCK_ENTRIES // (dA * dB) ** 2)
@@ -467,29 +461,29 @@ def witness_search(alice_effects: Sequence[np.ndarray],
         while block := list(itertools.islice(pending, per_block)):
             idx, cs = map(np.array, zip(*block))
             keep = np.flatnonzero(sum(cs[:, i] * traces[idx[:, i]]
-                                      for i in range(k)) < -accept_margin)
+                                      for i in range(k)) < -_ACCEPT_MARGIN)
             Ws = sum(cs[keep, i, None, None] * usable[idx[keep, i]]
                      for i in range(k))
             sep = min_separable_expectation(Ws, dims, grid_points=grid_points,
-                                            seed=seed).value
+                                            seed=_SEARCH_SEED).value
             # push a negative separable minimum back to zero with an
             # identity term
             shifted = Ws - sep[:, None, None] * identity_dir
             t = np.einsum("kij,ji->k", Ws, rho).real
             t_shift = np.einsum("kij,ji->k", shifted, rho).real
-            direct = (sep >= -1e-9) & (t < -accept_margin)
+            direct = (sep >= -1e-9) & (t < -_ACCEPT_MARGIN)
             retry = (can_shift & ~direct & (-0.75 <= sep) & (sep < 0.0)
-                     & (t_shift < -accept_margin))
+                     & (t_shift < -_ACCEPT_MARGIN))
             if retry.any():
                 retry[retry] = min_separable_expectation(
                     shifted[retry], dims, grid_points=max(grid_points, 1500),
-                    seed=seed + 1).value >= -1e-9
+                    seed=_SEARCH_SEED + 1).value >= -1e-9
             for j in np.flatnonzero(direct | retry).tolist():
                 W, t_j = (Ws[j], t[j]) if direct[j] else (shifted[j],
                                                           t_shift[j])
                 Q, lower = _decompose(W, dims)
                 shift = max(0.0, -lower)
-                if t_j + shift < -accept_margin:
+                if t_j + shift < -_ACCEPT_MARGIN:
                     # coefficients over the actual effect products
                     c_flat = np.linalg.lstsq(A.T, _flatten_real(
                         W + shift * identity_dir), rcond=None)[0]

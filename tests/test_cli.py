@@ -1,5 +1,6 @@
 """Command-line surface: dispatch, exit codes, report formats."""
 
+import hashlib
 import json
 import os
 import resource
@@ -59,6 +60,36 @@ def test_simulate_repeat_distinct_seeds(capsys):
     seeds = [r.split(",")[7] for r in rows]
     assert seeds == ["3", "4", "5"]
     assert len(set(rows)) == 3
+
+
+#: prints the child's own peak resident set, so that no earlier child of
+#: the test run counts towards it
+_PEAK_RSS_SCRIPT = """
+import resource, sys
+from dpsqkd.cli import main
+status = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def test_simulate_repeat_holds_one_session_at_a_time():
+    # each row is written as its session ends, so 40 sessions of 10^6 bins
+    # peak within 8 MB of one; holding every session until printing, with
+    # its disclosed-bin array, grew the peak by about 45 MB
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    peak_kb = []
+    for k in (1, 40):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_SCRIPT, "simulate", "--bins",
+             "1000000", "--seed", "1", "--repeat", str(k)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 1 + k
+        peak_kb.append(int(proc.stderr.splitlines()[-1]))
+    assert peak_kb[1] - peak_kb[0] < 8 * 1024, peak_kb
 
 
 def test_simulate_config_file_and_override(tmp_path, capsys):
@@ -154,6 +185,59 @@ def test_verify_povm_cutoff_above_sector_bound(capsys):
     assert code == 2 and out == ""
     assert "sector 40 block of 1221759 states" in err
     assert "bound 300000000" in err and "Traceback" not in err
+
+
+# full verify-povm stdout recorded while the report still wrote its verdict
+# and its check lines by hand; --cutoff N -> stdout (exit 0 for both)
+PINNED_VERIFY_POVM = {
+    "3":
+        "keyBins = 2, cutoff = 3 (reduction exact over photon-number sectors 0..9)\n"
+        "detection dim = 256, wire dim = 84 (conjugated checks on wire sectors 0..3)\n"
+        "max ||[G_i, G_j]||_F           = 0.000e+00   (zero threshold 1e-12)\n"
+        "max |G^2 - G|                  = 0.000e+00\n"
+        "max |G_i G_j| (i != j)         = 0.000e+00\n"
+        "|sum G - I|                    = 0.000e+00\n"
+        "max ||[U*G_iU, U*G_jU]||_F     = 1.230e-16   (zero threshold 1e-10)\n"
+        "||[E2, E3]||_F closed form     = 0.154605219372170\n"
+        "||[E2, E3]||_F silent boundary = 0.154605219372170   (floor 0.1546)\n"
+        "||[E2, E3]||_F complete POVM   = 0.193111115979740   (floor 0.1546)\n"
+        "|E2 closed - reduced|          = 2.220e-16   (threshold 1e-09)\n"
+        "|E3 closed - reduced|          = 2.220e-16\n"
+        "|sum E - I|                    = 3.109e-15   (threshold 1e-09)\n"
+        "min eigenvalue over E_j        = -9.713e-17   (PSD threshold -1e-10)\n"
+        "verdict: PASS\n",
+    "4":
+        "keyBins = 2, cutoff = 4 (reduction exact over photon-number sectors 0..12)\n"
+        "detection dim = 625, wire dim = 210 (conjugated checks on wire sectors 0..4)\n"
+        "max ||[G_i, G_j]||_F           = 0.000e+00   (zero threshold 1e-12)\n"
+        "max |G^2 - G|                  = 0.000e+00\n"
+        "max |G_i G_j| (i != j)         = 0.000e+00\n"
+        "|sum G - I|                    = 0.000e+00\n"
+        "max ||[U*G_iU, U*G_jU]||_F     = 2.192e-16   (zero threshold 1e-10)\n"
+        "||[E2, E3]||_F closed form     = 0.154605603393748\n"
+        "||[E2, E3]||_F silent boundary = 0.154605603393748   (floor 0.1546)\n"
+        "||[E2, E3]||_F complete POVM   = 0.194350838602880   (floor 0.1546)\n"
+        "|E2 closed - reduced|          = 2.220e-16   (threshold 1e-09)\n"
+        "|E3 closed - reduced|          = 2.220e-16\n"
+        "|sum E - I|                    = 4.219e-15   (threshold 1e-09)\n"
+        "min eigenvalue over E_j        = -9.713e-17   (PSD threshold -1e-10)\n"
+        "verdict: PASS\n",
+}
+
+
+@pytest.mark.parametrize("cutoff", sorted(PINNED_VERIFY_POVM))
+def test_verify_povm_pinned_bytes(cutoff, capsys):
+    code, out, _ = run(["verify-povm", "--cutoff", cutoff], capsys)
+    assert code == 0
+    assert out == PINNED_VERIFY_POVM[cutoff]
+
+
+def test_verify_povm_pinned_json(capsys):
+    # recorded with the text pins above
+    code, out, _ = run(["verify-povm", "--cutoff", "3", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "a652582a5d5e33037211e2df3dde44fe7155f77559d726401fd944bb37b86451"
 
 
 def test_eb_compare_exit_codes(capsys):
@@ -423,6 +507,21 @@ def test_output_probe_leaves_no_file_on_bad_input(tmp_path, capsys):
     code, _, _ = run(["eb-compare", "--trials", "-5", "--output",
                       str(target)], capsys)
     assert code == 2 and target.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", [["simulate", "--bins", "10"],
+                                     ["verify-povm"], ["eb-compare"],
+                                     ["witness-demo", "--resolution",
+                                      "coarse"]])
+def test_output_error_after_the_work_exits_2(command, capsys, monkeypatch):
+    # main turns an error after the work, too, into one line and status 2
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("dpsqkd.cli._emit", full_disk)
+    code, out, err = run(command, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize("argv, needle", [

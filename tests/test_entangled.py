@@ -206,6 +206,14 @@ def test_report_text():
     assert "absent" in rep2.to_text()
 
 
+def test_report_passes_up_to_the_gate():
+    rep = eb.EbComparisonReport(3, 0.2, eb.ANALYTIC_DISTANCE_GATE, None, 0,
+                                0.0)
+    assert rep.passed
+    above = math.nextafter(eb.ANALYTIC_DISTANCE_GATE, math.inf)
+    assert not dataclasses.replace(rep, analytic_distance=above).passed
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         eb.compare_statistics(0, 0.4)

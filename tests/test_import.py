@@ -150,3 +150,23 @@ def test_one_table_and_one_sampler_make_every_click():
                     f"{path.name}:{node.lineno} uses {ref} outside " \
                     f"protocol.{owners[ref]}"
     assert helpers == {"_pair_table", "_sample_pairs"}
+
+
+def test_cli_decides_no_verdict_and_catches_errors_in_main_alone():
+    # each report decides its own verdict, so the CLI reads no threshold of
+    # the library; `main` alone turns an error into exit status 2
+    tree = ast.parse((ROOT / "src" / "dpsqkd" / "cli.py").read_text())
+    for node in ast.walk(tree):
+        names = [a.name for a in node.names] \
+            if isinstance(node, (ast.Import, ast.ImportFrom)) else \
+            [node.attr] if isinstance(node, ast.Attribute) else \
+            [node.id] if isinstance(node, ast.Name) else []
+        assert not [n for n in names
+                    if n.endswith(("_GATE", "_TOL", "_FLOOR"))], \
+            f"cli.py:{node.lineno} reads a library threshold"
+    in_main = {id(n) for f in tree.body if getattr(f, "name", None) == "main"
+               for n in ast.walk(f)}
+    tries = [n for n in ast.walk(tree) if isinstance(n, (ast.Try,
+                                                         ast.TryStar))]
+    assert tries
+    assert [n.lineno for n in tries if id(n) not in in_main] == []

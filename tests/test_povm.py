@@ -356,3 +356,41 @@ def test_report_fields_follow_perturbed_blocks(monkeypatch):
     assert abs(gap2 - delta) < 1e-12
     assert abs(report.e2_reduction_gap - gap2) < 1e-12
     assert not report.passed
+
+
+#: the report field each row of the verdict table reads, in printed order
+CHECKED_FIELDS = ("g_comm_max", "g_idempotency_max", "g_orthogonality_max",
+                  "g_sum_defect", "conjugated_comm_max", "e2e3_comm_norm",
+                  "e2e3_comm_norm_reduced", "e2e3_comm_norm_marginal",
+                  "e2_reduction_gap", "e3_reduction_gap", "e_sum_defect",
+                  "e_min_eigenvalue")
+
+
+def row_passes(row):
+    return (row.value <= row.threshold if row.relation == "<="
+            else row.value >= row.threshold)
+
+
+def test_every_check_decides_the_verdict():
+    # one ulp past its threshold, any one checked field fails its row, the
+    # verdict and the printed verdict; at the threshold it passes
+    report = certify_noncommutativity(3)
+    rows = report.checks()
+    assert [getattr(report, f) for f in CHECKED_FIELDS] == \
+        [c.value for c in rows]
+    assert all(map(row_passes, rows)) and report.passed
+    # every printed check line is a row's, with the threshold it is held to
+    lines = report.to_text().splitlines()[2:-1]
+    assert [line.split(" = ")[0].rstrip() for line in lines] == \
+        [c.label for c in rows]
+    assert [line.endswith(f"({c.note} {c.threshold:g})")
+            for line, c in zip(lines, rows)] == [bool(c.note) for c in rows]
+    for k, (field, row) in enumerate(zip(CHECKED_FIELDS, rows)):
+        past = math.nextafter(row.threshold, math.inf if row.relation == "<="
+                              else -math.inf)
+        failing = dataclasses.replace(report, **{field: past})
+        assert [row_passes(c) for c in failing.checks()] == \
+            [j != k for j in range(len(rows))], field
+        assert not failing.passed, field
+        assert failing.to_text().endswith("\nverdict: FAIL"), field
+        assert dataclasses.replace(report, **{field: row.threshold}).passed

@@ -211,9 +211,6 @@ def test_search_resolutions():
     (np.triu(np.ones((4, 4))) / 4.0, {}, "hermitian"),
     (np.eye(4, dtype=complex) / 2.0, {}, "unit trace"),
     (np.diag([0.75, 0.5, 0.0, -0.25]).astype(complex), {}, "positive"),
-    (bell_state_density(), {"accept_margin": -1.0}, "accept_margin"),
-    (bell_state_density(), {"accept_margin": np.nan}, "accept_margin"),
-    (bell_state_density(), {"accept_margin": np.inf}, "accept_margin"),
 ])
 def test_search_refuses_bad_input(target, kwargs, needle):
     fam = bb84_effect_family()
