@@ -8,12 +8,13 @@ Bob's signal remotely.  The state factorizes per time bin as
 truncated :func:`coherent_amplitudes` of +-alpha, is stored.
 
 ``compare_statistics`` certifies that the click statistics Bob sees are
-the same whichever way the signal was prepared.  Both flows read the
-sessions' table of the four pulse pairs (``protocol._pair_table``): the
-analytic distance gathers every key bin's click probabilities from it,
-and the Monte Carlo draws its clicks with the sessions' sampler
-(``protocol._sample_pairs``); :func:`~dpsqkd.povm.click_pattern_ids`
-numbers the patterns.
+the same whichever way the signal was prepared.  Each flow gathers, from
+the sessions' table of the four pulse pairs (``protocol._pair_table``),
+one row of key-bin click probabilities per preparation S': the analytic
+distance mixes the rows, and the Monte Carlo draws each trial's clicks
+from its S' row with the sessions' sampler (``protocol._sample_pairs``).
+Preparations and click patterns are numbered by packing their bits
+(:func:`~dpsqkd.povm.packed_ids`, as :func:`~dpsqkd.povm.click_pattern_ids`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
                      _require_integers, interferometer_coefficients)
-from .povm import click_pattern_ids
+from .povm import id_bits, packed_ids
 from .protocol import (DetectorModel, _pair_table, _positioned_rng,
                        _sample_pairs)
 
@@ -97,7 +98,8 @@ def collapsed_mean_amplitude(state: EbState, bit: int) -> complex:
 ANALYTIC_DISTANCE_GATE = 1e-8
 
 #: Monte Carlo trial rows per chunk; even, so that the S' bits of every
-#: chunk start on a whole 64-bit output of the stream
+#: chunk start on a whole 64-bit output of the stream.  Of 2^13, 2^14 and
+#: 2^15, 2^15 gave the fastest 10^6-trial calls on two workers
 _MC_CHUNK_ROWS = 1 << 15
 #: threads that run the chunks; NumPy releases the GIL in RNG fills and ufuncs
 _MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -151,35 +153,55 @@ def _pattern_distribution(table: np.ndarray,
         for cell in train_cells:
             joint = np.multiply.outer(joint, cell)
         mixture = mixture + joint
-    # the axes of `mixture` are the (D0, D1) clicks of bin 1, of bin 2, ...
-    clicks = np.indices(mixture.shape, dtype=bool).reshape(mixture.ndim, -1)
-    dist = np.empty(mixture.size)
-    dist[click_pattern_ids(clicks[0::2].T, clicks[1::2].T)] = mixture.ravel()
-    return dist
+    # the axes of `mixture` are the (D0, D1) clicks of bin 1, of bin 2, ...:
+    # in C order, the bits that click_pattern_ids packs
+    return mixture.ravel()
+
+
+def _integer_bits(rng: np.random.Generator, out: np.ndarray):
+    """Write into the bool array `out` what ``rng.integers(0, 2, out.shape)``
+    draws on PCG64, in about 40% of its time: the Lemire draw for a range of 2
+    never rejects and takes the top bit of a 32-bit half-word, a buffered
+    one first, then the low and the high half of each output."""
+    state, n = rng.bit_generator.state, out.size
+    words = rng.bit_generator.random_raw(-(-(n - state["has_uint32"]) // 2))
+    words = words.astype("<u8", copy=False).view("<u4")
+    if state["has_uint32"]:
+        words = np.concatenate([[np.uint32(state["uinteger"])], words])
+    np.right_shift(words[:n].reshape(out.shape), 31, out=out, casting="unsafe")
 
 
 def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
-                       pair_tables: np.ndarray, born1: float, r0: int):
+                       tables: np.ndarray, born1: float, r0: int, work):
     """Click-pattern ids of both flows for the chunk of trial rows from r0
     (even), drawn as a generator at the PCG64 state `seeded` draws them in
     turn: the P&M S' bits (trials, N+1) at 32 bits each, its D0, then D1
     uniforms (trials, N) as :func:`_sample_pairs` draws them, the EB
     Born uniforms (trials, N+1), its D0, then D1 uniforms, by one generator
-    of the chunk's own moved from draw to draw.  Key bin i clicks with the
-    probability ``pair_tables[flow, detector, 2 s_i + s_(i+1)]``."""
+    of the chunk's own moved from draw to draw.  A trial clicks by row S'
+    (big-endian) of ``tables[flow]`` (2, 2^(N+1), N).  The ids are fresh
+    arrays; `work` holds the worker's: S' (rows, N+1), its :func:`id_bits`
+    and intp ids, the clicks' :func:`id_bits`, and two rows of floats."""
     rows, n_pulses = min(_MC_CHUNK_ROWS, trials - r0), n_key_bins + 1
+    s, s_bits, classes, clicks = (a[:rows] for a in work[:4])
     rng = _positioned_rng(seeded, r0 * n_pulses // 2)
-    s = rng.integers(0, 2, (rows, n_pulses))
+    _integer_bits(rng, s)
     at = -(-trials * n_pulses // 2)          # the first uniform's output
+    out = clicks[:, -2 * n_key_bins::2], clicks[:, 1 - 2 * n_key_bins::2]
     ids = []
-    for table in pair_tables:
+    for table in tables:
         if ids:                              # the EB flow draws its S'
-            s = _positioned_rng(seeded, at + r0 * n_pulses, rng).random(
-                (rows, n_pulses)) < born1
+            np.less(_positioned_rng(seeded, at + r0 * n_pulses, rng).random(
+                out=work[4][0, :s.size].reshape(s.shape)), born1, out=s)
             at += trials * n_pulses
-        ids.append(click_pattern_ids(*_sample_pairs(
-            DetectorModel.ideal(), table, s, seeded, at + r0 * n_key_bins,
-            trials * n_key_bins, rng)))
+        # one copy of P-byte items: several times faster than of bools
+        np.copyto(s_bits[:, -n_pulses:].view(f"V{n_pulses}"),
+                  s.view(f"V{n_pulses}"))
+        np.copyto(classes, packed_ids(s_bits))
+        _sample_pairs(DetectorModel.ideal(), table, classes, seeded,
+                      at + r0 * n_key_bins, trials * n_key_bins, rng, out,
+                      work[4][:, :rows * n_key_bins].reshape(2, rows, -1))
+        ids.append(packed_ids(clicks))
         at += 2 * trials * n_key_bins
     return ids
 
@@ -208,16 +230,17 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     """Compare Bob's click-pattern distribution under P&M preparation with
     uniform S' against EB preparation plus Alice's measurement.
 
-    Each flow's key-bin click probabilities come from its table of the
-    four pulse pairs.  For the analytic distance, each flow gathers them
-    for its 2^(N+1) preparations S' and mixes the patterns over all S'
-    exactly.  The empirical distance (when ``trials > 0``) draws each
-    trial's S' -- P&M uniformly, EB by Alice's Born probabilities -- and
-    its clicks from the same tables, in chunks of trials on up to
-    ``_MC_WORKERS`` threads.  Each chunk draws, at their positions in the
-    stream, the numbers that a sequential ``np.random.default_rng(seed)``
+    Each flow gathers from its table of the four pulse pairs the key-bin
+    click probabilities of each of its 2^(N+1) preparations S'.  For the
+    analytic distance it mixes the patterns over all S' exactly.  The
+    empirical distance (when ``trials > 0``) draws each trial's S' -- P&M
+    uniformly, EB by Alice's Born probabilities -- and its clicks from the
+    row of that S', in chunks of trials on up to ``_MC_WORKERS`` threads,
+    each with arrays of its own.  Each chunk draws, at their positions in
+    the stream, the numbers that a sequential ``np.random.default_rng(seed)``
     draws for its trials in the order of :func:`_sample_pairs`
-    (:func:`_chunk_pattern_ids`), so the worker count changes no report.
+    (:func:`_chunk_pattern_ids`), so neither the worker count nor the chunk
+    size changes a report.
     `eb_delay_defect` is a test hook: it injects an uncompensated phase
     into the delay arm of the EB flow only, an inconsistency the
     comparison must catch.  (Phases on the output paths would not do:
@@ -225,8 +248,9 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
 
     Raises ValueError, before any work, for a count (`n_key_bins`, `trials`,
     `cutoff`, `seed`) that is not an integer, for a non-finite `alpha` and when
-    the enumeration (2^(N+1) preparations x 4^N patterns), the Monte Carlo
-    arrays (trials x (N+2)) or the state's factor (2 x (cutoff+1)) exceed
+    the enumeration (2^(N+1) preparations x 4^N patterns), trials x (N+2)
+    for the Monte Carlo (which holds one chunk of rows per worker) or the
+    state's factor (2 x (cutoff+1)) exceed
     ``optics.DEFAULT_MAX_STATE_ENTRIES``; and when the truncation alone could
     fail ``ANALYTIC_DISTANCE_GATE``, judged on the exact Poisson tail
     P(X > cutoff) it leaves out: that tail shrinks each collapsed
@@ -278,13 +302,13 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
         _pair_table(ideal, np.array([1.0, -1.0]) * alpha, c_pm),
         _pair_table(ideal, amp_of_bit, c_eb)])
 
-    # row k of S' holds the N+1 bits of k
+    # row k of S' holds the N+1 bits of k; tables[flow, detector, k] the
+    # click probabilities of its key bins
     s_primes = np.indices((2,) * n_pulses).reshape(n_pulses, -1).T
-    table_pm, table_eb = pair_tables[:, :, 2 * s_primes[:, :-1]
-                                     + s_primes[:, 1:]]
-    dist_pm = _pattern_distribution(table_pm, np.full(len(s_primes),
-                                                      0.5 ** n_pulses))
-    dist_eb = _pattern_distribution(table_eb, np.prod(born[s_primes], axis=1))
+    tables = pair_tables.take(2 * s_primes[:, :-1] + s_primes[:, 1:], axis=2)
+    dist_pm = _pattern_distribution(tables[0], np.full(len(s_primes),
+                                                       0.5 ** n_pulses))
+    dist_eb = _pattern_distribution(tables[1], np.prod(born[s_primes], axis=1))
     analytic = 0.5 * float(np.sum(np.abs(dist_pm - dist_eb)))
 
     empirical, sigma = None, 0.0
@@ -292,16 +316,27 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
         from concurrent.futures import ThreadPoolExecutor
 
         seeded = np.random.default_rng(seed).bit_generator.state
+        starts = iter(range(0, trials, _MC_CHUNK_ROWS))
 
-        def histograms(r0):
-            return np.stack([np.bincount(i, minlength=4 ** n_key_bins)
-                             for i in _chunk_pattern_ids(
-                                 seeded, trials, n_key_bins, pair_tables,
-                                 born[1], r0)])
+        def histograms(_):
+            # each worker takes the shared iterator's next chunk until none
+            # is left, with arrays of its own; integer sums in any order are
+            # exact
+            rows, total = _MC_CHUNK_ROWS, 0
+            work = (np.empty((rows, n_pulses), bool),
+                    id_bits((rows,), n_pulses), np.empty(rows, np.intp),
+                    id_bits((rows,), 2 * n_key_bins),
+                    np.empty((2, rows * n_pulses)))
+            for r0 in starts:
+                total += np.stack([np.bincount(i, minlength=4 ** n_key_bins)
+                                   for i in _chunk_pattern_ids(
+                                       seeded, trials, n_key_bins, tables,
+                                       born[1], r0, work)])
+            return total
 
-        starts = range(0, trials, _MC_CHUNK_ROWS)
-        with ThreadPoolExecutor(min(_MC_WORKERS, len(starts))) as pool:
-            h_pm, h_eb = sum(pool.map(histograms, starts)) / trials
+        workers = min(_MC_WORKERS, -(-trials // _MC_CHUNK_ROWS))
+        with ThreadPoolExecutor(workers) as pool:
+            h_pm, h_eb = sum(pool.map(histograms, range(workers))) / trials
         empirical = 0.5 * float(np.sum(np.abs(h_pm - h_eb)))
         sigma = 1.0 / math.sqrt(2.0 * trials)
 

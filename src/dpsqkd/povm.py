@@ -60,16 +60,28 @@ def all_click_patterns(n_bins: int) -> Tuple[ClickPattern, ...]:
     return tuple(itertools.product(per_bin, repeat=n_bins))
 
 
+def id_bits(shape: Tuple[int, ...], n_bits: int) -> np.ndarray:
+    """Zeroed bool rows, 8, 16, 32 or 64 wide, whose last `n_bits` columns
+    :func:`packed_ids` reads as numbers."""
+    return np.zeros((*shape, 8 << max(0, (n_bits - 1).bit_length() - 3)), bool)
+
+
+def packed_ids(bits: np.ndarray) -> np.ndarray:
+    """The big-endian numbers that the rows of :func:`id_bits` spell."""
+    return np.packbits(bits.reshape(-1)).view(
+        f">u{bits.shape[-1] // 8}").reshape(bits.shape[:-1])
+
+
 def click_pattern_ids(d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
     """Bin-major base-4 index (digit = 2*d0 + d1) of the click patterns
     given as bool arrays ``(..., N)`` of D0 and D1 clicks per key bin; the
-    index of a pattern is its position in :func:`all_click_patterns`."""
-    digits = 2 * np.asarray(d0, dtype=np.uint8) + np.asarray(d1, dtype=np.uint8)
-    ids = np.zeros(digits.shape[:-1], dtype=np.int64)
-    for k in range(digits.shape[-1]):          # Horner's rule, bin by bin
-        ids <<= 2
-        ids += digits[..., k]
-    return ids
+    index of a pattern is its position in :func:`all_click_patterns`: the
+    :func:`packed_ids` of D0 and D1 interleaved."""
+    *shape, n = np.shape(d0)
+    bits = id_bits(shape, 2 * n)
+    pad = bits.shape[-1] - 2 * n
+    bits[..., pad::2], bits[..., pad + 1::2] = d0, d1
+    return packed_ids(bits).astype(np.int64)
 
 
 def pattern_index(pattern: ClickPattern) -> int:

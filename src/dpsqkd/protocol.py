@@ -271,31 +271,31 @@ def _pair_table(model: DetectorModel, symbols: np.ndarray,
     return model.click_probabilities(np.stack(propagate(pairs, coeffs))[..., 1])
 
 
-def _sample_pairs(model: DetectorModel, table: np.ndarray, pulses: np.ndarray,
+def _sample_pairs(model: DetectorModel, table: np.ndarray, classes: np.ndarray,
                   state: dict, offset: int, stride: int,
-                  rng: np.random.Generator):
-    """Clicks ``(d0, d1)`` of `model` in the key bins between consecutive
-    pulses along the last axis of `pulses`, each pulse the index of its
-    symbol in the pair `table` (:func:`_pair_table`).  Draws the D0, then
-    the D1 uniforms and, with dark counts, the dark uniforms of D0 and of
-    D1, each in C order: draw k comes at output ``k * stride + offset``
-    after the PCG64 state `state`, where whole-session draws of `stride`
-    uniforms each put it, from `rng` moved there."""
-    size = math.isqrt(table.shape[1])
-    # a gather by intp indices: one from uint8 indices is several times
-    # slower.  One gather per detector, and no indices held over the
-    # draws: a single (2, ...) gather, or the indices kept, raised the
-    # peak RSS of 10^6-trial eb-compare runs by about 2 MB
-    pair = (size * pulses[..., :-1] + pulses[..., 1:]).astype(np.intp)
-    probs = table[0].take(pair), table[1].take(pair)
-    del pair
-    d0, d1 = (_positioned_rng(state, k * stride + offset, rng).random(
-        p.shape) < p for k, p in enumerate(probs))
+                  rng: np.random.Generator, out=None, work=None):
+    """Clicks ``(d0, d1)`` of `model` in the key bins of rows whose click
+    probabilities are row ``classes[r]`` (intp) of ``table[0]`` (D0) and
+    ``table[1]`` (D1), a ``(2, K, *width)`` table: for a session, the pair
+    table, by pulse pair.  Draws the D0, then the D1 uniforms and, with
+    dark counts, the dark uniforms of D0 and of D1, each in C order: draw
+    k comes at output ``k * stride + offset`` after the PCG64 state
+    `state`, where whole-session draws of `stride` uniforms each put it,
+    from `rng` moved there.  Writes into the bool arrays `out`, and uses
+    the floats `work` (uniforms, probabilities), when given."""
+    shape = classes.shape + table.shape[2:]
+    out = out or (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+    u, p = np.empty((2, *shape)) if work is None else work
+    for k, d in enumerate(out):
+        # mode="raise" would buffer `p`, at about three times the cost
+        table[k].take(classes, axis=0, out=p, mode="clip")
+        np.less(_positioned_rng(state, k * stride + offset, rng).random(out=u),
+                p, out=d)
     if model.dark_click_prob > 0.0:
-        for k, d in enumerate((d0, d1), 2):
+        for k, d in enumerate(out, 2):
             d |= _positioned_rng(state, k * stride + offset, rng).random(
-                d.shape) < model.dark_click_prob
-    return d0, d1
+                out=u) < model.dark_click_prob
+    return out
 
 
 @dataclass(frozen=True)
@@ -366,8 +366,9 @@ def intercept_resend(alice: AliceRecord, eve_fraction: float,
         # Eve's symbol of each pulse: 0 untapped, else 1 + its bit
         # relative to pulse 0
         seen = ((chunk ^ sp[0]) + 1) * tap
-        d0, d1 = _sample_pairs(DetectorModel.ideal(), table, seen, start,
-                               n_pulses + a, n_pulses - 1, draws)
+        d0, d1 = _sample_pairs(DetectorModel.ideal(), table,
+                               (3 * seen[:-1] + seen[1:]).astype(np.intp),
+                               start, n_pulses + a, n_pulses - 1, draws)
 
         # a click identifies s_i only when both interfering pulses were hers
         usable = np.flatnonzero((d0 ^ d1) & tap[:-1] & tap[1:]) + 1
@@ -430,8 +431,8 @@ def run_session(config: SessionConfig) -> SessionStats:
     errors, n_double = 0, 0
     for a in range(0, n, _CHUNK_BINS):
         b = min(a + _CHUNK_BINS, n)                # key bins a+1..b
-        d0, d1 = _sample_pairs(model, table, pulses[a:b + 1], start, a, n,
-                               draws)
+        pair = (2 * pulses[a:b] + pulses[a + 1:b + 1]).astype(np.intp)
+        d0, d1 = _sample_pairs(model, table, pair, start, a, n, draws)
         # a single click discloses the bin, with Bob's bit d1; Alice's bit
         # is s_i = s'_(i-1) ^ s'_i
         one = np.bitwise_xor(d0, d1, out=single[a:b])

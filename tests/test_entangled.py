@@ -328,6 +328,12 @@ def test_size_bounds_refuse_before_any_work(monkeypatch):
 # unused, and a one-row last chunk
 @example(n_key_bins=2, mu=0.3, phi2=0.7, defect=0.4, trials=1001, seed=5,
          chunk=10)
+# the pattern id fills one byte (2N = 8), and the preparation id does
+# (N+1 = 8, where trials x (N+1) is even whatever the trials)
+@example(n_key_bins=4, mu=0.5, phi2=0.3, defect=0.2, trials=1001, seed=6,
+         chunk=20)
+@example(n_key_bins=7, mu=0.2, phi2=-1.1, defect=0.0, trials=999, seed=7,
+         chunk=64)
 def test_monte_carlo_table_gather_matches_per_trial_route(
         n_key_bins, mu, phi2, defect, trials, seed, chunk):
     # oracle: the sequential per-trial route, which draws every flow's
@@ -381,6 +387,22 @@ def test_monte_carlo_table_gather_matches_per_trial_route(
     h_eb = np.bincount(want_eb, minlength=4 ** n_key_bins)
     assert rep.empirical_distance == 0.5 * float(
         np.sum(np.abs(h_pm / trials - h_eb / trials)))
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (6, 4), (1,), (0, 3), (33,)])
+@pytest.mark.parametrize("before", [0, 1, 2, 3])
+def test_integer_bits_are_the_generators_bits(shape, before):
+    # from a whole output (an even number of bits drawn before) and from a
+    # buffered half-word (an odd number), the bits are those that
+    # `integers(0, 2)` draws, and the next draw starts where it would
+    for seed in (0, 5, 2 ** 40):
+        want, got = (np.random.default_rng(seed) for _ in range(2))
+        want.integers(0, 2, before), got.integers(0, 2, before)
+        assert got.bit_generator.state["has_uint32"] == before % 2
+        bits = np.ones(shape, dtype=bool)
+        eb._integer_bits(got, bits)
+        assert np.array_equal(bits, want.integers(0, 2, shape))
+        assert got.random() == want.random()
 
 
 def test_monte_carlo_report_does_not_depend_on_workers():

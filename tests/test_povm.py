@@ -60,8 +60,8 @@ def test_click_pattern_ids_match_pattern_index():
 @given(shape=st.lists(st.integers(0, 4), max_size=3), n=st.integers(0, 6),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_click_pattern_ids_match_the_weighted_digit_sum(shape, n, seed):
-    # Horner's rule on uint8 digits gives the ids of the int64 product of
-    # the digits with the powers of 4 that it replaced
+    # the packed bits give the ids of the int64 product of the digits with
+    # the powers of 4
     rng = np.random.default_rng(seed)
     d0, d1 = rng.random((2, *shape, n)) < 0.5
     digits = 2 * np.asarray(d0, dtype=np.int64) + np.asarray(d1, dtype=np.int64)
@@ -69,6 +69,32 @@ def test_click_pattern_ids_match_the_weighted_digit_sum(shape, n, seed):
     got = click_pattern_ids(d0, d1)
     assert got.dtype == want.dtype == np.int64
     assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_packing_at_every_width_boundary(n):
+    # the Monte Carlo's two packings: the N+1 bits of a preparation S'
+    # right-aligned (big-endian), and the D0 and D1 clicks interleaved
+    # after them; the widths change at 2N = 8, 16 and 18 bits and at
+    # N+1 = 8 and 9 bits
+    width = lambda bits: 1 if bits <= 8 else 2 if bits <= 16 else 4
+    s_bits = povm.id_bits((2 ** (n + 1),), n + 1)
+    s_bits[:, -(n + 1):] = np.indices((2,) * (n + 1)).reshape(n + 1, -1).T
+    ids = povm.packed_ids(s_bits)
+    assert ids.dtype == np.dtype(f">u{width(n + 1)}")
+    assert ids.tolist() == list(range(2 ** (n + 1)))
+
+    rng = np.random.default_rng(n)
+    d0, d1 = rng.random((2, 500, n)) < 0.5
+    d0[:2], d1[:2] = [[False], [True]], [[False], [True]]   # 0 and 4^N - 1
+    clicks = povm.id_bits((500,), 2 * n)
+    clicks[:, -2 * n::2], clicks[:, 1 - 2 * n::2] = d0, d1
+    ids = povm.packed_ids(clicks)
+    digits = 2 * d0.astype(np.int64) + d1
+    assert ids.dtype == np.dtype(f">u{width(2 * n)}")
+    assert np.array_equal(ids, digits @ 4 ** np.arange(n - 1, -1, -1))
+    assert np.array_equal(ids, click_pattern_ids(d0, d1))
+    assert ids[:2].tolist() == [0, 4 ** n - 1]
 
 
 def test_probability_consistency_random_states():
