@@ -36,8 +36,15 @@ EXIT_BAD_INPUT = 2
 
 
 def _env_seed():
+    """The seed in DPSQKD_SEED, None when it is unset or empty; ValueError
+    naming the variable for anything but a non-negative integer."""
     raw = os.environ.get("DPSQKD_SEED")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    if not raw.strip().isdecimal():
+        raise ValueError(f"DPSQKD_SEED must be a non-negative integer seed, "
+                         f"got {raw!r}")
+    return int(raw)
 
 
 def _emit(parts, path, sep="\n"):

@@ -30,8 +30,8 @@ import numpy as np
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
                      _require_integers, interferometer_coefficients)
 from .povm import id_bits, packed_ids
-from .protocol import (DetectorModel, _pair_table, _positioned_rng,
-                       _sample_pairs)
+from .protocol import (DetectorModel, _integer_bits, _pair_table,
+                       _positioned_rng, _sample_pairs)
 
 
 @dataclass(frozen=True)
@@ -158,19 +158,6 @@ def _pattern_distribution(table: np.ndarray,
     return mixture.ravel()
 
 
-def _integer_bits(rng: np.random.Generator, out: np.ndarray):
-    """Write into the bool array `out` what ``rng.integers(0, 2, out.shape)``
-    draws on PCG64, in about 40% of its time: the Lemire draw for a range of 2
-    never rejects and takes the top bit of a 32-bit half-word, a buffered
-    one first, then the low and the high half of each output."""
-    state, n = rng.bit_generator.state, out.size
-    words = rng.bit_generator.random_raw(-(-(n - state["has_uint32"]) // 2))
-    words = words.astype("<u8", copy=False).view("<u4")
-    if state["has_uint32"]:
-        words = np.concatenate([[np.uint32(state["uinteger"])], words])
-    np.right_shift(words[:n].reshape(out.shape), 31, out=out, casting="unsafe")
-
-
 def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
                        tables: np.ndarray, born1: float, r0: int, work):
     """Click-pattern ids of both flows for the chunk of trial rows from r0
@@ -185,7 +172,7 @@ def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
     rows, n_pulses = min(_MC_CHUNK_ROWS, trials - r0), n_key_bins + 1
     s, s_bits, classes, clicks = (a[:rows] for a in work[:4])
     rng = _positioned_rng(seeded, r0 * n_pulses // 2)
-    _integer_bits(rng, s)
+    _integer_bits(rng, s, np.int64)
     at = -(-trials * n_pulses // 2)          # the first uniform's output
     out = clicks[:, -2 * n_key_bins::2], clicks[:, 1 - 2 * n_key_bins::2]
     ids = []
@@ -198,11 +185,14 @@ def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
         np.copyto(s_bits[:, -n_pulses:].view(f"V{n_pulses}"),
                   s.view(f"V{n_pulses}"))
         np.copyto(classes, packed_ids(s_bits))
-        _sample_pairs(DetectorModel.ideal(), table, classes, seeded,
-                      at + r0 * n_key_bins, trials * n_key_bins, rng, out,
+        # the chunk's D0, then D1 uniforms, `rng` moved to each in turn
+        first, stride = at + r0 * n_key_bins, trials * n_key_bins
+        streams = (_positioned_rng(seeded, k, rng)
+                   for k in (first, first + stride))
+        _sample_pairs(DetectorModel.ideal(), table, classes, streams, out,
                       work[4][:, :rows * n_key_bins].reshape(2, rows, -1))
         ids.append(packed_ids(clicks))
-        at += 2 * trials * n_key_bins
+        at += 2 * stride
     return ids
 
 

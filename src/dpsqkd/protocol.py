@@ -19,10 +19,13 @@ place in the package that turns amplitudes into click probabilities, and
 and :mod:`dpsqkd.entangled` all go through the two.
 
 A session runs in chunks of ``_CHUNK_BINS`` key bins, each with the pulse
-before it.  A chunk draws its uniforms where one whole-session draw puts
-them, from a PCG64 jumped there with the stream's buffered 32-bit
-half-word (:func:`_positioned_rng`); so no output depends on the chunk
-size.
+before it, in arrays allocated once per session.  Each of its draw
+streams gets one generator, jumped once to where one whole-session draw
+puts that stream, with the buffered 32-bit half-word
+(:func:`_positioned_rng`), which then draws chunk after chunk; so no
+output depends on the chunk size.  Alice's S' and Eve's resend bits are
+``integers(0, 2)`` draws, taken from the raw PCG64 words
+(:func:`_integer_bits`).
 
 Bin indexing: pulses occupy bins 0..N, key bins (and disclosed intervals)
 are 1-based indices 1..N.
@@ -74,6 +77,35 @@ def _positioned_rng(state: dict, outputs: int,
     return rng
 
 
+def _integer_bits(rng: np.random.Generator, out: np.ndarray,
+                  dtype=np.uint8) -> np.ndarray:
+    """Write into the C-contiguous array `out` what
+    ``rng.integers(0, 2, out.shape, dtype)`` draws on PCG64, for `dtype`
+    uint8 or int64, and leave `rng` where that draw leaves it.  Lemire's
+    method never rejects a range of 2: a uint8 is the top bit of a byte of
+    a 32-bit half-word (4 per half-word), an int64 the top bit of the
+    half-word, taken a buffered half-word first, then the low and the high
+    half of each output.  `rng` itself draws the values of a buffered
+    half-word and of the last, partly used, output, so its buffer ends as
+    ``integers`` leaves it.  Raises ValueError for a generator that does
+    not run on PCG64."""
+    state = rng.bit_generator.state
+    if state["bit_generator"] != "PCG64":
+        raise ValueError(f"random bits need a Generator on PCG64, "
+                         f"got {state['bit_generator']}")
+    flat = out.reshape(-1)
+    per_half = 4 if np.dtype(dtype) == np.uint8 else 1
+    head = min(per_half, flat.size) if state["has_uint32"] else 0
+    flat[:head] = rng.integers(0, 2, head, dtype)
+    raw = rng.bit_generator.random_raw((flat.size - head) // (2 * per_half))
+    raw = raw.astype("<u8", copy=False).view(f"<u{4 // per_half}")
+    end = head + raw.size
+    np.right_shift(raw, 8 * raw.itemsize - 1, out=flat[head:end],
+                   casting="unsafe")
+    flat[end:] = rng.integers(0, 2, flat.size - end, dtype)
+    return out
+
+
 @dataclass(frozen=True)
 class AliceRecord:
     """Alice's raw string S' (length N+1), derived potential key S
@@ -103,8 +135,10 @@ class AliceRecord:
 
     @classmethod
     def random(cls, n_key_bins: int, alpha: complex, rng: np.random.Generator):
-        bits = rng.integers(0, 2, size=n_key_bins + 1, dtype=np.uint8)
-        return cls(bits, alpha)
+        """S' of `n_key_bins` + 1 bits as ``rng.integers(0, 2, dtype=np.uint8)``
+        draws them, from `rng` on PCG64 (:func:`_integer_bits`)."""
+        return cls(_integer_bits(rng, np.empty(n_key_bins + 1, np.uint8)),
+                   alpha)
 
 
 @dataclass(frozen=True)
@@ -272,30 +306,60 @@ def _pair_table(model: DetectorModel, symbols: np.ndarray,
 
 
 def _sample_pairs(model: DetectorModel, table: np.ndarray, classes: np.ndarray,
-                  state: dict, offset: int, stride: int,
-                  rng: np.random.Generator, out=None, work=None):
+                  streams, out=None, work=None):
     """Clicks ``(d0, d1)`` of `model` in the key bins of rows whose click
-    probabilities are row ``classes[r]`` (intp) of ``table[0]`` (D0) and
-    ``table[1]`` (D1), a ``(2, K, *width)`` table: for a session, the pair
-    table, by pulse pair.  Draws the D0, then the D1 uniforms and, with
-    dark counts, the dark uniforms of D0 and of D1, each in C order: draw
-    k comes at output ``k * stride + offset`` after the PCG64 state
-    `state`, where whole-session draws of `stride` uniforms each put it,
-    from `rng` moved there.  Writes into the bool arrays `out`, and uses
-    the floats `work` (uniforms, probabilities), when given."""
+    probabilities are row ``classes[r]`` (intp; bool for K = 2) of
+    ``table[0]`` (D0) and ``table[1]`` (D1), a ``(2, K, *width)`` table:
+    for Eve, the pair table by pulse pair; for Bob, its rows by key bit.
+    Draws the D0, then the D1 uniforms and, with dark counts, the dark
+    uniforms of D0 and of D1, each in C order, from the next of `streams`,
+    an iterable of generators each already at its draw's position: a
+    session's streams, positioned once, draw chunk after chunk.  Writes
+    into the bool arrays `out`, and uses the floats `work` (uniforms,
+    probabilities), when given."""
     shape = classes.shape + table.shape[2:]
-    out = out or (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+    out = np.empty((2, *shape), dtype=bool) if out is None else out
     u, p = np.empty((2, *shape)) if work is None else work
+    streams = iter(streams)
     for k, d in enumerate(out):
-        # mode="raise" would buffer `p`, at about three times the cost
-        table[k].take(classes, axis=0, out=p, mode="clip")
-        np.less(_positioned_rng(state, k * stride + offset, rng).random(out=u),
-                p, out=d)
+        next(streams).random(out=u)
+        if table.shape[1:] == (2,):
+            # two classes, Bob's key bits: d = u < table[k, bit] as a
+            # select between two compares, at a third of a gather's cost
+            below = u < table[k, 0]
+            np.less(u, table[k, 1], out=d)
+            d ^= below
+            d &= classes
+            d ^= below
+        else:
+            # mode="raise" would buffer `p`, at about three times the cost
+            table[k].take(classes, axis=0, out=p, mode="clip")
+            np.less(u, p, out=d)
     if model.dark_click_prob > 0.0:
-        for k, d in enumerate(out, 2):
-            d |= _positioned_rng(state, k * stride + offset, rng).random(
-                out=u) < model.dark_click_prob
+        for d in out:
+            d |= next(streams).random(out=u) < model.dark_click_prob
     return out
+
+
+def _xor_runs(x: np.ndarray, cont: np.ndarray) -> np.ndarray:
+    """The uint8 bits ``y[i] = x[i] ^ (y[i - 1] if cont[i] else 0)`` of the
+    bits `x` (a prefix XOR that restarts wherever `cont` is 0), on the
+    packed bits: a doubling scan within each 64-bit word, then the carry
+    into each word, the same scan one level up over the words' top bits."""
+    n, words = x.size, -(-x.size // 64)
+    v, g = np.zeros((2, words), dtype="<u8")
+    v.view(np.uint8)[:-(-n // 8)] = np.packbits(x, bitorder="little")
+    g.view(np.uint8)[:-(-n // 8)] = np.packbits(cont, bitorder="little")
+    for k in (1, 2, 4, 8, 16, 32):
+        # v: the restarting XOR over the last 2k bits within the word; g:
+        # no restart among them
+        v ^= (v << k) & g
+        g &= (g << k) | ((1 << k) - 1)
+    if words > 1:
+        carry = np.zeros(words, dtype="<u8")
+        carry[1:] = _xor_runs(v[:-1] >> 63, g[:-1] >> 63)
+        v ^= g & -carry
+    return np.unpackbits(v.view(np.uint8), count=n, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -305,6 +369,47 @@ class EveTranscript:
     intercepted: np.ndarray        # per pulse 0..N
     known_bins: np.ndarray         # 1-based key bins whose s_i Eve learned
     known_bits: np.ndarray
+
+
+def _eve_clicks(sp: np.ndarray, eve_fraction: float, table: np.ndarray,
+                out: np.ndarray, streams):
+    """Eve's taps and clicks on the train of Alice's bits `sp`, chunk by
+    chunk: `streams` are the generators of her tap, D0 and D1 uniforms,
+    each at its stream's start, and `table` her pair table.  Writes her
+    bit into `out` at each pulse whose key bin she learned, and returns the
+    per-pulse bool arrays ``(tapped, known)``; its chunk arrays go on
+    return, before the transcript's are made."""
+    taps, *clicks = streams
+    n_pulses = sp.size
+    tapped = np.empty(n_pulses, dtype=bool)
+    tapped[0] = taps.random() < eve_fraction
+    known = np.zeros(n_pulses, dtype=bool)
+    m = min(_CHUNK_BINS, n_pulses - 1)
+    work, pair = np.empty((2, m)), np.empty(m, dtype=np.intp)
+    d, e = np.empty((2, m), dtype=bool), np.empty(m + 1, dtype=np.uint8)
+    for a in range(0, n_pulses - 1, _CHUNK_BINS):
+        b = min(a + _CHUNK_BINS, n_pulses - 1)     # key bins a+1..b
+        tap, k = tapped[a:b + 1], pair[:b - a]
+        np.less(taps.random(out=work[0, :b - a]), eve_fraction, out=tap[1:])
+        # Eve's symbol of each pulse: 0 untapped, else 1 + its bit
+        # relative to pulse 0
+        sym = np.bitwise_xor(sp[a:b + 1], sp[0], out=e[:b + 1 - a])
+        sym += 1
+        sym *= tap
+        np.multiply(sym[:-1], 3, out=k)
+        k += sym[1:]
+        d0, d1 = _sample_pairs(DetectorModel.ideal(), table, k, clicks,
+                               d[:, :b - a], work[:, :b - a])
+        # a click identifies s_i only when both interfering pulses were
+        # hers; her bit there, d1, takes the place of her random one
+        hit = np.bitwise_xor(d0, d1, out=known[a + 1:b + 1])
+        hit &= tap[:-1]
+        hit &= tap[1:]
+        s, diff = out[a + 1:b + 1], e[:b - a]
+        np.bitwise_xor(s, d1, out=diff)
+        diff &= hit
+        s ^= diff
+    return tapped, known
 
 
 def intercept_resend(alice: AliceRecord, eve_fraction: float,
@@ -323,16 +428,17 @@ def intercept_resend(alice: AliceRecord, eve_fraction: float,
 
     Her interferometer sees each pulse as vacuum (untapped), or as pulse
     0's amplitude times +1 or -1 (bit ``s'_i ^ s'_0``), so her clicks come
-    from the table of those 9 pulse pairs.  Runs in chunks of key bins;
-    the phase chain carries the last resent pulse across.  Each chunk
-    draws its tap, D0 and D1 uniforms where one whole-train draw from
-    `rng` puts them (so `rng` must run on PCG64); `rng` itself then draws
-    the resend bits, after its buffered half-word, and ends where the
+    from the table of those 9 pulse pairs.  Runs in chunks of key bins,
+    which draw the tap, D0 and D1 uniforms from one generator per stream,
+    set once to where one whole-train draw from `rng` puts that stream;
+    the phase chain then runs once over the whole train
+    (:func:`_xor_runs`).  `rng` itself draws the resend bits, after its
+    buffered half-word (:func:`_integer_bits`), and ends where the
     whole-train draws leave it.
 
     Returns ``(bits, EveTranscript)``, `bits` (uint8) those of the train
-    Bob receives.  Raises ValueError for an `eve_fraction` outside [0, 1]
-    or a non-finite alpha.
+    Bob receives.  Raises ValueError for an `eve_fraction` outside [0, 1],
+    a non-finite alpha or an `rng` that does not run on PCG64.
     """
     if not 0.0 <= eve_fraction <= 1.0:
         raise ValueError("eve_fraction must lie in [0, 1]")
@@ -351,50 +457,23 @@ def intercept_resend(alice: AliceRecord, eve_fraction: float,
                             config or InterferometerConfig.compensated()))
     # the stream holds the tap uniforms of pulses 0..N, then the D0 and the
     # D1 uniforms of key bins 1..N, then the resend bits, which `rng` draws
-    # into `out`; the chunks make them Bob's bits in place
+    # into `out`; one generator per stream draws them chunk after chunk
     start = rng.bit_generator.state
-    out = _positioned_rng(start, 3 * n_pulses - 2, rng).integers(
-        0, 2, size=n_pulses, dtype=np.uint8)
-    draws = _positioned_rng(start, 0)
-    tapped = np.empty(n_pulses, dtype=bool)
-    known = np.zeros(n_pulses, dtype=bool)
-    known_bits = []
-    for a in range(0, max(n_pulses - 1, 1), _CHUNK_BINS):
-        b = min(a + _CHUNK_BINS, n_pulses - 1)     # key bins a+1..b
-        chunk = sp[a:b + 1]
-        tap = _positioned_rng(start, a, draws).random(b + 1 - a) < eve_fraction
-        # Eve's symbol of each pulse: 0 untapped, else 1 + its bit
-        # relative to pulse 0
-        seen = ((chunk ^ sp[0]) + 1) * tap
-        d0, d1 = _sample_pairs(DetectorModel.ideal(), table,
-                               (3 * seen[:-1] + seen[1:]).astype(np.intp),
-                               start, n_pulses + a, n_pulses - 1, draws)
-
-        # a click identifies s_i only when both interfering pulses were hers
-        usable = np.flatnonzero((d0 ^ d1) & tap[:-1] & tap[1:]) + 1
-        bits = d1[usable - 1].view(np.uint8)
-
-        # re-prepare: random phase bits, then chain each run of known
-        # pulses onto the unknown pulse before it (the chunk's first pulse,
-        # resent by the chunk before, counts as unknown): known pulse i gets
-        # s[i] = s[i - 1] ^ its bit, a prefix XOR over the run (an untapped
-        # first pulse starts none, so Alice's bit there is never read)
-        s = out[a:b + 1]
-        run = np.flatnonzero(np.diff(usable, prepend=-1) != 1)
-        run = np.repeat(run, np.diff(run, append=usable.size))
-        xors = np.zeros(usable.size + 1, dtype=np.uint8)
-        np.bitwise_xor.accumulate(bits, out=xors[1:])
-        s[usable] = s[usable[run] - 1] ^ xors[1:] ^ xors[run]
-        # untapped pulses pass through: s = tap ? s : Alice's bit, as a
-        # bitwise select (a copy masked by the random taps is 20x slower)
-        s ^= chunk
-        s &= tap.view(np.uint8)
-        s ^= chunk
-        tapped[a:b + 1] = tap
-        known[usable + a] = True
-        known_bits.append(bits)
-    return out, EveTranscript(tapped, np.flatnonzero(known),
-                              np.concatenate(known_bits))
+    out = _integer_bits(_positioned_rng(start, 3 * n_pulses - 2, rng),
+                        np.empty(n_pulses, dtype=np.uint8))
+    tapped, known = _eve_clicks(sp, eve_fraction, table, out, [
+        _positioned_rng(start, k) for k in (0, n_pulses, 2 * n_pulses - 1)])
+    known_bits = out[known]
+    # re-prepare: random phase bits, then chain each run of known pulses
+    # onto the unknown pulse before it, s[i] = s[i - 1] ^ her bit.  Then
+    # untapped pulses pass through: s = tap ? s : Alice's bit, as a bitwise
+    # select (a copy masked by the random taps is 20x slower); the pulse
+    # before a known one is tapped, so no chain reads Alice's bit
+    out = _xor_runs(out, known)
+    out ^= sp
+    out &= tapped.view(np.uint8)
+    out ^= sp
+    return out, EveTranscript(tapped, np.flatnonzero(known), known_bits)
 
 
 def run_session(config: SessionConfig) -> SessionStats:
@@ -402,13 +481,14 @@ def run_session(config: SessionConfig) -> SessionStats:
     Deterministic given the config, which holds the seed.
 
     Bob's side works on the bits of the pulses: each key bin's click
-    probabilities come from the table of the four pulse pairs, and the
+    probabilities come from the table of the four pulse pairs, by the
+    bin's bit (a pair and its negation give equal ones), and the
     sifted bits, errors and double clicks are counted from the clicks and
     Alice's bits.  No session builds pulse amplitudes: Eve's attack takes
     and gives bits too (:func:`intercept_resend`).  Bob's side runs chunk
-    by chunk; each chunk draws Bob's D0, D1, dark D0 and dark D1
-    uniforms where one whole-session draw puts them, so no stat depends on
-    the chunk size."""
+    by chunk, in arrays allocated once, from one generator per stream of
+    uniforms (D0, D1, dark D0, dark D1), each set once where one
+    whole-session draw puts it, so no stat depends on the chunk size."""
     rng = np.random.default_rng(config.seed)
     if config.n_bins == 0:
         return SessionStats(0, 0, 0.0, None, 0, np.empty(0, dtype=int), 0, config)
@@ -423,21 +503,32 @@ def run_session(config: SessionConfig) -> SessionStats:
         # the transcript goes at once, before Bob's arrays are made
         pulses = intercept_resend(alice, config.eve_fraction, rng, interf)[0]
     model, start = config.detector(), rng.bit_generator.state
+    # pulse pairs (u, v) and (1-u, 1-v) carry opposite amplitudes, so equal
+    # click probabilities to the bit: those of pairs (0, 0) and (0, 1) are
+    # a key bin's by its bit u ^ v
     table = _pair_table(model, _symbols(alice.alpha),
-                        interferometer_coefficients(interf))
-    draws = _positioned_rng(start, 0)
+                        interferometer_coefficients(interf))[:, :2]
     n = config.n_bins
+    streams = [_positioned_rng(start, k * n)
+               for k in range(4 if model.dark_click_prob > 0.0 else 2)]
+    m = min(n, _CHUNK_BINS)
+    work, d = np.empty((2, m)), np.empty((2, m), dtype=bool)
+    bit = np.empty(m, dtype=np.uint8)
     single = np.empty(n, dtype=bool)       # per key bin: one click alone
     errors, n_double = 0, 0
     for a in range(0, n, _CHUNK_BINS):
         b = min(a + _CHUNK_BINS, n)                # key bins a+1..b
-        pair = (2 * pulses[a:b] + pulses[a + 1:b + 1]).astype(np.intp)
-        d0, d1 = _sample_pairs(model, table, pair, start, a, n, draws)
+        key = np.bitwise_xor(pulses[a:b], pulses[a + 1:b + 1],
+                             out=bit[:b - a]).view(bool)
+        d0, d1 = _sample_pairs(model, table, key, streams, d[:, :b - a],
+                               work[:, :b - a])
         # a single click discloses the bin, with Bob's bit d1; Alice's bit
-        # is s_i = s'_(i-1) ^ s'_i
+        # is s_i = s'_(i-1) ^ s'_i, that of the pulses Bob got unless Eve
+        # resent them
         one = np.bitwise_xor(d0, d1, out=single[a:b])
-        key = alice.s_prime[a:b] ^ alice.s_prime[a + 1:b + 1]
-        errors += int(np.count_nonzero(one & (d1 ^ key.view(bool))))
+        if config.eve_fraction > 0.0:
+            key = (alice.s_prime[a:b] ^ alice.s_prime[a + 1:b + 1]).view(bool)
+        errors += int(np.count_nonzero(one & (d1 ^ key)))
         n_double += int(np.count_nonzero(d0 & d1))
     disclosed = np.flatnonzero(single)
     disclosed += 1                         # 1-based, in place

@@ -133,7 +133,8 @@ def run_session(config):
     if config.n_bins == 0:
         return SessionStats(0, 0, 0.0, None, 0, np.empty(0, dtype=int), 0,
                             config)
-    alice = AliceRecord.random(config.n_bins, config.alpha, rng)
+    alice = AliceRecord(rng.integers(0, 2, config.n_bins + 1, dtype=np.uint8),
+                        config.alpha)
     train = _symbols(alice.alpha)[alice.s_prime]
     interf = config.interferometer()
     if config.eve_fraction > 0.0:

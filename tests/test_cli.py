@@ -457,6 +457,10 @@ def test_eb_compare_pinned_bytes(argv, status, capsys, monkeypatch):
     (["--phi2", "nan"], None, "finite"),
     (["--repeat", "0"], None, "repeat"),
     (["--repeat", "-3"], None, "repeat"),
+    ([], "abc", "DPSQKD_SEED"),
+    ([], " ", "DPSQKD_SEED"),
+    ([], "1.5", "DPSQKD_SEED"),
+    ([], "-1", "DPSQKD_SEED"),
 ])
 def test_simulate_bad_input_exits_2(argv, env_seed, needle, capsys,
                                     monkeypatch):
@@ -542,13 +546,23 @@ def test_output_error_after_the_work_exits_2(command, capsys, monkeypatch):
     (["--cutoff", "-3"], "cutoff must be >= 1"),
     (["--alpha2", "0", "--cutoff", "0"], "cutoff must be >= 1"),
 ])
-def test_eb_compare_bad_input_exits_2(argv, needle, capsys):
+def test_eb_compare_bad_input_exits_2(argv, needle, capsys, monkeypatch):
+    monkeypatch.delenv("DPSQKD_SEED", raising=False)
     t0 = time.perf_counter()
     code, out, err = run(["eb-compare", *argv], capsys)
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
+
+
+@pytest.mark.parametrize("env_seed", ["abc", " ", "1.5", "-1"])
+def test_eb_compare_bad_env_seed_exits_2(env_seed, capsys, monkeypatch):
+    monkeypatch.setenv("DPSQKD_SEED", env_seed)
+    code, out, err = run(["eb-compare"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "DPSQKD_SEED" in err
 
 
 # full witness-demo stdout recorded while the search still ran one scalar

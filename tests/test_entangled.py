@@ -392,15 +392,15 @@ def test_monte_carlo_table_gather_matches_per_trial_route(
 @pytest.mark.parametrize("shape", [(7, 5), (6, 4), (1,), (0, 3), (33,)])
 @pytest.mark.parametrize("before", [0, 1, 2, 3])
 def test_integer_bits_are_the_generators_bits(shape, before):
-    # from a whole output (an even number of bits drawn before) and from a
-    # buffered half-word (an odd number), the bits are those that
-    # `integers(0, 2)` draws, and the next draw starts where it would
+    # the Monte Carlo's P&M S' rows: bool arrays of (rows, N+1) int64 bits,
+    # those that `integers(0, 2)` draws, and the next draw starts where it
+    # would (the helper's own test is in test_protocol)
     for seed in (0, 5, 2 ** 40):
         want, got = (np.random.default_rng(seed) for _ in range(2))
         want.integers(0, 2, before), got.integers(0, 2, before)
         assert got.bit_generator.state["has_uint32"] == before % 2
         bits = np.ones(shape, dtype=bool)
-        eb._integer_bits(got, bits)
+        eb._integer_bits(got, bits, np.int64)
         assert np.array_equal(bits, want.integers(0, 2, shape))
         assert got.random() == want.random()
 

@@ -94,24 +94,34 @@ def test_library_needs_numpy_alone():
 
 def test_only_the_positioned_stream_helper_moves_a_pcg64():
     # a jump in the random stream must carry its buffered 32-bit half-word,
-    # so every ``advance`` and every PCG64 built stays in one helper
-    helpers = 0
+    # so every ``advance`` and every PCG64 built stays in one helper; raw
+    # words and writes to a generator's state stay in it and in the one
+    # helper that turns raw words into bits
+    owners = {"advance": {"_positioned_rng"}, "PCG64": {"_positioned_rng"},
+              "random_raw": {"_positioned_rng", "_integer_bits"},
+              "state": {"_positioned_rng", "_integer_bits"}}
+    helpers = set()
     for path in sorted((ROOT / "src" / "dpsqkd").rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        inside = set()
+        inside = {}
         for node in tree.body:
+            name = getattr(node, "name", None)
             if path.name == "protocol.py" and \
-                    getattr(node, "name", None) == "_positioned_rng":
-                inside = {id(n) for n in ast.walk(node)}
-                helpers += 1
+                    name in ("_positioned_rng", "_integer_bits"):
+                inside[name] = {id(n) for n in ast.walk(node)}
+                helpers.add(name)
         for node in ast.walk(tree):
             name = node.attr if isinstance(node, ast.Attribute) else \
                 node.id if isinstance(node, ast.Name) else None
-            if name in ("advance", "PCG64"):
-                assert id(node) in inside, \
+            if name == "state" and not (isinstance(node, ast.Attribute) and
+                                        isinstance(node.ctx, ast.Store)):
+                continue           # only a write to ``.state`` moves one
+            if name in owners:
+                assert any(id(node) in inside.get(h, ())
+                           for h in owners[name]), \
                     f"{path.name}:{node.lineno} uses {name} outside " \
-                    f"protocol._positioned_rng"
-    assert helpers == 1
+                    f"protocol.{' and '.join(sorted(owners[name]))}"
+    assert helpers == {"_positioned_rng", "_integer_bits"}
 
 
 def test_one_table_and_one_sampler_make_every_click():

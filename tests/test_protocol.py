@@ -31,6 +31,15 @@ def _feeds(rec, cfg):
     return propagate(_train(rec), interferometer_coefficients(cfg))
 
 
+def _stream(rng):
+    """What a PCG64 generator's later draws read of its state: its
+    ``uinteger`` only while ``has_uint32`` holds it (numpy leaves a stale
+    one after consuming it)."""
+    st = rng.bit_generator.state
+    return st["state"], st["has_uint32"], \
+        st["uinteger"] if st["has_uint32"] else None
+
+
 def test_alice_record_key_relation():
     rec = AliceRecord(np.array([0, 1, 1, 0, 1]), 0.45)
     assert list(rec.s) == [1, 0, 1, 1]
@@ -39,6 +48,40 @@ def test_alice_record_key_relation():
         AliceRecord(np.array([0, 2]), 0.45)
     with pytest.raises(ValueError):
         AliceRecord(np.array([], dtype=np.uint8), 0.45)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+@pytest.mark.parametrize("before", [0, 1, 2, 3])
+@pytest.mark.parametrize("size", [0, 1, 3, 5, 4095, 4097, 10 ** 6 + 1])
+def test_integer_bits_are_the_generators_bits(size, before, dtype):
+    # from a whole output (an even number of bits drawn before) and from a
+    # buffered half-word (an odd number), the bits are those that
+    # `integers(0, 2, size, dtype)` draws, and the generator ends where
+    # that draw leaves it: its state and buffered half-word, and so the
+    # draws that follow
+    for seed in (0, 5, 2 ** 40):
+        want, got = (np.random.default_rng(seed) for _ in range(2))
+        want.integers(0, 2, before), got.integers(0, 2, before)
+        assert got.bit_generator.state["has_uint32"] == before % 2
+        bits = np.full(size, 7, dtype=np.uint8)
+        assert protocol._integer_bits(got, bits, dtype) is bits
+        assert np.array_equal(bits, want.integers(0, 2, size, dtype))
+        assert _stream(got) == _stream(want)
+        assert got.random() == want.random()
+        assert np.array_equal(got.integers(0, 2, 9, dtype),
+                              want.integers(0, 2, 9, dtype))
+
+
+def test_alice_record_needs_a_pcg64_generator():
+    # the raw-bit route reads PCG64's words, so another bit generator is
+    # refused in one line, as intercept_resend refuses it
+    philox = np.random.Generator(np.random.Philox(0))
+    for draw in (lambda: AliceRecord.random(10, 0.45, philox),
+                 lambda: intercept_resend(AliceRecord([0, 1, 0], 0.45), 0.5,
+                                          philox)):
+        with pytest.raises(ValueError, match="PCG64") as info:
+            draw()
+        assert "\n" not in str(info.value)
 
 
 def test_prepare_real_alpha_gives_float64_train():
@@ -299,22 +342,6 @@ def test_intercept_resend_full_knowledge_zero_qber():
     assert qber == 0.0
 
 
-class _RecordingRng:
-    """A Generator that also keeps the arrays its ``integers`` returned."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.integers_drawn = []
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-    def integers(self, *args, **kwargs):
-        out = self._rng.integers(*args, **kwargs)
-        self.integers_drawn.append(out.copy())
-        return out
-
-
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 41), mode=st.sampled_from(["random", "all", "none"]),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -329,13 +356,16 @@ def test_intercept_resend_chain_matches_loop(n, mode, seed):
     alpha = {"random": rng.uniform(0.2, 1.5), "all": 6.0, "none": 1e-9}[mode]
     fraction = rng.uniform(0.05, 1.0) if mode == "random" else 1.0
     rec = AliceRecord(rng.integers(0, 2, n), alpha)
-    eve_rng = _RecordingRng(seed)
-    out, transcript = intercept_resend(rec, fraction, eve_rng)
+    out, transcript = intercept_resend(rec, fraction,
+                                       np.random.default_rng(seed))
     known_bins = {"random": transcript.known_bins,
                   "all": np.arange(1, n), "none": np.empty(0, dtype=int)}[mode]
     assert np.array_equal(transcript.known_bins, known_bins)
 
-    (s,) = eve_rng.integers_drawn
+    # her resend bits follow the tap, D0 and D1 uniforms in her stream
+    eve_rng = np.random.default_rng(seed)
+    eve_rng.random(3 * n - 2)
+    s = eve_rng.integers(0, 2, n, dtype=np.uint8)
     bit_of = dict(zip(transcript.known_bins.tolist(),
                       transcript.known_bits.tolist()))
     for i in range(1, n):
@@ -343,6 +373,21 @@ def test_intercept_resend_chain_matches_loop(n, mode, seed):
             s[i] = s[i - 1] ^ bit_of[i]
     expected = np.where(transcript.intercepted, s, rec.s_prime)
     assert out.dtype == np.uint8 and np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200, 4095, 4097, 300001])
+def test_xor_runs_matches_loop(n):
+    # the packed doubling scan, its carry across 64-bit words and the
+    # carry's own scan over 64 and 4096 words, against the sequential loop
+    rng = np.random.default_rng(n)
+    for p in (0.0, 0.4, 0.95, 1.0):
+        x = rng.integers(0, 2, n, dtype=np.uint8)
+        cont = rng.random(n) < p
+        want, prev = np.empty(n, dtype=np.uint8), 0
+        for i, (xi, ci) in enumerate(zip(x.tolist(), cont.tolist())):
+            prev = want[i] = xi ^ (prev if ci else 0)
+        got = protocol._xor_runs(x, cont)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
 @settings(max_examples=120, deadline=None)
@@ -384,9 +429,11 @@ def test_chunked_session_matches_whole_array_oracle(n, chunk, tap, dark, phi2,
     # transcript, and the generator she was passed ends where the
     # sequential draws leave it
     oracle_rng = np.random.default_rng(seed)
-    AliceRecord.random(n, cfg.alpha, oracle_rng)
+    s_prime = oracle_rng.integers(0, 2, n + 1, dtype=np.uint8)
+    assert np.array_equal(alice.s_prime, s_prime)
     want_eve = session_oracle.intercept_resend(
-        _train(alice), tap, oracle_rng, cfg.interferometer())
+        _train(AliceRecord(s_prime, cfg.alpha)), tap, oracle_rng,
+        cfg.interferometer())
     amps = want_eve[0]
     assert eve[0].dtype == np.uint8
     if alpha2 > 0:
@@ -397,7 +444,7 @@ def test_chunked_session_matches_whole_array_oracle(n, chunk, tap, dark, phi2,
     for a, b in zip(dataclasses.astuple(eve[1]),
                     dataclasses.astuple(want_eve[1])):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert _stream(rng) == _stream(oracle_rng)
 
 
 def test_attacked_session_memory_is_bits_per_key_bin():
@@ -445,6 +492,25 @@ def test_run_session_examples():
 
     st3 = run_session(SessionConfig(n_bins=0))
     assert st3.sifted_length == 0 and st3.qber is None
+
+
+@pytest.mark.parametrize("tap, dark", [(0.0, 1e-4), (0.6, 1e-4), (1.0, 0.0)])
+def test_each_stream_is_positioned_once_per_session(tap, dark):
+    # a session positions each of its draw streams once and then draws
+    # from it chunk after chunk: chunks of 16 bins make as many jumps as
+    # one chunk, and the same row
+    cfg = SessionConfig(n_bins=1000, alpha2=0.5, efficiency=0.9,
+                        dark_click_prob=dark, eve_fraction=tap, seed=17)
+    calls, rows = [], []
+    for chunk in (16, protocol._CHUNK_BINS):
+        with mock.patch.object(protocol, "_CHUNK_BINS", chunk), \
+                mock.patch.object(protocol, "_positioned_rng",
+                                  wraps=protocol._positioned_rng) as jumps:
+            rows.append(run_session(cfg).csv_row())
+        calls.append(jumps.call_count)
+    # Bob's D0, D1 and dark streams; Eve's resend bits, tap, D0 and D1
+    assert calls == [(4 if dark else 2) + (4 if tap else 0)] * 2
+    assert rows[0] == rows[1]
 
 
 def test_seed_determinism_bitwise():
