@@ -164,8 +164,9 @@ def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
     (even), drawn as a generator at the PCG64 state `seeded` draws them in
     turn: the P&M S' bits (trials, N+1) at 32 bits each, its D0, then D1
     uniforms (trials, N) as :func:`_sample_pairs` draws them, the EB
-    Born uniforms (trials, N+1), its D0, then D1 uniforms, by one generator
-    of the chunk's own moved from draw to draw.  A trial clicks by row S'
+    Born uniforms (trials, N+1), its D0, then D1 uniforms: the D1 uniforms
+    by a new generator each, the rest by one of the chunk's own moved from
+    draw to draw.  A trial clicks by row S'
     (big-endian) of ``tables[flow]`` (2, 2^(N+1), N).  The ids are fresh
     arrays; `work` holds the worker's: S' (rows, N+1), its :func:`id_bits`
     and intp ids, the clicks' :func:`id_bits`, and two rows of floats."""
@@ -185,10 +186,10 @@ def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
         np.copyto(s_bits[:, -n_pulses:].view(f"V{n_pulses}"),
                   s.view(f"V{n_pulses}"))
         np.copyto(classes, packed_ids(s_bits))
-        # the chunk's D0, then D1 uniforms, `rng` moved to each in turn
+        # the chunk's D0 uniforms, by `rng`, then its D1 uniforms
         first, stride = at + r0 * n_key_bins, trials * n_key_bins
-        streams = (_positioned_rng(seeded, k, rng)
-                   for k in (first, first + stride))
+        streams = [_positioned_rng(seeded, first, rng),
+                   _positioned_rng(seeded, first + stride)]
         _sample_pairs(DetectorModel.ideal(), table, classes, streams, out,
                       work[4][:, :rows * n_key_bins].reshape(2, rows, -1))
         ids.append(packed_ids(clicks))

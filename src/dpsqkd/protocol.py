@@ -19,9 +19,10 @@ place in the package that turns amplitudes into click probabilities, and
 and :mod:`dpsqkd.entangled` all go through the two.
 
 A session runs in chunks of ``_CHUNK_BINS`` key bins, each with the pulse
-before it, in arrays allocated once per session.  Each of its draw
-streams gets one generator, jumped once to where one whole-session draw
-puts that stream, with the buffered 32-bit half-word
+before it; the chunks' uniforms, clicks and bits live in arrays allocated
+once per session, and only masks and counts make chunk-sized temporaries.
+Each of its draw streams gets one generator, jumped once to where one
+whole-session draw puts that stream, with the buffered 32-bit half-word
 (:func:`_positioned_rng`), which then draws chunk after chunk; so no
 output depends on the chunk size.  Alice's S' and Eve's resend bits are
 ``integers(0, 2)`` draws, taken from the raw PCG64 words
@@ -306,20 +307,20 @@ def _pair_table(model: DetectorModel, symbols: np.ndarray,
 
 
 def _sample_pairs(model: DetectorModel, table: np.ndarray, classes: np.ndarray,
-                  streams, out=None, work=None):
+                  streams, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Clicks ``(d0, d1)`` of `model` in the key bins of rows whose click
     probabilities are row ``classes[r]`` (intp; bool for K = 2) of
     ``table[0]`` (D0) and ``table[1]`` (D1), a ``(2, K, *width)`` table:
     for Eve, the pair table by pulse pair; for Bob, its rows by key bit.
     Draws the D0, then the D1 uniforms and, with dark counts, the dark
     uniforms of D0 and of D1, each in C order, from the next of `streams`,
-    an iterable of generators each already at its draw's position: a
-    session's streams, positioned once, draw chunk after chunk.  Writes
-    into the bool arrays `out`, and uses the floats `work` (uniforms,
-    probabilities), when given."""
+    a list of independent generators each already at its draw's position:
+    a session's streams, positioned once, draw chunk after chunk.  Writes
+    into the bool array `out` ``(2, *shape)`` and uses the floats `work`
+    ``(2, *shape)`` (uniforms, probabilities); with two classes the select
+    makes one bool mask per detector."""
     shape = classes.shape + table.shape[2:]
-    out = np.empty((2, *shape), dtype=bool) if out is None else out
-    u, p = np.empty((2, *shape)) if work is None else work
+    u, p = work
     streams = iter(streams)
     for k, d in enumerate(out):
         next(streams).random(out=u)
@@ -377,8 +378,11 @@ def _eve_clicks(sp: np.ndarray, eve_fraction: float, table: np.ndarray,
     chunk: `streams` are the generators of her tap, D0 and D1 uniforms,
     each at its stream's start, and `table` her pair table.  Writes her
     bit into `out` at each pulse whose key bin she learned, and returns the
-    per-pulse bool arrays ``(tapped, known)``; its chunk arrays go on
-    return, before the transcript's are made."""
+    per-pulse bool arrays ``(tapped, known)``.  Its chunk arrays and
+    their views go on return, before the transcript's are made: at 2^18
+    bins that keeps an attacked session's peak at 11.6 bytes per key bin
+    under tracemalloc, within the 11.9 of the bit route's memory test,
+    where the loop inlined in :func:`intercept_resend` reaches 14.4."""
     taps, *clicks = streams
     n_pulses = sp.size
     tapped = np.empty(n_pulses, dtype=bool)
@@ -486,9 +490,10 @@ def run_session(config: SessionConfig) -> SessionStats:
     sifted bits, errors and double clicks are counted from the clicks and
     Alice's bits.  No session builds pulse amplitudes: Eve's attack takes
     and gives bits too (:func:`intercept_resend`).  Bob's side runs chunk
-    by chunk, in arrays allocated once, from one generator per stream of
-    uniforms (D0, D1, dark D0, dark D1), each set once where one
-    whole-session draw puts it, so no stat depends on the chunk size."""
+    by chunk, its uniforms, clicks and key bits in arrays allocated once
+    per session, from one generator per stream of uniforms (D0, D1, dark
+    D0, dark D1), each set once where one whole-session draw puts it, so
+    no stat depends on the chunk size."""
     rng = np.random.default_rng(config.seed)
     if config.n_bins == 0:
         return SessionStats(0, 0, 0.0, None, 0, np.empty(0, dtype=int), 0, config)
@@ -498,7 +503,7 @@ def run_session(config: SessionConfig) -> SessionStats:
                       stacklevel=2)
     interf = config.interferometer()
     # the bits of the train Bob receives: Eve resends +-alpha too
-    pulses = alice.s_prime
+    pulses = sp = alice.s_prime
     if config.eve_fraction > 0.0:
         # the transcript goes at once, before Bob's arrays are made
         pulses = intercept_resend(alice, config.eve_fraction, rng, interf)[0]
@@ -513,22 +518,22 @@ def run_session(config: SessionConfig) -> SessionStats:
                for k in range(4 if model.dark_click_prob > 0.0 else 2)]
     m = min(n, _CHUNK_BINS)
     work, d = np.empty((2, m)), np.empty((2, m), dtype=bool)
-    bit = np.empty(m, dtype=np.uint8)
+    bits = np.empty((2, m), dtype=np.uint8)
     single = np.empty(n, dtype=bool)       # per key bin: one click alone
     errors, n_double = 0, 0
     for a in range(0, n, _CHUNK_BINS):
         b = min(a + _CHUNK_BINS, n)                # key bins a+1..b
+        # each key bin's bit s_i = s'_(i-1) ^ s'_i: that of the pulses Bob
+        # got, and Alice's, which differ only where Eve resent them
         key = np.bitwise_xor(pulses[a:b], pulses[a + 1:b + 1],
-                             out=bit[:b - a]).view(bool)
+                             out=bits[0, :b - a]).view(bool)
+        alice_key = np.bitwise_xor(sp[a:b], sp[a + 1:b + 1],
+                                   out=bits[1, :b - a]).view(bool)
         d0, d1 = _sample_pairs(model, table, key, streams, d[:, :b - a],
                                work[:, :b - a])
-        # a single click discloses the bin, with Bob's bit d1; Alice's bit
-        # is s_i = s'_(i-1) ^ s'_i, that of the pulses Bob got unless Eve
-        # resent them
+        # a single click discloses the bin, with Bob's bit d1
         one = np.bitwise_xor(d0, d1, out=single[a:b])
-        if config.eve_fraction > 0.0:
-            key = (alice.s_prime[a:b] ^ alice.s_prime[a + 1:b + 1]).view(bool)
-        errors += int(np.count_nonzero(one & (d1 ^ key)))
+        errors += int(np.count_nonzero(one & (d1 ^ alice_key)))
         n_double += int(np.count_nonzero(d0 & d1))
     disclosed = np.flatnonzero(single)
     disclosed += 1                         # 1-based, in place
