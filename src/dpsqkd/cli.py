@@ -90,7 +90,7 @@ def cmd_verify_povm(args) -> int:
     report = certify_noncommutativity(args.cutoff, n_bins=args.bins)
     if args.json:
         import json
-        payload = dataclasses.asdict(report)
+        payload = dict(vars(report))            # the fields, in order
         payload["conjugated_pairs"] = [
             {"pattern_i": str(pi), "pattern_j": str(pj), "norm": v}
             for pi, pj, v in report.conjugated_pairs]
@@ -221,8 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: the parser, built by the first `main` call of a process; parsing leaves
+#: it unchanged, so one serves every call
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     if args.output:        # probed before any work, which may take minutes
         existed = os.path.lexists(args.output)
         try:

@@ -165,13 +165,42 @@ def sector_dim(n_modes: int, n: int) -> int:
 
 def sector_occupations(n_modes: int, n: int) -> np.ndarray:
     """Occupations of every n-photon basis state of `n_modes` modes, one
-    row per state, in ascending Kronecker order."""
-    occ = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(n_modes - 1):
-        reps = n + 1 - occ.sum(axis=1)
-        nxt = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        occ = np.column_stack([np.repeat(occ, reps, axis=0), nxt])
-    return np.column_stack([occ, n - occ.sum(axis=1)])
+    row per state, in ascending Kronecker order.  Raises ValueError unless
+    `n_modes` is an integer >= 1 and `n` one >= 0."""
+    _require_integers(n_modes=n_modes, n=n)
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    for occ in _sectors(n_modes, n):
+        pass
+    return occ
+
+
+def _sectors(n_modes: int, n_max: int):
+    """:func:`sector_occupations` of sectors 0..n_max in turn, each built
+    from the one before, so only sectors n - 1 and n are held.
+
+    In ascending Kronecker order, the n-photon states of m modes are those
+    of the last m - 1 modes behind an empty first mode, then the (n-1)-
+    photon states of all m modes with one more photon in the first.  Each
+    sector is held transposed, one row per mode, and handed out as the
+    (states x modes) view.
+    """
+    # the sector just built of the last 1, 2, .., n_modes modes
+    last = [np.zeros((m, 1), dtype=np.int64) for m in range(1, n_modes + 1)]
+    yield last[-1].T
+    for n in range(1, n_max + 1):
+        below = np.full((1, 1), n, dtype=np.int64)
+        last[0] = below
+        for m in range(1, n_modes):
+            d = below.shape[1]
+            occ = np.empty((m + 1, d + last[m].shape[1]), np.int64)
+            occ[0, :d], occ[1:, :d] = 0, below
+            occ[:, d:] = last[m]
+            occ[0, d:] += 1
+            last[m] = below = occ
+        yield below.T
 
 
 def sector_lift(config: InterferometerConfig, bins: int, n_max: int,
@@ -191,17 +220,31 @@ def sector_lift(config: InterferometerConfig, bins: int, n_max: int,
     ``(outputs, inputs, images)`` over the sectors n that hold inputs:
     the occupation rows of the sector basis (dim_n x 2B) and of its inputs
     (m_n x 2B), and ``images[:, i] = U |inputs[i]>`` (dim_n x m_n), the
-    transposed view of a C-ordered array with one image per row.
+    transposed view of a C-ordered array with one image per row.  The
+    sector bases are enumerated one sector at a time, each from the one
+    before, so the lift holds no sector above the one it is on.
 
-    Raises ValueError, before allocating anything, when the largest block
-    (dim_n x m_n entries) exceeds ``DEFAULT_MAX_STATE_ENTRIES``.
+    Raises ValueError, before allocating anything, when `bins` is not an
+    integer >= 1, `n_max` not one >= 0, an entry of `max_occupation` not
+    one >= 0, or the largest block (dim_n x m_n entries) exceeds
+    ``DEFAULT_MAX_STATE_ENTRIES``.
     """
+    _require_integers(bins=bins, n_max=n_max)
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     n_modes = 2 * bins
     caps = [n_max] * n_modes if max_occupation is None else \
-        [min(int(c), n_max) for c in max_occupation]
+        list(max_occupation)
     if len(caps) != n_modes:
         raise ValueError(f"max_occupation needs one bound per wire "
                          f"({n_modes}), got {len(caps)}")
+    _require_integers(**{f"max_occupation[{i}]": c
+                         for i, c in enumerate(caps)})
+    if min(caps) < 0:
+        raise ValueError(f"max_occupation bounds must be >= 0, got {caps}")
+    caps = [min(c, n_max) for c in caps]
     # sectors above sum(caps) hold no input; the top sector holds one, and
     # sector dimensions grow with n, so its size alone can refuse at once
     n_max = min(n_max, sum(caps))
@@ -232,15 +275,19 @@ def _lift_sectors(u: np.ndarray, n_max: int, caps: np.ndarray):
     n_modes = u.shape[0]
     # base-(n_max + 1) codes sort like the rows of sector_occupations
     strides = (n_max + 1) ** np.arange(n_modes - 1, -1, -1)
+    # the output wires each input wire reaches, and their amplitudes
+    reach = [np.flatnonzero(u[:, k]) for k in range(n_modes)]
+    amplitudes = [u[r, k][:, None] for k, r in enumerate(reach)]
     # images are built and kept transposed, one input's image per row, and
     # handed out as the (outputs x inputs) view
     images = np.ones((1, 1), dtype=u.dtype)
     input_codes = np.zeros(1, dtype=np.int64)
-    vacuum = np.zeros((1, n_modes), dtype=np.int64)
+    sectors = _sectors(n_modes, n_max)
+    vacuum = next(sectors)
     yield vacuum, vacuum, images.T
-    for n in range(1, n_max + 1):
-        new_outputs = sector_occupations(n_modes, n)
-        inputs = new_outputs[np.all(new_outputs <= caps, axis=1)]
+    for new_outputs in sectors:
+        occupied = new_outputs.T
+        inputs = new_outputs[np.all(occupied <= caps[:, None], axis=0)]
         # each input comes from its parent one photon down, taken off its
         # last occupied wire k: U|x> = sum_j u[j, k] b_j^dag U|x - e_k>
         # / sqrt(x_k), gathered for every output t from t - e_j with weight
@@ -250,32 +297,33 @@ def _lift_sectors(u: np.ndarray, n_max: int, caps: np.ndarray):
         k = n_modes - 1 - np.argmax(inputs[:, ::-1] > 0, axis=1)
         parents = np.searchsorted(input_codes, inputs @ strides - strides[k])
         scale = 1.0 / np.sqrt(inputs[np.arange(len(inputs)), k])
-        occupied = np.ascontiguousarray(new_outputs.T)
         low = np.cumsum(occupied > 0, axis=1) - 1
         root = np.sqrt(occupied)
         new_images = np.empty((len(inputs), len(new_outputs)), dtype=u.dtype)
-        # tiles of about _LIFT_CHUNK entries, inputs x outputs, stay in
-        # cache together with their gather indices and weights
+        # tiles of about _LIFT_CHUNK entries, inputs x outputs, one plane
+        # per output wire reached, stay in cache together with their gather
+        # indices and weights
         span = min(len(new_outputs), _LIFT_SPAN)
         width = max(1, _LIFT_CHUNK // span)
-        for wire in np.unique(k):
-            rows = np.flatnonzero(k == wire)
-            terms = [(low[j], root[j] * u[j, wire])
-                     for j in np.flatnonzero(u[:, wire])]
+        # the inputs grouped by their last occupied wire, one wire at a time
+        by_wire = np.argsort(k, kind="stable")
+        ends = np.searchsorted(k[by_wire], np.arange(n_modes + 1))
+        for wire in np.flatnonzero(np.diff(ends)):
+            rows = by_wire[ends[wire]:ends[wire + 1]]
+            # a row per output wire j it reaches: t - e_j, u[j, k] sqrt(t_j)
+            lows = low[reach[wire]]
+            weights = root[reach[wire]] * amplitudes[wire]
             for c in range(0, len(rows), width):
                 chunk = rows[c:c + width]
                 src = images[parents[chunk]]
                 src *= scale[chunk, None]
-                buf = np.empty((len(chunk), span), dtype=u.dtype)
                 for a in range(0, len(new_outputs), span):
                     cut = slice(a, a + span)
-                    acc = np.take(src, terms[0][0][cut], axis=1, mode="clip")
-                    acc *= terms[0][1][cut]
-                    for idx, weight in terms[1:]:
-                        part = buf[:, :acc.shape[1]]
-                        np.take(src, idx[cut], axis=1, out=part, mode="clip")
-                        part *= weight[cut]
-                        acc += part
+                    part = np.take(src, lows[:, cut], axis=1, mode="clip")
+                    part *= weights[:, cut]
+                    acc = part[:, 0]
+                    for j in range(1, len(lows)):
+                        acc += part[:, j]
                     new_images[chunk, cut] = acc
         images = new_images
         input_codes = inputs @ strides

@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                     _require_integers, sector_lift, sector_occupations)
+                     _require_integers, sector_lift)
 
 ClickPattern = Tuple[Tuple[bool, bool], ...]
 
@@ -130,10 +130,17 @@ def _pattern_ids(outputs: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def _reduce(n_bins: int, cutoff: int, config: InterferometerConfig,
-            requests: Sequence[Tuple[ClickPattern, bool]]):
+            requests: Sequence[Tuple[int, bool]]):
     """States and per-sector block stacks of the reduced effects named by
-    `requests`, ``(pattern, silent)`` pairs, from one signal lift.  A
-    silent request also demands vacuum on both output wires of bin 0."""
+    `requests`, ``(pattern id, silent)`` pairs with ids as
+    :func:`pattern_index`, from one signal lift.  A silent request also
+    demands vacuum on both output wires of bin 0.
+
+    Each sector's output rows are grouped by click pattern once: a stable
+    sort of their pattern ids and one gather of the image columns in that
+    order.  A request then takes its pattern's rows as one slice, and a
+    silent one keeps the quiet ones among them: the rows, and their order,
+    that a boolean mask over the sector picks."""
     bins = n_bins + 1
     sectors = sector_lift(config, bins, bins * cutoff,
                           max_occupation=[cutoff] * bins + [0] * bins)
@@ -146,22 +153,24 @@ def _reduce(n_bins: int, cutoff: int, config: InterferometerConfig,
         raise ValueError(
             f"{len(requests)} reduced effects of {per_effect} block entries "
             f"each exceed the bound {DEFAULT_MAX_STATE_ENTRIES}")
-    targets = [pattern_index(p) for p, _ in requests]
     strides = (cutoff + 1) ** np.arange(bins - 1, -1, -1)
     states, blocks = [], []
     for outputs, inputs, images in sectors:
         pids = _pattern_ids(outputs, n_bins)
-        quiet = (outputs[:, 0] == 0) & (outputs[:, bins] == 0)
+        order = np.argsort(pids, kind="stable")
+        starts = np.searchsorted(pids[order], np.arange(4 ** n_bins + 1))
+        quiet = ((outputs[:, 0] == 0) & (outputs[:, bins] == 0))[order]
+        # one gather of the image columns puts each pattern's rows side by
+        # side, in ascending order
+        grouped = images.T[:, order]
         block = np.empty((len(requests), len(inputs), len(inputs)),
                          dtype=images.dtype)
-        # one pattern's rows at a time, gathered from the lift's transposed
-        # images: no copy of the whole image block
-        for k, (target, (_, silent)) in enumerate(zip(targets, requests)):
-            rows = pids == target
+        for k, (target, silent) in enumerate(requests):
+            rows = slice(starts[target], starts[target + 1])
+            W = grouped[:, rows]
             if silent:
-                rows &= quiet
-            W = images.T[:, rows]
-            block[k] = W.conj() @ W.T
+                W = W[:, quiet[rows]]
+            np.matmul(W.conj(), W.T, out=block[k])
         states.append(inputs[:, :bins] @ strides)
         blocks.append(block)
     return tuple(states), tuple(blocks)
@@ -201,7 +210,8 @@ def reduced_effect_set(n_bins: int, cutoff: int,
         if np.shape(p) != (n_bins, 2):
             raise ValueError(f"need {n_bins} (D0, D1) pairs, got {p!r}")
     states, blocks = _reduce(n_bins, cutoff, config,
-                             [(p, boundary == "vacuum") for p in patterns])
+                             [(pattern_index(p), boundary == "vacuum")
+                              for p in patterns])
     return BlockEffects(patterns, states, blocks)
 
 
@@ -219,21 +229,30 @@ def build_e2_e3(cutoff: int) -> BlockEffects:
     ``(A0+A1)^n |0> / sqrt(4^n n!)`` is ``sqrt(C(n,k)) / 2^n`` on
     ``|k, n-k, 0>``, and ``(A1-A2)^n |0>`` the same on ``|0, k, n-k>``
     times ``(-1)^(n-k)``.  Creation only raises occupations, so the cutoff
-    just drops components; sector 0 is zero.
+    just drops components; sector 0 is zero.  The sectors come from one
+    enumeration of the (cutoff+1)^3 signal states, sorted by photon number.
     """
     if cutoff < 3:
         raise ValueError(f"cutoff too small: need cutoff >= 3, got {cutoff}")
-    strides = (cutoff + 1) ** np.arange(2, -1, -1)
+    # the signal box in ascending order, then stably by photon number: each
+    # sector's states are one run, in ascending order
+    occ = np.indices((cutoff + 1,) * 3).reshape(3, -1)
+    n = occ.sum(axis=0)
+    order = np.argsort(n, kind="stable")
+    occ, n = occ[:, order], n[order]
+    sectors = np.searchsorted(n, np.arange(3 * cutoff + 2))
+    codes = (cutoff + 1) ** np.arange(2, -1, -1) @ occ
+    # root[n, k] = sqrt(C(n, k)) / 2^n
+    top = np.arange(3 * cutoff + 1)
+    root = np.sqrt([[math.comb(m, k) for k in top] for m in top]) \
+        / 2.0 ** top[:, None]
+    v = (n > 0) * np.array([root[n, occ[0]] * (occ[2] == 0),
+                            root[n, occ[1]] * (occ[0] == 0)
+                            * (-1.0) ** occ[2]])
     states, blocks = [], []
-    for n in range(3 * cutoff + 1):
-        occ = sector_occupations(3, n)
-        occ = occ[np.all(occ <= cutoff, axis=1)]
-        root = np.sqrt([math.comb(n, k) for k in range(n + 1)]) / 2.0 ** n
-        v = (n > 0) * np.array([root[occ[:, 0]] * (occ[:, 2] == 0),
-                                root[occ[:, 1]] * (occ[:, 0] == 0)
-                                * (-1.0) ** occ[:, 2]])
-        states.append(occ @ strides)
-        blocks.append(v[:, :, None] * v[:, None, :])
+    for a, b in zip(sectors[:-1], sectors[1:]):
+        states.append(codes[a:b])
+        blocks.append(v[:, a:b, None] * v[:, None, a:b])
     return BlockEffects((E2_PATTERN, E3_PATTERN), tuple(states), tuple(blocks))
 
 
@@ -381,7 +400,8 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
     NOT commute, with a commutator norm above the recorded floor from the
     closed forms and from both boundary conventions of the reduction.  One
     signal lift serves both conventions; all of it runs on photon-number
-    blocks.
+    blocks.  The 18 reduced effects and the 3 conjugated pairs are named
+    by pattern id, each resolved once.
 
     Raises ValueError, before any work, when a photon-number sector block
     exceeds ``optics.DEFAULT_MAX_STATE_ENTRIES``.
@@ -394,32 +414,34 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
     config = config or InterferometerConfig.compensated()
     bins = n_bins + 1
     pats = all_click_patterns(n_bins)
+    # a pattern's id is its position in `pats`
+    e2, e3 = pattern_index(E2_PATTERN), pattern_index(E3_PATTERN)
     wire_sectors = sector_lift(config, bins, cutoff)
     states, blocks = _reduce(
         n_bins, cutoff, config,
-        [(p, False) for p in pats] + [(E2_PATTERN, True), (E3_PATTERN, True)])
+        [(k, False) for k in range(len(pats))] + [(e2, True), (e3, True)])
 
     diags = _pattern_diagonals(n_bins, cutoff)
-    i, j = np.triu_indices(len(pats), 1)
-    prods = diags[i] * diags[j]
-    g_orth = float(np.max(np.abs(prods)))
-    g_comm = float(np.max(np.linalg.norm(prods - diags[j] * diags[i], axis=1)))
+    # the pairs i < j, one offset j - i at a time, so no product of all
+    # pairs is held
+    pairs = [(diags[:-k], diags[k:]) for k in range(1, len(pats))]
+    g_orth = float(np.max([np.max(np.abs(a * b)) for a, b in pairs]))
+    g_comm = float(np.max([np.max(np.linalg.norm(a * b - b * a, axis=1))
+                           for a, b in pairs]))
     g_idem = float(np.max(np.abs(diags * diags - diags)))
     g_sum = float(np.max(np.abs(diags.sum(axis=0) - 1.0)))
 
-    pair_choice = ((E2_PATTERN, E3_PATTERN),
-                   (pats[0], pats[-1]),
-                   (E2_PATTERN, pats[-1]))
-    conj_sq = np.zeros(len(pair_choice))
+    pair_ids = ((e2, e3), (0, len(pats) - 1), (e2, len(pats) - 1))
+    conj_sq = np.zeros(len(pair_ids))
     wire_dim = 0
     for outputs, _, U in wire_sectors:
         wire_dim += len(outputs)
         pids = _pattern_ids(outputs, n_bins)
-        for k, (pi, pj) in enumerate(pair_choice):
+        for k, (i, j) in enumerate(pair_ids):
             conj_sq[k] += conjugated_commutator_norm(
-                U, pids == pattern_index(pi), pids == pattern_index(pj)) ** 2
-    conj_vals = [(pi, pj, math.sqrt(v))
-                 for (pi, pj), v in zip(pair_choice, conj_sq)]
+                U, pids == i, pids == j) ** 2
+    conj_vals = [(pats[i], pats[j], math.sqrt(v))
+                 for (i, j), v in zip(pair_ids, conj_sq)]
     conj_max = max(v for _, _, v in conj_vals)
 
     closed = build_e2_e3(cutoff).blocks
@@ -427,9 +449,7 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
     silent = [b[len(pats):] for b in blocks]
     e2e3_closed = _commutator_norm(closed)
     e2e3_silent = _commutator_norm(silent)
-    e2e3_marginal = _commutator_norm(
-        [b[[pattern_index(E2_PATTERN), pattern_index(E3_PATTERN)]]
-         for b in marginal])
+    e2e3_marginal = _commutator_norm([b[[e2, e3]] for b in marginal])
     gap2, gap3 = np.max([np.linalg.norm(c - s, 2, axis=(1, 2))
                          for c, s in zip(closed, silent)], axis=0)
     e_sum = max(float(np.max(np.abs(b.sum(axis=0) - np.eye(b.shape[1]))))

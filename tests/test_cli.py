@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpsqkd import witness
+from dpsqkd import cli, witness
 from dpsqkd.cli import main
 from dpsqkd.optics import DEFAULT_MAX_STATE_ENTRIES
 from fock_oracle import dense_e2_e3
@@ -238,6 +238,58 @@ def test_verify_povm_pinned_json(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "a652582a5d5e33037211e2df3dde44fe7155f77559d726401fd944bb37b86451"
+
+
+# sha256 of verify-povm --cutoff N --json, recorded before each sector's
+# rows were grouped by click pattern once
+PINNED_VERIFY_POVM_JSON = {
+    "4": "3a36afda13ced3789e7097a9fab6151e85875b00f78afc5f59221b1c3c408f6c",
+    "5": "1f217b9530531e68c3eb3b454242e43c11c72a4fb6e9840e4f28004c7424cc39",
+    "6": "79c9f72936a9000b73bc5bcc314ddf1fd7a1148c57d7dd9dfee14c32dfa3fef8",
+}
+
+
+@pytest.mark.parametrize("cutoff", sorted(PINNED_VERIFY_POVM_JSON))
+def test_verify_povm_pinned_json_cutoffs_4_to_6(cutoff, capsys):
+    code, out, _ = run(["verify-povm", "--cutoff", cutoff, "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        PINNED_VERIFY_POVM_JSON[cutoff]
+
+
+def call(argv, capsys):
+    """(status, stdout, stderr) of one `main` call, a usage error's
+    SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys,
+                                                   monkeypatch):
+    # the parser that the first call builds gives every later call, errors
+    # included, the status and bytes that a parser of its own gives
+    calls = [["simulate", "--bins", "1000", "--seed", "3"],
+             ["verify-povm"],
+             ["eb-compare", "--key-bins", "3", "--trials", "1000",
+              "--seed", "1"],
+             ["witness-demo", "--resolution", "coarse"],
+             ["verify-povm", "--cutoff", "three"],
+             ["verify-povm", "--output", str(tmp_path / "missing" / "x")],
+             ["verify-povm"]]
+    shared = [call(argv, capsys) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(call(argv, capsys))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 2, 0]
+    assert "invalid int value: 'three'" in shared[4][2]
+    assert shared[5][2].startswith("error: cannot write --output")
+    assert shared[6] == shared[1]
 
 
 def test_eb_compare_exit_codes(capsys):

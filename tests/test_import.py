@@ -72,6 +72,35 @@ def test_cli_import_loads_nothing_else():
     assert report["futures"] is False
 
 
+# counts the argparse parsers built: none at import, the top parser and
+# its four subcommands at the first `main` call, none after
+PARSER_SCRIPT = """
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import dpsqkd.cli
+counts = [len(built)]
+for argv in (["verify-povm"], ["verify-povm", "--cutoff", "4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        dpsqkd.cli.main(argv)
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+
+
+def test_cli_builds_its_parser_once_and_not_at_import():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", PARSER_SCRIPT], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 5, 5]
+
+
 def test_library_needs_numpy_alone():
     # the runtime dependencies are numpy alone, and no library module
     # imports scipy at any depth (a function-local import included)

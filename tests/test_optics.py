@@ -1,6 +1,8 @@
 """Beam splitters, analytic propagation and the exact sector lift."""
 
+import hashlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -187,6 +189,78 @@ def test_sector_occupations_enumerate_in_kronecker_order():
     reg = wire_registry(3, 4)
     idx = [basis_index(reg, o) for o in occ]
     assert idx == sorted(set(idx))
+
+
+@pytest.mark.parametrize("n_modes", range(1, 8))
+def test_sectors_match_the_brute_force_filter(n_modes):
+    # every sector 0..8, in ascending Kronecker order, from the filter of
+    # all occupations up to n per mode; sector_occupations and the one
+    # sector at a time enumeration the lifts use give the same rows
+    stream = optics._sectors(n_modes, 8)
+    for n in range(9):
+        occ = np.indices((n + 1,) * n_modes, dtype=np.int8)
+        occ = occ.reshape(n_modes, -1)
+        expected = occ[:, occ.sum(axis=0) == n].T
+        got = next(stream)
+        assert got.shape == expected.shape == (sector_dim(n_modes, n),
+                                               n_modes)
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+        assert np.array_equal(sector_occupations(n_modes, n), expected)
+    assert next(stream, None) is None
+
+
+# sha256 of every sector's image rows, recorded while the lift still
+# enumerated each sector on its own and looped over the terms of a wire
+PINNED_LIFT_IMAGES = [
+    ((0.0, 0.0), (3, 12, [4, 4, 4, 0, 0, 0]),
+     "e861cf80f039126b09db3265cb4cec7e05e82551450709976ba1870a1101c133"),
+    ((0.3, 1.1), (3, 12, [4, 4, 4, 0, 0, 0]),
+     "440e83fc4c473ca8e8f3899096f8fe388f05925845d9e11258e02807f1448dbb"),
+    ((0.3, 1.1), (3, 4),
+     "7bce8e0842364ad1e6f268a542ad011c82a3971047f9aa2fc6746570c54ce06a"),
+]
+
+
+@pytest.mark.parametrize("phases, args, digest", PINNED_LIFT_IMAGES)
+def test_sector_lift_images_keep_their_bytes(phases, args, digest):
+    # real and complex images, signal and wire inputs: the same bytes,
+    # sector after sector
+    h = hashlib.sha256()
+    for _, _, images in sector_lift(InterferometerConfig.compensated(*phases),
+                                    *args):
+        h.update(images.T.tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, needle", [
+    ((0, 3), "n_modes must be >= 1, got 0"),
+    ((-2, 0), "n_modes must be >= 1, got -2"),
+    ((3, -1), "n must be >= 0, got -1"),
+    ((2.0, 3), "n_modes must be an integer, got 2.0"),
+    ((3, True), "n must be an integer, got True"),
+])
+def test_sector_occupations_refuses_malformed_input(args, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        sector_occupations(*args)
+
+
+@pytest.mark.parametrize("args, needle", [
+    ((0, 3), "bins must be >= 1, got 0"),
+    ((3, -1), "n_max must be >= 0, got -1"),
+    ((1.5, 3), "bins must be an integer, got 1.5"),
+    ((3, 2.0), "n_max must be an integer, got 2.0"),
+    ((3, 3, [3, 3, True, 0, 0, 0]),
+     "max_occupation[2] must be an integer, got True"),
+    ((3, 3, [3, 3, 3, 0, 0.5, 0]),
+     "max_occupation[4] must be an integer, got 0.5"),
+    ((3, 3, [3, 3, 3, 0, 0, -1]),
+     "max_occupation bounds must be >= 0, got [3, 3, 3, 0, 0, -1]"),
+])
+def test_sector_lift_refuses_malformed_input(args, needle):
+    # each is refused when the lift is asked for, before any sector
+    with pytest.raises(ValueError, match=re.escape(needle)) as info:
+        sector_lift(InterferometerConfig.compensated(), *args)
+    assert "\n" not in str(info.value)
 
 
 @settings(max_examples=20, deadline=None)

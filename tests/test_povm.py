@@ -3,13 +3,14 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpsqkd import povm
-from dpsqkd.optics import InterferometerConfig
+from dpsqkd.optics import InterferometerConfig, sector_lift
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, all_click_patterns,
                          build_e2_e3, certify_noncommutativity,
                          click_pattern_ids, conjugated_commutator_norm,
@@ -184,6 +185,56 @@ def test_reduced_effect_set_bounds():
     with pytest.raises(ValueError, match="65536 reduced effects of 48620 "
                                          "block entries each exceed"):
         reduced_effect_set(8, 1)
+
+
+def mask_reduce(n_bins, cutoff, config, requests):
+    """The per-pattern mask reduction that ``povm._reduce`` replaced, kept
+    as its oracle: `requests` are ``(pattern, silent)`` pairs, and every
+    request builds a boolean mask over its whole sector."""
+    bins = n_bins + 1
+    strides = (cutoff + 1) ** np.arange(bins - 1, -1, -1)
+    targets = [pattern_index(p) for p, _ in requests]
+    states, blocks = [], []
+    for outputs, inputs, images in sector_lift(
+            config, bins, bins * cutoff, [cutoff] * bins + [0] * bins):
+        pids = povm._pattern_ids(outputs, n_bins)
+        quiet = (outputs[:, 0] == 0) & (outputs[:, bins] == 0)
+        block = np.empty((len(requests), len(inputs), len(inputs)),
+                         dtype=images.dtype)
+        for k, (target, (_, silent)) in enumerate(zip(targets, requests)):
+            rows = pids == target
+            if silent:
+                rows &= quiet
+            W = images.T[:, rows]
+            block[k] = W.conj() @ W.T
+        states.append(inputs[:, :bins] @ strides)
+        blocks.append(block)
+    return tuple(states), tuple(blocks)
+
+
+@pytest.mark.parametrize("phases", [(0.0, 0.0), (0.4, 1.3)])
+@pytest.mark.parametrize("n_bins, cutoff", [(2, 3), (2, 4), (2, 5), (3, 1),
+                                            (3, 2), (3, 3)])
+def test_sorted_reduction_matches_the_mask_oracle_bytes(n_bins, cutoff,
+                                                        phases):
+    # marginal and silent requests of every pattern, in shuffled order and
+    # with repeats, on real and on complex images: the same states and
+    # blocks, byte for byte
+    config = InterferometerConfig.compensated(*phases)
+    rng = random.Random(10 * n_bins + cutoff)
+    requests = [(p, silent) for p in all_click_patterns(n_bins)
+                for silent in (False, True)]
+    requests += rng.choices(requests, k=len(requests) // 2)
+    rng.shuffle(requests)
+    got = povm._reduce(n_bins, cutoff, config,
+                       [(pattern_index(p), silent) for p, silent in requests])
+    want = mask_reduce(n_bins, cutoff, config, requests)
+    for got_arrays, want_arrays in zip(got, want):
+        sectors = (n_bins + 1) * cutoff + 1
+        assert len(got_arrays) == len(want_arrays) == sectors
+        for a, b in zip(got_arrays, want_arrays):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("pattern", [((True, False),), (True, False),
