@@ -163,23 +163,21 @@ def sector_dim(n_modes: int, n: int) -> int:
     return math.comb(n + n_modes - 1, n_modes - 1)
 
 
-def sector_occupations(n_modes: int, n: int) -> np.ndarray:
-    """Occupations of every n-photon basis state of `n_modes` modes, one
-    row per state, in ascending Kronecker order.  Raises ValueError unless
-    `n_modes` is an integer >= 1 and `n` one >= 0."""
-    _require_integers(n_modes=n_modes, n=n)
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    for occ in _sectors(n_modes, n):
-        pass
-    return occ
+def _capped_counts(caps, n_max: int):
+    """Number of basis states with n = 0..n_max photons in all and at most
+    ``caps[i]`` in mode i, as a list indexed by n."""
+    counts = [1] + [0] * n_max
+    for cap in caps:
+        prefix = [0, *itertools.accumulate(counts)]
+        counts = [prefix[n + 1] - prefix[max(0, n - cap)]
+                  for n in range(n_max + 1)]
+    return counts
 
 
 def _sectors(n_modes: int, n_max: int):
-    """:func:`sector_occupations` of sectors 0..n_max in turn, each built
-    from the one before, so only sectors n - 1 and n are held.
+    """Occupations, one row per state in ascending Kronecker order, of the
+    n-photon states of `n_modes` modes for n = 0..n_max in turn, each
+    built from the one before, so only sectors n - 1 and n are held.
 
     In ascending Kronecker order, the n-photon states of m modes are those
     of the last m - 1 modes behind an empty first mode, then the (n-1)-
@@ -226,8 +224,8 @@ def sector_lift(config: InterferometerConfig, bins: int, n_max: int,
 
     Raises ValueError, before allocating anything, when `bins` is not an
     integer >= 1, `n_max` not one >= 0, an entry of `max_occupation` not
-    one >= 0, or the largest block (dim_n x m_n entries) exceeds
-    ``DEFAULT_MAX_STATE_ENTRIES``.
+    one >= 0, or the largest block (dim_n x m_n entries, with m_n counted
+    by :func:`_capped_counts`) exceeds ``DEFAULT_MAX_STATE_ENTRIES``.
     """
     _require_integers(bins=bins, n_max=n_max)
     if bins < 1:
@@ -252,11 +250,7 @@ def sector_lift(config: InterferometerConfig, bins: int, n_max: int,
         raise ValueError(f"photon-number sector {n_max} of "
                          f"{sector_dim(n_modes, n_max)} states exceeds the "
                          f"sector bound {DEFAULT_MAX_STATE_ENTRIES}")
-    counts = [1] + [0] * n_max            # inputs per sector
-    for cap in caps:
-        prefix = [0, *itertools.accumulate(counts)]
-        counts = [prefix[n + 1] - prefix[max(0, n - cap)]
-                  for n in range(n_max + 1)]
+    counts = _capped_counts(caps, n_max)  # inputs per sector
     n = max(range(n_max + 1),
             key=lambda n: sector_dim(n_modes, n) * counts[n])
     dim, m = sector_dim(n_modes, n), counts[n]
@@ -273,7 +267,7 @@ def sector_lift(config: InterferometerConfig, bins: int, n_max: int,
 
 def _lift_sectors(u: np.ndarray, n_max: int, caps: np.ndarray):
     n_modes = u.shape[0]
-    # base-(n_max + 1) codes sort like the rows of sector_occupations
+    # base-(n_max + 1) codes sort like the rows of _sectors
     strides = (n_max + 1) ** np.arange(n_modes - 1, -1, -1)
     # the output wires each input wire reaches, and their amplitudes
     reach = [np.flatnonzero(u[:, k]) for k in range(n_modes)]

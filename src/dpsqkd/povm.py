@@ -32,12 +32,12 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                     _require_integers, sector_lift)
+                     _capped_counts, _require_integers, sector_lift)
 
 ClickPattern = Tuple[Tuple[bool, bool], ...]
 
@@ -142,13 +142,10 @@ def _reduce(n_bins: int, cutoff: int, config: InterferometerConfig,
     silent one keeps the quiet ones among them: the rows, and their order,
     that a boolean mask over the sector picks."""
     bins = n_bins + 1
+    caps = [cutoff] * bins                # signal wires; path-1 wires empty
     sectors = sector_lift(config, bins, bins * cutoff,
-                          max_occupation=[cutoff] * bins + [0] * bins)
-    sizes = [1]                       # signal states per photon number
-    for _ in range(bins):
-        sizes = [sum(sizes[max(0, n - cutoff):n + 1])
-                 for n in range(len(sizes) + cutoff)]
-    per_effect = sum(m * m for m in sizes)
+                          max_occupation=caps + [0] * bins)
+    per_effect = sum(m * m for m in _capped_counts(caps, bins * cutoff))
     if len(requests) * per_effect > DEFAULT_MAX_STATE_ENTRIES:
         raise ValueError(
             f"{len(requests)} reduced effects of {per_effect} block entries "
@@ -302,14 +299,14 @@ Check = collections.namedtuple(
 
 @dataclass(frozen=True)
 class NoncommutativityReport:
-    """Outcome of the commutation certification.
+    """Outcome of the commutation certification, at N = 2 key bins.
 
-    Thresholds are part of the report: `g_zero_tol` separates "commuting"
-    from noise, `nonzero_floor` is the certified positive lower bound the
-    reduced-effect commutator must clear.  `internal_cutoff`, (N+1) *
-    cutoff, is the highest photon-number sector the reduction covers;
-    `wire_dim` is the summed dimension of the wire sectors 0..cutoff the
-    conjugated checks ran on (84 at cutoff 3).
+    The thresholds are class constants that :meth:`checks` reads:
+    `g_zero_tol` separates "commuting" from noise, `nonzero_floor` is the
+    certified positive lower bound the reduced-effect commutator must
+    clear.  `internal_cutoff`, (N+1) * cutoff, is the highest photon-number
+    sector the reduction covers; `wire_dim` is the summed dimension of the
+    wire sectors 0..cutoff the conjugated checks ran on (84 at cutoff 3).
     """
 
     n_bins: int
@@ -330,12 +327,15 @@ class NoncommutativityReport:
     e3_reduction_gap: float
     e_sum_defect: float
     e_min_eigenvalue: float
-    g_zero_tol: float = 1e-12
-    conj_zero_tol: float = 1e-10
-    completeness_tol: float = 1e-9
-    psd_tol: float = 1e-10
-    nonzero_floor: float = NONCOMMUTATIVITY_FLOOR
-    reduction_agreement_tol: float = 1e-9
+    g_zero_tol: ClassVar[float] = 1e-12
+    conj_zero_tol: ClassVar[float] = 1e-10
+    completeness_tol: ClassVar[float] = 1e-9
+    psd_tol: ClassVar[float] = 1e-10
+    nonzero_floor: ClassVar[float] = NONCOMMUTATIVITY_FLOOR
+    reduction_agreement_tol: ClassVar[float] = 1e-9
+    THRESHOLDS: ClassVar[Tuple[str, ...]] = (
+        "g_zero_tol", "conj_zero_tol", "completeness_tol", "psd_tol",
+        "nonzero_floor", "reduction_agreement_tol")
 
     def checks(self) -> Tuple[Check, ...]:
         """The verdict table, one row per printed check line, in order."""
@@ -382,11 +382,22 @@ class NoncommutativityReport:
               for c in self.checks()),
             f"verdict: {'PASS' if self.passed else 'FAIL'}"])
 
+    def to_json(self) -> str:
+        """The fields, the thresholds and the verdict, as indented JSON."""
+        import json
+        pairs = [{"pattern_i": str(pi), "pattern_j": str(pj), "norm": v}
+                 for pi, pj, v in self.conjugated_pairs]
+        # a repeated key keeps its first place: the fields stay in order
+        return json.dumps({**vars(self), "conjugated_pairs": pairs,
+                           **{k: getattr(self, k) for k in self.THRESHOLDS},
+                           "passed": self.passed}, indent=2)
 
-def certify_noncommutativity(cutoff: int, n_bins: int = 2,
+
+def certify_noncommutativity(cutoff: int, *,
                              config: Optional[InterferometerConfig] = None
                              ) -> NoncommutativityReport:
-    """Certify the commutation structure at desk scale.
+    """Certify the commutation structure at desk scale, on the
+    illustrative pair (E2, E3) at N = 2 key bins.
 
     Each check is a row of :meth:`NoncommutativityReport.checks`, with its
     threshold, and the report passes when every row does: the projector
@@ -403,15 +414,14 @@ def certify_noncommutativity(cutoff: int, n_bins: int = 2,
     blocks.  The 18 reduced effects and the 3 conjugated pairs are named
     by pattern id, each resolved once.
 
-    Raises ValueError, before any work, when a photon-number sector block
-    exceeds ``optics.DEFAULT_MAX_STATE_ENTRIES``.
+    Raises ValueError, before any work, unless `cutoff` is an integer
+    from 3 to 15: from 16 up, a sector block exceeds the sector bound.
     """
-    _require_integers(cutoff=cutoff, n_bins=n_bins)
+    _require_integers(cutoff=cutoff)
     if cutoff < 3:
         raise ValueError(f"cutoff too small: need cutoff >= 3, got {cutoff}")
-    if n_bins != 2:
-        raise ValueError("the illustrative effects live at n_bins = 2")
     config = config or InterferometerConfig.compensated()
+    n_bins = 2
     bins = n_bins + 1
     pats = all_click_patterns(n_bins)
     # a pattern's id is its position in `pats`

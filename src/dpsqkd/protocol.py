@@ -116,7 +116,12 @@ class AliceRecord:
     alpha: complex
 
     def __post_init__(self):
-        sp = np.asarray(self.s_prime, dtype=np.uint8).ravel()
+        sp = np.asarray(self.s_prime)
+        # checked before the cast to uint8, which takes 0.5 for 0, "1" for 1
+        if sp.dtype != np.uint8 and not (sp.dtype.kind in "biuf" and
+                                         np.all((sp == 0) | (sp == 1))):
+            raise ValueError("S' must be a bit string")
+        sp = sp.astype(np.uint8, copy=False).ravel()
         if sp.size < 1:
             raise ValueError("S' must contain at least one bit")
         if np.any(sp > 1):

@@ -468,8 +468,8 @@ def dense_e2_e3(cutoff):
 
 
 def dense_certification(cutoff, config=None):
-    """Every numeric field of ``certify_noncommutativity(cutoff, 2,
-    config)``, from dense operators, as a dict."""
+    """Every numeric field of ``certify_noncommutativity(cutoff,
+    config=config)``, from dense operators, as a dict."""
     config = config or InterferometerConfig.compensated()
     pats = all_click_patterns(2)
     marginal = dense_reduced_effects(2, cutoff, config, pats, "marginal")

@@ -35,7 +35,7 @@ EB_TV_THRESHOLD = 0.0115     # oracle mean 0.0048 + 3 / sqrt(2 * trials)
 @pytest.fixture(scope="module")
 def certification():
     t0 = time.time()
-    report = certify_noncommutativity(3, n_bins=2)
+    report = certify_noncommutativity(3)
     return report, time.time() - t0
 
 

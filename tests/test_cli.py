@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpsqkd import cli, witness
 from dpsqkd.cli import main
@@ -266,6 +267,46 @@ def call(argv, capsys):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _reads_as_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+#: verify-povm arguments it must refuse: cutoffs outside 3..15 (the ones
+#: inside run for up to a minute), values int() does not read, and options
+#: verify-povm does not have
+BAD_VERIFY_POVM_ARGV = st.one_of(
+    st.tuples(st.just("--cutoff"),
+              st.one_of(st.integers(max_value=2), st.integers(min_value=16),
+                        st.floats()).map(str)),
+    st.tuples(st.just("--cutoff"),
+              st.text().filter(lambda t: not _reads_as_int(t))),
+    st.tuples(st.sampled_from(["--bins", "--bins=2", "--bins=3", "--seed",
+                               "--key-bins", "--format", "-b", "-x"]),
+              st.sampled_from(["2", "3", "x"]),
+              st.sampled_from([[], ["--cutoff", "3"]])).map(
+        lambda t: (t[0], t[1], *t[2])),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=BAD_VERIFY_POVM_ARGV, json_flag=st.booleans())
+def test_verify_povm_refuses_bad_argv_in_one_line(argv, json_flag, capsys):
+    # one `error:` line from the work's refusal, or argparse's usage line
+    # and its error; never a traceback, never a report
+    code, out, err = call(["verify-povm", *argv,
+                           *(["--json"] if json_flag else [])], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    if err.startswith("usage: dps-qkd"):
+        assert ": error: " in err.splitlines()[-1]
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys,

@@ -14,7 +14,7 @@ from dpsqkd.entangled import coherent_amplitudes
 from dpsqkd.optics import (InterferometerConfig, bs1_transform,
                            bs2_transform, interferometer_coefficients,
                            propagate, sector_dim, sector_lift,
-                           sector_occupations, single_particle_unitary)
+                           single_particle_unitary)
 from fock_oracle import (basis_index, dense_unitary, sector_mean_amplitudes,
                          total_energy, vacuum, wire_registry)
 
@@ -182,8 +182,8 @@ def test_interference_determinism_exact_zeros():
     assert abs(flipped2[0][1]) < 1e-15
 
 
-def test_sector_occupations_enumerate_in_kronecker_order():
-    occ = sector_occupations(6, 4)
+def test_sectors_enumerate_in_kronecker_order():
+    *_, occ = optics._sectors(6, 4)
     assert occ.shape == (sector_dim(6, 4), 6)
     assert np.all(occ.sum(axis=1) == 4) and np.all(occ >= 0)
     reg = wire_registry(3, 4)
@@ -194,8 +194,8 @@ def test_sector_occupations_enumerate_in_kronecker_order():
 @pytest.mark.parametrize("n_modes", range(1, 8))
 def test_sectors_match_the_brute_force_filter(n_modes):
     # every sector 0..8, in ascending Kronecker order, from the filter of
-    # all occupations up to n per mode; sector_occupations and the one
-    # sector at a time enumeration the lifts use give the same rows
+    # all occupations up to n per mode: the one sector at a time
+    # enumeration the lifts use gives the same rows
     stream = optics._sectors(n_modes, 8)
     for n in range(9):
         occ = np.indices((n + 1,) * n_modes, dtype=np.int8)
@@ -205,7 +205,6 @@ def test_sectors_match_the_brute_force_filter(n_modes):
         assert got.shape == expected.shape == (sector_dim(n_modes, n),
                                                n_modes)
         assert got.dtype == np.int64 and np.array_equal(got, expected)
-        assert np.array_equal(sector_occupations(n_modes, n), expected)
     assert next(stream, None) is None
 
 
@@ -230,18 +229,6 @@ def test_sector_lift_images_keep_their_bytes(phases, args, digest):
                                     *args):
         h.update(images.T.tobytes())
     assert h.hexdigest() == digest
-
-
-@pytest.mark.parametrize("args, needle", [
-    ((0, 3), "n_modes must be >= 1, got 0"),
-    ((-2, 0), "n_modes must be >= 1, got -2"),
-    ((3, -1), "n must be >= 0, got -1"),
-    ((2.0, 3), "n_modes must be an integer, got 2.0"),
-    ((3, True), "n must be an integer, got True"),
-])
-def test_sector_occupations_refuses_malformed_input(args, needle):
-    with pytest.raises(ValueError, match=re.escape(needle)):
-        sector_occupations(*args)
 
 
 @pytest.mark.parametrize("args, needle", [

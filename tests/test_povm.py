@@ -2,8 +2,10 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from dpsqkd import povm
 from dpsqkd.optics import InterferometerConfig, sector_lift
-from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, all_click_patterns,
-                         build_e2_e3, certify_noncommutativity,
-                         click_pattern_ids, conjugated_commutator_norm,
-                         pattern_index, reduced_effect_set, t_term)
+from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, NoncommutativityReport,
+                         all_click_patterns, build_e2_e3,
+                         certify_noncommutativity, click_pattern_ids,
+                         conjugated_commutator_norm, pattern_index,
+                         reduced_effect_set, t_term)
 from fock_oracle import (basis_index, basis_state, build_projector_effects,
                          dagger, dense_certification, dense_e2_e3,
                          dense_effects, dense_unitary, detection_registry,
@@ -305,12 +308,59 @@ def test_build_e2_e3_cutoff_guard():
     ({"cutoff": 2.5}, "cutoff must be an integer"),
     ({"cutoff": math.nan}, "cutoff must be an integer"),
     ({"cutoff": True}, "cutoff must be an integer"),
-    ({"cutoff": 3, "n_bins": 2.0}, "n_bins must be an integer"),
 ])
 def test_certify_refuses_non_integer_counts(kwargs, needle):
     with pytest.raises(ValueError, match=needle) as info:
         certify_noncommutativity(**kwargs)
     assert "\n" not in str(info.value)
+
+
+def test_certify_takes_no_key_bin_count():
+    # the certification lives at N = 2 alone: a count where n_bins stood
+    # is refused, not read as a config
+    for args, kwargs in (((3, 2), {}), ((3,), {"n_bins": 2})):
+        with pytest.raises(TypeError):
+            certify_noncommutativity(*args, **kwargs)
+
+
+def test_certify_refuses_cutoff_16_before_allocating():
+    # the sector bound admits cutoff 15 at two key bins and no more: both
+    # lifts accept 15 (an unstarted lift holds nothing), and certifying at
+    # 16 refuses, naming the wire lift's sector 16, before any allocation
+    cfg = InterferometerConfig.compensated()
+    sector_lift(cfg, 3, 15)
+    sector_lift(cfg, 3, 45, max_occupation=[15] * 3 + [0] * 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            certify_noncommutativity(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value).startswith(
+        "photon-number sector 16 block of 20349 states x 20349 inputs")
+    assert "\n" not in str(info.value)
+    assert peak < 2 ** 20
+
+
+def test_report_thresholds_are_constants_that_every_row_carries():
+    report = certify_noncommutativity(3)
+    fields = {f.name: getattr(report, f.name)
+              for f in dataclasses.fields(report)}
+    assert len(fields) == 18
+    assert NoncommutativityReport(**fields) == report
+    for name in NoncommutativityReport.THRESHOLDS:
+        assert name not in fields
+        with pytest.raises(TypeError, match=name):
+            NoncommutativityReport(**fields, **{name: 1.0})
+    R = NoncommutativityReport
+    assert [c.threshold for c in report.checks()] == \
+        [R.g_zero_tol] * 4 + [R.conj_zero_tol] + [R.nonzero_floor] * 3 \
+        + [R.reduction_agreement_tol] * 2 + [R.completeness_tol, -R.psd_tol]
+    # the JSON report carries each threshold after the values, before the
+    # verdict
+    keys = list(json.loads(report.to_json()))
+    assert keys == [*fields, *R.THRESHOLDS, "passed"]
 
 
 def test_t_term_table():

@@ -50,6 +50,24 @@ def test_alice_record_key_relation():
         AliceRecord(np.array([], dtype=np.uint8), 0.45)
 
 
+@pytest.mark.parametrize("s_prime", [[0.5, 1], [1.7, 0], ["1", "0"],
+                                     [-1, 0], [0, 2], [np.nan, 1],
+                                     [1 + 0j, 0], [None, 1]])
+def test_alice_record_refuses_non_bits_before_the_cast(s_prime):
+    # a uint8 cast would store 0.5 as 0 and "1" as 1, and overflow on -1
+    with pytest.raises(ValueError, match="S' must be a bit string") as info:
+        AliceRecord(s_prime, 0.45)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("s_prime", [[0, 1, 1], [0.0, 1.0, 1.0],
+                                     [False, True, True],
+                                     np.array([0, 1, 1], np.int8)])
+def test_alice_record_takes_exact_bits_of_any_numeric_dtype(s_prime):
+    sp = AliceRecord(s_prime, 0.45).s_prime
+    assert sp.dtype == np.uint8 and sp.tolist() == [0, 1, 1]
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
 @pytest.mark.parametrize("before", [0, 1, 2, 3])
 @pytest.mark.parametrize("size", [0, 1, 3, 5, 4095, 4097, 10 ** 6 + 1])
