@@ -154,12 +154,25 @@ def cmd_witness_demo(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED_CHECK
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it refuses the arguments after the
+    subcommand that it does not know, under its own usage line.  (The
+    top-level parser, given them back, would name only the subcommands.)"""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dps-qkd",
         description="Differential-phase-shift QKD simulation and "
                     "measurement-structure certification")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=_SubcommandParser)
 
     sim = sub.add_parser("simulate", help="run Monte Carlo sessions")
     sim.add_argument("--config", help="session config file (key = value lines)")

@@ -243,14 +243,28 @@ def sector_lift(config: InterferometerConfig, bins: int, n_max: int,
     if min(caps) < 0:
         raise ValueError(f"max_occupation bounds must be >= 0, got {caps}")
     caps = [min(c, n_max) for c in caps]
-    # sectors above sum(caps) hold no input; the top sector holds one, and
-    # sector dimensions grow with n, so its size alone can refuse at once
-    n_max = min(n_max, sum(caps))
+    # sectors above sum(caps) hold no input; sectors up to min(caps) take
+    # every state
+    return _lift(config, bins, min(n_max, sum(caps)), caps, min(caps))
+
+
+def _lift(config: InterferometerConfig, bins: int, n_max: int, caps,
+          full: int):
+    """:func:`sector_lift`'s bound check and lift, over sectors 0..n_max:
+    sectors 0..`full` take every wire state as input, and the sectors above
+    the states with at most ``caps[i]`` photons on wire i.  Every input's
+    parent, one photon down, is then an input of the sector below.  The top
+    sector must hold an input."""
+    n_modes = 2 * bins
+    # sector dimensions grow with n, so the top sector's size alone can
+    # refuse at once
     if sector_dim(n_modes, n_max) > DEFAULT_MAX_STATE_ENTRIES:
         raise ValueError(f"photon-number sector {n_max} of "
                          f"{sector_dim(n_modes, n_max)} states exceeds the "
                          f"sector bound {DEFAULT_MAX_STATE_ENTRIES}")
-    counts = _capped_counts(caps, n_max)  # inputs per sector
+    counts = [sector_dim(n_modes, n) for n in range(full + 1)]
+    if full < n_max:                                  # inputs per sector
+        counts += _capped_counts(caps, n_max)[full + 1:]
     n = max(range(n_max + 1),
             key=lambda n: sector_dim(n_modes, n) * counts[n])
     dim, m = sector_dim(n_modes, n), counts[n]
@@ -262,10 +276,18 @@ def sector_lift(config: InterferometerConfig, bins: int, n_max: int,
     u = single_particle_unitary(config, bins)
     if not np.any(u.imag):
         u = np.ascontiguousarray(u.real)
-    return _lift_sectors(u, n_max, np.array(caps))
+    return _lift_sectors(u, n_max, np.array(caps), full)
 
 
-def _lift_sectors(u: np.ndarray, n_max: int, caps: np.ndarray):
+def _lift_sectors(u: np.ndarray, n_max: int, caps: np.ndarray, full: int):
+    """The images under the mode map `u` of :func:`_lift`'s inputs, as
+    :func:`sector_lift` hands them out.
+
+    Each entry of an image is built from its parent's image alone, by the
+    same operations in the same order whatever else shares its sector or
+    tile; so an input gets the same image, bit for bit, from any lift in
+    which it is an input.
+    """
     n_modes = u.shape[0]
     # base-(n_max + 1) codes sort like the rows of _sectors
     strides = (n_max + 1) ** np.arange(n_modes - 1, -1, -1)
@@ -279,9 +301,10 @@ def _lift_sectors(u: np.ndarray, n_max: int, caps: np.ndarray):
     sectors = _sectors(n_modes, n_max)
     vacuum = next(sectors)
     yield vacuum, vacuum, images.T
-    for new_outputs in sectors:
+    for n, new_outputs in enumerate(sectors, 1):
         occupied = new_outputs.T
-        inputs = new_outputs[np.all(occupied <= caps[:, None], axis=0)]
+        inputs = new_outputs if n <= full else \
+            new_outputs[np.all(occupied <= caps[:, None], axis=0)]
         # each input comes from its parent one photon down, taken off its
         # last occupied wire k: U|x> = sum_j u[j, k] b_j^dag U|x - e_k>
         # / sqrt(x_k), gathered for every output t from t - e_j with weight
@@ -289,7 +312,8 @@ def _lift_sectors(u: np.ndarray, n_max: int, caps: np.ndarray):
         # t_j > 0 are sector n - 1 in order; where t_j = 0 the weight is
         # zero and the (clipped) gather index immaterial
         k = n_modes - 1 - np.argmax(inputs[:, ::-1] > 0, axis=1)
-        parents = np.searchsorted(input_codes, inputs @ strides - strides[k])
+        codes = inputs @ strides
+        parents = np.searchsorted(input_codes, codes - strides[k])
         scale = 1.0 / np.sqrt(inputs[np.arange(len(inputs)), k])
         low = np.cumsum(occupied > 0, axis=1) - 1
         root = np.sqrt(occupied)
@@ -299,26 +323,35 @@ def _lift_sectors(u: np.ndarray, n_max: int, caps: np.ndarray):
         # indices and weights
         span = min(len(new_outputs), _LIFT_SPAN)
         width = max(1, _LIFT_CHUNK // span)
-        # the inputs grouped by their last occupied wire, one wire at a time
+        # the inputs grouped by their last occupied wire and taken in tiles
+        # of `width` rows: a tile's parents are gathered at once, and the
+        # run of each wire's rows in it reaches that wire's output wires
         by_wire = np.argsort(k, kind="stable")
-        ends = np.searchsorted(k[by_wire], np.arange(n_modes + 1))
-        for wire in np.flatnonzero(np.diff(ends)):
-            rows = by_wire[ends[wire]:ends[wire + 1]]
-            # a row per output wire j it reaches: t - e_j, u[j, k] sqrt(t_j)
-            lows = low[reach[wire]]
-            weights = root[reach[wire]] * amplitudes[wire]
-            for c in range(0, len(rows), width):
-                chunk = rows[c:c + width]
-                src = images[parents[chunk]]
-                src *= scale[chunk, None]
+        ends = np.searchsorted(k[by_wire], np.arange(n_modes + 1)).tolist()
+        set_for = None
+        for c in range(0, len(inputs), width):
+            tile = by_wire[c:c + width]
+            src = images[parents[tile]]
+            src *= scale[tile, None]
+            for wire in range(k[tile[0]], k[tile[-1]] + 1):
+                lo = max(ends[wire], c) - c
+                hi = min(ends[wire + 1], c + width) - c
+                if lo >= hi:
+                    continue
+                if wire != set_for:
+                    # a row per output wire j it reaches: t - e_j and
+                    # u[j, k] sqrt(t_j)
+                    lows = low[reach[wire]]
+                    weights = root[reach[wire]] * amplitudes[wire]
+                    set_for = wire
                 for a in range(0, len(new_outputs), span):
                     cut = slice(a, a + span)
-                    part = np.take(src, lows[:, cut], axis=1, mode="clip")
+                    part = np.take(src[lo:hi], lows[:, cut], axis=1,
+                                   mode="clip")
                     part *= weights[:, cut]
                     acc = part[:, 0]
                     for j in range(1, len(lows)):
                         acc += part[:, j]
-                    new_images[chunk, cut] = acc
-        images = new_images
-        input_codes = inputs @ strides
+                    new_images[tile[lo:hi], cut] = acc
+        images, input_codes = new_images, codes
         yield new_outputs, inputs, images.T

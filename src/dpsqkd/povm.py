@@ -37,7 +37,7 @@ from typing import ClassVar, Optional, Sequence, Tuple
 import numpy as np
 
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                     _capped_counts, _require_integers, sector_lift)
+                     _capped_counts, _lift, _require_integers, sector_lift)
 
 ClickPattern = Tuple[Tuple[bool, bool], ...]
 
@@ -129,12 +129,29 @@ def _pattern_ids(outputs: np.ndarray, n_bins: int) -> np.ndarray:
     return click_pattern_ids(outputs[:, 1:bins] > 0, outputs[:, bins + 1:] > 0)
 
 
-def _reduce(n_bins: int, cutoff: int, config: InterferometerConfig,
+def _signal_lift(config: InterferometerConfig, n_bins: int, cutoff: int):
+    """The signal lift at `cutoff` as :func:`_reduce` reads it; raises
+    ValueError, before allocating, where :func:`~dpsqkd.optics.sector_lift`
+    does."""
+    bins = n_bins + 1
+    lift = sector_lift(config, bins, bins * cutoff,
+                       max_occupation=[cutoff] * bins + [0] * bins)
+    return ((o, _pattern_ids(o, n_bins), i, w) for o, i, w in lift)
+
+
+def _reduce(sectors, n_bins: int, cutoff: int,
             requests: Sequence[Tuple[int, bool]]):
     """States and per-sector block stacks of the reduced effects named by
     `requests`, ``(pattern id, silent)`` pairs with ids as
-    :func:`pattern_index`, from one signal lift.  A silent request also
-    demands vacuum on both output wires of bin 0.
+    :func:`pattern_index`.  A silent request also demands vacuum on both
+    output wires of bin 0.
+
+    `sectors` is the signal lift at `cutoff` (signal wires at most
+    `cutoff` photons, path-1 wires empty), one ``(outputs, pattern ids,
+    inputs, images)`` per sector 0..(N+1)*cutoff, ids as
+    :func:`_pattern_ids`: :func:`_signal_lift`, or the signal columns of
+    :func:`_certification_sectors`.  It is read one sector at a time, and
+    not at all when the blocks would exceed ``DEFAULT_MAX_STATE_ENTRIES``.
 
     Each sector's output rows are grouped by click pattern once: a stable
     sort of their pattern ids and one gather of the image columns in that
@@ -142,28 +159,28 @@ def _reduce(n_bins: int, cutoff: int, config: InterferometerConfig,
     silent one keeps the quiet ones among them: the rows, and their order,
     that a boolean mask over the sector picks."""
     bins = n_bins + 1
-    caps = [cutoff] * bins                # signal wires; path-1 wires empty
-    sectors = sector_lift(config, bins, bins * cutoff,
-                          max_occupation=caps + [0] * bins)
-    per_effect = sum(m * m for m in _capped_counts(caps, bins * cutoff))
+    per_effect = sum(m * m for m in _capped_counts([cutoff] * bins,
+                                                   bins * cutoff))
     if len(requests) * per_effect > DEFAULT_MAX_STATE_ENTRIES:
         raise ValueError(
             f"{len(requests)} reduced effects of {per_effect} block entries "
             f"each exceed the bound {DEFAULT_MAX_STATE_ENTRIES}")
     strides = (cutoff + 1) ** np.arange(bins - 1, -1, -1)
     states, blocks = [], []
-    for outputs, inputs, images in sectors:
-        pids = _pattern_ids(outputs, n_bins)
+    for outputs, pids, inputs, images in sectors:
         order = np.argsort(pids, kind="stable")
         starts = np.searchsorted(pids[order], np.arange(4 ** n_bins + 1))
         quiet = ((outputs[:, 0] == 0) & (outputs[:, bins] == 0))[order]
         # one gather of the image columns puts each pattern's rows side by
         # side, in ascending order
         grouped = images.T[:, order]
-        block = np.empty((len(requests), len(inputs), len(inputs)),
+        # a pattern with no rows in the sector has a zero block
+        block = np.zeros((len(requests), len(inputs), len(inputs)),
                          dtype=images.dtype)
         for k, (target, silent) in enumerate(requests):
             rows = slice(starts[target], starts[target + 1])
+            if rows.start == rows.stop:
+                continue
             W = grouped[:, rows]
             if silent:
                 W = W[:, quiet[rows]]
@@ -206,9 +223,9 @@ def reduced_effect_set(n_bins: int, cutoff: int,
     for p in patterns:
         if np.shape(p) != (n_bins, 2):
             raise ValueError(f"need {n_bins} (D0, D1) pairs, got {p!r}")
-    states, blocks = _reduce(n_bins, cutoff, config,
-                             [(pattern_index(p), boundary == "vacuum")
-                              for p in patterns])
+    states, blocks = _reduce(
+        _signal_lift(config, n_bins, cutoff), n_bins, cutoff,
+        [(pattern_index(p), boundary == "vacuum") for p in patterns])
     return BlockEffects(patterns, states, blocks)
 
 
@@ -393,6 +410,31 @@ class NoncommutativityReport:
                            "passed": self.passed}, indent=2)
 
 
+def _certification_sectors(config: InterferometerConfig, cutoff: int):
+    """The one lift of a certification at N = 2, a sector at a time: every
+    wire state is an input up to `cutoff` photons, the signal states (at
+    most `cutoff` per bin, path-1 wires empty) above.  Yields ``(outputs,
+    pattern ids, inputs, images, wire images)`` for sectors 0..3*cutoff:
+    the signal columns, in order and bit for bit the signal lift's, and the
+    whole sector's images up to `cutoff` (its inputs are its outputs), None
+    above.  Raises ValueError, before allocating, where the lift's bound
+    does.
+    """
+    bins = 3
+    lift = _lift(config, bins, bins * cutoff, [cutoff] * bins + [0] * bins,
+                 cutoff)
+
+    def sectors():
+        for n, (outputs, inputs, images) in enumerate(lift):
+            wire_images = images if n <= cutoff else None
+            if n <= cutoff:
+                signal = ~inputs[:, bins:].any(axis=1)
+                inputs, images = inputs[signal], images.T[signal].T
+            yield (outputs, _pattern_ids(outputs, bins - 1), inputs, images,
+                   wire_images)
+    return sectors()
+
+
 def certify_noncommutativity(cutoff: int, *,
                              config: Optional[InterferometerConfig] = None
                              ) -> NoncommutativityReport:
@@ -409,10 +451,12 @@ def certify_noncommutativity(cutoff: int, *,
     effects agree with the generic reduction; the vacuum-reduced effects
     are complete and positive; and the two illustrative reduced effects do
     NOT commute, with a commutator norm above the recorded floor from the
-    closed forms and from both boundary conventions of the reduction.  One
-    signal lift serves both conventions; all of it runs on photon-number
-    blocks.  The 18 reduced effects and the 3 conjugated pairs are named
-    by pattern id, each resolved once.
+    closed forms and from both boundary conventions of the reduction.  All
+    of it runs on photon-number blocks, from one lift streamed a sector at
+    a time (:func:`_certification_sectors`): the conjugated checks read its
+    whole wire sectors 0..cutoff, and the reduction, for both conventions,
+    its signal columns.  The 18 reduced effects and the 3 conjugated pairs
+    are named by pattern id, each resolved once.
 
     Raises ValueError, before any work, unless `cutoff` is an integer
     from 3 to 15: from 16 up, a sector block exceeds the sector bound.
@@ -426,10 +470,28 @@ def certify_noncommutativity(cutoff: int, *,
     pats = all_click_patterns(n_bins)
     # a pattern's id is its position in `pats`
     e2, e3 = pattern_index(E2_PATTERN), pattern_index(E3_PATTERN)
-    wire_sectors = sector_lift(config, bins, cutoff)
+    sectors = _certification_sectors(config, cutoff)
+    pair_ids = ((e2, e3), (0, len(pats) - 1), (e2, len(pats) - 1))
+    conj_sq = np.zeros(len(pair_ids))
+
+    def signal_sectors():
+        # the conjugated checks read each whole wire sector on the way
+        for outputs, pids, inputs, images, wire_images in sectors:
+            if wire_images is not None:
+                rows = np.bincount(pids, minlength=len(pats))
+                for k, (i, j) in enumerate(pair_ids):
+                    # a pattern with no rows here adds exactly 0
+                    if rows[i] and rows[j]:
+                        conj_sq[k] += conjugated_commutator_norm(
+                            wire_images, pids == i, pids == j) ** 2
+            yield outputs, pids, inputs, images
+
     states, blocks = _reduce(
-        n_bins, cutoff, config,
+        signal_sectors(), n_bins, cutoff,
         [(k, False) for k in range(len(pats))] + [(e2, True), (e3, True)])
+    conj_vals = [(pats[i], pats[j], math.sqrt(v))
+                 for (i, j), v in zip(pair_ids, conj_sq)]
+    conj_max = max(v for _, _, v in conj_vals)
 
     diags = _pattern_diagonals(n_bins, cutoff)
     # the pairs i < j, one offset j - i at a time, so no product of all
@@ -440,19 +502,6 @@ def certify_noncommutativity(cutoff: int, *,
                            for a, b in pairs]))
     g_idem = float(np.max(np.abs(diags * diags - diags)))
     g_sum = float(np.max(np.abs(diags.sum(axis=0) - 1.0)))
-
-    pair_ids = ((e2, e3), (0, len(pats) - 1), (e2, len(pats) - 1))
-    conj_sq = np.zeros(len(pair_ids))
-    wire_dim = 0
-    for outputs, _, U in wire_sectors:
-        wire_dim += len(outputs)
-        pids = _pattern_ids(outputs, n_bins)
-        for k, (i, j) in enumerate(pair_ids):
-            conj_sq[k] += conjugated_commutator_norm(
-                U, pids == i, pids == j) ** 2
-    conj_vals = [(pats[i], pats[j], math.sqrt(v))
-                 for (i, j), v in zip(pair_ids, conj_sq)]
-    conj_max = max(v for _, _, v in conj_vals)
 
     closed = build_e2_e3(cutoff).blocks
     marginal = [b[:len(pats)] for b in blocks]
@@ -468,7 +517,9 @@ def certify_noncommutativity(cutoff: int, *,
 
     return NoncommutativityReport(
         n_bins=n_bins, cutoff=cutoff, internal_cutoff=bins * cutoff,
-        detection_dim=diags.shape[1], wire_dim=wire_dim,
+        detection_dim=diags.shape[1],
+        # wire sectors 0..cutoff of 2 * bins modes
+        wire_dim=math.comb(cutoff + 2 * bins, 2 * bins),
         g_comm_max=g_comm, g_idempotency_max=g_idem,
         g_orthogonality_max=g_orth, g_sum_defect=g_sum,
         conjugated_pairs=tuple(conj_vals), conjugated_comm_max=conj_max,

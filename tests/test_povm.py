@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpsqkd import povm
+from dpsqkd import optics, povm
 from dpsqkd.optics import InterferometerConfig, sector_lift
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, NoncommutativityReport,
                          all_click_patterns, build_e2_e3,
@@ -229,7 +229,8 @@ def test_sorted_reduction_matches_the_mask_oracle_bytes(n_bins, cutoff,
                 for silent in (False, True)]
     requests += rng.choices(requests, k=len(requests) // 2)
     rng.shuffle(requests)
-    got = povm._reduce(n_bins, cutoff, config,
+    got = povm._reduce(povm._signal_lift(config, n_bins, cutoff), n_bins,
+                       cutoff,
                        [(pattern_index(p), silent) for p, silent in requests])
     want = mask_reduce(n_bins, cutoff, config, requests)
     for got_arrays, want_arrays in zip(got, want):
@@ -424,20 +425,71 @@ def test_block_certification_matches_dense_oracle(cutoff, phi2, phi_delta):
         assert abs(getattr(report, name) - value) <= 1e-12, name
 
 
-def test_certification_lifts_the_signal_once(monkeypatch):
-    # two lifts in all: the wire sectors and the signal block, which
-    # serves both boundary conventions
+def test_certification_lifts_once(monkeypatch):
+    # one lift in all: every wire state up to the cutoff, the signal states
+    # above it; it serves the conjugated checks and both boundary
+    # conventions, and the public signal-only lift is not called
     calls = []
-    lift = povm.sector_lift
+    lift_sectors = optics._lift_sectors
 
-    def counted(config, bins, n_max, max_occupation=None):
-        calls.append(max_occupation)
-        return lift(config, bins, n_max, max_occupation)
+    def counted(u, n_max, caps, full):
+        calls.append((u.shape, n_max, caps.tolist(), full))
+        return lift_sectors(u, n_max, caps, full)
 
-    monkeypatch.setattr(povm, "sector_lift", counted)
+    def refused(*args, **kwargs):
+        raise AssertionError("sector_lift called")
+
+    monkeypatch.setattr(optics, "_lift_sectors", counted)
+    monkeypatch.setattr(povm, "sector_lift", refused)
     report = certify_noncommutativity(3)
     assert report.passed
-    assert calls == [None, [3, 3, 3, 0, 0, 0]]
+    assert calls == [((6, 6), 9, [3, 3, 3, 0, 0, 0], 3)]
+
+
+def same_bytes(a, b):
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("phases", [(0.0, 0.0), (0.3, 1.1)])
+@pytest.mark.parametrize("cutoff", [3, 4, 5])
+def test_certification_lift_matches_the_wire_and_signal_lifts_bytes(
+        cutoff, phases):
+    # sector by sector, the one lift's whole sectors 0..cutoff are the wire
+    # lift's, and its signal columns are the signal lift's, byte for byte
+    cfg = InterferometerConfig.compensated(*phases)
+    wire = sector_lift(cfg, 3, cutoff)
+    signal = povm._signal_lift(cfg, 2, cutoff)
+    n = -1
+    for n, (got, want) in enumerate(zip(
+            povm._certification_sectors(cfg, cutoff), signal)):
+        outputs, pids, inputs, images, wire_images = got
+        if n <= cutoff:
+            for a, b in zip((outputs, outputs, wire_images), next(wire)):
+                assert same_bytes(a, b)
+        else:
+            assert wire_images is None
+        for a, b in zip((outputs, pids, inputs, images), want):
+            assert same_bytes(a, b)
+    assert n == 3 * cutoff
+    assert next(wire, None) is None and next(signal, None) is None
+
+
+#: tracemalloc peak of certify_noncommutativity(8), in bytes, when it ran
+#: the wire and the signal lift one after the other, each a sector at a time
+CERTIFY_C8_PEAK = 52_623_306
+
+
+def test_certification_streams_its_lift():
+    # the one lift is read a sector at a time: holding it whole took
+    # about 151 MB at cutoff 8
+    certify_noncommutativity(3)
+    tracemalloc.start()
+    try:
+        assert certify_noncommutativity(8).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * CERTIFY_C8_PEAK
 
 
 def test_blocks_of_one_effect():
