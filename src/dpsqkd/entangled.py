@@ -98,8 +98,7 @@ def collapsed_mean_amplitude(state: EbState, bit: int) -> complex:
 ANALYTIC_DISTANCE_GATE = 1e-8
 
 #: Monte Carlo trial rows per chunk; even, so that the S' bits of every
-#: chunk start on a whole 64-bit output of the stream.  Of 2^13, 2^14 and
-#: 2^15, 2^15 gave the fastest 10^6-trial calls on two workers
+#: chunk start on a whole 64-bit output of the stream
 _MC_CHUNK_ROWS = 1 << 15
 #: threads that run the chunks; NumPy releases the GIL in RNG fills and ufuncs
 _MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -182,7 +181,7 @@ def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
             np.less(_positioned_rng(seeded, at + r0 * n_pulses, rng).random(
                 out=work[4][0, :s.size].reshape(s.shape)), born1, out=s)
             at += trials * n_pulses
-        # one copy of P-byte items: several times faster than of bools
+        # one copy of P-byte items, not of P bools each
         np.copyto(s_bits[:, -n_pulses:].view(f"V{n_pulses}"),
                   s.view(f"V{n_pulses}"))
         np.copyto(classes, packed_ids(s_bits))

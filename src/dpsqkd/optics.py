@@ -256,18 +256,19 @@ def _lift(config: InterferometerConfig, bins: int, n_max: int, caps,
     parent, one photon down, is then an input of the sector below.  The top
     sector must hold an input."""
     n_modes = 2 * bins
-    # sector dimensions grow with n, so the top sector's size alone can
-    # refuse at once
+    # sector sizes grow with n: the top sector's size refuses at once, and
+    # sector `full`'s block (its states are its inputs) before any count
     if sector_dim(n_modes, n_max) > DEFAULT_MAX_STATE_ENTRIES:
         raise ValueError(f"photon-number sector {n_max} of "
                          f"{sector_dim(n_modes, n_max)} states exceeds the "
                          f"sector bound {DEFAULT_MAX_STATE_ENTRIES}")
-    counts = [sector_dim(n_modes, n) for n in range(full + 1)]
-    if full < n_max:                                  # inputs per sector
-        counts += _capped_counts(caps, n_max)[full + 1:]
-    n = max(range(n_max + 1),
-            key=lambda n: sector_dim(n_modes, n) * counts[n])
-    dim, m = sector_dim(n_modes, n), counts[n]
+    n, m = full, sector_dim(n_modes, full)
+    if full < n_max and m * m <= DEFAULT_MAX_STATE_ENTRIES:
+        counts = _capped_counts(caps, n_max)          # inputs per sector
+        n = max(range(full + 1, n_max + 1),
+                key=lambda n: sector_dim(n_modes, n) * counts[n])
+        m = counts[n]
+    dim = sector_dim(n_modes, n)
     if dim * m > DEFAULT_MAX_STATE_ENTRIES:
         raise ValueError(
             f"photon-number sector {n} block of {dim} states x {m} inputs "

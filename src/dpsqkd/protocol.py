@@ -331,14 +331,14 @@ def _sample_pairs(model: DetectorModel, table: np.ndarray, classes: np.ndarray,
         next(streams).random(out=u)
         if table.shape[1:] == (2,):
             # two classes, Bob's key bits: d = u < table[k, bit] as a
-            # select between two compares, at a third of a gather's cost
+            # select between two compares, cheaper than a gather
             below = u < table[k, 0]
             np.less(u, table[k, 1], out=d)
             d ^= below
             d &= classes
             d ^= below
         else:
-            # mode="raise" would buffer `p`, at about three times the cost
+            # mode="raise" would buffer `p`
             table[k].take(classes, axis=0, out=p, mode="clip")
             np.less(u, p, out=d)
     if model.dark_click_prob > 0.0:
@@ -384,10 +384,9 @@ def _eve_clicks(sp: np.ndarray, eve_fraction: float, table: np.ndarray,
     each at its stream's start, and `table` her pair table.  Writes her
     bit into `out` at each pulse whose key bin she learned, and returns the
     per-pulse bool arrays ``(tapped, known)``.  Its chunk arrays and
-    their views go on return, before the transcript's are made: at 2^18
-    bins that keeps an attacked session's peak at 11.6 bytes per key bin
-    under tracemalloc, within the 11.9 of the bit route's memory test,
-    where the loop inlined in :func:`intercept_resend` reaches 14.4."""
+    their views go on return, before the transcript's are made, which
+    keeps an attacked session's peak below that of the loop inlined in
+    :func:`intercept_resend`."""
     taps, *clicks = streams
     n_pulses = sp.size
     tapped = np.empty(n_pulses, dtype=bool)
@@ -476,8 +475,8 @@ def intercept_resend(alice: AliceRecord, eve_fraction: float,
     # re-prepare: random phase bits, then chain each run of known pulses
     # onto the unknown pulse before it, s[i] = s[i - 1] ^ her bit.  Then
     # untapped pulses pass through: s = tap ? s : Alice's bit, as a bitwise
-    # select (a copy masked by the random taps is 20x slower); the pulse
-    # before a known one is tapped, so no chain reads Alice's bit
+    # select, not a copy masked by the random taps; the pulse before a known
+    # one is tapped, so no chain reads Alice's bit
     out = _xor_runs(out, known)
     out ^= sp
     out &= tapped.view(np.uint8)
@@ -494,11 +493,9 @@ def run_session(config: SessionConfig) -> SessionStats:
     bin's bit (a pair and its negation give equal ones), and the
     sifted bits, errors and double clicks are counted from the clicks and
     Alice's bits.  No session builds pulse amplitudes: Eve's attack takes
-    and gives bits too (:func:`intercept_resend`).  Bob's side runs chunk
-    by chunk, its uniforms, clicks and key bits in arrays allocated once
-    per session, from one generator per stream of uniforms (D0, D1, dark
-    D0, dark D1), each set once where one whole-session draw puts it, so
-    no stat depends on the chunk size."""
+    and gives bits too (:func:`intercept_resend`).  Bob's side runs in
+    chunks, with one stream each of D0, D1, dark D0 and dark D1 uniforms,
+    as the module docstring sets out."""
     rng = np.random.default_rng(config.seed)
     if config.n_bins == 0:
         return SessionStats(0, 0, 0.0, None, 0, np.empty(0, dtype=int), 0, config)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import time
 from unittest import mock
 
 import numpy as np
@@ -298,6 +299,23 @@ def test_sector_lift_bound():
     assert sizes == [(1, 1), (6, 3), (21, 3), (56, 1)]
     with pytest.raises(ValueError, match="one bound per wire"):
         sector_lift(cfg, 3, 2, [1, 1])
+
+
+@pytest.mark.parametrize("caps, refused", [
+    (None, "sector 10000000 block of 10000001 states x 10000001 inputs"),
+    ([10 ** 7, 10 ** 6], "sector 1000000 block of 1000001 states x 1000001 "
+                         "inputs"),
+])
+def test_sector_lift_refusal_takes_no_work_per_sector(caps, refused):
+    # sector n of one bin takes all its n + 1 states up to the least cap,
+    # so that sector's block alone refuses, before any count per sector is
+    # made: no time that grows with n_max.  Bound fixed before the first run.
+    cfg = InterferometerConfig.compensated()
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=refused + ".* exceeds the sector "
+                                         "bound 300000000"):
+        sector_lift(cfg, 1, 10 ** 7, caps)
+    assert time.perf_counter() - t0 < 0.2
 
 
 def test_dense_oracle_lifts_the_mode_map():

@@ -383,16 +383,73 @@ def test_t_term_table():
 @pytest.mark.parametrize("cutoff", [1, 2, 3])
 def test_pattern_diagonals_match_registry_route(n_bins, cutoff):
     # oracle: one occupation test per detection wire on the registry, D0's
-    # wires first; a D0/D1 swap in the library's rows fails here, though
-    # every projector field of the report is blind to it
-    diags = povm._pattern_diagonals(n_bins, cutoff)
+    # wires first; a D0/D1 swap in the library's pattern ids fails here,
+    # though every projector row of the report is blind to it
+    ids = povm._detection_ids(n_bins, cutoff)
     reg = detection_registry(n_bins, cutoff)
-    pats = all_click_patterns(n_bins)
-    assert diags.shape == (len(pats), reg.dim)
-    for k, p in enumerate(pats):
+    assert ids.shape == (reg.dim,)
+    for k, p in enumerate(all_click_patterns(n_bins)):
         want = pattern_diagonal(reg, p)
-        assert diags[k].dtype == want.dtype
-        assert diags[k].tobytes() == want.tobytes()
+        assert want.dtype == np.float64
+        assert (ids == k).astype(np.float64).tobytes() == want.tobytes()
+
+
+def test_projector_rows_hold_no_pattern_by_state_matrix():
+    # at N = 4 and cutoff 3 a dense (4^N, (cutoff+1)^(2N)) float matrix of
+    # the diagonals takes 256 x 65,536 x 8 B = 134 MB; the rows hold an id
+    # and a count per detection state.  Bound fixed before the first run.
+    tracemalloc.start()
+    try:
+        rows = povm._projector_checks(4, 3, range(4 ** 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == dict.fromkeys(CHECKED_FIELDS[:4], 0.0)
+    assert peak < 16 * 2 ** 20
+
+
+def floor_formula(cutoff):
+    """||[E2, E3]||_F of the closed forms at `cutoff`, as derived in
+    ``build_e2_e3``'s docstring."""
+    return math.sqrt(2 * sum(64.0 ** -n - 256.0 ** -n
+                             for n in range(1, cutoff + 1)))
+
+
+#: agreement of the derived floor formula with the computed norms, fixed
+#: before the first run
+FLOOR_FORMULA_TOL = 1e-12
+
+
+def test_floor_formula_clears_the_floor_from_cutoff_3():
+    floor = povm.NONCOMMUTATIVITY_FLOOR
+    assert floor_formula(2) < floor < floor_formula(3)
+    # every term 2 (64^-n - 256^-n) is positive: f rises with the cutoff,
+    # towards sqrt(2 (1/63 - 1/255)), which doubles reach at cutoff 10
+    limit = math.sqrt(384 / 16065)
+    values = [floor_formula(c) for c in range(1, 10)]
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert values[-1] <= limit
+    assert abs(floor_formula(60) - limit) < 1e-15
+
+
+@pytest.mark.parametrize("cutoff", range(3, 16))
+def test_closed_form_norm_matches_the_floor_formula(cutoff):
+    norm = povm._commutator_norm(build_e2_e3(cutoff).blocks)
+    assert abs(norm - floor_formula(cutoff)) <= FLOOR_FORMULA_TOL
+
+
+@pytest.mark.parametrize("n_bins, cutoff", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_silent_adjacent_pairs_match_the_floor_formula(n_bins, cutoff):
+    # D0 alone in key bin i and D1 alone in bin i + 1, vacuum elsewhere and
+    # on the boundary bin 0: every adjacent pair has the closed forms' norm
+    quiet = ((False, False),) * n_bins
+    for i in range(n_bins - 1):
+        pair = (quiet[:i] + ((True, False),) + quiet[i + 1:],
+                quiet[:i + 1] + ((False, True),) + quiet[i + 2:])
+        red = reduced_effect_set(n_bins, cutoff, patterns=pair,
+                                 boundary="vacuum")
+        assert abs(povm._commutator_norm(red.blocks)
+                   - floor_formula(cutoff)) <= FLOOR_FORMULA_TOL, i
 
 
 def test_conjugated_commutator_gram_matches_dense():
@@ -548,6 +605,29 @@ CHECKED_FIELDS = ("g_comm_max", "g_idempotency_max", "g_orthogonality_max",
 def row_passes(row):
     return (row.value <= row.threshold if row.relation == "<="
             else row.value >= row.threshold)
+
+
+@pytest.mark.parametrize("family, failing", [
+    ([*range(16), 5], {"g_orthogonality_max", "g_sum_defect"}),
+    ([k for k in range(16) if k != 5], {"g_sum_defect"}),
+], ids=["duplicated", "missing"])
+def test_projector_rows_fail_a_duplicated_or_missing_pattern(
+        monkeypatch, family, failing):
+    # a pattern requested twice overlaps itself and covers its states
+    # twice; a pattern left out leaves its states uncovered
+    g = NoncommutativityReport.g_zero_tol
+    assert povm._projector_checks(2, 3, range(16)) == \
+        dict.fromkeys(CHECKED_FIELDS[:4], 0.0)
+    rows = povm._projector_checks(2, 3, family)
+    assert {f for f, v in rows.items() if v > g} == failing
+    checks = povm._projector_checks
+    monkeypatch.setattr(povm, "_projector_checks",
+                        lambda n_bins, cutoff, _: checks(n_bins, cutoff,
+                                                         family))
+    report = certify_noncommutativity(3)
+    assert {f for f, c in zip(CHECKED_FIELDS, report.checks())
+            if not row_passes(c)} == failing
+    assert not report.passed
 
 
 def test_every_check_decides_the_verdict():
