@@ -19,14 +19,15 @@ place in the package that turns amplitudes into click probabilities, and
 and :mod:`dpsqkd.entangled` all go through the two.
 
 A session runs in chunks of ``_CHUNK_BINS`` key bins, each with the pulse
-before it; the chunks' uniforms, clicks and bits live in arrays allocated
-once per session, and only masks and counts make chunk-sized temporaries.
-Each of its draw streams gets one generator, jumped once to where one
+before it, and holds no array longer than a chunk and that pulse: Alice's
+bits, Eve's attack and Bob's clicks are made chunk by chunk, and only
+counts outlive a chunk, so a session's memory does not grow with N.  Each
+of its draw streams gets one generator, jumped once to where one
 whole-session draw puts that stream, with the buffered 32-bit half-word
 (:func:`_positioned_rng`), which then draws chunk after chunk; so no
 output depends on the chunk size.  Alice's S' and Eve's resend bits are
-``integers(0, 2)`` draws, taken from the raw PCG64 words
-(:func:`_integer_bits`).
+``integers(0, 2)`` draws, read a chunk at a time from the raw PCG64 words
+(:class:`_BitStream`).
 
 Bin indexing: pulses occupy bins 0..N, key bins (and disclosed intervals)
 are 1-based indices 1..N.
@@ -97,14 +98,51 @@ def _integer_bits(rng: np.random.Generator, out: np.ndarray,
     flat = out.reshape(-1)
     per_half = 4 if np.dtype(dtype) == np.uint8 else 1
     head = min(per_half, flat.size) if state["has_uint32"] else 0
-    flat[:head] = rng.integers(0, 2, head, dtype)
+    if head:
+        flat[:head] = rng.integers(0, 2, head, dtype)
     raw = rng.bit_generator.random_raw((flat.size - head) // (2 * per_half))
     raw = raw.astype("<u8", copy=False).view(f"<u{4 // per_half}")
     end = head + raw.size
     np.right_shift(raw, 8 * raw.itemsize - 1, out=flat[head:end],
                    casting="unsafe")
-    flat[end:] = rng.integers(0, 2, flat.size - end, dtype)
+    if end < flat.size:
+        flat[end:] = rng.integers(0, 2, flat.size - end, dtype)
     return out
+
+
+class _BitStream:
+    """The `n` bits ``rng.integers(0, 2, n, np.uint8)`` draws, read in
+    order a piece at a time (:meth:`read`): the bits of `rng`'s buffered
+    half-word, then a bit per byte of each raw output (:func:`_integer_bits`),
+    then the last few bits, which ``integers`` draws again.  `end` (a new
+    generator when None) is set at once to where the whole draw leaves
+    `rng`."""
+
+    def __init__(self, rng: np.random.Generator, n: int,
+                 end: Optional[np.random.Generator] = None):
+        head = min(4, n) if rng.bit_generator.state["has_uint32"] else 0
+        self._spare = rng.integers(0, 2, head, np.uint8)   # read first
+        self._rng, self._words = rng, (n - head) // 8
+        self.end = _positioned_rng(rng.bit_generator.state, self._words, end)
+        self._tail = self.end.integers(0, 2, (n - head) % 8, np.uint8)
+
+    def read(self, out: np.ndarray) -> np.ndarray:
+        """Write the next ``out.size`` bits into the uint8 array `out`."""
+        k = min(self._spare.size, out.size)
+        out[:k], self._spare = self._spare[:k], self._spare[k:]
+        words = min((out.size - k) // 8, self._words)
+        if words:
+            _integer_bits(self._rng, out[k:k + 8 * words])
+            self._words -= words
+            k += 8 * words
+        if k < out.size:           # part of one more output, or the tail
+            if self._words:
+                self._words -= 1
+                self._spare = _integer_bits(self._rng, np.empty(8, np.uint8))
+            else:
+                self._spare, self._tail = self._tail, self._tail[:0]
+            self.read(out[k:])
+        return out
 
 
 @dataclass(frozen=True)
@@ -176,14 +214,15 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class SessionStats:
-    """Counts and rates of one Monte Carlo session."""
+    """Counts and rates of one Monte Carlo session, the only things that
+    outlive its chunks: every single click is disclosed and sifted, so the
+    ``clicks`` it reports are its sifted length."""
 
     n_bins: int
     sifted_length: int
     sifted_rate: float
     qber: Optional[float]
     double_clicks: int
-    disclosed_bins: np.ndarray
     errors: int
     config: "SessionConfig"
 
@@ -192,7 +231,7 @@ class SessionStats:
         vals = (CSV_SCHEMA_VERSION, self.n_bins, repr(cfg.alpha2),
                 repr(cfg.phi2), repr(cfg.efficiency),
                 repr(cfg.dark_click_prob), repr(cfg.eve_fraction), cfg.seed,
-                self.disclosed_bins.size, self.double_clicks,
+                self.sifted_length, self.double_clicks,
                 self.sifted_length, repr(self.sifted_rate), self.errors,
                 "" if self.qber is None else repr(self.qber))
         return ",".join(str(v) for v in vals)
@@ -203,7 +242,7 @@ class SessionStats:
 
     def to_text(self) -> str:
         lines = [f"bins = {self.n_bins}",
-                 f"clicks = {self.disclosed_bins.size}",
+                 f"clicks = {self.sifted_length}",
                  f"doubleClicks = {self.double_clicks}  (discarded)",
                  f"siftedLength = {self.sifted_length}",
                  f"siftedRate = {self.sifted_rate!r}",
@@ -377,47 +416,94 @@ class EveTranscript:
     known_bits: np.ndarray
 
 
-def _eve_clicks(sp: np.ndarray, eve_fraction: float, table: np.ndarray,
-                out: np.ndarray, streams):
-    """Eve's taps and clicks on the train of Alice's bits `sp`, chunk by
-    chunk: `streams` are the generators of her tap, D0 and D1 uniforms,
-    each at its stream's start, and `table` her pair table.  Writes her
-    bit into `out` at each pulse whose key bin she learned, and returns the
-    per-pulse bool arrays ``(tapped, known)``.  Its chunk arrays and
-    their views go on return, before the transcript's are made, which
-    keeps an attacked session's peak below that of the loop inlined in
-    :func:`intercept_resend`."""
+def _chunks(n_bins: int):
+    """``(a, b)`` of each chunk of key bins a+1..b, in order; one chunk of
+    pulse 0 alone when there are no key bins."""
+    for a in range(0, max(n_bins, 1), _CHUNK_BINS):
+        yield a, min(a + _CHUNK_BINS, n_bins)
+
+
+def _pulse_chunks(bits: _BitStream, n_bins: int):
+    """Alice's bits of pulses a..b of each chunk (:func:`_chunks`), read
+    from `bits`: views of one buffer, which the next chunk overwrites after
+    carrying its last pulse to the front."""
+    sp = np.empty(min(n_bins, _CHUNK_BINS) + 1, dtype=np.uint8)
+    bits.read(sp[:1])
+    for a, b in _chunks(n_bins):
+        bits.read(sp[1:b - a + 1])
+        yield sp[:b - a + 1]
+        sp[0] = sp[b - a]
+
+
+def _eve_streams(start: dict, n_bins: int,
+                 end: Optional[np.random.Generator] = None):
+    """Eve's generators, each at its stream's start in the stream that
+    reaches the ``bit_generator.state`` `start` when she begins: her tap
+    uniforms of pulses 0..N, her D0 and D1 uniforms of key bins 1..N, and
+    after them her resend bits, a :class:`_BitStream` ending at `end`."""
+    resend = _BitStream(_positioned_rng(start, 3 * n_bins + 1), n_bins + 1,
+                        end)
+    return [_positioned_rng(start, k)
+            for k in (0, n_bins + 1, 2 * n_bins + 1)], resend
+
+
+def _eve_chunks(trains, alpha: complex, eve_fraction: float,
+                coeffs: np.ndarray, streams, resend: _BitStream):
+    """Eve's intercept-resend, chunk by chunk, on `trains`: Alice's bits
+    of pulses a..b of each chunk of key bins a+1..b, the first chunk the
+    longest.  `streams` and `resend` are her generators
+    (:func:`_eve_streams`).  Yields ``(sp, tapped, known, d1, bits)`` per
+    chunk: Alice's bits, whether Eve tapped pulses a..b, whether she
+    learned s_i in key bins a+1..b, her D1 clicks there, and the bits of
+    pulses a..b that Bob receives; views of buffers that the next chunk
+    overwrites.  Pulse b's tap and received bit carry over to the next
+    chunk, whose leading run of known bins chains onto that bit."""
     taps, *clicks = streams
-    n_pulses = sp.size
-    tapped = np.empty(n_pulses, dtype=bool)
-    tapped[0] = taps.random() < eve_fraction
-    known = np.zeros(n_pulses, dtype=bool)
-    m = min(_CHUNK_BINS, n_pulses - 1)
+    trains = iter(trains)
+    sp = next(trains)
+    # her interferometer sees each pulse as vacuum (untapped), or as pulse
+    # 0's amplitude times +1 or -1: symbol 0, or 1 + its bit ^ s'_0
+    s0, m = sp[0], sp.size - 1
+    table = _pair_table(DetectorModel.ideal(),
+                        np.array([0, 1, -1]) * _symbols(alpha)[s0], coeffs)
     work, pair = np.empty((2, m)), np.empty(m, dtype=np.intp)
-    d, e = np.empty((2, m), dtype=bool), np.empty(m + 1, dtype=np.uint8)
-    for a in range(0, n_pulses - 1, _CHUNK_BINS):
-        b = min(a + _CHUNK_BINS, n_pulses - 1)     # key bins a+1..b
-        tap, k = tapped[a:b + 1], pair[:b - a]
-        np.less(taps.random(out=work[0, :b - a]), eve_fraction, out=tap[1:])
-        # Eve's symbol of each pulse: 0 untapped, else 1 + its bit
-        # relative to pulse 0
-        sym = np.bitwise_xor(sp[a:b + 1], sp[0], out=e[:b + 1 - a])
+    d, tap = np.empty((2, m), dtype=bool), np.empty(m + 1, dtype=bool)
+    # known[0] stays 0: each chunk's chain starts at its carried pulse
+    known = np.zeros(m + 1, dtype=bool)
+    x, e = np.empty((2, m + 1), dtype=np.uint8)
+    tap[0] = taps.random() < eve_fraction
+    resend.read(x[:1])
+    while sp is not None:
+        n = sp.size - 1
+        t = tap[:n + 1]
+        np.less(taps.random(out=work[0, :n]), eve_fraction, out=t[1:])
+        sym = np.bitwise_xor(sp, s0, out=e[:n + 1])
         sym += 1
-        sym *= tap
-        np.multiply(sym[:-1], 3, out=k)
+        sym *= t
+        k = np.multiply(sym[:-1], 3, out=pair[:n])
         k += sym[1:]
         d0, d1 = _sample_pairs(DetectorModel.ideal(), table, k, clicks,
-                               d[:, :b - a], work[:, :b - a])
+                               d[:, :n], work[:, :n])
         # a click identifies s_i only when both interfering pulses were
         # hers; her bit there, d1, takes the place of her random one
-        hit = np.bitwise_xor(d0, d1, out=known[a + 1:b + 1])
-        hit &= tap[:-1]
-        hit &= tap[1:]
-        s, diff = out[a + 1:b + 1], e[:b - a]
-        np.bitwise_xor(s, d1, out=diff)
+        hit = np.bitwise_xor(d0, d1, out=known[1:n + 1])
+        hit &= t[:-1]
+        hit &= t[1:]
+        s = resend.read(x[1:n + 1])
+        diff = np.bitwise_xor(s, d1, out=e[:n])
         diff &= hit
         s ^= diff
-    return tapped, known
+        # re-prepare: chain each run of known pulses onto the pulse before
+        # it, s[i] = s[i - 1] ^ her bit.  Then untapped pulses pass
+        # through: s = tap ? s : Alice's bit, as a bitwise select; the
+        # pulse before a known one is tapped, so no chain reads Alice's bit
+        out = _xor_runs(x[:n + 1], known[:n + 1])
+        out ^= sp
+        out &= t.view(np.uint8)
+        out ^= sp
+        yield sp, t, hit, d1, out
+        tap[0], x[0] = t[-1], out[-1]
+        sp = next(trains, None)
 
 
 def intercept_resend(alice: AliceRecord, eve_fraction: float,
@@ -434,15 +520,12 @@ def intercept_resend(alice: AliceRecord, eve_fraction: float,
     simplest unbiased strategy, and the only policy implemented).
     Untapped pulses pass through untouched.
 
-    Her interferometer sees each pulse as vacuum (untapped), or as pulse
-    0's amplitude times +1 or -1 (bit ``s'_i ^ s'_0``), so her clicks come
-    from the table of those 9 pulse pairs.  Runs in chunks of key bins,
-    which draw the tap, D0 and D1 uniforms from one generator per stream,
-    set once to where one whole-train draw from `rng` puts that stream;
-    the phase chain then runs once over the whole train
-    (:func:`_xor_runs`).  `rng` itself draws the resend bits, after its
-    buffered half-word (:func:`_integer_bits`), and ends where the
-    whole-train draws leave it.
+    Her clicks come from the table of her 9 pulse pairs, and the whole
+    train is the concatenation of the chunks a session attacks
+    (:func:`_eve_chunks`).  Her tap, D0 and D1 uniforms and her resend
+    bits come from one generator per stream, set once to where one
+    whole-train draw from `rng` puts that stream, and `rng` ends where
+    those draws leave it.
 
     Returns ``(bits, EveTranscript)``, `bits` (uint8) those of the train
     Bob receives.  Raises ValueError for an `eve_fraction` outside [0, 1],
@@ -453,100 +536,91 @@ def intercept_resend(alice: AliceRecord, eve_fraction: float,
     if not cmath.isfinite(alice.alpha):
         raise ValueError(f"intercept_resend needs a finite alpha, "
                          f"got {alice.alpha}")
-    sp = alice.s_prime
-    n_pulses = sp.size
+    sp, n = alice.s_prime, alice.n_key_bins
     if eve_fraction == 0.0:
         empty = np.empty(0, dtype=int)
-        return sp, EveTranscript(np.zeros(n_pulses, dtype=bool), empty,
+        return sp, EveTranscript(np.zeros(n + 1, dtype=bool), empty,
                                  empty.astype(np.uint8))
-    table = _pair_table(DetectorModel.ideal(),
-                        np.array([0, 1, -1]) * _symbols(alice.alpha)[sp[0]],
-                        interferometer_coefficients(
-                            config or InterferometerConfig.compensated()))
-    # the stream holds the tap uniforms of pulses 0..N, then the D0 and the
-    # D1 uniforms of key bins 1..N, then the resend bits, which `rng` draws
-    # into `out`; one generator per stream draws them chunk after chunk
-    start = rng.bit_generator.state
-    out = _integer_bits(_positioned_rng(start, 3 * n_pulses - 2, rng),
-                        np.empty(n_pulses, dtype=np.uint8))
-    tapped, known = _eve_clicks(sp, eve_fraction, table, out, [
-        _positioned_rng(start, k) for k in (0, n_pulses, 2 * n_pulses - 1)])
-    known_bits = out[known]
-    # re-prepare: random phase bits, then chain each run of known pulses
-    # onto the unknown pulse before it, s[i] = s[i - 1] ^ her bit.  Then
-    # untapped pulses pass through: s = tap ? s : Alice's bit, as a bitwise
-    # select, not a copy masked by the random taps; the pulse before a known
-    # one is tapped, so no chain reads Alice's bit
-    out = _xor_runs(out, known)
-    out ^= sp
-    out &= tapped.view(np.uint8)
-    out ^= sp
-    return out, EveTranscript(tapped, np.flatnonzero(known), known_bits)
+    chunks = _eve_chunks((sp[a:b + 1] for a, b in _chunks(n)), alice.alpha,
+                         eve_fraction, interferometer_coefficients(
+                             config or InterferometerConfig.compensated()),
+                         *_eve_streams(rng.bit_generator.state, n, rng))
+    bits, tapped = np.empty(n + 1, dtype=np.uint8), np.empty(n + 1, dtype=bool)
+    known, known_bits = np.zeros(n + 1, dtype=bool), []
+    for (a, b), (_, tap, hit, d1, out) in zip(_chunks(n), chunks):
+        bits[a:b + 1], tapped[a:b + 1], known[a + 1:b + 1] = out, tap, hit
+        known_bits.append(d1[hit])
+    return bits, EveTranscript(tapped, np.flatnonzero(known),
+                               np.concatenate(known_bits).view(np.uint8))
+
+
+def _session_chunks(config: SessionConfig):
+    """A session's clicks, chunk by chunk of key bins a+1..b: yields
+    ``((d0, d1), key)``, Bob's D0 and D1 clicks and Alice's key bits s_i
+    (bool), views of buffers that the next chunk overwrites.
+
+    Alice's S' comes first in the session's stream, then, if she attacks,
+    Eve's draws (:func:`_eve_streams`), then Bob's D0, D1, dark D0 and
+    dark D1 uniforms, one stream each.  Each key bin's click probabilities
+    come from the table of the four pulse pairs, by the bin's bit in the
+    train Bob receives (a pair and its negation give equal ones)."""
+    n, alpha = int(config.n_bins), config.alpha
+    coeffs = interferometer_coefficients(config.interferometer())
+    alice = _BitStream(np.random.default_rng(config.seed), n + 1)
+    start = alice.end.bit_generator.state
+    if config.eve_fraction > 0.0:
+        streams, resend = _eve_streams(start, n)
+        trains = ((sp, out) for sp, *_, out in _eve_chunks(
+            _pulse_chunks(alice, n), alpha, config.eve_fraction, coeffs,
+            streams, resend))
+        start = resend.end.bit_generator.state
+    else:
+        trains = ((sp, sp) for sp in _pulse_chunks(alice, n))
+    model = config.detector()
+    # pulse pairs (u, v) and (1-u, 1-v) carry opposite amplitudes, so equal
+    # click probabilities to the bit: those of pairs (0, 0) and (0, 1) are
+    # a key bin's by its bit u ^ v
+    table = _pair_table(model, _symbols(alpha), coeffs)[:, :2]
+    streams = [_positioned_rng(start, k * n)
+               for k in range(4 if model.dark_click_prob > 0.0 else 2)]
+    m = min(n, _CHUNK_BINS)
+    work, d = np.empty((2, m)), np.empty((2, m), dtype=bool)
+    keys = np.empty((2, m), dtype=np.uint8)
+    for sp, pulses in trains:
+        k = sp.size - 1
+        # each key bin's bit s_i = s'_(i-1) ^ s'_i: that of the pulses Bob
+        # got, and Alice's, which differ only where Eve resent them
+        key = np.bitwise_xor(pulses[:-1], pulses[1:], out=keys[0, :k])
+        alice_key = np.bitwise_xor(sp[:-1], sp[1:], out=keys[1, :k])
+        yield (_sample_pairs(model, table, key.view(bool), streams,
+                             d[:, :k], work[:, :k]), alice_key.view(bool))
 
 
 def run_session(config: SessionConfig) -> SessionStats:
     """One full session: prepare, (attack), detect, extract, sift.
     Deterministic given the config, which holds the seed.
 
-    Bob's side works on the bits of the pulses: each key bin's click
-    probabilities come from the table of the four pulse pairs, by the
-    bin's bit (a pair and its negation give equal ones), and the
-    sifted bits, errors and double clicks are counted from the clicks and
-    Alice's bits.  No session builds pulse amplitudes: Eve's attack takes
-    and gives bits too (:func:`intercept_resend`).  Bob's side runs in
-    chunks, with one stream each of D0, D1, dark D0 and dark D1 uniforms,
-    as the module docstring sets out."""
-    rng = np.random.default_rng(config.seed)
+    No session builds pulse amplitudes: each chunk's clicks are drawn from
+    the bits of the pulses (:func:`_session_chunks`), and a single click
+    discloses its bin with Bob's bit d1, so the sifted bits, errors and
+    double clicks are counted chunk by chunk and nothing else is kept."""
     if config.n_bins == 0:
-        return SessionStats(0, 0, 0.0, None, 0, np.empty(0, dtype=int), 0, config)
-    alice = AliceRecord.random(config.n_bins, config.alpha, rng)
-    if abs(alice.alpha) ** 2 > 1.0:
+        return SessionStats(0, 0, 0.0, None, 0, 0, config)
+    if config.alpha ** 2 > 1.0:
         warnings.warn("mean photon number above 1 leaks phase information",
                       stacklevel=2)
-    interf = config.interferometer()
-    # the bits of the train Bob receives: Eve resends +-alpha too
-    pulses = sp = alice.s_prime
-    if config.eve_fraction > 0.0:
-        # the transcript goes at once, before Bob's arrays are made
-        pulses = intercept_resend(alice, config.eve_fraction, rng, interf)[0]
-    model, start = config.detector(), rng.bit_generator.state
-    # pulse pairs (u, v) and (1-u, 1-v) carry opposite amplitudes, so equal
-    # click probabilities to the bit: those of pairs (0, 0) and (0, 1) are
-    # a key bin's by its bit u ^ v
-    table = _pair_table(model, _symbols(alice.alpha),
-                        interferometer_coefficients(interf))[:, :2]
-    n = config.n_bins
-    streams = [_positioned_rng(start, k * n)
-               for k in range(4 if model.dark_click_prob > 0.0 else 2)]
-    m = min(n, _CHUNK_BINS)
-    work, d = np.empty((2, m)), np.empty((2, m), dtype=bool)
-    bits = np.empty((2, m), dtype=np.uint8)
-    single = np.empty(n, dtype=bool)       # per key bin: one click alone
-    errors, n_double = 0, 0
-    for a in range(0, n, _CHUNK_BINS):
-        b = min(a + _CHUNK_BINS, n)                # key bins a+1..b
-        # each key bin's bit s_i = s'_(i-1) ^ s'_i: that of the pulses Bob
-        # got, and Alice's, which differ only where Eve resent them
-        key = np.bitwise_xor(pulses[a:b], pulses[a + 1:b + 1],
-                             out=bits[0, :b - a]).view(bool)
-        alice_key = np.bitwise_xor(sp[a:b], sp[a + 1:b + 1],
-                                   out=bits[1, :b - a]).view(bool)
-        d0, d1 = _sample_pairs(model, table, key, streams, d[:, :b - a],
-                               work[:, :b - a])
-        # a single click discloses the bin, with Bob's bit d1
-        one = np.bitwise_xor(d0, d1, out=single[a:b])
+    sifted = errors = n_double = 0
+    for (d0, d1), alice_key in _session_chunks(config):
+        one = d0 ^ d1
+        sifted += int(np.count_nonzero(one))
         errors += int(np.count_nonzero(one & (d1 ^ alice_key)))
         n_double += int(np.count_nonzero(d0 & d1))
-    disclosed = np.flatnonzero(single)
-    disclosed += 1                         # 1-based, in place
-    sifted = disclosed.size
     return SessionStats(
         n_bins=config.n_bins,
         sifted_length=sifted,
         sifted_rate=sifted / config.n_bins,
         qber=errors / sifted if sifted else None,
         double_clicks=n_double,
-        disclosed_bins=disclosed,
         errors=errors,
         config=config,
     )

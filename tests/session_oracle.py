@@ -128,11 +128,11 @@ def intercept_resend(train, eve_fraction, rng, config=None):
 
 
 def run_session(config):
-    """``protocol.run_session`` with every stage over the whole session."""
+    """``protocol.run_session`` with every stage over the whole session:
+    its stats, and Bob's clicks of key bins 1..N."""
     rng = np.random.default_rng(config.seed)
     if config.n_bins == 0:
-        return SessionStats(0, 0, 0.0, None, 0, np.empty(0, dtype=int), 0,
-                            config)
+        return SessionStats(0, 0, 0.0, None, 0, 0, config), ClickRecord([], [])
     alice = AliceRecord(rng.integers(0, 2, config.n_bins + 1, dtype=np.uint8),
                         config.alpha)
     train = _symbols(alice.alpha)[alice.s_prime]
@@ -149,7 +149,6 @@ def run_session(config):
         sifted_rate=alice_key.size / config.n_bins,
         qber=qber,
         double_clicks=n_double,
-        disclosed_bins=disclosed,
         errors=int(np.count_nonzero(alice_key != bob_key)),
         config=config,
-    )
+    ), clicks

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from dpsqkd import cli, witness
+from dpsqkd import cli, protocol, witness
 from dpsqkd.cli import main
 from dpsqkd.optics import DEFAULT_MAX_STATE_ENTRIES
 from fock_oracle import dense_e2_e3
@@ -270,12 +271,26 @@ def call(argv, capsys):
     return code, out.out, out.err
 
 
-def _reads_as_int(text):
+def _reads_as(conv, text):
     try:
-        int(text)
+        conv(text)
     except ValueError:
         return False
     return True
+
+
+def _reads_as_int(text):
+    return _reads_as(int, text)
+
+
+def _refused_in_one_line(code, out, err):
+    """One `error:` line from the work's refusal, or argparse's usage line
+    and its error; never a traceback, never a report, never status 1."""
+    assert code == 2 and out == "" and "Traceback" not in err
+    if err.startswith("usage: dps-qkd"):
+        assert ": error: " in err.splitlines()[-1]
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 #: verify-povm arguments it must refuse: cutoffs outside 3..15 (the ones
@@ -301,13 +316,152 @@ BAD_VERIFY_POVM_ARGV = st.one_of(
 def test_verify_povm_refuses_bad_argv_in_one_line(argv, json_flag, capsys):
     # one `error:` line from the work's refusal, or argparse's usage line
     # and its error; never a traceback, never a report
-    code, out, err = call(["verify-povm", *argv,
-                           *(["--json"] if json_flag else [])], capsys)
-    assert code == 2 and out == "" and "Traceback" not in err
-    if err.startswith("usage: dps-qkd"):
-        assert ": error: " in err.splitlines()[-1]
-    else:
-        assert err.startswith("error: ") and err.count("\n") == 1
+    _refused_in_one_line(*call(["verify-povm", *argv,
+                                *(["--json"] if json_flag else [])], capsys))
+
+
+_UNIT = st.floats(0.0, 1.0)
+#: floats outside [0, 1]; -0.0 lies inside
+_OUTSIDE_UNIT = st.one_of(st.floats(max_value=-5e-324),
+                          st.floats(min_value=1.0000000000000002),
+                          st.just(math.nan))
+#: text on one line of a config file, no comment in it
+_LINE_TEXT = st.text(st.characters(
+    blacklist_categories=("Cs",),
+    blacklist_characters="#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+
+#: a valid value of each session field, at most 10^4 key bins so that a
+#: session takes milliseconds, and at most one photon per pulse, above
+#: which a session warns
+_VALID_SESSION = {"N": st.integers(0, 10 ** 4), "alphaSquared": _UNIT,
+                  "phi2": st.floats(-7, 7), "efficiency": _UNIT,
+                  "darkClickProb": _UNIT, "eveFraction": _UNIT,
+                  "seed": st.integers(0, 2 ** 63)}
+#: a value of each session field that the field refuses
+_BAD_SESSION = {
+    "N": st.one_of(st.integers(max_value=-1),
+                   st.integers(DEFAULT_MAX_STATE_ENTRIES, 10 ** 30)),
+    "alphaSquared": st.one_of(st.floats(max_value=-5e-324),
+                              st.sampled_from([math.inf, math.nan])),
+    "phi2": st.sampled_from([math.nan, math.inf, -math.inf]),
+    "efficiency": _OUTSIDE_UNIT, "darkClickProb": _OUTSIDE_UNIT,
+    "eveFraction": _OUTSIDE_UNIT, "seed": st.integers(max_value=-1)}
+#: simulate's flag of each config key
+_FLAG = {"N": "--bins", "alphaSquared": "--alpha2", "phi2": "--phi2",
+         "efficiency": "--efficiency", "darkClickProb": "--dark-click-prob",
+         "eveFraction": "--eve-fraction", "seed": "--seed"}
+_CONV = {key: conv for key, (_, conv) in protocol._CONFIG_KEYS.items()}
+
+
+def _flag(key, value):
+    # one token, so that argparse reads a value such as -1e-05 as a value
+    return f"{_FLAG.get(key, key)}={value!r}"
+
+
+def _flags(valid):
+    """simulate's argv for a draw of `_VALID_FLAGS`."""
+    return [_flag(key, value) if key in _FLAG else f"{key}={value}"
+            for key, value in valid.items()]
+
+
+_VALID_FLAGS = st.fixed_dictionaries(
+    {"N": _VALID_SESSION["N"]},
+    optional={**{k: v for k, v in _VALID_SESSION.items() if k != "N"},
+              "--repeat": st.integers(1, 3),
+              "--format": st.sampled_from(["csv", "text"])})
+
+#: one simulate flag it must refuse: a value its field refuses, text its
+#: type does not read, a --repeat below 1, a format or an option simulate
+#: does not have
+_BAD_FLAG = st.one_of(
+    st.sampled_from(sorted(_BAD_SESSION)).flatmap(
+        lambda key: _BAD_SESSION[key].map(lambda v: _flag(key, v))),
+    st.integers(max_value=0).map(lambda v: _flag("--repeat", v)),
+    st.sampled_from([*_FLAG, "--repeat"]).flatmap(
+        lambda key: st.text().filter(
+            lambda t: not _reads_as(_CONV.get(key, int), t)).map(
+            lambda t: f"{_FLAG.get(key, key)}={t}")),
+    st.text().filter(lambda t: t not in ("csv", "text")).map(
+        lambda t: f"--format={t}"),
+    st.sampled_from(["--cutoff=3", "--json", "--key-bins=3", "--trials=9",
+                     "--wibble", "-x"]),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(valid=_VALID_FLAGS, bad=_BAD_FLAG)
+def test_simulate_refuses_bad_flags_in_one_line(valid, bad, capsys,
+                                                monkeypatch):
+    # one bad flag after valid ones, so that it wins over a valid value of
+    # the same flag
+    monkeypatch.delenv("DPSQKD_SEED", raising=False)
+    _refused_in_one_line(*call(["simulate", *_flags(valid), bad], capsys))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(valid=_VALID_FLAGS, seed=st.text(st.characters(
+    blacklist_categories=("Cs",), blacklist_characters="\x00")).filter(
+    lambda t: t and not t.strip().isdecimal()))
+def test_simulate_refuses_a_bad_env_seed_in_one_line(valid, seed, capsys,
+                                                     monkeypatch):
+    valid.pop("seed", None)
+    monkeypatch.setenv("DPSQKD_SEED", seed)
+    _refused_in_one_line(*call(["simulate", *_flags(valid)], capsys))
+
+
+#: one config-file line simulate must refuse, or None for a file without
+#: N: a value its key refuses, text its key does not read, a line with no
+#: '=', an unknown key, N set twice, bytes that are not UTF-8
+_BAD_CONFIG_LINE = st.one_of(
+    st.sampled_from(sorted(_BAD_SESSION)).flatmap(
+        lambda key: _BAD_SESSION[key].map(lambda v: f"{key} = {v!r}")),
+    st.sampled_from(sorted(_CONV)).flatmap(
+        lambda key: _LINE_TEXT.filter(
+            lambda t: not _reads_as(_CONV[key], t)).map(
+            lambda t: f"{key} = {t}")),
+    _LINE_TEXT.filter(lambda t: "=" not in t and t.strip()),
+    _LINE_TEXT.filter(lambda t: "=" not in t and t.strip() not in _CONV).map(
+        lambda key: f"{key} = 1"),
+    st.just("N = 5"),
+).map(str.encode) | st.binary().map(lambda b: b"N = \xff" + b) | st.none()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(valid=st.fixed_dictionaries(
+           {"N": _VALID_SESSION["N"]},
+           optional={k: v for k, v in _VALID_SESSION.items() if k != "N"}),
+       bad=_BAD_CONFIG_LINE, at=st.integers(0, 7))
+def test_simulate_refuses_bad_config_files_in_one_line(valid, bad, at,
+                                                       tmp_path, capsys):
+    lines = [f"{key} = {value!r}".encode() for key, value in valid.items()
+             if bad is not None or key != "N"]
+    if bad is not None:
+        lines.insert(at % (len(lines) + 1), bad)
+    cfg = tmp_path / "session.cfg"
+    cfg.write_bytes(b"# a session\n" + b"\n".join(lines) + b"\n")
+    _refused_in_one_line(*call(["simulate", "--config", str(cfg)], capsys))
+
+
+@pytest.mark.parametrize("name", ["missing.cfg", "."])
+def test_simulate_refuses_an_unreadable_config_in_one_line(name, tmp_path,
+                                                           capsys):
+    _refused_in_one_line(*call(["simulate", "--config",
+                                str(tmp_path / name)], capsys))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(valid=_VALID_FLAGS)
+def test_simulate_runs_every_valid_flag_set(valid, capsys, monkeypatch):
+    # the same flags, valid, exit 0 with a header and one row per session
+    monkeypatch.delenv("DPSQKD_SEED", raising=False)
+    code, out, err = call(["simulate", *_flags(valid)], capsys)
+    assert code == 0 and err == ""
+    if valid.get("--format", "csv") == "csv":
+        assert len(out.splitlines()) == 1 + valid.get("--repeat", 1)
 
 
 @pytest.mark.parametrize("argv, prog, usage, unknown", [

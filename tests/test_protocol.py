@@ -40,6 +40,14 @@ def _stream(rng):
         st["uinteger"] if st["has_uint32"] else None
 
 
+def _session_clicks(cfg):
+    """Bob's D0 and D1 clicks and Alice's key bits of key bins 1..N, joined
+    from the chunks of the session kernel."""
+    chunks = [(d0.copy(), d1.copy(), key.copy())
+              for (d0, d1), key in protocol._session_chunks(cfg)]
+    return [np.concatenate(part) for part in zip(*chunks)]
+
+
 def test_alice_record_key_relation():
     rec = AliceRecord(np.array([0, 1, 1, 0, 1]), 0.45)
     assert list(rec.s) == [1, 0, 1, 1]
@@ -431,17 +439,25 @@ def test_chunked_session_matches_whole_array_oracle(n, chunk, tap, dark, phi2,
                         dark_click_prob=dark, eve_fraction=tap, seed=seed)
     with mock.patch.object(protocol, "_CHUNK_BINS", chunk):
         got = run_session(cfg)
+        d0, d1, key = _session_clicks(cfg)
         rng = np.random.default_rng(seed)
         alice = AliceRecord.random(n, cfg.alpha, rng)
         eve = intercept_resend(alice, tap, rng, cfg.interferometer())
-    want = session_oracle.run_session(cfg)
+    want, want_clicks = session_oracle.run_session(cfg)
     for field in dataclasses.fields(SessionStats):
         a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
-        else:
-            assert type(a) is type(b) and a == b, field.name
+        assert type(a) is type(b) and a == b, field.name
     assert got.csv_row() == want.csv_row()
+
+    # the chunk kernel's clicks, joined, are the oracle's bin for bin, and
+    # so are the disclosed bins and Bob's bits made from them; its key bits
+    # are Alice's
+    assert np.array_equal(d0, want_clicks.d0)
+    assert np.array_equal(d1, want_clicks.d1)
+    for a, b in zip(extract_bob_bits(ClickRecord(d0, d1)),
+                    extract_bob_bits(want_clicks)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(key, alice.s.view(bool))
 
     # Eve alone: the bits of the oracle's resent amplitude train, the same
     # transcript, and the generator she was passed ends where the
@@ -465,26 +481,27 @@ def test_chunked_session_matches_whole_array_oracle(n, chunk, tap, dark, phi2,
     assert _stream(rng) == _stream(oracle_rng)
 
 
-def test_attacked_session_memory_is_bits_per_key_bin():
-    # an attacked session holds no amplitude train: under tracemalloc its
-    # peak stays within the bound of the bit route.  Per key bin: Alice's
-    # S', Eve's resend bits and her tap and known-bin masks, one byte
-    # each, and per known bin (at most 1 - exp(-mu) of the bins, where one
-    # of her ideal detectors clicks) an 8-byte index and 2 bytes of bits;
-    # plus 32 bytes per bin of a chunk for the chunks' temporaries.  Two
-    # float64 trains (16 bytes per bin) alone break it: at this size the
-    # float route peaked at 27.7 bytes per bin, the bit route at 9.3
+@pytest.mark.parametrize("tap", [0.0, 0.25])
+def test_session_memory_does_not_grow_with_its_length(tap):
+    # a session holds no array longer than a chunk and one pulse, so one
+    # bound in bytes, fixed before the first run, holds its tracemalloc
+    # peak at 2^16 and at 2^22 key bins.  Per key bin of a chunk: Bob's
+    # two uniforms and Eve's (32 bytes), her pair indices (8), the bools
+    # and bits of both (at most 16) and of Alice (1), and the chunk's
+    # temporaries (at most 23).  Holding Alice's S' alone for the
+    # whole session passes the bound at 2^22 bins
     import tracemalloc
-    mu, n = 0.5, 1 << 18
-    cfg = SessionConfig(n_bins=n, alpha2=mu, eve_fraction=1.0, seed=3)
-    bound = (4 + 10 * (1 - math.exp(-mu))) * n + 32 * protocol._CHUNK_BINS
-    tracemalloc.start()
-    try:
-        run_session(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound, (peak / n, bound / n)
+    bound = 80 * protocol._CHUNK_BINS
+    for n in (1 << 16, 1 << 22):
+        cfg = SessionConfig(n_bins=n, alpha2=0.5, efficiency=0.9,
+                            dark_click_prob=1e-4, eve_fraction=tap, seed=3)
+        tracemalloc.start()
+        try:
+            run_session(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (n, peak, bound)
 
 
 def test_intercept_resend_full_attack_qber():
@@ -526,8 +543,9 @@ def test_each_stream_is_positioned_once_per_session(tap, dark):
                                   wraps=protocol._positioned_rng) as jumps:
             rows.append(run_session(cfg).csv_row())
         calls.append(jumps.call_count)
-    # Bob's D0, D1 and dark streams; Eve's resend bits, tap, D0 and D1
-    assert calls == [(4 if dark else 2) + (4 if tap else 0)] * 2
+    # the end of Alice's S'; Bob's D0, D1 and dark streams; Eve's resend
+    # bits and their end, tap, D0 and D1
+    assert calls == [1 + (4 if dark else 2) + (5 if tap else 0)] * 2
     assert rows[0] == rows[1]
 
 
@@ -537,7 +555,8 @@ def test_seed_determinism_bitwise():
     a = run_session(cfg)
     b = run_session(cfg)
     assert a.csv_row() == b.csv_row()
-    assert np.array_equal(a.disclosed_bins, b.disclosed_bins)
+    for x, y in zip(_session_clicks(cfg), _session_clicks(cfg)):
+        assert np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("mu, eta, dark, tap, seed", [
