@@ -489,7 +489,7 @@ def test_session_memory_does_not_grow_with_its_length(tap):
     # two uniforms and Eve's (32 bytes), her pair indices (8), the bools
     # and bits of both (at most 16) and of Alice (1), and the chunk's
     # temporaries (at most 23).  Holding Alice's S' alone for the
-    # whole session passes the bound at 2^22 bins
+    # whole session, one byte per bin, breaks the bound at 2^22 bins
     import tracemalloc
     bound = 80 * protocol._CHUNK_BINS
     for n in (1 << 16, 1 << 22):
