@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from dpsqkd.protocol import (AliceRecord, DetectorModel, SessionConfig,
-                             run_session)
+from dpsqkd.protocol import DetectorModel, SessionConfig, run_session
 from dpsqkd.optics import (InterferometerConfig, interferometer_coefficients,
                            propagate)
 
@@ -20,12 +19,14 @@ rng = np.random.default_rng(7)
 
 # --- one tiny session, step by step -----------------------------------
 
-alice = AliceRecord.random(16, math.sqrt(0.2), rng)
-print("Alice's raw bits S':", "".join(map(str, alice.s_prime)))
-print("potential key  S  : ", "".join(map(str, alice.s)))
+# 16 key bins: S' has 17 bits, and s_i = s'_(i-1) xor s'_i
+s_prime = rng.integers(0, 2, 17, dtype=np.uint8)
+s = s_prime[:-1] ^ s_prime[1:]
+print("Alice's raw bits S':", "".join(map(str, s_prime)))
+print("potential key  S  : ", "".join(map(str, s)))
 
 # pulse i carries amplitude (-1)^{s'_i} alpha
-train = (1.0 - 2.0 * alice.s_prime) * alice.alpha.real
+train = (1.0 - 2.0 * s_prime) * math.sqrt(0.2)
 print("pulse amplitudes  :", np.round(train, 3))
 
 config = InterferometerConfig.compensated()
@@ -44,7 +45,7 @@ d1 = rng.random(feed1.shape) < detector.click_probabilities(feed1)
 # both keep their bits of the disclosed bins
 single = d0 ^ d1
 disclosed = np.flatnonzero(single) + 1
-alice_key = alice.s[single]
+alice_key = s[single]
 bob_key = d1[single].astype(np.uint8)
 print("disclosed bins i* :", disclosed)
 print("Alice's sifted key:", "".join(map(str, alice_key)))

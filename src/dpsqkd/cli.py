@@ -18,6 +18,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import sys
 
 from .entangled import compare_statistics
@@ -154,10 +155,23 @@ def cmd_witness_demo(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED_CHECK
 
 
+#: an argument that `float` reads and that starts with a minus sign; for
+#: argparse a negative number, and so a flag's value, such as -1e-05 or -inf
+_NEGATIVE_NUMBER = re.compile(r"-(?:(?:(?:\d(?:_?\d)*)?\.\d(?:_?\d)*|"
+                              r"\d(?:_?\d)*\.?)(?:e[+-]?\d(?:_?\d)*)?|"
+                              r"inf(?:inity)?|nan)\s*\Z", re.IGNORECASE)
+
+
 class _SubcommandParser(argparse.ArgumentParser):
     """A subcommand's parser: it refuses the arguments after the
     subcommand that it does not know, under its own usage line.  (The
-    top-level parser, given them back, would name only the subcommands.)"""
+    top-level parser, given them back, would name only the subcommands.)
+    Its negative numbers, read as values, are `_NEGATIVE_NUMBER`'s, where
+    argparse's own pattern knows no exponent, inf or nan."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extra = super().parse_known_args(args, namespace)

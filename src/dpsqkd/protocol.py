@@ -7,8 +7,10 @@ corresponding potential-key bits.  An intercept-resend eavesdropper and a
 lossy/dark detector model are included as channel plumbing.
 
 Sessions work on bits end to end: Alice's S' fixes every pulse to
-+-alpha, and Eve's intercept-resend (:func:`intercept_resend`) maps her
-bits to those of the +-alpha train Bob receives.  Key bin i depends on
++-alpha, and Eve's intercept-resend (:func:`_eve_chunks`) maps her bits
+to those of the +-alpha train Bob receives.  A session
+(:func:`_session_chunks`) is the one caller of Alice's bits and of Eve's
+attack, and there is no whole-train route beside it.  Key bin i depends on
 pulses i-1 and i alone, and a pulse carries one of S symbols (S = 2 for
 Bob's +-alpha; S = 3 for Eve's interferometer, which also sees vacuum), so
 every key bin's click probabilities are an entry of one table of the S^2
@@ -35,7 +37,6 @@ are 1-based indices 1..N.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -114,16 +115,14 @@ class _BitStream:
     """The `n` bits ``rng.integers(0, 2, n, np.uint8)`` draws, read in
     order a piece at a time (:meth:`read`): the bits of `rng`'s buffered
     half-word, then a bit per byte of each raw output (:func:`_integer_bits`),
-    then the last few bits, which ``integers`` draws again.  `end` (a new
-    generator when None) is set at once to where the whole draw leaves
-    `rng`."""
+    then the last few bits, which ``integers`` draws again.  `end`, a new
+    generator, is set at once to where the whole draw leaves `rng`."""
 
-    def __init__(self, rng: np.random.Generator, n: int,
-                 end: Optional[np.random.Generator] = None):
+    def __init__(self, rng: np.random.Generator, n: int):
         head = min(4, n) if rng.bit_generator.state["has_uint32"] else 0
         self._spare = rng.integers(0, 2, head, np.uint8)   # read first
         self._rng, self._words = rng, (n - head) // 8
-        self.end = _positioned_rng(rng.bit_generator.state, self._words, end)
+        self.end = _positioned_rng(rng.bit_generator.state, self._words)
         self._tail = self.end.integers(0, 2, (n - head) % 8, np.uint8)
 
     def read(self, out: np.ndarray) -> np.ndarray:
@@ -143,46 +142,6 @@ class _BitStream:
                 self._spare, self._tail = self._tail, self._tail[:0]
             self.read(out[k:])
         return out
-
-
-@dataclass(frozen=True)
-class AliceRecord:
-    """Alice's raw string S' (length N+1), derived potential key S
-    (``s[i] = s'[i] xor s'[i+1]``) and pulse amplitude."""
-
-    s_prime: np.ndarray
-    alpha: complex
-
-    def __post_init__(self):
-        sp = np.asarray(self.s_prime)
-        # checked before the cast to uint8, which takes 0.5 for 0, "1" for 1
-        if sp.dtype != np.uint8 and not (sp.dtype.kind in "biuf" and
-                                         np.all((sp == 0) | (sp == 1))):
-            raise ValueError("S' must be a bit string")
-        sp = sp.astype(np.uint8, copy=False).ravel()
-        if sp.size < 1:
-            raise ValueError("S' must contain at least one bit")
-        if np.any(sp > 1):
-            raise ValueError("S' must be a bit string")
-        sp.setflags(write=False)
-        object.__setattr__(self, "s_prime", sp)
-        object.__setattr__(self, "alpha", complex(self.alpha))
-
-    @property
-    def n_key_bins(self) -> int:
-        return self.s_prime.size - 1
-
-    @property
-    def s(self) -> np.ndarray:
-        """Potential key bits s_1..s_N."""
-        return np.bitwise_xor(self.s_prime[:-1], self.s_prime[1:])
-
-    @classmethod
-    def random(cls, n_key_bins: int, alpha: complex, rng: np.random.Generator):
-        """S' of `n_key_bins` + 1 bits as ``rng.integers(0, 2, dtype=np.uint8)``
-        draws them, from `rng` on PCG64 (:func:`_integer_bits`)."""
-        return cls(_integer_bits(rng, np.empty(n_key_bins + 1, np.uint8)),
-                   alpha)
 
 
 @dataclass(frozen=True)
@@ -407,15 +366,6 @@ def _xor_runs(x: np.ndarray, cont: np.ndarray) -> np.ndarray:
     return np.unpackbits(v.view(np.uint8), count=n, bitorder="little")
 
 
-@dataclass(frozen=True)
-class EveTranscript:
-    """What the intercept-resend attacker did and learned."""
-
-    intercepted: np.ndarray        # per pulse 0..N
-    known_bins: np.ndarray         # 1-based key bins whose s_i Eve learned
-    known_bits: np.ndarray
-
-
 def _chunks(n_bins: int):
     """``(a, b)`` of each chunk of key bins a+1..b, in order; one chunk of
     pulse 0 alone when there are no key bins."""
@@ -435,14 +385,12 @@ def _pulse_chunks(bits: _BitStream, n_bins: int):
         sp[0] = sp[b - a]
 
 
-def _eve_streams(start: dict, n_bins: int,
-                 end: Optional[np.random.Generator] = None):
+def _eve_streams(start: dict, n_bins: int):
     """Eve's generators, each at its stream's start in the stream that
     reaches the ``bit_generator.state`` `start` when she begins: her tap
     uniforms of pulses 0..N, her D0 and D1 uniforms of key bins 1..N, and
-    after them her resend bits, a :class:`_BitStream` ending at `end`."""
-    resend = _BitStream(_positioned_rng(start, 3 * n_bins + 1), n_bins + 1,
-                        end)
+    after them her resend bits, a :class:`_BitStream`."""
+    resend = _BitStream(_positioned_rng(start, 3 * n_bins + 1), n_bins + 1)
     return [_positioned_rng(start, k)
             for k in (0, n_bins + 1, 2 * n_bins + 1)], resend
 
@@ -451,8 +399,13 @@ def _eve_chunks(trains, alpha: complex, eve_fraction: float,
                 coeffs: np.ndarray, streams, resend: _BitStream):
     """Eve's intercept-resend, chunk by chunk, on `trains`: Alice's bits
     of pulses a..b of each chunk of key bins a+1..b, the first chunk the
-    longest.  `streams` and `resend` are her generators
-    (:func:`_eve_streams`).  Yields ``(sp, tapped, known, d1, bits)`` per
+    longest; its one caller is a session (:func:`_session_chunks`).  She
+    taps each pulse with probability `eve_fraction`, routes the tapped
+    ones through her own copy of Bob's interferometer with ideal
+    detectors, and resends +-alpha pulses: a bin whose phase she resolved
+    chains onto the pulse before it, the rest take her random bits, and
+    untapped pulses pass through.  `streams` and `resend` are her
+    generators (:func:`_eve_streams`).  Yields ``(sp, tapped, known, d1, bits)`` per
     chunk: Alice's bits, whether Eve tapped pulses a..b, whether she
     learned s_i in key bins a+1..b, her D1 clicks there, and the bits of
     pulses a..b that Bob receives; views of buffers that the next chunk
@@ -504,54 +457,6 @@ def _eve_chunks(trains, alpha: complex, eve_fraction: float,
         yield sp, t, hit, d1, out
         tap[0], x[0] = t[-1], out[-1]
         sp = next(trains, None)
-
-
-def intercept_resend(alice: AliceRecord, eve_fraction: float,
-                     rng: np.random.Generator,
-                     config: Optional[InterferometerConfig] = None):
-    """Intercept-resend attack on Alice's train, pulse i of amplitude
-    ``(-1)^{s'_i} alpha``, run on her bits.
-
-    Eve taps each pulse independently with probability `eve_fraction`,
-    routes the tapped pulses through her own identical interferometer with
-    ideal bucket detectors, and re-prepares them as pulses of amplitude
-    alpha or -alpha: bins whose relative phase she resolved are chained
-    onto her own reference bit, the rest get uniformly random phases (the
-    simplest unbiased strategy, and the only policy implemented).
-    Untapped pulses pass through untouched.
-
-    Her clicks come from the table of her 9 pulse pairs, and the whole
-    train is the concatenation of the chunks a session attacks
-    (:func:`_eve_chunks`).  Her tap, D0 and D1 uniforms and her resend
-    bits come from one generator per stream, set once to where one
-    whole-train draw from `rng` puts that stream, and `rng` ends where
-    those draws leave it.
-
-    Returns ``(bits, EveTranscript)``, `bits` (uint8) those of the train
-    Bob receives.  Raises ValueError for an `eve_fraction` outside [0, 1],
-    a non-finite alpha or an `rng` that does not run on PCG64.
-    """
-    if not 0.0 <= eve_fraction <= 1.0:
-        raise ValueError("eve_fraction must lie in [0, 1]")
-    if not cmath.isfinite(alice.alpha):
-        raise ValueError(f"intercept_resend needs a finite alpha, "
-                         f"got {alice.alpha}")
-    sp, n = alice.s_prime, alice.n_key_bins
-    if eve_fraction == 0.0:
-        empty = np.empty(0, dtype=int)
-        return sp, EveTranscript(np.zeros(n + 1, dtype=bool), empty,
-                                 empty.astype(np.uint8))
-    chunks = _eve_chunks((sp[a:b + 1] for a, b in _chunks(n)), alice.alpha,
-                         eve_fraction, interferometer_coefficients(
-                             config or InterferometerConfig.compensated()),
-                         *_eve_streams(rng.bit_generator.state, n, rng))
-    bits, tapped = np.empty(n + 1, dtype=np.uint8), np.empty(n + 1, dtype=bool)
-    known, known_bits = np.zeros(n + 1, dtype=bool), []
-    for (a, b), (_, tap, hit, d1, out) in zip(_chunks(n), chunks):
-        bits[a:b + 1], tapped[a:b + 1], known[a + 1:b + 1] = out, tap, hit
-        known_bits.append(d1[hit])
-    return bits, EveTranscript(tapped, np.flatnonzero(known),
-                               np.concatenate(known_bits).view(np.uint8))
 
 
 def _session_chunks(config: SessionConfig):

@@ -11,13 +11,21 @@ dark D0 and dark D1 uniforms.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from dpsqkd.optics import (InterferometerConfig, interferometer_coefficients,
                            propagate)
-from dpsqkd.protocol import (AliceRecord, DetectorModel, EveTranscript,
-                             SessionStats, _symbols)
+from dpsqkd.protocol import DetectorModel, SessionStats, _symbols
+
+
+class EveTranscript(NamedTuple):
+    """What the intercept-resend attacker did and learned."""
+
+    intercepted: np.ndarray        # per pulse 0..N
+    known_bins: np.ndarray         # 1-based key bins whose s_i Eve learned
+    known_bits: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,17 +83,18 @@ def extract_bob_bits(clicks):
     return bits, disclosed, int(np.count_nonzero(double))
 
 
-def sift(alice, bob_bits, disclosed_bins):
-    """Restrict both keys to the disclosed bins.
+def sift(s, bob_bits, disclosed_bins):
+    """Restrict both keys, Alice's potential key bits `s` (s_1..s_N) and
+    Bob's bits, to the disclosed bins.
 
     Returns ``(alice_key, bob_key, qber)``; `qber` is None when nothing
     was disclosed.
     """
     disclosed_bins = np.asarray(disclosed_bins, dtype=int)
     if disclosed_bins.size and not (
-            disclosed_bins.min() >= 1 and disclosed_bins.max() <= alice.n_key_bins):
+            disclosed_bins.min() >= 1 and disclosed_bins.max() <= s.size):
         raise ValueError("disclosed bins outside 1..N")
-    alice_key = alice.s[disclosed_bins - 1] if disclosed_bins.size else \
+    alice_key = s[disclosed_bins - 1] if disclosed_bins.size else \
         np.empty(0, dtype=np.uint8)
     bob_key = np.asarray(bob_bits, dtype=np.int8)[disclosed_bins - 1].astype(np.uint8) \
         if disclosed_bins.size else np.empty(0, dtype=np.uint8)
@@ -96,9 +105,9 @@ def sift(alice, bob_bits, disclosed_bins):
 
 
 def intercept_resend(train, eve_fraction, rng, config=None):
-    """``protocol.intercept_resend`` over the whole train of amplitudes:
-    it returns the resent train, whose pulses' sign bits are the bits the
-    library returns."""
+    """Eve's intercept-resend (``protocol._eve_chunks``) over the whole
+    train of amplitudes: it returns the resent train, whose pulses' sign
+    bits are the bits Bob receives, and her transcript."""
     n_pulses = train.size
     if eve_fraction == 0.0 or n_pulses == 0:
         empty = np.empty(0, dtype=int)
@@ -133,16 +142,16 @@ def run_session(config):
     rng = np.random.default_rng(config.seed)
     if config.n_bins == 0:
         return SessionStats(0, 0, 0.0, None, 0, 0, config), ClickRecord([], [])
-    alice = AliceRecord(rng.integers(0, 2, config.n_bins + 1, dtype=np.uint8),
-                        config.alpha)
-    train = _symbols(alice.alpha)[alice.s_prime]
+    s_prime = rng.integers(0, 2, config.n_bins + 1, dtype=np.uint8)
+    train = _symbols(complex(config.alpha))[s_prime]
     interf = config.interferometer()
     if config.eve_fraction > 0.0:
         train, _ = intercept_resend(train, config.eve_fraction, rng, interf)
     out4, out5 = propagate(train, interferometer_coefficients(interf))
     clicks = detect(out4, out5, config.detector(), rng)
     bits, disclosed, n_double = extract_bob_bits(clicks)
-    alice_key, bob_key, qber = sift(alice, bits, disclosed)
+    alice_key, bob_key, qber = sift(s_prime[:-1] ^ s_prime[1:], bits,
+                                    disclosed)
     return SessionStats(
         n_bins=config.n_bins,
         sifted_length=int(alice_key.size),

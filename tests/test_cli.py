@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from dpsqkd import cli, protocol, witness
 from dpsqkd.cli import main
@@ -354,14 +355,16 @@ _CONV = {key: conv for key, (_, conv) in protocol._CONFIG_KEYS.items()}
 
 
 def _flag(key, value):
-    # one token, so that argparse reads a value such as -1e-05 as a value
-    return f"{_FLAG.get(key, key)}={value!r}"
+    """The flag of `key` and the text of `value`, two tokens, so that a
+    negative value such as -1e-05 must be read as a value."""
+    return [_FLAG.get(key, key), value if isinstance(value, str) else
+            repr(value)]
 
 
 def _flags(valid):
-    """simulate's argv for a draw of `_VALID_FLAGS`."""
-    return [_flag(key, value) if key in _FLAG else f"{key}={value}"
-            for key, value in valid.items()]
+    """The argv of a draw of flag values, such as `_VALID_FLAGS`."""
+    return [token for key, value in valid.items()
+            for token in _flag(key, value)]
 
 
 _VALID_FLAGS = st.fixed_dictionaries(
@@ -370,9 +373,9 @@ _VALID_FLAGS = st.fixed_dictionaries(
               "--repeat": st.integers(1, 3),
               "--format": st.sampled_from(["csv", "text"])})
 
-#: one simulate flag it must refuse: a value its field refuses, text its
-#: type does not read, a --repeat below 1, a format or an option simulate
-#: does not have
+#: one simulate flag it must refuse, as argv tokens: a value its field
+#: refuses, text its type does not read, a --repeat below 1, a format or an
+#: option simulate does not have
 _BAD_FLAG = st.one_of(
     st.sampled_from(sorted(_BAD_SESSION)).flatmap(
         lambda key: _BAD_SESSION[key].map(lambda v: _flag(key, v))),
@@ -380,11 +383,11 @@ _BAD_FLAG = st.one_of(
     st.sampled_from([*_FLAG, "--repeat"]).flatmap(
         lambda key: st.text().filter(
             lambda t: not _reads_as(_CONV.get(key, int), t)).map(
-            lambda t: f"{_FLAG.get(key, key)}={t}")),
+            lambda t: _flag(key, t))),
     st.text().filter(lambda t: t not in ("csv", "text")).map(
-        lambda t: f"--format={t}"),
-    st.sampled_from(["--cutoff=3", "--json", "--key-bins=3", "--trials=9",
-                     "--wibble", "-x"]),
+        lambda t: _flag("--format", t)),
+    st.sampled_from([["--cutoff", "3"], ["--json"], ["--key-bins", "3"],
+                     ["--trials", "9"], ["--wibble"], ["-x"]]),
 )
 
 
@@ -396,7 +399,7 @@ def test_simulate_refuses_bad_flags_in_one_line(valid, bad, capsys,
     # one bad flag after valid ones, so that it wins over a valid value of
     # the same flag
     monkeypatch.delenv("DPSQKD_SEED", raising=False)
-    _refused_in_one_line(*call(["simulate", *_flags(valid), bad], capsys))
+    _refused_in_one_line(*call(["simulate", *_flags(valid), *bad], capsys))
 
 
 @settings(max_examples=50, deadline=None,
@@ -462,6 +465,133 @@ def test_simulate_runs_every_valid_flag_set(valid, capsys, monkeypatch):
     assert code == 0 and err == ""
     if valid.get("--format", "csv") == "csv":
         assert len(out.splitlines()) == 1 + valid.get("--repeat", 1)
+
+
+#: the float flags of simulate and eb-compare, each after the flags of a
+#: quick run
+_FLOAT_FLAGS = [
+    *[(("simulate", "--bins", "10"), flag) for flag in (
+        "--alpha2", "--phi2", "--efficiency", "--dark-click-prob",
+        "--eve-fraction")],
+    *[(("eb-compare",), flag) for flag in ("--alpha2", "--phi2",
+                                           "--eb-delay-defect")]]
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-2.5E+3", "-inf", "-nan",
+                                   "-1", "-0.5", "-1_0"])
+@pytest.mark.parametrize("command, flag", _FLOAT_FLAGS)
+def test_negative_values_read_alike_in_one_token_or_two(command, flag, value,
+                                                        capsys, monkeypatch):
+    # a negative value after its flag is a value, as after `=`, and reaches
+    # the flag's own check, not argparse's "expected one argument"
+    monkeypatch.delenv("DPSQKD_SEED", raising=False)
+    split = call([*command, flag, value], capsys)
+    assert split == call([*command, f"{flag}={value}"], capsys)
+    assert "usage:" not in split[2]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["simulate", "--bins", "10", "--phi2", "-inf"], "phases must be finite"),
+    (["simulate", "--bins", "10", "--alpha2", "-1e-05"],
+     "alphaSquared must be finite and >= 0, got -1e-05"),
+    (["eb-compare", "--alpha2", "-1e-05"],
+     "alphaSquared must be finite and >= 0, got -1e-05"),
+])
+def test_negative_values_reach_their_flags_check(argv, needle, capsys,
+                                                 monkeypatch):
+    monkeypatch.delenv("DPSQKD_SEED", raising=False)
+    code, out, err = call(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(st.sampled_from("0123456789._eE+-infatyINF \t"), max_size=12),
+    st.floats().map(repr), st.floats().map(lambda x: f"{x:e}"),
+    st.integers().map(lambda i: f"{i:_}")).map(lambda t: "-" + t.lstrip("-")))
+def test_a_negative_number_is_what_float_reads(text):
+    # argparse reads an argument as a value, not an option, when it starts
+    # with '-' and float() reads it; no value of an int flag escapes, since
+    # float() reads whatever int() does
+    assert bool(cli._NEGATIVE_NUMBER.match(text)) == _reads_as(float, text)
+
+
+#: a valid value of each eb-compare flag, at most 4 key bins, 2,000 trials
+#: and a cutoff of 10^4, because a huge admitted cutoff allocates without a
+#: bound
+_VALID_EB_COMPARE = {
+    "--key-bins": st.integers(1, 4), "--alpha2": _UNIT,
+    "--phi2": st.floats(-7, 7), "--trials": st.integers(0, 2000),
+    "--cutoff": st.integers(1, 10 ** 4), "--seed": st.integers(0, 2 ** 63),
+    "--eb-delay-defect": st.floats(-7, 7)}
+#: a value of each eb-compare flag that the flag refuses, within the same
+#: sizes
+_BAD_EB_COMPARE = {
+    "--key-bins": st.integers(-10 ** 6, 0),
+    "--alpha2": _BAD_SESSION["alphaSquared"], "--phi2": _BAD_SESSION["phi2"],
+    "--trials": st.integers(max_value=-1),
+    "--cutoff": st.integers(max_value=0),
+    "--seed": st.integers(max_value=-1),
+    "--eb-delay-defect": _BAD_SESSION["phi2"]}
+_EB_COMPARE_CONV = {flag: int if flag in ("--key-bins", "--trials", "--cutoff",
+                                          "--seed") else float
+                    for flag in _VALID_EB_COMPARE}
+#: one eb-compare flag it must refuse, as argv tokens: a value its check
+#: refuses, text its type does not read, a flag without its value, or an
+#: option eb-compare does not have
+_BAD_EB_COMPARE_FLAG = st.one_of(
+    st.sampled_from(sorted(_BAD_EB_COMPARE)).flatmap(
+        lambda flag: _BAD_EB_COMPARE[flag].map(lambda v: _flag(flag, v))),
+    st.sampled_from(sorted(_EB_COMPARE_CONV)).flatmap(
+        lambda flag: st.text().filter(
+            lambda t: not _reads_as(_EB_COMPARE_CONV[flag], t)).map(
+            lambda t: _flag(flag, t))),
+    st.sampled_from(sorted(_EB_COMPARE_CONV)).map(lambda flag: [flag]),
+    st.sampled_from([["--bins", "3"], ["--repeat", "2"], ["--json"],
+                     ["--resolution", "fine"], ["--wibble"], ["-x"]]),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(valid=st.fixed_dictionaries({}, optional=_VALID_EB_COMPARE),
+       bad=_BAD_EB_COMPARE_FLAG)
+@example(valid={"--phi2": -1e-05}, bad=["--alpha2", "-1e-05"])
+@example(valid={"--alpha2": 1e-07}, bad=["--eb-delay-defect", "-inf"])
+def test_eb_compare_refuses_bad_flags_in_one_line(valid, bad, capsys,
+                                                  monkeypatch):
+    # one bad flag after valid ones, each value its own token
+    monkeypatch.delenv("DPSQKD_SEED", raising=False)
+    _refused_in_one_line(*call(["eb-compare", *_flags(valid), *bad], capsys))
+
+
+_WITNESS_CHOICES = {"--resolution": ("default", "coarse", "fine"),
+                    "--target": ("bell", "separable")}
+#: one witness-demo flag it must refuse, as argv tokens: a choice it does
+#: not have, a flag without its value, or an option witness-demo does not
+#: have
+_BAD_WITNESS_FLAG = st.one_of(
+    st.sampled_from(sorted(_WITNESS_CHOICES)).flatmap(
+        lambda flag: st.text().filter(
+            lambda t: t not in _WITNESS_CHOICES[flag]).map(
+            lambda t: _flag(flag, t))),
+    st.sampled_from(sorted(_WITNESS_CHOICES)).map(lambda flag: [flag]),
+    st.sampled_from([["--cutoff", "3"], ["--json"], ["--seed", "1"],
+                     ["--alpha2", "-1e-05"], ["--wibble"], ["-x"]]),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(valid=st.fixed_dictionaries({}, optional={
+           flag: st.sampled_from(choices)
+           for flag, choices in _WITNESS_CHOICES.items()}),
+       bad=_BAD_WITNESS_FLAG)
+def test_witness_demo_refuses_bad_flags_in_one_line(valid, bad, capsys):
+    _refused_in_one_line(*call(["witness-demo", *_flags(valid), *bad],
+                               capsys))
 
 
 @pytest.mark.parametrize("argv, prog, usage, unknown", [

@@ -209,3 +209,28 @@ def test_cli_decides_no_verdict_and_catches_errors_in_main_alone():
                                                          ast.TryStar))]
     assert tries
     assert [n.lineno for n in tries if id(n) not in in_main] == []
+
+
+def test_every_export_has_a_caller():
+    # a name that `dpsqkd` exports is referenced somewhere in the library
+    # outside its own definition, or in a demo; an export only tests call
+    # is a second route to delete
+    init = ROOT / "src" / "dpsqkd" / "__init__.py"
+    exports = {alias.asname or alias.name
+               for node in ast.parse(init.read_text()).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert exports
+    used = set()
+    paths = [p for p in sorted((ROOT / "src" / "dpsqkd").rglob("*.py"))
+             if p != init] + sorted((ROOT / "demos").glob("*.py"))
+    for path in paths:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            # a reference inside a definition of the same name is its own
+            own = getattr(top, "name", None)
+            used.update(
+                name for node in ast.walk(top) for name in (
+                    [node.id] if isinstance(node, ast.Name) else
+                    [node.attr] if isinstance(node, ast.Attribute) else
+                    [node.name] if isinstance(node, ast.alias) else [])
+                if name != own)
+    assert sorted(exports - used) == []

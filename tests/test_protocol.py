@@ -14,21 +14,20 @@ import session_oracle
 from dpsqkd import protocol
 from dpsqkd.optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
                            interferometer_coefficients, propagate)
-from dpsqkd.protocol import (AliceRecord, DetectorModel, SessionConfig,
-                             _symbols, intercept_resend, load_session_config,
-                             run_session, SessionStats)
+from dpsqkd.protocol import (DetectorModel, SessionConfig, _symbols,
+                             load_session_config, run_session, SessionStats)
 # the whole-array oracle route, whose pieces the tests below also check
 from session_oracle import ClickRecord, detect, extract_bob_bits, sift
 
 
-def _train(rec):
+def _train(s_prime, alpha):
     """Alice's pulse train: pulse i carries ``(-1)^{s'_i} alpha``."""
-    return _symbols(rec.alpha)[rec.s_prime]
+    return _symbols(complex(alpha))[np.asarray(s_prime, dtype=np.uint8)]
 
 
-def _feeds(rec, cfg):
+def _feeds(s_prime, alpha, cfg):
     """The D0 and D1 output trains of Alice's train behind `cfg`."""
-    return propagate(_train(rec), interferometer_coefficients(cfg))
+    return propagate(_train(s_prime, alpha), interferometer_coefficients(cfg))
 
 
 def _stream(rng):
@@ -48,32 +47,23 @@ def _session_clicks(cfg):
     return [np.concatenate(part) for part in zip(*chunks)]
 
 
-def test_alice_record_key_relation():
-    rec = AliceRecord(np.array([0, 1, 1, 0, 1]), 0.45)
-    assert list(rec.s) == [1, 0, 1, 1]
-    assert rec.n_key_bins == 4
-    with pytest.raises(ValueError):
-        AliceRecord(np.array([0, 2]), 0.45)
-    with pytest.raises(ValueError):
-        AliceRecord(np.array([], dtype=np.uint8), 0.45)
-
-
-@pytest.mark.parametrize("s_prime", [[0.5, 1], [1.7, 0], ["1", "0"],
-                                     [-1, 0], [0, 2], [np.nan, 1],
-                                     [1 + 0j, 0], [None, 1]])
-def test_alice_record_refuses_non_bits_before_the_cast(s_prime):
-    # a uint8 cast would store 0.5 as 0 and "1" as 1, and overflow on -1
-    with pytest.raises(ValueError, match="S' must be a bit string") as info:
-        AliceRecord(s_prime, 0.45)
-    assert "\n" not in str(info.value)
-
-
-@pytest.mark.parametrize("s_prime", [[0, 1, 1], [0.0, 1.0, 1.0],
-                                     [False, True, True],
-                                     np.array([0, 1, 1], np.int8)])
-def test_alice_record_takes_exact_bits_of_any_numeric_dtype(s_prime):
-    sp = AliceRecord(s_prime, 0.45).s_prime
-    assert sp.dtype == np.uint8 and sp.tolist() == [0, 1, 1]
+def _eve_record(cfg):
+    """Eve's attack in the session `cfg`, joined from the chunks of her
+    kernel: Alice's S', the bits Bob receives and Eve's taps (pulses
+    0..N), the 1-based key bins whose s_i she learned and her bits there,
+    and her resend stream's generator, where her draws leave it."""
+    n = cfg.n_bins
+    alice = protocol._BitStream(np.random.default_rng(cfg.seed), n + 1)
+    streams, resend = protocol._eve_streams(alice.end.bit_generator.state, n)
+    chunks = protocol._eve_chunks(
+        protocol._pulse_chunks(alice, n), cfg.alpha, cfg.eve_fraction,
+        interferometer_coefficients(cfg.interferometer()), streams, resend)
+    # each chunk after the first repeats the pulse before its key bins
+    parts = [(sp[k > 0:].copy(), bits[k > 0:].copy(), tap[k > 0:].copy(),
+              hit.copy(), d1[hit].view(np.uint8))
+             for k, (sp, tap, hit, d1, bits) in enumerate(chunks)]
+    sp, bits, tapped, known, known_bits = map(np.concatenate, zip(*parts))
+    return sp, bits, tapped, np.flatnonzero(known) + 1, known_bits, resend.end
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
@@ -98,13 +88,15 @@ def test_integer_bits_are_the_generators_bits(size, before, dtype):
                               want.integers(0, 2, 9, dtype))
 
 
-def test_alice_record_needs_a_pcg64_generator():
+def test_random_bits_need_a_pcg64_generator():
     # the raw-bit route reads PCG64's words, so another bit generator is
-    # refused in one line, as intercept_resend refuses it
+    # refused in one line, by the helper and by the stream that reads
+    # Alice's and Eve's bits through it
     philox = np.random.Generator(np.random.Philox(0))
-    for draw in (lambda: AliceRecord.random(10, 0.45, philox),
-                 lambda: intercept_resend(AliceRecord([0, 1, 0], 0.45), 0.5,
-                                          philox)):
+    for draw in (lambda: protocol._integer_bits(philox,
+                                                np.empty(10, np.uint8)),
+                 lambda: protocol._BitStream(philox, 41).read(
+                     np.empty(41, np.uint8))):
         with pytest.raises(ValueError, match="PCG64") as info:
             draw()
         assert "\n" not in str(info.value)
@@ -114,12 +106,12 @@ def test_prepare_real_alpha_gives_float64_train():
     # a real train stays float64 through propagation, and so does the pair
     # table built from its symbols; a cast back to complex would double
     # the bytes
-    rec = AliceRecord(np.array([0, 1, 1, 0]), 0.45)
-    tr = _train(rec)
+    s_prime = [0, 1, 1, 0]
+    tr = _train(s_prime, 0.45)
     assert tr.dtype == np.float64
-    o4, o5 = _feeds(rec, InterferometerConfig.compensated())
+    o4, o5 = _feeds(s_prime, 0.45, InterferometerConfig.compensated())
     assert o4.dtype == o5.dtype == np.float64
-    tr_c = _train(AliceRecord(rec.s_prime, 0.45j))
+    tr_c = _train(s_prime, 0.45j)
     assert tr_c.dtype == np.complex128
     assert np.array_equal(tr_c, 1j * tr)
 
@@ -137,11 +129,10 @@ SIGNED_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
 def test_prepare_matches_the_sign_array_product_bit_for_bit(bits, re, im):
     # Alice's symbol lookup gives the bytes of the sign-array product it
     # replaced, signed zeros included, for real and complex alpha alike
-    rec = AliceRecord(np.array(bits), complex(re, im))
-    signs = 1.0 - 2.0 * rec.s_prime.astype(float)
-    alpha = rec.alpha if rec.alpha.imag else rec.alpha.real
-    expect = signs * alpha
-    got = _train(rec)
+    alpha = complex(re, im)
+    signs = 1.0 - 2.0 * np.array(bits, dtype=float)
+    expect = signs * (alpha if alpha.imag else alpha.real)
+    got = _train(bits, alpha)
     assert got.dtype == expect.dtype
     assert got.tobytes() == expect.tobytes()
 
@@ -173,7 +164,7 @@ def test_pair_table_gather_matches_the_propagated_train(n, eve, alpha, phi2,
     coeffs = interferometer_coefficients(
         InterferometerConfig.compensated(phi2=phi2))
     bits = rng.integers(0, 2, n + 1)
-    train = _train(AliceRecord(bits, alpha))
+    train = _train(bits, alpha)
     if eve:
         tap = rng.random(n + 1) < 0.6
         symbols = np.array([0, 1, -1]) * train[0]
@@ -208,9 +199,7 @@ def test_sessions_propagate_pulse_pairs_only():
         for tap in (0.0, 0.5):
             run_session(SessionConfig(n_bins=10 ** 5, eve_fraction=tap,
                                       dark_click_prob=0.01, phi2=0.7))
-        rng = np.random.default_rng(4)
-        intercept_resend(AliceRecord.random(10 ** 5, 0.45, rng), 0.7, rng)
-    assert len(shapes) == 4         # Bob; Eve and Bob; Eve
+    assert len(shapes) == 3         # Bob; Eve and Bob
     for shape in shapes:
         assert shape[-1] == 2 and math.prod(shape[:-1]) <= 9, shape
 
@@ -233,8 +222,7 @@ def test_detect_table_rows():
     cfg = InterferometerConfig.compensated()
     rng = np.random.default_rng(0)
     n = 40000
-    rec = AliceRecord(np.zeros(n + 1, dtype=np.uint8), math.sqrt(0.2))
-    o4, o5 = _feeds(rec, cfg)
+    o4, o5 = _feeds(np.zeros(n + 1, dtype=np.uint8), math.sqrt(0.2), cfg)
     clicks = detect(o4, o5, DetectorModel.ideal(), rng)
     p = 1 - math.exp(-0.2)
     rate = clicks.d0.mean()
@@ -242,8 +230,7 @@ def test_detect_table_rows():
     assert not clicks.d1.any()
 
     # alternating phases: all bits 1, only D1 clicks
-    rec2 = AliceRecord(np.arange(n + 1) % 2, math.sqrt(0.2))
-    o4, o5 = _feeds(rec2, cfg)
+    o4, o5 = _feeds(np.arange(n + 1) % 2, math.sqrt(0.2), cfg)
     clicks2 = detect(o4, o5, DetectorModel.ideal(), rng)
     assert not clicks2.d0.any()
     assert abs(clicks2.d1.mean() - p) < 3 * math.sqrt(p * (1 - p) / n)
@@ -253,13 +240,11 @@ def test_click_probability_phase_independent():
     # alpha -> -alpha leaves |amplitudes|^2, hence the click law, unchanged
     cfg = InterferometerConfig.compensated(phi2=0.4, phi_delta=0.1)
     model = DetectorModel(efficiency=0.7)
-    rec = AliceRecord(np.array([0, 1, 1, 0]), 0.45)
-    neg = AliceRecord(rec.s_prime, -0.45)
-    for a, b in ((rec, neg),):
-        for ta, tb in zip(_feeds(a, cfg), _feeds(b, cfg)):
-            pa = model.click_probabilities(ta)
-            pb = model.click_probabilities(tb)
-            assert np.allclose(pa, pb, atol=1e-15)
+    s_prime = [0, 1, 1, 0]
+    for ta, tb in zip(_feeds(s_prime, 0.45, cfg), _feeds(s_prime, -0.45, cfg)):
+        pa = model.click_probabilities(ta)
+        pb = model.click_probabilities(tb)
+        assert np.allclose(pa, pb, atol=1e-15)
 
 
 def test_extract_bob_bits_cases():
@@ -308,64 +293,39 @@ def test_extract_bob_bits_matches_masked_assignment(n, p, seed):
 
 
 def test_sift_cases():
-    rec = AliceRecord(np.array([0, 1, 1, 0, 1]), 0.45)  # s = 1,0,1,1
+    s = np.array([1, 0, 1, 1], dtype=np.uint8)       # of S' = 0,1,1,0,1
     bits = np.array([1, -1, 1, 0], dtype=np.int8)
-    ak, bk, qber = sift(rec, bits, np.array([1, 3, 4]))
+    ak, bk, qber = sift(s, bits, np.array([1, 3, 4]))
     assert list(ak) == [1, 1, 1]
     assert list(bk) == [1, 1, 0]
     assert abs(qber - 1 / 3) < 1e-15
 
-    ak, bk, qber = sift(rec, bits, np.array([], dtype=int))
+    ak, bk, qber = sift(s, bits, np.array([], dtype=int))
     assert qber is None and ak.size == 0
 
     with pytest.raises(ValueError):
-        sift(rec, bits, np.array([5]))
+        sift(s, bits, np.array([5]))
 
 
 def test_sift_constructed_error_rate():
     rng = np.random.default_rng(8)
-    rec = AliceRecord.random(100, 0.45, rng)
-    bits = rec.s.astype(np.int8).copy()
+    s_prime = rng.integers(0, 2, 101, dtype=np.uint8)
+    s = s_prime[:-1] ^ s_prime[1:]
+    bits = s.astype(np.int8)
     bits[41] ^= 1  # one flipped bin out of 100 disclosed
-    ak, bk, qber = sift(rec, bits, np.arange(1, 101))
+    ak, bk, qber = sift(s, bits, np.arange(1, 101))
     assert qber == 0.01
 
 
-def test_intercept_resend_refuses_other_amplitudes():
-    # Alice's bits fix every pulse to +-alpha; a non-finite alpha would
-    # fill Eve's table with nan, and a tap probability lies in [0, 1]
-    rng = np.random.default_rng(0)
-    for alpha in (math.nan, math.inf, complex(0.3, math.nan)):
-        with pytest.raises(ValueError, match="finite alpha") as info:
-            intercept_resend(AliceRecord([0, 1, 0], alpha), 0.5, rng)
-        assert "\n" not in str(info.value)
-    for fraction in (-0.1, 1.5):
-        with pytest.raises(ValueError, match="eve_fraction"):
-            intercept_resend(AliceRecord([0, 1, 0], 0.45), fraction, rng)
-
-
-def test_intercept_resend_noop_at_zero():
-    rng = np.random.default_rng(1)
-    rec = AliceRecord(np.array([0, 1, 0]), 0.45)
-    state = rng.bit_generator.state
-    out, transcript = intercept_resend(rec, 0.0, rng)
-    assert out is rec.s_prime
-    assert not transcript.intercepted.any()
-    assert rng.bit_generator.state == state
-
-
 def test_intercept_resend_full_knowledge_zero_qber():
-    # amplified pulses: Eve resolves every interval, resend is faithful
-    rng = np.random.default_rng(2)
-    rec = AliceRecord.random(500, 6.0, rng)
-    out, transcript = intercept_resend(rec, 1.0, rng)
-    assert transcript.known_bins.size == 500
-    o4, o5 = _feeds(AliceRecord(out, rec.alpha),
-                    InterferometerConfig.compensated())
-    clicks = detect(o4, o5, DetectorModel.ideal(), rng)
-    bits, disclosed, _ = extract_bob_bits(clicks)
-    _, _, qber = sift(rec, bits, disclosed)
-    assert qber == 0.0
+    # amplified pulses: Eve taps every pulse and resolves every interval,
+    # and her resend is faithful, so Bob's key has no error
+    cfg = SessionConfig(n_bins=500, alpha2=36.0, eve_fraction=1.0, seed=2)
+    with pytest.warns(UserWarning, match="above 1"):
+        stats = run_session(cfg)
+    assert stats.sifted_length == 500 and stats.qber == 0.0
+    _, _, tapped, known_bins, _, _ = _eve_record(cfg)
+    assert tapped.all() and np.array_equal(known_bins, np.arange(1, 501))
 
 
 @settings(max_examples=150, deadline=None)
@@ -381,23 +341,27 @@ def test_intercept_resend_chain_matches_loop(n, mode, seed):
     rng = np.random.default_rng(seed)
     alpha = {"random": rng.uniform(0.2, 1.5), "all": 6.0, "none": 1e-9}[mode]
     fraction = rng.uniform(0.05, 1.0) if mode == "random" else 1.0
-    rec = AliceRecord(rng.integers(0, 2, n), alpha)
-    out, transcript = intercept_resend(rec, fraction,
-                                       np.random.default_rng(seed))
-    known_bins = {"random": transcript.known_bins,
-                  "all": np.arange(1, n), "none": np.empty(0, dtype=int)}[mode]
-    assert np.array_equal(transcript.known_bins, known_bins)
+    sp = rng.integers(0, 2, n).astype(np.uint8)
+    # Eve's kernel on one chunk of n pulses, her stream from `seed`
+    streams, resend = protocol._eve_streams(
+        np.random.default_rng(seed).bit_generator.state, n - 1)
+    coeffs = interferometer_coefficients(InterferometerConfig.compensated())
+    _, tapped, hit, d1, out = next(protocol._eve_chunks(
+        [sp], alpha, fraction, coeffs, streams, resend))
+    known_bins = np.flatnonzero(hit) + 1
+    want = {"random": known_bins,
+            "all": np.arange(1, n), "none": np.empty(0, dtype=int)}[mode]
+    assert np.array_equal(known_bins, want)
 
     # her resend bits follow the tap, D0 and D1 uniforms in her stream
     eve_rng = np.random.default_rng(seed)
     eve_rng.random(3 * n - 2)
     s = eve_rng.integers(0, 2, n, dtype=np.uint8)
-    bit_of = dict(zip(transcript.known_bins.tolist(),
-                      transcript.known_bits.tolist()))
+    bit_of = dict(zip(known_bins.tolist(), d1[hit].tolist()))
     for i in range(1, n):
         if i in bit_of:
             s[i] = s[i - 1] ^ bit_of[i]
-    expected = np.where(transcript.intercepted, s, rec.s_prime)
+    expected = np.where(tapped, s, sp)
     assert out.dtype == np.uint8 and np.array_equal(out, expected)
 
 
@@ -440,9 +404,7 @@ def test_chunked_session_matches_whole_array_oracle(n, chunk, tap, dark, phi2,
     with mock.patch.object(protocol, "_CHUNK_BINS", chunk):
         got = run_session(cfg)
         d0, d1, key = _session_clicks(cfg)
-        rng = np.random.default_rng(seed)
-        alice = AliceRecord.random(n, cfg.alpha, rng)
-        eve = intercept_resend(alice, tap, rng, cfg.interferometer())
+        eve = _eve_record(cfg) if tap else None
     want, want_clicks = session_oracle.run_session(cfg)
     for field in dataclasses.fields(SessionStats):
         a, b = getattr(got, field.name), getattr(want, field.name)
@@ -457,28 +419,28 @@ def test_chunked_session_matches_whole_array_oracle(n, chunk, tap, dark, phi2,
     for a, b in zip(extract_bob_bits(ClickRecord(d0, d1)),
                     extract_bob_bits(want_clicks)):
         assert np.array_equal(a, b)
-    assert np.array_equal(key, alice.s.view(bool))
-
-    # Eve alone: the bits of the oracle's resent amplitude train, the same
-    # transcript, and the generator she was passed ends where the
-    # sequential draws leave it
     oracle_rng = np.random.default_rng(seed)
     s_prime = oracle_rng.integers(0, 2, n + 1, dtype=np.uint8)
-    assert np.array_equal(alice.s_prime, s_prime)
-    want_eve = session_oracle.intercept_resend(
-        _train(AliceRecord(s_prime, cfg.alpha)), tap, oracle_rng,
-        cfg.interferometer())
-    amps = want_eve[0]
-    assert eve[0].dtype == np.uint8
+    assert np.array_equal(key, (s_prime[:-1] ^ s_prime[1:]).view(bool))
+    if not tap:
+        return
+
+    # Eve alone, joined from her chunks: Alice's S', the bits of the
+    # oracle's resent amplitude train, the same transcript, and her resend
+    # stream ends where the sequential draws leave the oracle's generator
+    sp, bits, *transcript, end = eve
+    assert np.array_equal(sp, s_prime)
+    amps, want_transcript = session_oracle.intercept_resend(
+        _train(s_prime, cfg.alpha), tap, oracle_rng, cfg.interferometer())
+    assert bits.dtype == np.uint8
     if alpha2 > 0:
-        assert np.array_equal(eve[0], amps != cfg.alpha)
+        assert np.array_equal(bits, amps != cfg.alpha)
     # every pulse is +-alpha, so its sign bit is its bit, also at alpha = 0,
     # where the oracle's +-0.0 compare equal
-    assert np.array_equal(eve[0], np.signbit(amps))
-    for a, b in zip(dataclasses.astuple(eve[1]),
-                    dataclasses.astuple(want_eve[1])):
+    assert np.array_equal(bits, np.signbit(amps))
+    for a, b in zip(transcript, want_transcript):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert _stream(rng) == _stream(oracle_rng)
+    assert _stream(end) == _stream(oracle_rng)
 
 
 @pytest.mark.parametrize("tap", [0.0, 0.25])
@@ -574,9 +536,9 @@ def test_session_rates_follow_closed_form_laws(mu, eta, dark, tap, seed):
     # otherwise.  Honest bins are independent; attacked bins that share a
     # tapped pulse are not, so those sigmas are widened by sqrt(3)
     n = 10 ** 6
-    stats = run_session(SessionConfig(n_bins=n, alpha2=mu, efficiency=eta,
-                                      dark_click_prob=dark, eve_fraction=tap,
-                                      seed=seed))
+    cfg = SessionConfig(n_bins=n, alpha2=mu, efficiency=eta,
+                        dark_click_prob=dark, eve_fraction=tap, seed=seed)
+    stats = run_session(cfg)
     if tap == 0.0:
         p = 1 - (1 - dark) * math.exp(-eta * mu)
         rate = p * (1 - dark) + dark * (1 - p)
@@ -584,14 +546,12 @@ def test_session_rates_follow_closed_form_laws(mu, eta, dark, tap, seed):
                 ("qber", stats.qber, dark * (1 - p) / rate, n * rate, 1),
                 ("double-click rate", stats.double_clicks / n, p * dark, n, 1)]
     else:
-        rng = np.random.default_rng(seed)
-        _, eve = intercept_resend(AliceRecord.random(n, math.sqrt(mu), rng),
-                                  tap, rng)
+        known_bins = _eve_record(cfg)[3]
         e = math.exp(-mu)
         laws = [("sifted rate", stats.sifted_rate, 1 - e, n, 1),
                 ("qber", stats.qber, (2 * tap * (1 - tap) + tap ** 2 * e) / 2,
                  n * (1 - e), 3),
-                ("known-bin ratio", eve.known_bins.size / n,
+                ("known-bin ratio", known_bins.size / n,
                  tap ** 2 * (1 - e), n, 3)]
         assert stats.double_clicks == 0
     for name, got, law, trials, widen in laws:
