@@ -143,10 +143,7 @@ def cmd_witness_demo(args) -> int:
             lines.append("witness: none at this resolution")
             if result.warning:
                 lines.append(f"  warning: {result.warning}")
-        if expect_found and not result.found and args.resolution == "coarse":
-            lines.append("  (expected at default resolution; coarse "
-                         "search is allowed to miss it)")
-        elif result.found != expect_found:
+        if result.found != expect_found:
             # a witness found contradicts the positivity theorem (commuting
             # family) or its own certificate (negative on the separable I/4)
             ok = False

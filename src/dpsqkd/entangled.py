@@ -196,21 +196,27 @@ def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
     return ids
 
 
+#: the largest cutoff whose state factor, 2 x (cutoff+1) entries, is within
+#: ``optics.DEFAULT_MAX_STATE_ENTRIES``
+_LARGEST_CUTOFF = DEFAULT_MAX_STATE_ENTRIES // 2 - 1
+
+
 def _sufficient_cutoff(mu: float, n_key_bins: int, cutoff: int):
     """Smallest cutoff >= `cutoff` that passes the truncation check of
-    :func:`compare_statistics`, or None when it exceeds the size bound.
-    The tail P(X > c) of X ~ Poisson(mu > 0) exceeds 1/4 for every c < mu, so
-    the search spans 12 sigma above max(cutoff, mu) in log space."""
-    largest = DEFAULT_MAX_STATE_ENTRIES // 2 - 1
+    :func:`compare_statistics`, or None above ``_LARGEST_CUTOFF``, and the
+    tail P(X > cutoff) of X ~ Poisson(mu > 0), or None when cutoff < floor(mu).
+    That tail exceeds 1/4 for every cutoff < mu, so the search spans 12 sigma
+    above max(cutoff, mu) in log space."""
     lo = max(cutoff, math.floor(mu))
-    if lo > largest:
-        return None
+    if lo > _LARGEST_CUTOFF:
+        return None, None
     n = np.arange(lo + 1, lo + 42 + math.ceil(12 * math.sqrt(mu)))
     tails = np.cumsum(np.exp(n * math.log(mu) - mu - math.lgamma(lo + 1)
                              - np.cumsum(np.log(n)))[::-1])[::-1]
     ok = 2 * n_key_bins * n * tails <= ANALYTIC_DISTANCE_GATE * (1 - tails)
     enough = int(n[np.argmax(ok)]) - 1        # tails[j] = P(X > n[j] - 1)
-    return enough if ok.any() and enough <= largest else None
+    return (enough if ok.any() and enough <= _LARGEST_CUTOFF else None,
+            float(tails[0]) if lo == cutoff else None)
 
 
 def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
@@ -243,7 +249,8 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     state's factor (2 x (cutoff+1)) exceed
     ``optics.DEFAULT_MAX_STATE_ENTRIES``; and when the truncation alone could
     fail ``ANALYTIC_DISTANCE_GATE``, judged on the exact Poisson tail
-    P(X > cutoff) it leaves out: that tail shrinks each collapsed
+    P(X > cutoff) it leaves out, which the refusal names (or its bound 1/4
+    below mu) without building the state: that tail shrinks each collapsed
     amplitude by a fraction of at most (cutoff+1) tail / (mu (1 - tail)),
     which moves the distance by at most 2N (cutoff+1) tail / (1 - tail).
     """
@@ -259,23 +266,26 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    n_pulses = n_key_bins + 1
-    entries = max(2 ** n_pulses * 4 ** n_key_bins, trials * (n_key_bins + 2),
-                  2 * (cutoff + 1))
-    if entries > DEFAULT_MAX_STATE_ENTRIES:
+    # the enumeration's 2^(N+1) x 4^N entries, 2^exponent, exceed the bound
+    # exactly when the exponent reaches the bound's bit length
+    n_pulses, exponent = n_key_bins + 1, 3 * n_key_bins + 1
+    if (exponent >= DEFAULT_MAX_STATE_ENTRIES.bit_length()
+            or trials * (n_key_bins + 2) > DEFAULT_MAX_STATE_ENTRIES
+            or cutoff > _LARGEST_CUTOFF):
         raise ValueError(
             f"{n_key_bins} key bins, {trials} trials and cutoff {cutoff} need "
-            f"{entries} entries (2^(N+1) x 4^N, trials x (N+2) or 2 x "
-            f"(cutoff+1)), which exceeds the bound {DEFAULT_MAX_STATE_ENTRIES}")
+            f"2^{exponent}, {trials * (n_key_bins + 2)} and {2 * (cutoff + 1)} "
+            f"entries (2^(N+1) x 4^N, trials x (N+2) and 2 x (cutoff+1)), "
+            f"and the largest exceeds the bound {DEFAULT_MAX_STATE_ENTRIES}")
     mu = abs(alpha) ** 2
-    enough = _sufficient_cutoff(mu, n_key_bins, cutoff) if mu else cutoff
+    enough, tail = (_sufficient_cutoff(mu, n_key_bins, cutoff) if mu
+                    else (cutoff, 0.0))
     if enough != cutoff:
-        amps = coherent_amplitudes(alpha, cutoff)
-        tail = 1.0 - float(np.sum(np.abs(amps) ** 2))
         raise ValueError(
-            f"cutoff {cutoff} leaves out the Poisson tail P(X > {cutoff}) = "
-            f"{tail:.3g} of each pulse, which alone could push the analytic "
-            f"distance past its gate {ANALYTIC_DISTANCE_GATE}; " + (
+            f"cutoff {cutoff} leaves out the Poisson tail P(X > {cutoff}) "
+            f"{'> 1/4' if tail is None else f'= {tail:.3g}'} of each pulse, "
+            f"which alone could push the analytic distance past its gate "
+            f"{ANALYTIC_DISTANCE_GATE}; " + (
                 f"cutoff {enough} is the smallest that suffices"
                 if enough is not None else
                 "no cutoff within the size bound suffices"))

@@ -218,10 +218,15 @@ def reduced_effect_set(n_bins: int, cutoff: int,
     silence there; the convention the explicit closed forms of the two
     illustrative effects correspond to).
 
-    Raises ValueError for a pattern that is not N (D0, D1) pairs, and before
+    Raises ValueError for an `n_bins` or `cutoff` that is not an integer
+    >= 0, for a pattern that is not N (D0, D1) pairs, and before
     allocating when a sector block or the returned blocks exceed
     ``optics.DEFAULT_MAX_STATE_ENTRIES``.
     """
+    _require_integers(n_bins=n_bins, cutoff=cutoff)
+    if n_bins < 0 or cutoff < 0:
+        raise ValueError(f"n_bins and cutoff must be >= 0, got {n_bins}, "
+                         f"{cutoff}")
     if boundary not in ("marginal", "vacuum"):
         raise ValueError(f"boundary must be 'marginal' or 'vacuum', "
                          f"got {boundary!r}")

@@ -694,6 +694,27 @@ def test_witness_demo_separable_target_fails_on_any_found_witness(
     assert out.count("none at this resolution") == 1
 
 
+def test_witness_demo_fails_when_the_coarse_search_misses(capsys,
+                                                         monkeypatch):
+    # a coarse search that misses the Bell witness of the conjugate-bases
+    # family fails the verdict like any other mismatch
+    fam = witness.bb84_effect_family()
+    miss = witness.witness_search(fam, fam, np.eye(4, dtype=complex) / 4.0,
+                                  resolution="coarse")
+    assert not miss.found
+
+    def search(alice, bob, target, resolution):
+        if witness.commutation_table(alice).max() > 0.0:
+            return miss
+        return witness.witness_search(alice, bob, target,
+                                      resolution=resolution)
+
+    monkeypatch.setattr("dpsqkd.cli.witness_search", search)
+    code, out, _ = run(["witness-demo", "--resolution", "coarse"], capsys)
+    assert code == 1
+    assert out.count("none at this resolution") == 2
+
+
 # stdout bytes recorded before the sessions and the EB check shared one
 # click kernel; a moved RNG draw changes them
 PINNED_SIMULATE = {
@@ -948,6 +969,9 @@ def test_output_error_after_the_work_exits_2(command, capsys, monkeypatch):
     (["--cutoff", "0"], "cutoff must be >= 1"),
     (["--cutoff", "-3"], "cutoff must be >= 1"),
     (["--alpha2", "0", "--cutoff", "0"], "cutoff must be >= 1"),
+    # sized by the enumeration's exponent 3N+1, not as a 2^(3N+1) integer
+    (["--key-bins", "1000000"], "need 2^3000001, 0 and 22 entries"),
+    (["--key-bins", "100000000"], "need 2^300000001, 0 and 22 entries"),
 ])
 def test_eb_compare_bad_input_exits_2(argv, needle, capsys, monkeypatch):
     monkeypatch.delenv("DPSQKD_SEED", raising=False)

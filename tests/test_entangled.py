@@ -5,11 +5,14 @@ import inspect
 import math
 import re
 import sys
+import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 from dpsqkd import entangled as eb
 from dpsqkd.optics import (InterferometerConfig, interferometer_coefficients,
@@ -289,7 +292,7 @@ def test_truncation_check_reads_the_exact_tail(monkeypatch):
     # 2N (cutoff+1) factor would push past the gate.  A stand-in state at
     # cutoff 10, shrunk so that its measured tail is about 1e-15, passes:
     # the exact tail decides alone
-    assert eb._sufficient_cutoff(0.2, 4, 3_000_000) == 3_000_000
+    assert eb._sufficient_cutoff(0.2, 4, 3_000_000) == (3_000_000, 0.0)
     build = eb.build_eb_state
 
     def stand_in(n_key_bins, alpha, cutoff):
@@ -301,8 +304,45 @@ def test_truncation_check_reads_the_exact_tail(monkeypatch):
     assert rep.analytic_distance <= eb.ANALYTIC_DISTANCE_GATE
     # a cutoff too small is refused before any state is built
     monkeypatch.setattr(eb, "build_eb_state", None)
+    monkeypatch.setattr(eb, "coherent_amplitudes", None)
     with pytest.raises(ValueError, match="cutoff 7 is the smallest"):
         eb.compare_statistics(2, math.sqrt(0.2), cutoff=3)
+
+
+@pytest.mark.parametrize("mu, n_key_bins, cutoff, relation", [
+    (0.2, 2, 3, "= 5.68e-05"), (1.0, 2, 10, "= 1e-08"),
+    (1e7, 1, 10 ** 7, "= 0.5"), (1e5, 1, 10, "> 1/4")])
+def test_truncation_refusal_prints_the_poisson_tail(mu, n_key_bins, cutoff,
+                                                    relation):
+    # the printed tail is scipy's Poisson survival function to its three
+    # printed digits; below mu it is the bound 1/4 that the tail exceeds
+    with pytest.raises(ValueError, match=re.escape(
+            f"P(X > {cutoff}) {relation} of each pulse")):
+        eb.compare_statistics(n_key_bins, math.sqrt(mu), cutoff=cutoff)
+    tail = stats.poisson.sf(cutoff, mu)
+    if relation.startswith("="):
+        assert relation == f"= {tail:.3g}"
+    else:
+        assert cutoff < mu and tail > 0.25
+
+
+def test_truncation_refusal_costs_no_state(monkeypatch):
+    # a cutoff of 10^7 at mu 10^7 is refused from the Poisson tail's
+    # window of about 42 + 12 sqrt(mu) terms: no 10^7-entry state, and no
+    # coherent amplitudes
+    monkeypatch.setattr(eb, "coherent_amplitudes", None)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="cutoff 10025395 is the "
+                                             "smallest that suffices"):
+            eb.compare_statistics(1, math.sqrt(1e7), cutoff=10 ** 7)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2 ** 23
 
 
 def test_size_bounds_refuse_before_any_work(monkeypatch):

@@ -190,6 +190,23 @@ def test_reduced_effect_set_bounds():
         reduced_effect_set(8, 1)
 
 
+@pytest.mark.parametrize("n_bins, cutoff, needle", [
+    (2.5, 3, "n_bins must be an integer, got 2.5"),
+    (True, 3, "n_bins must be an integer, got True"),
+    (2, 2.5, "cutoff must be an integer, got 2.5"),
+    (2, True, "cutoff must be an integer, got True"),
+    (-1, 3, "n_bins and cutoff must be >= 0, got -1, 3"),
+    (2, -1, "n_bins and cutoff must be >= 0, got 2, -1"),
+])
+def test_reduced_effect_set_refuses_bad_counts_by_name(n_bins, cutoff,
+                                                       needle):
+    # each is refused under its own name before any work, not by itertools
+    # or under the name of an internal bound
+    with pytest.raises(ValueError) as info:
+        reduced_effect_set(n_bins, cutoff)
+    assert str(info.value) == needle
+
+
 def mask_reduce(n_bins, cutoff, config, requests):
     """The per-pattern mask reduction that ``povm._reduce`` replaced, kept
     as its oracle: `requests` are ``(pattern, silent)`` pairs, and every
