@@ -1,6 +1,7 @@
 """Projector effects, their reduction, and the commutation structure."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -188,6 +189,33 @@ def test_reduced_effect_set_bounds():
     with pytest.raises(ValueError, match="65536 reduced effects of 48620 "
                                          "block entries each exceed"):
         reduced_effect_set(8, 1)
+
+
+# sha256 of the states and blocks of reduced_effect_set, both boundaries,
+# at phases (0, 0) and (0.3, 1.1), recorded while it read its own capped
+# public lift apart from the certification's
+PINNED_REDUCED_EFFECTS = [
+    (1, 1, "0ccb980cf8aeda5f9c9781b375d471f23681421288ea1d1a7e4cffd970aed7b2"),
+    (1, 4, "289ddb92f3b41a54669699b50879f13991642d49734c792ccd3bbd8b80962566"),
+    (2, 2, "33eb42bb27b901ba5e2f277f010b749edf1f2fdb7bb35e2b7c5e17d8031525cb"),
+    (2, 3, "966fa07291cace03f5e5eab477266989476db194a08f6d1ad3b8f1c2375a2e08"),
+    (3, 2, "3ac92f9be47f6527a6ef4e6131e5dabc861fe926bb4766e89da8e1ae9554484a"),
+    (4, 1, "456e72682ab89f4e180f913b7abd5378a8380192045e906e0c8a3e14b8be354a"),
+]
+
+
+@pytest.mark.parametrize("n_bins, cutoff, digest", PINNED_REDUCED_EFFECTS)
+def test_reduced_effect_set_keeps_its_bytes(n_bins, cutoff, digest):
+    h = hashlib.sha256()
+    for phases in [(0.0, 0.0), (0.3, 1.1)]:
+        for boundary in ("marginal", "vacuum"):
+            red = reduced_effect_set(
+                n_bins, cutoff, InterferometerConfig.compensated(*phases),
+                boundary=boundary)
+            for a in red.states + red.blocks:
+                h.update(f"{a.dtype.str}{a.shape}".encode())
+                h.update(a.tobytes())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("n_bins, cutoff, needle", [
