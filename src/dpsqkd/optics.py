@@ -201,10 +201,10 @@ def _sectors(n_modes: int, n_max: int):
         yield below.T
 
 
-def sector_lift(config: InterferometerConfig, bins: int, n_max: int,
-                max_occupation=None):
-    """Exact interferometer images of wire basis states, one photon-number
-    sector at a time, with nothing truncated.
+def sector_lift(config: InterferometerConfig, bins: int, n_max: int):
+    """Exact interferometer images of the wire basis states with at most
+    `n_max` photons, one photon-number sector at a time, with nothing
+    truncated.
 
     The interferometer conserves photon number and maps input creation
     operators through the mode map ``u`` (:func:`single_particle_unitary`):
@@ -212,49 +212,33 @@ def sector_lift(config: InterferometerConfig, bins: int, n_max: int,
     creation map from sector n - 1 to sector n.  Stays in float64 when
     ``u`` is real.
 
-    The inputs are the wire basis states with at most `n_max` photons and
-    occupations at most `max_occupation` (one bound per wire, in wire
-    order; default unbounded).  Returns an iterator of
-    ``(outputs, inputs, images)`` over the sectors n that hold inputs:
-    the occupation rows of the sector basis (dim_n x 2B) and of its inputs
-    (m_n x 2B), and ``images[:, i] = U |inputs[i]>`` (dim_n x m_n), the
+    Returns an iterator of ``(outputs, inputs, images)`` over sectors
+    0..n_max: the occupation rows of the sector basis (dim_n x 2B), which
+    are also its inputs, and ``images[:, i] = U |inputs[i]>``, the
     transposed view of a C-ordered array with one image per row.  The
     sector bases are enumerated one sector at a time, each from the one
     before, so the lift holds no sector above the one it is on.
 
     Raises ValueError, before allocating anything, when `bins` is not an
-    integer >= 1, `n_max` not one >= 0, an entry of `max_occupation` not
-    one >= 0, or the largest block (dim_n x m_n entries, with m_n counted
-    by :func:`_capped_counts`) exceeds ``DEFAULT_MAX_STATE_ENTRIES``.
+    integer >= 1, `n_max` not one >= 0, or the top sector's block exceeds
+    ``DEFAULT_MAX_STATE_ENTRIES``.
     """
     _require_integers(bins=bins, n_max=n_max)
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    n_modes = 2 * bins
-    caps = [n_max] * n_modes if max_occupation is None else \
-        list(max_occupation)
-    if len(caps) != n_modes:
-        raise ValueError(f"max_occupation needs one bound per wire "
-                         f"({n_modes}), got {len(caps)}")
-    _require_integers(**{f"max_occupation[{i}]": c
-                         for i, c in enumerate(caps)})
-    if min(caps) < 0:
-        raise ValueError(f"max_occupation bounds must be >= 0, got {caps}")
-    caps = [min(c, n_max) for c in caps]
-    # sectors above sum(caps) hold no input; sectors up to min(caps) take
-    # every state
-    return _lift(config, bins, min(n_max, sum(caps)), caps, min(caps))
+    return _lift(config, bins, n_max, [n_max] * (2 * bins), n_max)
 
 
 def _lift(config: InterferometerConfig, bins: int, n_max: int, caps,
           full: int):
-    """:func:`sector_lift`'s bound check and lift, over sectors 0..n_max:
-    sectors 0..`full` take every wire state as input, and the sectors above
-    the states with at most ``caps[i]`` photons on wire i.  Every input's
-    parent, one photon down, is then an input of the sector below.  The top
-    sector must hold an input."""
+    """The bound check and lift of :func:`sector_lift` and of every
+    reduction, over sectors 0..n_max: sectors 0..`full` take every wire
+    state as input, and the sectors above the states with at most
+    ``caps[i]`` photons on wire i (dim_n x m_n entries, with m_n counted by
+    :func:`_capped_counts`).  Every input's parent, one photon down, is then
+    an input of the sector below.  The top sector must hold an input."""
     n_modes = 2 * bins
     # sector sizes grow with n: the top sector's size refuses at once, and
     # sector `full`'s block (its states are its inputs) before any count

@@ -12,8 +12,8 @@ is what breaks commutativity: the certified positive lower bound on
 
 The interferometer conserves photon number, so a reduced effect is held
 as its photon-number blocks alone (:class:`BlockEffects`), each the exact
-Gram matrix of rows of :func:`~dpsqkd.optics.sector_lift`: signal states
-with at most `cutoff` photons per time bin reach sector (N+1)*cutoff, and
+Gram matrix of rows of one exact sector lift (:func:`_signal_sectors`): signal
+states with at most `cutoff` photons per time bin reach sector (N+1)*cutoff, and
 no output wire is truncated, so the signal cutoff is the only
 approximation.  Sums and products act block by block, squared Frobenius
 norms add over blocks, and a spectral norm is the largest block's.
@@ -37,7 +37,7 @@ from typing import ClassVar, Optional, Sequence, Tuple
 import numpy as np
 
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                     _capped_counts, _lift, _require_integers, sector_lift)
+                     _capped_counts, _lift, _require_integers)
 
 ClickPattern = Tuple[Tuple[bool, bool], ...]
 
@@ -142,14 +142,29 @@ def _pattern_ids(outputs: np.ndarray, n_bins: int) -> np.ndarray:
     return click_pattern_ids(outputs[:, 1:bins] > 0, outputs[:, bins + 1:] > 0)
 
 
-def _signal_lift(config: InterferometerConfig, n_bins: int, cutoff: int):
-    """The signal lift at `cutoff` as :func:`_reduce` reads it; raises
-    ValueError, before allocating, where :func:`~dpsqkd.optics.sector_lift`
-    does."""
+def _signal_sectors(config: InterferometerConfig, n_bins: int, cutoff: int,
+                    full: int):
+    """The one lift of a reduction at N = `n_bins`, a sector at a time: every
+    wire state is an input up to `full` photons, the signal states (at most
+    `cutoff` per bin, path-1 wires empty) above.  Yields ``(outputs, pattern
+    ids, inputs, images, whole images)`` for sectors 0..(N+1)*cutoff: the
+    signal columns, in order and bit for bit those of any lift they are
+    inputs of (:func:`~dpsqkd.optics._lift_sectors`), and the whole
+    sector's images up to `full` (its inputs are its outputs), None above.
+    Raises ValueError, before allocating, where the lift's bound does.
+    """
     bins = n_bins + 1
-    lift = sector_lift(config, bins, bins * cutoff,
-                       max_occupation=[cutoff] * bins + [0] * bins)
-    return ((o, _pattern_ids(o, n_bins), i, w) for o, i, w in lift)
+    lift = _lift(config, bins, bins * cutoff, [cutoff] * bins + [0] * bins,
+                 full)
+
+    def sectors():
+        for n, (outputs, inputs, images) in enumerate(lift):
+            whole = images if n <= full else None
+            if n <= full:
+                signal = ~inputs[:, bins:].any(axis=1)
+                inputs, images = inputs[signal], images.T[signal].T
+            yield outputs, _pattern_ids(outputs, n_bins), inputs, images, whole
+    return sectors()
 
 
 def _reduce(sectors, n_bins: int, cutoff: int,
@@ -159,12 +174,9 @@ def _reduce(sectors, n_bins: int, cutoff: int,
     :func:`pattern_index`.  A silent request also demands vacuum on both
     output wires of bin 0.
 
-    `sectors` is the signal lift at `cutoff` (signal wires at most
-    `cutoff` photons, path-1 wires empty), one ``(outputs, pattern ids,
-    inputs, images)`` per sector 0..(N+1)*cutoff, ids as
-    :func:`_pattern_ids`: :func:`_signal_lift`, or the signal columns of
-    :func:`_certification_sectors`.  It is read one sector at a time, and
-    not at all when the blocks would exceed ``DEFAULT_MAX_STATE_ENTRIES``.
+    `sectors` is :func:`_signal_sectors` at `cutoff`, whose whole-sector
+    images it ignores.  It is read one sector at a time, and not at all
+    when the blocks would exceed ``DEFAULT_MAX_STATE_ENTRIES``.
 
     Each sector's output rows are grouped by click pattern once: a stable
     sort of their pattern ids and one gather of the image columns in that
@@ -180,7 +192,7 @@ def _reduce(sectors, n_bins: int, cutoff: int,
             f"each exceed the bound {DEFAULT_MAX_STATE_ENTRIES}")
     strides = (cutoff + 1) ** np.arange(bins - 1, -1, -1)
     states, blocks = [], []
-    for outputs, pids, inputs, images in sectors:
+    for outputs, pids, inputs, images, _ in sectors:
         order = np.argsort(pids, kind="stable")
         starts = np.searchsorted(pids[order], np.arange(4 ** n_bins + 1))
         quiet = ((outputs[:, 0] == 0) & (outputs[:, bins] == 0))[order]
@@ -218,15 +230,17 @@ def reduced_effect_set(n_bins: int, cutoff: int,
     silence there; the convention the explicit closed forms of the two
     illustrative effects correspond to).
 
-    Raises ValueError for an `n_bins` or `cutoff` that is not an integer
-    >= 0, for a pattern that is not N (D0, D1) pairs, and before
-    allocating when a sector block or the returned blocks exceed
+    Raises ValueError for an `n_bins` that is not an integer >= 1 or a
+    `cutoff` not one >= 0, for a pattern that is not N (D0, D1) pairs, and
+    before allocating when a sector block or the returned blocks exceed
     ``optics.DEFAULT_MAX_STATE_ENTRIES``.
     """
     _require_integers(n_bins=n_bins, cutoff=cutoff)
     if n_bins < 0 or cutoff < 0:
         raise ValueError(f"n_bins and cutoff must be >= 0, got {n_bins}, "
                          f"{cutoff}")
+    if n_bins < 1:
+        raise ValueError("need at least one key bin")
     if boundary not in ("marginal", "vacuum"):
         raise ValueError(f"boundary must be 'marginal' or 'vacuum', "
                          f"got {boundary!r}")
@@ -237,7 +251,7 @@ def reduced_effect_set(n_bins: int, cutoff: int,
         if np.shape(p) != (n_bins, 2):
             raise ValueError(f"need {n_bins} (D0, D1) pairs, got {p!r}")
     states, blocks = _reduce(
-        _signal_lift(config, n_bins, cutoff), n_bins, cutoff,
+        _signal_sectors(config, n_bins, cutoff, 0), n_bins, cutoff,
         [(pattern_index(p), boundary == "vacuum") for p in patterns])
     return BlockEffects(patterns, states, blocks)
 
@@ -429,31 +443,6 @@ class NoncommutativityReport:
                            "passed": self.passed}, indent=2)
 
 
-def _certification_sectors(config: InterferometerConfig, cutoff: int):
-    """The one lift of a certification at N = 2, a sector at a time: every
-    wire state is an input up to `cutoff` photons, the signal states (at
-    most `cutoff` per bin, path-1 wires empty) above.  Yields ``(outputs,
-    pattern ids, inputs, images, wire images)`` for sectors 0..3*cutoff:
-    the signal columns, in order and bit for bit the signal lift's, and the
-    whole sector's images up to `cutoff` (its inputs are its outputs), None
-    above.  Raises ValueError, before allocating, where the lift's bound
-    does.
-    """
-    bins = 3
-    lift = _lift(config, bins, bins * cutoff, [cutoff] * bins + [0] * bins,
-                 cutoff)
-
-    def sectors():
-        for n, (outputs, inputs, images) in enumerate(lift):
-            wire_images = images if n <= cutoff else None
-            if n <= cutoff:
-                signal = ~inputs[:, bins:].any(axis=1)
-                inputs, images = inputs[signal], images.T[signal].T
-            yield (outputs, _pattern_ids(outputs, bins - 1), inputs, images,
-                   wire_images)
-    return sectors()
-
-
 def certify_noncommutativity(cutoff: int, *,
                              config: Optional[InterferometerConfig] = None
                              ) -> NoncommutativityReport:
@@ -473,7 +462,7 @@ def certify_noncommutativity(cutoff: int, *,
     above the recorded floor from the closed forms and from both boundary
     conventions of the reduction.  All of it runs on photon-number blocks,
     from one lift streamed a sector at a time
-    (:func:`_certification_sectors`): the conjugated checks read its whole
+    (:func:`_signal_sectors`): the conjugated checks read its whole
     wire sectors 0..cutoff, and the reduction, for both conventions, its
     signal columns.  The 18 reduced effects and the 3 conjugated pairs are
     named by pattern id, each resolved once.
@@ -490,22 +479,23 @@ def certify_noncommutativity(cutoff: int, *,
     pats = all_click_patterns(n_bins)
     # a pattern's id is its position in `pats`
     e2, e3 = pattern_index(E2_PATTERN), pattern_index(E3_PATTERN)
-    sectors = _certification_sectors(config, cutoff)
+    sectors = _signal_sectors(config, n_bins, cutoff, cutoff)
     pair_ids = ((e2, e3), (0, len(pats) - 1), (e2, len(pats) - 1))
     conj_sq = np.zeros(len(pair_ids))
 
-    def signal_sectors():
+    def checked_sectors():
         # the conjugated checks read each whole wire sector on the way
-        for outputs, pids, inputs, images, wire_images in sectors:
-            if wire_images is not None:
+        for sector in sectors:
+            _, pids, _, _, whole = sector
+            if whole is not None:
                 for k, (i, j) in enumerate(pair_ids):
                     # a pattern with no rows here adds exactly 0
                     conj_sq[k] += conjugated_commutator_norm(
-                        wire_images, pids == i, pids == j) ** 2
-            yield outputs, pids, inputs, images
+                        whole, pids == i, pids == j) ** 2
+            yield sector
 
     states, blocks = _reduce(
-        signal_sectors(), n_bins, cutoff,
+        checked_sectors(), n_bins, cutoff,
         [(k, False) for k in range(len(pats))] + [(e2, True), (e3, True)])
     conj_vals = [(pats[i], pats[j], math.sqrt(v))
                  for (i, j), v in zip(pair_ids, conj_sq)]

@@ -322,7 +322,6 @@ def _sample_pairs(model: DetectorModel, table: np.ndarray, classes: np.ndarray,
     into the bool array `out` ``(2, *shape)`` and uses the floats `work`
     ``(2, *shape)`` (uniforms, probabilities); with two classes the select
     makes one bool mask per detector."""
-    shape = classes.shape + table.shape[2:]
     u, p = work
     streams = iter(streams)
     for k, d in enumerate(out):

@@ -4,7 +4,8 @@ measurement, numpy only.
 :func:`dense_unitary` exponentiates ``G = sum_jk H_jk b_j^dag b_k``, the
 second-quantized generator of the mode map ``u = exp(iH)``, block by block
 in total photon number.  It is exact on every sector n <= cutoff and shares
-no code with the creation-operator recursion of ``optics.sector_lift``.
+no code with the creation-operator recursion of the sector lift
+(``optics._lift``, and ``optics.sector_lift`` for whole sectors).
 
 :func:`dense_certification` evaluates every field of the commutation
 report on dense operators: the reduced effects scattered from the lifted
@@ -39,7 +40,7 @@ import numpy as np
 
 from dpsqkd.entangled import coherent_amplitudes
 from dpsqkd.optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                           sector_lift, single_particle_unitary)
+                           _lift, sector_lift, single_particle_unitary)
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, _pattern_ids,
                          all_click_patterns, conjugated_commutator_norm,
                          pattern_index)
@@ -195,7 +196,7 @@ def sector_mean_amplitudes(config, bins, rows, cap, n_max):
     strides = (n_max + 1) ** np.arange(2 * bins - 1, -1, -1)
     num, norm = np.zeros((len(rows), 2 * bins), dtype=complex), 0.0
     for n, (outputs, inputs, images) in enumerate(
-            sector_lift(config, bins, n_max, caps)):
+            _lift(config, bins, min(n_max, sum(caps)), caps, min(caps))):
         psi = np.prod(coh[:, range(pulses), inputs[:, :pulses]], -1) @ images.T
         norm = norm + np.sum(np.abs(psi) ** 2, axis=1)
         for w in range(2 * bins) if n else ():
@@ -433,8 +434,8 @@ def dense_reduced_effects(n_bins, cutoff, config, patterns, boundary):
     dim = (cutoff + 1) ** bins
     strides = (cutoff + 1) ** np.arange(bins - 1, -1, -1)
     mats = {p: np.zeros((dim, dim), dtype=complex) for p in patterns}
-    for outputs, inputs, images in sector_lift(
-            config, bins, bins * cutoff, [cutoff] * bins + [0] * bins):
+    for outputs, inputs, images in _lift(
+            config, bins, bins * cutoff, [cutoff] * bins + [0] * bins, 0):
         block = np.ix_(*2 * [inputs[:, :bins] @ strides])
         pids = _pattern_ids(outputs, n_bins)
         silent = (outputs[:, 0] == 0) & (outputs[:, bins] == 0)

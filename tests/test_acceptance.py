@@ -69,7 +69,7 @@ def test_criterion_2_analytic_vs_fock_unitary():
     alpha = math.sqrt(0.04)
     rows = np.array([[(-1.0) ** b * alpha for b in sp]
                      for sp in itertools.product((0, 1), repeat=3)])
-    # <a_w> from the exact sector_lift blocks of sectors n <= n_max; the
+    # <a_w> from the exact sector lift's blocks of sectors n <= n_max; the
     # input's Poisson weight above them (3 pulses, mean 3 alpha^2) is left out
     got = sector_mean_amplitudes(cfg, bins, rows, cutoff, n_max)
     mu = 3 * alpha ** 2
@@ -83,7 +83,7 @@ def test_criterion_2_analytic_vs_fock_unitary():
     elapsed = time.time() - t0
     _announce(2, worst <= 1e-8 and left_out <= 1e-12 and elapsed < 10.0,
               f"all 8 S' agree amplitude-wise to {worst:.2e} (tol 1e-8) on "
-              f"the exact sector route (sector_lift) over sectors n <= "
+              f"the exact sector route (optics._lift) over sectors n <= "
               f"{n_max} of cutoff-6 inputs, leaving out input Poisson "
               f"weight {left_out:.1e} (<= 1e-12), {elapsed:.1f}s")
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpsqkd import optics, povm
-from dpsqkd.optics import InterferometerConfig, sector_lift
+from dpsqkd.optics import InterferometerConfig, _lift, sector_lift
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, NoncommutativityReport,
                          all_click_patterns, build_e2_e3,
                          certify_noncommutativity, click_pattern_ids,
@@ -225,6 +225,7 @@ def test_reduced_effect_set_keeps_its_bytes(n_bins, cutoff, digest):
     (2, True, "cutoff must be an integer, got True"),
     (-1, 3, "n_bins and cutoff must be >= 0, got -1, 3"),
     (2, -1, "n_bins and cutoff must be >= 0, got 2, -1"),
+    (0, 3, "need at least one key bin"),
 ])
 def test_reduced_effect_set_refuses_bad_counts_by_name(n_bins, cutoff,
                                                        needle):
@@ -243,8 +244,8 @@ def mask_reduce(n_bins, cutoff, config, requests):
     strides = (cutoff + 1) ** np.arange(bins - 1, -1, -1)
     targets = [pattern_index(p) for p, _ in requests]
     states, blocks = [], []
-    for outputs, inputs, images in sector_lift(
-            config, bins, bins * cutoff, [cutoff] * bins + [0] * bins):
+    for outputs, inputs, images in _lift(
+            config, bins, bins * cutoff, [cutoff] * bins + [0] * bins, 0):
         pids = povm._pattern_ids(outputs, n_bins)
         quiet = (outputs[:, 0] == 0) & (outputs[:, bins] == 0)
         block = np.empty((len(requests), len(inputs), len(inputs)),
@@ -274,8 +275,8 @@ def test_sorted_reduction_matches_the_mask_oracle_bytes(n_bins, cutoff,
                 for silent in (False, True)]
     requests += rng.choices(requests, k=len(requests) // 2)
     rng.shuffle(requests)
-    got = povm._reduce(povm._signal_lift(config, n_bins, cutoff), n_bins,
-                       cutoff,
+    got = povm._reduce(povm._signal_sectors(config, n_bins, cutoff, 0),
+                       n_bins, cutoff,
                        [(pattern_index(p), silent) for p, silent in requests])
     want = mask_reduce(n_bins, cutoff, config, requests)
     for got_arrays, want_arrays in zip(got, want):
@@ -370,12 +371,14 @@ def test_certify_takes_no_key_bin_count():
 
 
 def test_certify_refuses_cutoff_16_before_allocating():
-    # the sector bound admits cutoff 15 at two key bins and no more: both
-    # lifts accept 15 (an unstarted lift holds nothing), and certifying at
-    # 16 refuses, naming the wire lift's sector 16, before any allocation
+    # the sector bound admits cutoff 15 at two key bins and no more: the
+    # wire, signal and certification lifts accept 15 (an unstarted lift
+    # holds nothing), and certifying at 16 refuses, naming the wire
+    # sector 16, before any allocation
     cfg = InterferometerConfig.compensated()
     sector_lift(cfg, 3, 15)
-    sector_lift(cfg, 3, 45, max_occupation=[15] * 3 + [0] * 3)
+    _lift(cfg, 3, 45, [15] * 3 + [0] * 3, 0)
+    _lift(cfg, 3, 45, [15] * 3 + [0] * 3, 15)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as info:
@@ -530,7 +533,8 @@ def test_block_certification_matches_dense_oracle(cutoff, phi2, phi_delta):
 def test_certification_lifts_once(monkeypatch):
     # one lift in all: every wire state up to the cutoff, the signal states
     # above it; it serves the conjugated checks and both boundary
-    # conventions, and the public signal-only lift is not called
+    # conventions.  A reduction alone lifts once too, with no whole sector
+    # above the vacuum
     calls = []
     lift_sectors = optics._lift_sectors
 
@@ -538,14 +542,13 @@ def test_certification_lifts_once(monkeypatch):
         calls.append((u.shape, n_max, caps.tolist(), full))
         return lift_sectors(u, n_max, caps, full)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("sector_lift called")
-
     monkeypatch.setattr(optics, "_lift_sectors", counted)
-    monkeypatch.setattr(povm, "sector_lift", refused)
     report = certify_noncommutativity(3)
     assert report.passed
     assert calls == [((6, 6), 9, [3, 3, 3, 0, 0, 0], 3)]
+    calls.clear()
+    reduced_effect_set(3, 2)
+    assert calls == [((8, 8), 8, [2, 2, 2, 2, 0, 0, 0, 0], 0)]
 
 
 def same_bytes(a, b):
@@ -556,20 +559,21 @@ def same_bytes(a, b):
 @pytest.mark.parametrize("cutoff", [3, 4, 5])
 def test_certification_lift_matches_the_wire_and_signal_lifts_bytes(
         cutoff, phases):
-    # sector by sector, the one lift's whole sectors 0..cutoff are the wire
-    # lift's, and its signal columns are the signal lift's, byte for byte
+    # sector by sector, the certification's whole sectors 0..cutoff are the
+    # wire lift's, and its signal columns are the reduction's, byte for byte
     cfg = InterferometerConfig.compensated(*phases)
     wire = sector_lift(cfg, 3, cutoff)
-    signal = povm._signal_lift(cfg, 2, cutoff)
+    signal = povm._signal_sectors(cfg, 2, cutoff, 0)
     n = -1
     for n, (got, want) in enumerate(zip(
-            povm._certification_sectors(cfg, cutoff), signal)):
-        outputs, pids, inputs, images, wire_images = got
+            povm._signal_sectors(cfg, 2, cutoff, cutoff), signal)):
+        outputs, pids, inputs, images, whole = got
         if n <= cutoff:
-            for a, b in zip((outputs, outputs, wire_images), next(wire)):
+            for a, b in zip((outputs, outputs, whole), next(wire)):
                 assert same_bytes(a, b)
         else:
-            assert wire_images is None
+            assert whole is None
+        assert (want[4] is None) == (n > 0)
         for a, b in zip((outputs, pids, inputs, images), want):
             assert same_bytes(a, b)
     assert n == 3 * cutoff
