@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                     _require_integers, interferometer_coefficients)
+                     _printable, _require_integers, interferometer_coefficients)
 from .povm import id_bits, packed_ids
 from .protocol import (DetectorModel, _integer_bits, _pair_table,
                        _positioned_rng, _sample_pairs)
@@ -243,10 +243,10 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     ideal bucket detection is insensitive to them.)
 
     Raises ValueError, before any work, for a count (`n_key_bins`, `trials`,
-    `cutoff`, `seed`) that is not an integer, for a non-finite `alpha` and when
-    the enumeration (2^(N+1) preparations x 4^N patterns), trials x (N+2)
-    for the Monte Carlo (which holds one chunk of rows per worker) or the
-    state's factor (2 x (cutoff+1)) exceed
+    `cutoff`, `seed`) that is not an integer, for an `alpha` not finite and
+    below 1e154 in size, and when the enumeration (2^(N+1) preparations x
+    4^N patterns), trials x (N+2) for the Monte Carlo (which holds one chunk
+    of rows per worker) or the state's factor (2 x (cutoff+1)) exceed
     ``optics.DEFAULT_MAX_STATE_ENTRIES``; and when the truncation alone could
     fail ``ANALYTIC_DISTANCE_GATE``, judged on the exact Poisson tail
     P(X > cutoff) it leaves out, which the refusal names (or its bound 1/4
@@ -264,8 +264,10 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    # |alpha|^2 overflows a float from |alpha| ~ 1.34e154
+    mu = abs(alpha) ** 2 if abs(alpha) < 1e154 else math.inf
+    if not math.isfinite(mu):
+        raise ValueError(f"alpha must be finite, |alpha| < 1e154, got {alpha}")
     # the enumeration's 2^(N+1) x 4^N entries, 2^exponent, exceed the bound
     # exactly when the exponent reaches the bound's bit length
     n_pulses, exponent = n_key_bins + 1, 3 * n_key_bins + 1
@@ -273,11 +275,12 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
             or trials * (n_key_bins + 2) > DEFAULT_MAX_STATE_ENTRIES
             or cutoff > _LARGEST_CUTOFF):
         raise ValueError(
-            f"{n_key_bins} key bins, {trials} trials and cutoff {cutoff} need "
-            f"2^{exponent}, {trials * (n_key_bins + 2)} and {2 * (cutoff + 1)} "
-            f"entries (2^(N+1) x 4^N, trials x (N+2) and 2 x (cutoff+1)), "
+            f"{_printable(n_key_bins)} key bins, {_printable(trials)} trials "
+            f"and cutoff {_printable(cutoff)} need 2^{_printable(exponent)}, "
+            f"{_printable(trials * (n_key_bins + 2))} and "
+            f"{_printable(2 * (cutoff + 1))} entries (2^(N+1) x 4^N, trials "
+            f"x (N+2) and 2 x (cutoff+1)), "
             f"and the largest exceeds the bound {DEFAULT_MAX_STATE_ENTRIES}")
-    mu = abs(alpha) ** 2
     enough, tail = (_sufficient_cutoff(mu, n_key_bins, cutoff) if mu
                     else (cutoff, 0.0))
     if enough != cutoff:

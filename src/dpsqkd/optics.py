@@ -52,6 +52,12 @@ def _require_integers(**values):
             raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
+def _printable(n: int) -> str:
+    """A count in full below 10^30, else as 10^log10(n): Python prints no
+    integer of over 4300 digits."""
+    return str(n) if n < 10 ** 30 else f"10^{math.log10(n):.2f}"
+
+
 @dataclass(frozen=True)
 class InterferometerConfig:
     """Phase configuration of the delay interferometer.
@@ -243,9 +249,10 @@ def _lift(config: InterferometerConfig, bins: int, n_max: int, caps,
     # sector sizes grow with n: the top sector's size refuses at once, and
     # sector `full`'s block (its states are its inputs) before any count
     if sector_dim(n_modes, n_max) > DEFAULT_MAX_STATE_ENTRIES:
-        raise ValueError(f"photon-number sector {n_max} of "
-                         f"{sector_dim(n_modes, n_max)} states exceeds the "
-                         f"sector bound {DEFAULT_MAX_STATE_ENTRIES}")
+        raise ValueError(f"photon-number sector {_printable(n_max)} of "
+                         f"{_printable(sector_dim(n_modes, n_max))} states "
+                         f"exceeds the sector bound "
+                         f"{DEFAULT_MAX_STATE_ENTRIES}")
     n, m = full, sector_dim(n_modes, full)
     if full < n_max and m * m <= DEFAULT_MAX_STATE_ENTRIES:
         counts = _capped_counts(caps, n_max)          # inputs per sector

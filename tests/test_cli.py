@@ -191,6 +191,17 @@ def test_verify_povm_cutoff_above_sector_bound(capsys):
     assert "bound 300000000" in err and "Traceback" not in err
 
 
+def test_verify_povm_prints_sizes_past_4300_digits(capsys):
+    # Python prints no integer of over 4300 digits: such sizes are given as
+    # powers of 10, in the one refusal line
+    t0 = time.perf_counter()
+    code, out, err = run(["verify-povm", "--cutoff", "9" * 900], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "sector 10^900.48 of 10^4500.31 states" in err
+    assert "bound 300000000" in err and "Traceback" not in err
+
+
 # full verify-povm stdout recorded while the report still wrote its verdict
 # and its check lines by hand; --cutoff N -> stdout (exit 0 for both)
 PINNED_VERIFY_POVM = {
@@ -972,6 +983,11 @@ def test_output_error_after_the_work_exits_2(command, capsys, monkeypatch):
     # sized by the enumeration's exponent 3N+1, not as a 2^(3N+1) integer
     (["--key-bins", "1000000"], "need 2^3000001, 0 and 22 entries"),
     (["--key-bins", "100000000"], "need 2^300000001, 0 and 22 entries"),
+    # sizes of over 4300 digits, which Python does not print, as powers of 10
+    (["--key-bins", "9", "--trials", "9" * 4300],
+     "need 2^28, 10^4301.04 and 22 entries"),
+    (["--cutoff", "9" * 4300], "need 2^10, 0 and 10^4300.30 entries"),
+    (["--key-bins", "9" * 4300], "need 2^10^4300.48, 0 and 22 entries"),
 ])
 def test_eb_compare_bad_input_exits_2(argv, needle, capsys, monkeypatch):
     monkeypatch.delenv("DPSQKD_SEED", raising=False)

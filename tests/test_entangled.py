@@ -258,10 +258,13 @@ def test_compare_statistics_refuses_non_integer_counts(args, kwargs, field):
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf,
-                                   complex(0.4, math.nan)])
+                                   complex(0.4, math.nan),
+                                   # |alpha|^2 overflows a float
+                                   1e200, complex(1e308, 1e308)])
 def test_non_finite_alpha_refused(alpha):
-    with pytest.raises(ValueError, match="alpha must be finite"):
+    with pytest.raises(ValueError, match="alpha must be finite") as info:
         eb.compare_statistics(2, alpha)
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("n_key_bins", [1, 3])
