@@ -239,12 +239,11 @@ def sector_lift(config: InterferometerConfig, bins: int, n_max: int):
 
 def _lift(config: InterferometerConfig, bins: int, n_max: int, caps,
           full: int):
-    """The bound check and lift of :func:`sector_lift` and of every
-    reduction, over sectors 0..n_max: sectors 0..`full` take every wire
-    state as input, and the sectors above the states with at most
-    ``caps[i]`` photons on wire i (dim_n x m_n entries, with m_n counted by
-    :func:`_capped_counts`).  Every input's parent, one photon down, is then
-    an input of the sector below.  The top sector must hold an input."""
+    """The bound check and lift of :func:`sector_lift` and every reduction,
+    over sectors 0..n_max: sectors 0..`full` take every wire state as input,
+    the sectors above the states with at most ``caps[i]`` photons on wire i,
+    so every input's parent, one photon down, is one of the sector below.
+    The top sector must hold an input, and no block exceed the bound."""
     n_modes = 2 * bins
     # sector sizes grow with n: the top sector's size refuses at once, and
     # sector `full`'s block (its states are its inputs) before any count

@@ -12,11 +12,11 @@ is what breaks commutativity: the certified positive lower bound on
 
 The interferometer conserves photon number, so a reduced effect is held
 as its photon-number blocks alone (:class:`BlockEffects`), each the exact
-Gram matrix of rows of one exact sector lift (:func:`_signal_sectors`): signal
-states with at most `cutoff` photons per time bin reach sector (N+1)*cutoff, and
-no output wire is truncated, so the signal cutoff is the only
-approximation.  Sums and products act block by block, squared Frobenius
-norms add over blocks, and a spectral norm is the largest block's.
+Gram matrix of rows of one sector lift (:func:`_signal_sectors`): signal
+states with at most `cutoff` photons per time bin reach sector
+(N+1)*cutoff, and no output wire is truncated, so the signal cutoff is the
+only approximation.  Sums and products act block by block, squared
+Frobenius norms add over blocks, and a spectral norm is the largest block's.
 
 Effects are indexed by click patterns: a tuple with one ``(d0, d1)`` bool
 pair per key bin 1..N, numbered by :func:`click_pattern_ids`, which also
