@@ -289,7 +289,8 @@ def test_sector_lift_bound():
     with pytest.raises(ValueError, match="sector 10000000000000000000000 "
                                          "of .* exceeds the sector bound"):
         sector_lift(cfg, 3, 10 ** 22)
-    # a capped lift: no sector above the summed caps holds an input
+    # a capped lift up to its summed caps, above which no sector holds an
+    # input
     caps = [1, 1, 1, 0, 0, 0]
     sizes = [block.shape for _, _, block in optics._lift(cfg, 3, 3, caps, 0)]
     assert sizes == [(1, 1), (6, 3), (21, 3), (56, 1)]
@@ -302,8 +303,9 @@ def test_sector_lift_bound():
 ])
 def test_sector_lift_refusal_takes_no_work_per_sector(caps, refused):
     # sector n of one bin takes all its n + 1 states up to `full` (the
-    # least cap), so that sector's block alone refuses, before any count per sector is
-    # made: no time that grows with n_max.  Bound fixed before the first run.
+    # least cap), so that sector's block alone refuses, before any count
+    # per sector is made: no time that grows with n_max.  Bound fixed before
+    # the first run.
     cfg = InterferometerConfig.compensated()
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match=refused + ".* exceeds the sector "
