@@ -222,15 +222,18 @@ PINNED_LIFT_IMAGES = [
 ]
 
 
+@pytest.mark.parametrize("chunk", [1, 2 ** 10, optics._LIFT_CHUNK])
 @pytest.mark.parametrize("phases, args, digest", PINNED_LIFT_IMAGES)
-def test_sector_lift_images_keep_their_bytes(phases, args, digest):
+def test_sector_lift_images_keep_their_bytes(phases, args, digest, chunk):
     # real and complex images, signal and wire inputs: the same bytes,
-    # sector after sector
+    # sector after sector, whatever the tile: one row, 170 rows down to 1
+    # (2^10 entries at the sizes of the capped lift), or the default
     lift = optics._lift if len(args) > 2 else sector_lift
     h = hashlib.sha256()
-    for _, _, images in lift(InterferometerConfig.compensated(*phases),
-                             *args):
-        h.update(images.T.tobytes())
+    with mock.patch.object(optics, "_LIFT_CHUNK", chunk):
+        for _, _, images in lift(InterferometerConfig.compensated(*phases),
+                                 *args):
+            h.update(images.T.tobytes())
     assert h.hexdigest() == digest
 
 
