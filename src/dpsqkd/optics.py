@@ -39,9 +39,8 @@ _COMPENSATION_TOL = 1e-12
 #: above this many entries
 DEFAULT_MAX_STATE_ENTRIES = 3 * 10 ** 8
 
-#: entries, and outputs, per tile of a sector lift's images
+#: entries per tile of a sector lift's images
 _LIFT_CHUNK = 2 ** 16
-_LIFT_SPAN = 2 ** 12
 
 
 def _require_integers(**values):
@@ -309,40 +308,25 @@ def _lift_sectors(u: np.ndarray, n_max: int, caps: np.ndarray, full: int):
         low = np.cumsum(occupied > 0, axis=1) - 1
         root = np.sqrt(occupied)
         new_images = np.empty((len(inputs), len(new_outputs)), dtype=u.dtype)
-        # tiles of about _LIFT_CHUNK entries, inputs x outputs, one plane
-        # per output wire reached, stay in cache together with their gather
-        # indices and weights
-        span = min(len(new_outputs), _LIFT_SPAN)
-        width = max(1, _LIFT_CHUNK // span)
-        # the inputs grouped by their last occupied wire and taken in tiles
-        # of `width` rows: a tile's parents are gathered at once, and the
-        # run of each wire's rows in it reaches that wire's output wires
+        # the inputs grouped by their last occupied wire, each wire's rows
+        # taken in tiles of about _LIFT_CHUNK entries, inputs x outputs, one
+        # plane per output wire the wire reaches
         by_wire = np.argsort(k, kind="stable")
         ends = np.searchsorted(k[by_wire], np.arange(n_modes + 1)).tolist()
-        set_for = None
-        for c in range(0, len(inputs), width):
-            tile = by_wire[c:c + width]
-            src = images[parents[tile]]
-            src *= scale[tile, None]
-            for wire in range(k[tile[0]], k[tile[-1]] + 1):
-                lo = max(ends[wire], c) - c
-                hi = min(ends[wire + 1], c + width) - c
-                if lo >= hi:
-                    continue
-                if wire != set_for:
-                    # a row per output wire j it reaches: t - e_j and
-                    # u[j, k] sqrt(t_j)
-                    lows = low[reach[wire]]
-                    weights = root[reach[wire]] * amplitudes[wire]
-                    set_for = wire
-                for a in range(0, len(new_outputs), span):
-                    cut = slice(a, a + span)
-                    part = np.take(src[lo:hi], lows[:, cut], axis=1,
-                                   mode="clip")
-                    part *= weights[:, cut]
-                    acc = part[:, 0]
-                    for j in range(1, len(lows)):
-                        acc += part[:, j]
-                    new_images[tile[lo:hi], cut] = acc
+        parents, scale = parents[by_wire], scale[by_wire, None]
+        width = max(1, _LIFT_CHUNK // len(new_outputs))
+        for wire in np.flatnonzero(np.diff(ends)):
+            # a row per output wire j it reaches: t - e_j and u[j, k] sqrt(t_j)
+            lows = low[reach[wire]]
+            weights = root[reach[wire]] * amplitudes[wire]
+            for c in range(ends[wire], ends[wire + 1], width):
+                rows = slice(c, min(c + width, ends[wire + 1]))
+                part = np.take(images[parents[rows]] * scale[rows], lows,
+                               axis=1, mode="clip")
+                part *= weights
+                acc = part[:, 0]
+                for j in range(1, len(lows)):
+                    acc += part[:, j]
+                new_images[by_wire[rows]] = acc
         images, input_codes = new_images, codes
         yield new_outputs, inputs, images.T
