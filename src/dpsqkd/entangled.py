@@ -19,7 +19,6 @@ Preparations and click patterns are numbered by packing their bits
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 from dataclasses import dataclass
@@ -68,17 +67,33 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return mag * (alpha / abs(alpha)) ** n
 
 
+#: the largest cutoff whose 2 x (cutoff+1) state factor is within the bound
+_LARGEST_CUTOFF = DEFAULT_MAX_STATE_ENTRIES // 2 - 1
+
+
+def _checked_alpha(alpha):
+    """`alpha` as a complex, and its intensity |alpha|^2, refused in one
+    line unless |alpha| < 1e154: the square overflows a float from 1.34e154."""
+    alpha = complex(alpha)
+    if not abs(alpha) < 1e154:
+        raise ValueError(f"alpha must be finite, |alpha| < 1e154, got {alpha}")
+    return alpha, abs(alpha) ** 2
+
+
 def build_eb_state(n_key_bins: int, alpha: complex, cutoff: int) -> EbState:
     """The distributed state for N key bins (N+1 pulses).  Raises ValueError
-    for a non-integer count, N < 0, a cutoff below 1 or a non-finite alpha."""
+    for a non-integer count, N < 0, a cutoff below 1 or above
+    ``_LARGEST_CUTOFF``, or an alpha that :func:`_checked_alpha` refuses."""
     _require_integers(n_key_bins=n_key_bins, cutoff=cutoff)
     if n_key_bins < 0:
         raise ValueError(f"n_key_bins must be >= 0, got {n_key_bins}")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    if cutoff > _LARGEST_CUTOFF:
+        raise ValueError(f"cutoff {_printable(cutoff)} needs a factor of "
+                         f"{_printable(2 * (cutoff + 1))} entries, which "
+                         f"exceeds the bound {DEFAULT_MAX_STATE_ENTRIES}")
+    alpha, _ = _checked_alpha(alpha)
     factor = np.stack([coherent_amplitudes(alpha, cutoff),
                        coherent_amplitudes(-alpha, cutoff)]) / math.sqrt(2.0)
     return EbState(alpha, factor, n_key_bins + 1)
@@ -196,11 +211,6 @@ def _chunk_pattern_ids(seeded: dict, trials: int, n_key_bins: int,
     return ids
 
 
-#: the largest cutoff whose state factor, 2 x (cutoff+1) entries, is within
-#: ``optics.DEFAULT_MAX_STATE_ENTRIES``
-_LARGEST_CUTOFF = DEFAULT_MAX_STATE_ENTRIES // 2 - 1
-
-
 def _sufficient_cutoff(mu: float, n_key_bins: int, cutoff: int):
     """Smallest cutoff >= `cutoff` that passes the truncation check of
     :func:`compare_statistics`, or None above ``_LARGEST_CUTOFF``, and the
@@ -263,11 +273,7 @@ def compare_statistics(n_key_bins: int, alpha: complex, trials: int = 0,
                          f"finite, got {trials}, {seed}, {eb_delay_defect}")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    alpha = complex(alpha)
-    # |alpha|^2 overflows a float from |alpha| ~ 1.34e154
-    mu = abs(alpha) ** 2 if abs(alpha) < 1e154 else math.inf
-    if not math.isfinite(mu):
-        raise ValueError(f"alpha must be finite, |alpha| < 1e154, got {alpha}")
+    alpha, mu = _checked_alpha(alpha)
     # the enumeration's 2^(N+1) x 4^N entries, 2^exponent, exceed the bound
     # exactly when the exponent reaches the bound's bit length
     n_pulses, exponent = n_key_bins + 1, 3 * n_key_bins + 1

@@ -141,6 +141,16 @@ def propagate(amps: np.ndarray, coeffs: np.ndarray):
 # Fock representation
 
 
+def _wires(bins: int) -> int:
+    """The 2B wires of `bins` time bins, refused in one line before any list
+    of B items when the mode map's (2B)^2 entries exceed the bound."""
+    if 4 * bins * bins > DEFAULT_MAX_STATE_ENTRIES:
+        raise ValueError(f"{_printable(bins)} bins need a mode map of "
+                         f"{_printable(4 * bins * bins)} entries, which "
+                         f"exceeds the bound {DEFAULT_MAX_STATE_ENTRIES}")
+    return 2 * bins
+
+
 def single_particle_unitary(config: InterferometerConfig, bins: int) -> np.ndarray:
     """2B x 2B one-photon mode map in wire order (path-major), with the
     cyclic delay shift on the path-1 wires."""
@@ -225,15 +235,15 @@ def sector_lift(config: InterferometerConfig, bins: int, n_max: int):
     before, so the lift holds no sector above the one it is on.
 
     Raises ValueError, before allocating anything, when `bins` is not an
-    integer >= 1, `n_max` not one >= 0, or the top sector's block exceeds
-    ``DEFAULT_MAX_STATE_ENTRIES``.
+    integer >= 1, `n_max` not one >= 0, or the mode map or the top
+    sector's block exceeds ``DEFAULT_MAX_STATE_ENTRIES``.
     """
     _require_integers(bins=bins, n_max=n_max)
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    return _lift(config, bins, n_max, [n_max] * (2 * bins), n_max)
+    return _lift(config, bins, n_max, [n_max] * _wires(bins), n_max)
 
 
 def _lift(config: InterferometerConfig, bins: int, n_max: int, caps,
@@ -263,21 +273,22 @@ def _lift(config: InterferometerConfig, bins: int, n_max: int, caps,
             f"photon-number sector {n} block of {dim} states x {m} inputs "
             f"= {dim * m} entries exceeds the sector bound "
             f"{DEFAULT_MAX_STATE_ENTRIES}")
-    u = single_particle_unitary(config, bins)
-    if not np.any(u.imag):
-        u = np.ascontiguousarray(u.real)
-    return _lift_sectors(u, n_max, np.array(caps), full)
+    return _lift_sectors(config, bins, n_max, np.array(caps), full)
 
 
-def _lift_sectors(u: np.ndarray, n_max: int, caps: np.ndarray, full: int):
-    """The images under the mode map `u` of :func:`_lift`'s inputs, as
-    :func:`sector_lift` hands them out.
+def _lift_sectors(config: InterferometerConfig, bins: int, n_max: int,
+                  caps: np.ndarray, full: int):
+    """The images under the mode map of `bins` bins of :func:`_lift`'s
+    inputs, as :func:`sector_lift` hands them out.
 
     Each entry of an image is built from its parent's image alone, by the
     same operations in the same order whatever else shares its sector or
     tile; so an input gets the same image, bit for bit, from any lift in
     which it is an input.
     """
+    u = single_particle_unitary(config, bins)
+    if not np.any(u.imag):
+        u = np.ascontiguousarray(u.real)
     n_modes = u.shape[0]
     # base-(n_max + 1) codes sort like the rows of _sectors
     strides = (n_max + 1) ** np.arange(n_modes - 1, -1, -1)

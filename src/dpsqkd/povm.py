@@ -37,7 +37,8 @@ from typing import ClassVar, Optional, Sequence, Tuple
 import numpy as np
 
 from .optics import (DEFAULT_MAX_STATE_ENTRIES, InterferometerConfig,
-                     _capped_counts, _lift, _require_integers)
+                     _capped_counts, _lift, _printable, _require_integers,
+                     _wires)
 
 ClickPattern = Tuple[Tuple[bool, bool], ...]
 
@@ -154,8 +155,8 @@ def _signal_sectors(config: InterferometerConfig, n_bins: int, cutoff: int,
     Raises ValueError, before allocating, where the lift's bound does.
     """
     bins = n_bins + 1
-    lift = _lift(config, bins, bins * cutoff, [cutoff] * bins + [0] * bins,
-                 full)
+    caps = [cutoff if w < bins else 0 for w in range(_wires(bins))]
+    lift = _lift(config, bins, bins * cutoff, caps, full)
 
     def sectors():
         for n, (outputs, inputs, images) in enumerate(lift):
@@ -174,9 +175,8 @@ def _reduce(sectors, n_bins: int, cutoff: int,
     :func:`pattern_index`.  A silent request also demands vacuum on both
     output wires of bin 0.
 
-    `sectors` is :func:`_signal_sectors` at `cutoff`, whose whole-sector
-    images it ignores.  It is read one sector at a time, and not at all
-    when the blocks would exceed ``DEFAULT_MAX_STATE_ENTRIES``.
+    `sectors`, read one sector at a time, is :func:`_signal_sectors` at
+    `cutoff`; its whole-sector images are ignored.
 
     Each sector's output rows are grouped by click pattern once: a stable
     sort of their pattern ids and one gather of the image columns in that
@@ -184,12 +184,6 @@ def _reduce(sectors, n_bins: int, cutoff: int,
     silent one keeps the quiet ones among them: the rows, and their order,
     that a boolean mask over the sector picks."""
     bins = n_bins + 1
-    per_effect = sum(m * m for m in _capped_counts([cutoff] * bins,
-                                                   bins * cutoff))
-    if len(requests) * per_effect > DEFAULT_MAX_STATE_ENTRIES:
-        raise ValueError(
-            f"{len(requests)} reduced effects of {per_effect} block entries "
-            f"each exceed the bound {DEFAULT_MAX_STATE_ENTRIES}")
     strides = (cutoff + 1) ** np.arange(bins - 1, -1, -1)
     states, blocks = [], []
     for outputs, pids, inputs, images, _ in sectors:
@@ -232,7 +226,8 @@ def reduced_effect_set(n_bins: int, cutoff: int,
 
     Raises ValueError for an `n_bins` that is not an integer >= 1 or a
     `cutoff` not one >= 0, for a pattern that is not N (D0, D1) pairs, and
-    before allocating when a sector block or the returned blocks exceed
+    before allocating, or enumerating a pattern, when the lift's mode map
+    or a sector block, or the returned blocks and patterns, exceed
     ``optics.DEFAULT_MAX_STATE_ENTRIES``.
     """
     _require_integers(n_bins=n_bins, cutoff=cutoff)
@@ -245,13 +240,23 @@ def reduced_effect_set(n_bins: int, cutoff: int,
         raise ValueError(f"boundary must be 'marginal' or 'vacuum', "
                          f"got {boundary!r}")
     config = config or InterferometerConfig.compensated()
-    patterns = tuple(all_click_patterns(n_bins) if patterns is None
-                     else patterns)
-    for p in patterns:
+    patterns = None if patterns is None else tuple(patterns)
+    for p in patterns or ():
         if np.shape(p) != (n_bins, 2):
             raise ValueError(f"need {n_bins} (D0, D1) pairs, got {p!r}")
+    # the lift's checks, then the size of the result, then the patterns
+    sectors = _signal_sectors(config, n_bins, cutoff, 0)
+    count = 4 ** n_bins if patterns is None else len(patterns)
+    per_effect = sum(m * m for m in _capped_counts([cutoff] * (n_bins + 1),
+                                                   (n_bins + 1) * cutoff))
+    if count * (per_effect + n_bins) > DEFAULT_MAX_STATE_ENTRIES:
+        raise ValueError(
+            f"{_printable(count)} reduced effects of {_printable(per_effect)} "
+            f"block entries each exceed the bound {DEFAULT_MAX_STATE_ENTRIES},"
+            f" counted with the {n_bins} (D0, D1) pairs of each")
+    patterns = all_click_patterns(n_bins) if patterns is None else patterns
     states, blocks = _reduce(
-        _signal_sectors(config, n_bins, cutoff, 0), n_bins, cutoff,
+        sectors, n_bins, cutoff,
         [(pattern_index(p), boundary == "vacuum") for p in patterns])
     return BlockEffects(patterns, states, blocks)
 
@@ -451,21 +456,15 @@ def certify_noncommutativity(cutoff: int, *,
 
     Each check is a row of :meth:`NoncommutativityReport.checks`, with its
     threshold, and the report passes when every row does: the projector
-    effects commute pairwise and are idempotent, orthogonal and complete,
-    all at `g_zero_tol`, read off the detection states' pattern ids;
-    conjugation with the interferometer unitary preserves commutation on
-    sampled pairs, on every wire sector 0..cutoff (the states a
-    cutoff-`cutoff` wire box holds exactly); the closed forms of the two
-    illustrative reduced effects agree with the generic reduction; the
-    vacuum-reduced effects are complete and positive; and the two
-    illustrative reduced effects do NOT commute, with a commutator norm
-    above the recorded floor from the closed forms and from both boundary
-    conventions of the reduction.  All of it runs on photon-number blocks,
-    from one lift streamed a sector at a time
-    (:func:`_signal_sectors`): the conjugated checks read its whole
-    wire sectors 0..cutoff, and the reduction, for both conventions, its
-    signal columns.  The 18 reduced effects and the 3 conjugated pairs are
-    named by pattern id, each resolved once.
+    effects, read off the detection states' pattern ids, commute and are
+    idempotent, orthogonal and complete; conjugation with the
+    interferometer unitary keeps three sampled pairs commuting on every
+    wire sector 0..cutoff; the closed forms of E2 and E3 agree with the
+    reduction; the reduced effects are complete and positive; and E2 and
+    E3 do NOT commute, by a norm above the floor in the closed forms and
+    in both boundary conventions.  All of it reads one lift, a sector at a
+    time (:func:`_signal_sectors`): its whole wire sectors 0..cutoff for
+    the conjugated checks, its signal columns for the reduction.
 
     Raises ValueError, before any work, unless `cutoff` is an integer
     from 3 to 15: from 16 up, a sector block exceeds the sector bound.

@@ -227,15 +227,27 @@ def test_input_validation():
     with pytest.raises(ValueError, match="cutoff must be >= 1, got 0"):
         eb.build_eb_state(1, 0.4, 0)
     # build_eb_state refuses what compare_statistics refuses, in one line
-    for args, needle in (((-1, 0.4, 3), "n_key_bins must be >= 0, got -1"),
-                         ((1, math.nan, 3), "alpha must be finite"),
-                         ((1, complex(1, math.inf), 3), "alpha must be"),
-                         ((True, 0.4, 3), "n_key_bins must be an integer"),
-                         ((1.5, 0.4, 3), "n_key_bins must be an integer"),
-                         ((1, 0.4, 3.0), "cutoff must be an integer")):
-        with pytest.raises(ValueError, match=needle) as info:
-            eb.build_eb_state(*args)
-        assert "\n" not in str(info.value)
+    # and before any amplitude: an alpha whose square overflows, and a
+    # factor of 2 x (cutoff+1) entries above the bound
+    def unreachable(*args):
+        raise AssertionError("state built before the bound check")
+    with mock.patch.object(eb, "coherent_amplitudes", unreachable):
+        for args, needle in (
+                ((-1, 0.4, 3), "n_key_bins must be >= 0, got -1"),
+                ((1, math.nan, 3), "alpha must be finite"),
+                ((1, complex(1, math.inf), 3), "alpha must be"),
+                ((1, 1e200, 3), r"alpha must be finite, \|alpha\| < 1e154"),
+                ((1, 0.3, 10 ** 9), "cutoff 1000000000 needs a factor of "
+                                    "2000000002 entries, which exceeds the "
+                                    "bound 300000000"),
+                ((True, 0.4, 3), "n_key_bins must be an integer"),
+                ((1.5, 0.4, 3), "n_key_bins must be an integer"),
+                ((1, 0.4, 3.0), "cutoff must be an integer")):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match=needle) as info:
+                eb.build_eb_state(*args)
+            assert time.perf_counter() - t0 < 0.2, args
+            assert "\n" not in str(info.value)
     # 4^15 entries of Alice's 15-qubit reduced density
     st = eb.build_eb_state(14, 0.45, 2)
     with pytest.raises(ValueError, match="above the bound"):

@@ -222,19 +222,23 @@ PINNED_LIFT_IMAGES = [
 ]
 
 
-@pytest.mark.parametrize("chunk", [1, 2 ** 10, optics._LIFT_CHUNK])
 @pytest.mark.parametrize("phases, args, digest", PINNED_LIFT_IMAGES)
-def test_sector_lift_images_keep_their_bytes(phases, args, digest, chunk):
+def test_sector_lift_images_keep_their_bytes(phases, args, digest):
     # real and complex images, signal and wire inputs: the same bytes,
     # sector after sector, whatever the tile: one row, 170 rows down to 1
     # (2^10 entries at the sizes of the capped lift), or the default
     lift = optics._lift if len(args) > 2 else sector_lift
-    h = hashlib.sha256()
-    with mock.patch.object(optics, "_LIFT_CHUNK", chunk):
-        for _, _, images in lift(InterferometerConfig.compensated(*phases),
-                                 *args):
-            h.update(images.T.tobytes())
-    assert h.hexdigest() == digest
+    for chunk in (1, 2 ** 10, optics._LIFT_CHUNK):
+        h = hashlib.sha256()
+        with mock.patch.object(optics, "_LIFT_CHUNK", chunk):
+            for _, _, images in lift(
+                    InterferometerConfig.compensated(*phases), *args):
+                h.update(images.T.tobytes())
+        assert h.hexdigest() == digest, chunk
+
+
+def _unreachable(*args):
+    raise AssertionError("built before the bound check")
 
 
 @pytest.mark.parametrize("args, needle", [
@@ -242,11 +246,19 @@ def test_sector_lift_images_keep_their_bytes(phases, args, digest, chunk):
     ((3, -1), "n_max must be >= 0, got -1"),
     ((1.5, 3), "bins must be an integer, got 1.5"),
     ((3, 2.0), "n_max must be an integer, got 2.0"),
+    # the (2B)^2 entries of the mode map, before a list of 2B caps
+    ((10 ** 30, 1), "10^30.00 bins need a mode map of 10^60.60 entries, "
+                    "which exceeds the bound 300000000"),
+    ((8661, 0), "8661 bins need a mode map of 300051684 entries"),
 ])
-def test_sector_lift_refuses_malformed_input(args, needle):
-    # each is refused when the lift is asked for, before any sector
+def test_sector_lift_refuses_malformed_input(args, needle, monkeypatch):
+    # each is refused when the lift is asked for, before any sector or
+    # mode map
+    monkeypatch.setattr(optics, "single_particle_unitary", _unreachable)
+    t0 = time.perf_counter()
     with pytest.raises(ValueError, match=re.escape(needle)) as info:
         sector_lift(InterferometerConfig.compensated(), *args)
+    assert time.perf_counter() - t0 < 0.2
     assert "\n" not in str(info.value)
 
 

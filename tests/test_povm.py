@@ -1,24 +1,30 @@
 """Projector effects, their reduction, and the commutation structure."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from dpsqkd import optics, povm
-from dpsqkd.optics import InterferometerConfig, _lift, sector_lift
+from dpsqkd.entangled import _pattern_distribution, coherent_amplitudes
+from dpsqkd.optics import (InterferometerConfig, _lift,
+                           interferometer_coefficients, sector_lift)
 from dpsqkd.povm import (E2_PATTERN, E3_PATTERN, NoncommutativityReport,
                          all_click_patterns, build_e2_e3,
                          certify_noncommutativity, click_pattern_ids,
                          conjugated_commutator_norm, pattern_index,
                          reduced_effect_set, t_term)
+from dpsqkd.protocol import DetectorModel, _pair_table
 from fock_oracle import (basis_index, basis_state, build_projector_effects,
                          dagger, dense_certification, dense_e2_e3,
                          dense_effects, dense_unitary, detection_registry,
@@ -179,16 +185,38 @@ def test_reduced_effect_set_cutoff_4():
                - COMM_SILENT_C4) < 1e-12
 
 
-def test_reduced_effect_set_bounds():
-    # every refusal comes before any allocation: the top sector alone, the
-    # largest sector block, and the stored blocks of 4^8 effects
-    with pytest.raises(ValueError, match="sector 135 of .* exceeds"):
-        reduced_effect_set(2, 45)
-    with pytest.raises(ValueError, match="sector 45 block .* exceeds"):
-        reduced_effect_set(2, 21, patterns=(E2_PATTERN,))
-    with pytest.raises(ValueError, match="65536 reduced effects of 48620 "
-                                         "block entries each exceed"):
-        reduced_effect_set(8, 1)
+def test_reduced_effect_set_bounds(monkeypatch):
+    # every refusal comes in one line, before any allocation, mode map or
+    # pattern: the boundary, the mode map, the top sector alone, the
+    # largest sector block, and the returned blocks of 4^N effects with
+    # their N (D0, D1) pairs, which size cutoff 0 too
+    def unreachable(*args):
+        raise AssertionError("built before the bound check")
+    for module, name in ((povm, "all_click_patterns"),
+                         (povm, "pattern_index"),
+                         (optics, "single_particle_unitary")):
+        monkeypatch.setattr(module, name, unreachable)
+    bound = "exceed the bound 300000000, counted with the"
+    for args, kwargs, needle in [
+            ((1, 1), {"boundary": "edge"},
+             "boundary must be 'marginal' or 'vacuum', got 'edge'"),
+            ((10 ** 4, 0), {}, "10001 bins need a mode map of 400080004 "
+                               "entries, which exceeds the bound 300000000"),
+            ((10 ** 30, 1), {}, r"10\^30\.00 bins need a mode map of "
+                                r"10\^60\.60 entries, which exceeds the bound"),
+            ((2, 45), {}, "sector 135 of .* exceeds"),
+            ((2, 21), {"patterns": (E2_PATTERN,)}, "sector 45 block .* exceeds"),
+            ((8, 1), {}, "65536 reduced effects of 48620 block entries each "
+                         + bound + " 8 "),
+            ((9, 1), {}, "262144 reduced effects of 184756 block entries "
+                         "each " + bound + " 9 "),
+            ((13, 0), {}, "67108864 reduced effects of 1 block entries each "
+                          + bound + " 13 ")]:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=needle) as info:
+            reduced_effect_set(*args, **kwargs)
+        assert time.perf_counter() - t0 < 0.2, args
+        assert "\n" not in str(info.value)
 
 
 # sha256 of the states and blocks of reduced_effect_set, both boundaries,
@@ -538,17 +566,17 @@ def test_certification_lifts_once(monkeypatch):
     calls = []
     lift_sectors = optics._lift_sectors
 
-    def counted(u, n_max, caps, full):
-        calls.append((u.shape, n_max, caps.tolist(), full))
-        return lift_sectors(u, n_max, caps, full)
+    def counted(config, bins, n_max, caps, full):
+        calls.append((bins, n_max, caps.tolist(), full))
+        return lift_sectors(config, bins, n_max, caps, full)
 
     monkeypatch.setattr(optics, "_lift_sectors", counted)
     report = certify_noncommutativity(3)
     assert report.passed
-    assert calls == [((6, 6), 9, [3, 3, 3, 0, 0, 0], 3)]
+    assert calls == [(3, 9, [3, 3, 3, 0, 0, 0], 3)]
     calls.clear()
     reduced_effect_set(3, 2)
-    assert calls == [((8, 8), 8, [2, 2, 2, 2, 0, 0, 0, 0], 0)]
+    assert calls == [(4, 8, [2, 2, 2, 2, 0, 0, 0, 0], 0)]
 
 
 def same_bytes(a, b):
@@ -702,3 +730,45 @@ def test_every_check_decides_the_verdict():
         assert not failing.passed, field
         assert failing.to_text().endswith("\nverdict: FAIL"), field
         assert dataclasses.replace(report, **{field: row.threshold}).passed
+
+
+@pytest.mark.parametrize("phases", [(0.0, 0.0), (0.7, 0.3)])
+@pytest.mark.parametrize("n_bins, cutoff", [(1, 4), (2, 4), (3, 3)])
+def test_certified_effects_give_the_session_statistics(n_bins, cutoff,
+                                                       phases):
+    # Bob's pattern distribution two ways: the complete-POVM reduced
+    # effects on each normalized truncated +-alpha train, and the sessions'
+    # pair table gathered as compare_statistics gathers it; for every
+    # preparation S' and for their uniform mixture, which alone cannot see
+    # a global D0/D1 swap.  At N = 2 the vacuum boundary gives e^-mu times
+    # the marginal distribution: bin 0 holds both edge half-pulses, of
+    # intensity mu in all, and no key bin's light.
+    # Bound, derived before the first run: the normalized truncation of N+1
+    # coherent pulses overlaps the full train by (1 - t)^(N+1), t = P(X >
+    # cutoff) for X ~ Poisson(mu), so their trace distance, which bounds
+    # the TV distance of any measurement's outcomes, is sqrt(1 - (1 -
+    # t)^(N+1)); the mixture's follows by convexity
+    mu, n_pulses = 0.2, n_bins + 1
+    alpha = math.sqrt(mu)
+    bound = math.sqrt(1.0 - (1.0 - stats.poisson.sf(cutoff, mu)) ** n_pulses)
+    cfg = InterferometerConfig.compensated(*phases)
+    s_primes = np.indices((2,) * n_pulses).reshape(n_pulses, -1).T
+    tables = _pair_table(DetectorModel.ideal(), np.array([1.0, -1.0]) * alpha,
+                         interferometer_coefficients(cfg)).take(
+        2 * s_primes[:, :-1] + s_primes[:, 1:], axis=1)
+    for boundary, silent in [("marginal", 1.0), ("vacuum", math.exp(-mu))][
+            :1 + (n_bins == 2)]:
+        red = reduced_effect_set(n_bins, cutoff, cfg, boundary=boundary)
+        mixture = 0.0
+        for k, bits in enumerate(s_primes):
+            psi = functools.reduce(np.kron, [coherent_amplitudes(
+                (-1) ** b * alpha, cutoff) for b in bits])
+            psi = psi / np.linalg.norm(psi)
+            got = sum(np.einsum("x,jxy,y->j", psi[s].conj(), b, psi[s]).real
+                      for s, b in zip(red.states, red.blocks))
+            want = silent * _pattern_distribution(tables[:, [k]], [1.0])
+            assert 0.5 * np.sum(np.abs(got - want)) <= bound, (boundary, k)
+            mixture = mixture + got / len(s_primes)
+        want = silent * _pattern_distribution(
+            tables, np.full(len(s_primes), 0.5 ** n_pulses))
+        assert 0.5 * np.sum(np.abs(mixture - want)) <= bound, boundary

@@ -52,6 +52,19 @@ def test_separable_min_on_3x3():
 def test_desk_scale_guard():
     with pytest.raises(ValueError):
         min_separable_expectation(np.eye(25, dtype=complex), (5, 5))
+    # and the malformed operators the entry points refuse, in one line
+    five = [np.eye(5, dtype=complex)]
+    for call, needle in (
+            (lambda: min_separable_expectation(np.triu(np.ones((4, 4))),
+                                               (2, 2)),
+             "witness operator is not hermitian"),
+            (lambda: DiagonalWitness(np.ones(3)),
+             "lambdas must be a 2-d real matrix"),
+            (lambda: witness_search(five, five, np.eye(25) / 25),
+             "effect dimensions above desk scale")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == needle
 
 
 def test_diagonal_theorem_nonnegative_draws():
