@@ -278,8 +278,8 @@ def _lift(config: InterferometerConfig, bins: int, n_max: int, caps,
 
 def _lift_sectors(config: InterferometerConfig, bins: int, n_max: int,
                   caps: np.ndarray, full: int):
-    """The images under the mode map of `bins` bins of :func:`_lift`'s
-    inputs, as :func:`sector_lift` hands them out.
+    """The images of :func:`_lift`'s inputs under the `bins`-bin mode map,
+    as :func:`sector_lift` hands them out.
 
     Each entry of an image is built from its parent's image alone, by the
     same operations in the same order whatever else shares its sector or
@@ -319,9 +319,9 @@ def _lift_sectors(config: InterferometerConfig, bins: int, n_max: int,
         low = np.cumsum(occupied > 0, axis=1) - 1
         root = np.sqrt(occupied)
         new_images = np.empty((len(inputs), len(new_outputs)), dtype=u.dtype)
-        # the inputs grouped by their last occupied wire, each wire's rows
-        # taken in tiles of about _LIFT_CHUNK entries, inputs x outputs, one
-        # plane per output wire the wire reaches
+        # the inputs grouped by their last occupied wire, each wire's rows in
+        # tiles of at most _LIFT_CHUNK entries or one row, inputs x outputs,
+        # one plane per output wire the wire reaches
         by_wire = np.argsort(k, kind="stable")
         ends = np.searchsorted(k[by_wire], np.arange(n_modes + 1)).tolist()
         parents, scale = parents[by_wire], scale[by_wire, None]
