@@ -255,11 +255,17 @@ def _lift(config: InterferometerConfig, bins: int, n_max: int, caps,
     The top sector must hold an input, and no block exceed the bound."""
     n_modes = 2 * bins
     # sector sizes grow with n: the top sector's size refuses at once, and
-    # sector `full`'s block (its states are its inputs) before any count
-    if sector_dim(n_modes, n_max) > DEFAULT_MAX_STATE_ENTRIES:
+    # sector `full`'s block (its states are its inputs) before any count;
+    # the top one's C(a + b, b), the product of (a + j) / j over j <= b, is
+    # summed in log10 first, and counted exactly only below 10^31
+    b, a = sorted((n_max, n_modes - 1))
+    digits = math.fsum(math.log10(a + j) - math.log10(j)
+                       for j in range(1, b + 1))
+    top = sector_dim(n_modes, n_max) if digits < 31 else math.inf
+    if top > DEFAULT_MAX_STATE_ENTRIES:
+        size = _printable(top) if digits < 31 else f"10^{digits:.2f}"
         raise ValueError(f"photon-number sector {_printable(n_max)} of "
-                         f"{_printable(sector_dim(n_modes, n_max))} states "
-                         f"exceeds the sector bound "
+                         f"{size} states exceeds the sector bound "
                          f"{DEFAULT_MAX_STATE_ENTRIES}")
     n, m = full, sector_dim(n_modes, full)
     if full < n_max and m * m <= DEFAULT_MAX_STATE_ENTRIES:

@@ -282,10 +282,20 @@ def build_e2_e3(cutoff: int) -> BlockEffects:
     = |w|^2 = 2^-n`` and ``u.w = 4^-n`` (:func:`t_term` (n, n) / (4^n n!),
     on the one shared state ``|0, n, 0>``) up to the cutoff, 0 above.  As
     ``||[u u^T, w w^T]||_F^2 = 2 (u.w)^2 (|u|^2 |w|^2 - (u.w)^2)``, the
-    commutator norm is the f of :data:`NONCOMMUTATIVITY_FLOOR`.
+    commutator norm is the f of :data:`NONCOMMUTATIVITY_FLOOR`.  Refuses,
+    before any work, all but an integer cutoff from 3 to 47.
     """
+    _require_integers(cutoff=cutoff)
     if cutoff < 3:
         raise ValueError(f"cutoff too small: need cutoff >= 3, got {cutoff}")
+    # sector n's two m_n x m_n blocks, m_n its signal states: 2 sum m_n^2
+    # entries, a quintic in the cutoff (its Ehrhart polynomial)
+    c = cutoff
+    entries = (c + 1) * (11 * c**4 + 44 * c**3 + 71 * c**2 + 54 * c + 20) // 10
+    if entries > DEFAULT_MAX_STATE_ENTRIES:
+        raise ValueError(f"cutoff {_printable(c)} needs closed-form blocks of "
+                         f"{_printable(entries)} entries, which exceeds the "
+                         f"bound {DEFAULT_MAX_STATE_ENTRIES}")
     # the signal box in ascending order, then stably by photon number: each
     # sector's states are one run, in ascending order
     occ = np.indices((cutoff + 1,) * 3).reshape(3, -1)
@@ -294,9 +304,9 @@ def build_e2_e3(cutoff: int) -> BlockEffects:
     occ, n = occ[:, order], n[order]
     sectors = np.searchsorted(n, np.arange(3 * cutoff + 2))
     codes = (cutoff + 1) ** np.arange(2, -1, -1) @ occ
-    # root[n, k] = sqrt(C(n, k)) / 2^n
+    # root[n, k] = sqrt(C(n, k)) / 2^n, each C(n, k) a float (exact to 22)
     top = np.arange(3 * cutoff + 1)
-    root = np.sqrt([[math.comb(m, k) for k in top] for m in top]) \
+    root = np.sqrt([[float(math.comb(m, k)) for k in top] for m in top]) \
         / 2.0 ** top[:, None]
     v = (n > 0) * np.array([root[n, occ[0]] * (occ[2] == 0),
                             root[n, occ[1]] * (occ[0] == 0)

@@ -20,16 +20,15 @@ place in the package that turns amplitudes into click probabilities, and
 :func:`_sample_pairs` the only place that draws clicks from it; Bob, Eve
 and :mod:`dpsqkd.entangled` all go through the two.
 
-A session runs in chunks of ``_CHUNK_BINS`` key bins, each with the pulse
-before it, and holds no array longer than a chunk and that pulse: Alice's
-bits, Eve's attack and Bob's clicks are made chunk by chunk, and only
-counts outlive a chunk, so a session's memory does not grow with N.  Each
-of its draw streams gets one generator, jumped once to where one
-whole-session draw puts that stream, with the buffered 32-bit half-word
-(:func:`_positioned_rng`), which then draws chunk after chunk; so no
-output depends on the chunk size.  Alice's S' and Eve's resend bits are
-``integers(0, 2)`` draws, read a chunk at a time from the raw PCG64 words
-(:class:`_BitStream`).
+A session runs in chunks of ``_CHUNK_BINS`` pulses, cut at its multiples,
+each after the first with the pulse before it, and holds no array longer
+than a chunk and that pulse: Alice's bits, Eve's attack and Bob's clicks
+are made chunk by chunk, and only counts outlive a chunk, so a session's
+memory does not grow with N.  Each of its draw streams gets a generator,
+jumped once to where one whole-session draw puts it (:func:`_bits_end`),
+which then draws chunk after chunk; Alice's S' and Eve's resend bits are
+read from raw PCG64 words (:func:`_integer_bits`) in whole 32-bit
+half-words but the last, so no output depends on the chunk size.
 
 Bin indexing: pulses occupy bins 0..N, key bins (and disclosed intervals)
 are 1-based indices 1..N.
@@ -56,7 +55,8 @@ CSV_COLUMNS = ("schema_version", "bins", "alphaSquared", "phi2", "efficiency",
                "darkClickProb", "eveFraction", "seed", "clicks",
                "doubleClicks", "siftedLength", "siftedRate", "errors", "qber")
 
-#: key bins per session chunk, few enough for a chunk's arrays to stay in cache
+#: pulses per session chunk, few enough for its arrays to stay in cache; a
+#: multiple of 4, so that its uint8 bit reads end on 32-bit half-words
 _CHUNK_BINS = 1 << 15
 
 
@@ -111,37 +111,15 @@ def _integer_bits(rng: np.random.Generator, out: np.ndarray,
     return out
 
 
-class _BitStream:
-    """The `n` bits ``rng.integers(0, 2, n, np.uint8)`` draws, read in
-    order a piece at a time (:meth:`read`): the bits of `rng`'s buffered
-    half-word, then a bit per byte of each raw output (:func:`_integer_bits`),
-    then the last few bits, which ``integers`` draws again.  `end`, a new
-    generator, is set at once to where the whole draw leaves `rng`."""
-
-    def __init__(self, rng: np.random.Generator, n: int):
-        head = min(4, n) if rng.bit_generator.state["has_uint32"] else 0
-        self._spare = rng.integers(0, 2, head, np.uint8)   # read first
-        self._rng, self._words = rng, (n - head) // 8
-        self.end = _positioned_rng(rng.bit_generator.state, self._words)
-        self._tail = self.end.integers(0, 2, (n - head) % 8, np.uint8)
-
-    def read(self, out: np.ndarray) -> np.ndarray:
-        """Write the next ``out.size`` bits into the uint8 array `out`."""
-        k = min(self._spare.size, out.size)
-        out[:k], self._spare = self._spare[:k], self._spare[k:]
-        words = min((out.size - k) // 8, self._words)
-        if words:
-            _integer_bits(self._rng, out[k:k + 8 * words])
-            self._words -= words
-            k += 8 * words
-        if k < out.size:           # part of one more output, or the tail
-            if self._words:
-                self._words -= 1
-                self._spare = _integer_bits(self._rng, np.empty(8, np.uint8))
-            else:
-                self._spare, self._tail = self._tail, self._tail[:0]
-            self.read(out[k:])
-        return out
+def _bits_end(state: dict, n: int) -> dict:
+    """The state in which ``integers(0, 2, n, np.uint8)`` leaves a PCG64
+    generator at the ``bit_generator.state`` `state`, without drawing the
+    bits: past a buffered half-word and n // 8 outputs, then the rest."""
+    head = min(4, n) if state["has_uint32"] else 0
+    end = _positioned_rng({**state, "has_uint32": 0} if head else state,
+                          (n - head) // 8)
+    end.integers(0, 2, (n - head) % 8, np.uint8)
+    return end.bit_generator.state
 
 
 @dataclass(frozen=True)
@@ -365,70 +343,60 @@ def _xor_runs(x: np.ndarray, cont: np.ndarray) -> np.ndarray:
     return np.unpackbits(v.view(np.uint8), count=n, bitorder="little")
 
 
-def _chunks(n_bins: int):
-    """``(a, b)`` of each chunk of key bins a+1..b, in order; one chunk of
-    pulse 0 alone when there are no key bins."""
-    for a in range(0, max(n_bins, 1), _CHUNK_BINS):
-        yield a, min(a + _CHUNK_BINS, n_bins)
-
-
-def _pulse_chunks(bits: _BitStream, n_bins: int):
-    """Alice's bits of pulses a..b of each chunk (:func:`_chunks`), read
-    from `bits`: views of one buffer, which the next chunk overwrites after
-    carrying its last pulse to the front."""
+def _pulse_chunks(rng: np.random.Generator, n_bins: int):
+    """Alice's bits ``rng.integers(0, 2, N + 1, np.uint8)``, cut at each
+    multiple C of ``_CHUNK_BINS``, each chunk after the first behind the
+    last pulse of the one before, so chunk c holds key bins max(1, c C)..
+    min((c+1) C - 1, N): views of one buffer, which the next overwrites."""
     sp = np.empty(min(n_bins, _CHUNK_BINS) + 1, dtype=np.uint8)
-    bits.read(sp[:1])
-    for a, b in _chunks(n_bins):
-        bits.read(sp[1:b - a + 1])
-        yield sp[:b - a + 1]
-        sp[0] = sp[b - a]
+    for a in range(0, n_bins + 1, _CHUNK_BINS):
+        k = (a > 0) + min(_CHUNK_BINS, n_bins + 1 - a)
+        _integer_bits(rng, sp[a > 0:k])
+        yield sp[:k]
+        sp[0] = sp[k - 1]
 
 
 def _eve_streams(start: dict, n_bins: int):
     """Eve's generators, each at its stream's start in the stream that
     reaches the ``bit_generator.state`` `start` when she begins: her tap
     uniforms of pulses 0..N, her D0 and D1 uniforms of key bins 1..N, and
-    after them her resend bits, a :class:`_BitStream`."""
-    resend = _BitStream(_positioned_rng(start, 3 * n_bins + 1), n_bins + 1)
-    return [_positioned_rng(start, k)
-            for k in (0, n_bins + 1, 2 * n_bins + 1)], resend
+    after them her resend bits; and the state her draws end in."""
+    streams = [_positioned_rng(start, k * n_bins + (k > 0)) for k in range(4)]
+    return streams, _bits_end(streams[-1].bit_generator.state, n_bins + 1)
 
 
 def _eve_chunks(trains, alpha: complex, eve_fraction: float,
-                coeffs: np.ndarray, streams, resend: _BitStream):
-    """Eve's intercept-resend, chunk by chunk, on `trains`: Alice's bits
-    of pulses a..b of each chunk of key bins a+1..b, the first chunk the
-    longest; its one caller is a session (:func:`_session_chunks`).  She
-    taps each pulse with probability `eve_fraction`, routes the tapped
-    ones through her own copy of Bob's interferometer with ideal
-    detectors, and resends +-alpha pulses: a bin whose phase she resolved
-    chains onto the pulse before it, the rest take her random bits, and
-    untapped pulses pass through.  `streams` and `resend` are her
-    generators (:func:`_eve_streams`).  Yields ``(sp, tapped, known, d1, bits)`` per
-    chunk: Alice's bits, whether Eve tapped pulses a..b, whether she
-    learned s_i in key bins a+1..b, her D1 clicks there, and the bits of
-    pulses a..b that Bob receives; views of buffers that the next chunk
-    overwrites.  Pulse b's tap and received bit carry over to the next
-    chunk, whose leading run of known bins chains onto that bit."""
-    taps, *clicks = streams
+                coeffs: np.ndarray, streams):
+    """Eve's intercept-resend, chunk by chunk, on `trains`, Alice's bits
+    as :func:`_pulse_chunks` cuts them; its one caller is a session
+    (:func:`_session_chunks`).  She taps each pulse with probability
+    `eve_fraction`, routes the tapped ones through her own copy of Bob's
+    interferometer with ideal detectors, and resends +-alpha pulses: a bin
+    whose phase she resolved chains onto the pulse before it, the rest
+    take her random bits, and untapped pulses pass through.  `streams` are
+    her generators (:func:`_eve_streams`).  Yields ``(sp, tapped, known,
+    d1, bits)`` per chunk: Alice's bits, whether Eve tapped each pulse,
+    whether she learned s_i in each key bin, her D1 clicks there, and the
+    bits Bob receives; views of buffers that the next chunk overwrites,
+    after its carried pulse takes the last one's tap and received bit."""
+    taps, *clicks, resend = streams
     trains = iter(trains)
     sp = next(trains)
     # her interferometer sees each pulse as vacuum (untapped), or as pulse
     # 0's amplitude times +1 or -1: symbol 0, or 1 + its bit ^ s'_0
-    s0, m = sp[0], sp.size - 1
+    s0, m = sp[0], sp.size
     table = _pair_table(DetectorModel.ideal(),
                         np.array([0, 1, -1]) * _symbols(alpha)[s0], coeffs)
     work, pair = np.empty((2, m)), np.empty(m, dtype=np.intp)
     d, tap = np.empty((2, m), dtype=bool), np.empty(m + 1, dtype=bool)
-    # known[0] stays 0: each chunk's chain starts at its carried pulse
+    # known[0] stays 0: each chunk's chain starts at its first pulse
     known = np.zeros(m + 1, dtype=bool)
     x, e = np.empty((2, m + 1), dtype=np.uint8)
-    tap[0] = taps.random() < eve_fraction
-    resend.read(x[:1])
+    c = 0                  # where the chunk's new pulses start
     while sp is not None:
         n = sp.size - 1
         t = tap[:n + 1]
-        np.less(taps.random(out=work[0, :n]), eve_fraction, out=t[1:])
+        np.less(taps.random(out=work[0, :n + 1 - c]), eve_fraction, out=t[c:])
         sym = np.bitwise_xor(sp, s0, out=e[:n + 1])
         sym += 1
         sym *= t
@@ -441,7 +409,8 @@ def _eve_chunks(trains, alpha: complex, eve_fraction: float,
         hit = np.bitwise_xor(d0, d1, out=known[1:n + 1])
         hit &= t[:-1]
         hit &= t[1:]
-        s = resend.read(x[1:n + 1])
+        _integer_bits(resend, x[c:n + 1])
+        s = x[1:n + 1]
         diff = np.bitwise_xor(s, d1, out=e[:n])
         diff &= hit
         s ^= diff
@@ -454,12 +423,12 @@ def _eve_chunks(trains, alpha: complex, eve_fraction: float,
         out &= t.view(np.uint8)
         out ^= sp
         yield sp, t, hit, d1, out
-        tap[0], x[0] = t[-1], out[-1]
+        tap[0], x[0], c = t[-1], out[-1], 1
         sp = next(trains, None)
 
 
 def _session_chunks(config: SessionConfig):
-    """A session's clicks, chunk by chunk of key bins a+1..b: yields
+    """A session's clicks, chunk by chunk (:func:`_pulse_chunks`): yields
     ``((d0, d1), key)``, Bob's D0 and D1 clicks and Alice's key bits s_i
     (bool), views of buffers that the next chunk overwrites.
 
@@ -470,16 +439,15 @@ def _session_chunks(config: SessionConfig):
     train Bob receives (a pair and its negation give equal ones)."""
     n, alpha = int(config.n_bins), config.alpha
     coeffs = interferometer_coefficients(config.interferometer())
-    alice = _BitStream(np.random.default_rng(config.seed), n + 1)
-    start = alice.end.bit_generator.state
+    rng = np.random.default_rng(config.seed)
+    start = _bits_end(rng.bit_generator.state, n + 1)
+    alice = _pulse_chunks(rng, n)
     if config.eve_fraction > 0.0:
-        streams, resend = _eve_streams(start, n)
+        streams, start = _eve_streams(start, n)
         trains = ((sp, out) for sp, *_, out in _eve_chunks(
-            _pulse_chunks(alice, n), alpha, config.eve_fraction, coeffs,
-            streams, resend))
-        start = resend.end.bit_generator.state
+            alice, alpha, config.eve_fraction, coeffs, streams))
     else:
-        trains = ((sp, sp) for sp in _pulse_chunks(alice, n))
+        trains = ((sp, sp) for sp in alice)
     model = config.detector()
     # pulse pairs (u, v) and (1-u, 1-v) carry opposite amplitudes, so equal
     # click probabilities to the bit: those of pairs (0, 0) and (0, 1) are

@@ -25,6 +25,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .optics import _require_integers
+
 DESK_DIM_LIMIT = 4
 _TOL = 1e-9
 #: entries of the largest array one block of the witness layer holds: a grid
@@ -208,13 +210,19 @@ def min_separable_expectation(W: np.ndarray, dims: Tuple[int, int],
     state attains the value.  The stack runs block by block (hermiticity
     check, grid pass, refinement), each array bounded by
     ``_GRID_BLOCK_ENTRIES`` entries; operators are independent, so the
-    block size never changes a result."""
+    block size never changes a result.  Refuses bad input in one line."""
     (dA, dB), W = dims, np.asarray(W, dtype=complex)
-    if max(dims) > DESK_DIM_LIMIT or W.shape[-2:] != (dA * dB, dA * dB) \
-            or W.ndim not in (2, 3):
-        raise ValueError(f"need dims up to the desk scale {DESK_DIM_LIMIT} "
-                         f"and W of shape ([K,] D, D) with D = dA dB, got "
-                         f"dims {dims} and shape {W.shape}")
+    _require_integers(dA=dA, dB=dB, grid_points=grid_points, seed=seed)
+    if not 1 <= min(dims) <= max(dims) <= DESK_DIM_LIMIT \
+            or W.shape[-2:] != (dA * dB, dA * dB) or W.ndim not in (2, 3):
+        raise ValueError(f"need dims from 1 up to the desk scale "
+                         f"{DESK_DIM_LIMIT} and W of shape ([K,] D, D) with "
+                         f"D = dA dB, got dims {dims} and shape {W.shape}")
+    if not np.all(np.isfinite(W)):
+        raise ValueError("witness operator is not finite")
+    if grid_points < 1 or seed < 0:
+        raise ValueError(f"need grid_points >= 1 and seed >= 0, got "
+                         f"{grid_points} and {seed}")
     Ws = W.reshape(-1, dA * dB, dA * dB)
     cands = _unit_vector_grid(dA, grid_points, seed)
     outer = (cands.conj()[:, :, None] * cands[:, None, :]).reshape(
@@ -402,6 +410,8 @@ def witness_search(alice_effects: Sequence[np.ndarray],
     needs the :func:`_decompose` certificate and its shift eps:
     ``Tr(W rho) + eps < -_ACCEPT_MARGIN``.  Candidates are independent, so
     the blocks change neither the candidate found nor the counts.
+
+    Refuses bad input in one ValueError line (an empty family included).
     """
     if resolution not in _RESOLUTIONS:
         raise ValueError(f"unknown resolution {resolution!r}; "
@@ -409,10 +419,14 @@ def witness_search(alice_effects: Sequence[np.ndarray],
     values, max_terms, grid_points = _RESOLUTIONS[resolution]
     F = [np.asarray(f, dtype=complex) for f in alice_effects]
     G = [np.asarray(g, dtype=complex) for g in bob_effects]
-    dims = dA, dB = F[0].shape[0], G[0].shape[0]
-    if dA > DESK_DIM_LIMIT or dB > DESK_DIM_LIMIT:
-        raise ValueError("effect dimensions above desk scale")
     for fam, name in ((F, "alice"), (G, "bob")):
+        shapes = sorted({e.shape for e in fam})
+        if [len(s) for s in shapes] != [2] or not 0 < shapes[0][0] == \
+                shapes[0][1] or not all(np.isfinite(e).all() for e in fam):
+            raise ValueError(f"{name} effects must be one or more finite "
+                             f"square matrices of one size, got {shapes}")
+        if len(fam[0]) > DESK_DIM_LIMIT:
+            raise ValueError("effect dimensions above desk scale")
         for k, e in enumerate(fam):
             if np.max(np.abs(e - e.conj().T)) > _TOL:
                 raise ValueError(f"{name} effect {k} is not hermitian")
@@ -424,6 +438,7 @@ def witness_search(alice_effects: Sequence[np.ndarray],
             raise ValueError(f"{name} effect family is incomplete (sum "
                              f"deviates from identity by "
                              f"{family_completeness_defect(fam):.3e})")
+    dims = dA, dB = len(F[0]), len(G[0])
     rho = _checked_state(target_state, dA * dB)
 
     # real span of the effect products, as an orthonormal basis

@@ -250,6 +250,14 @@ def _unreachable(*args):
     ((10 ** 30, 1), "10^30.00 bins need a mode map of 10^60.60 entries, "
                     "which exceeds the bound 300000000"),
     ((8661, 0), "8661 bins need a mode map of 300051684 entries"),
+    # the top sector, sized from its log10 before any count of its 453,682
+    # or 6,339,285 digits, and counted exactly in full below 10^30
+    ((8660, 10 ** 30), "photon-number sector 10^30.00 of 10^453682.05 "
+                       "states exceeds the sector bound 300000000"),
+    ((4000, 10 ** 60), "photon-number sector 10^60.00 of 10^452191.19 states"),
+    ((8000, 10 ** 400), "sector 10^400.00 of 10^6339284.49 states"),
+    ((1, 10 ** 30 - 2), f"sector {10 ** 30 - 2} of {10 ** 30 - 1} states"),
+    ((1, 10 ** 30 - 1), f"sector {10 ** 30 - 1} of 10^30.00 states"),
 ])
 def test_sector_lift_refuses_malformed_input(args, needle, monkeypatch):
     # each is refused when the lift is asked for, before any sector or

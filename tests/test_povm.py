@@ -379,6 +379,36 @@ def test_build_e2_e3_cutoff_guard():
         build_e2_e3(2)
 
 
+def test_build_e2_e3_refuses_in_one_line_before_any_work(monkeypatch):
+    # the blocks' entries, 2 sum_n m_n^2 over the sectors' signal state
+    # counts m_n, in closed form: equal to the count at every cutoff to 60,
+    # within the bound up to 47.  Above it, or for a non-integer, the
+    # refusal comes before any array is built
+    for c in range(61):
+        counts = optics._capped_counts([c] * 3, 3 * c)
+        entries = (c + 1) * (11 * c ** 4 + 44 * c ** 3 + 71 * c ** 2
+                             + 54 * c + 20) // 10
+        assert entries == 2 * sum(m * m for m in counts), c
+        assert (entries <= optics.DEFAULT_MAX_STATE_ENTRIES) == (c <= 47)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the bound check")
+    monkeypatch.setattr(np, "indices", unreachable)
+    for cutoff, needle in [
+            (48, "cutoff 48 needs closed-form blocks of 310781618 entries, "
+                 "which exceeds the bound 300000000"),
+            (10 ** 30, r"cutoff 10\^30\.00 needs closed-form blocks of "
+                       r"10\^150\.04 entries"),
+            (23.0, "cutoff must be an integer, got 23.0"),
+            (math.inf, "cutoff must be an integer, got inf"),
+            (False, "cutoff must be an integer, got False")]:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=needle) as info:
+            build_e2_e3(cutoff)
+        assert time.perf_counter() - t0 < 0.2, cutoff
+        assert "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("kwargs, needle", [
     ({"cutoff": 2.5}, "cutoff must be an integer"),
     ({"cutoff": math.nan}, "cutoff must be an integer"),
@@ -508,7 +538,8 @@ def test_floor_formula_clears_the_floor_from_cutoff_3():
     assert abs(floor_formula(60) - limit) < 1e-15
 
 
-@pytest.mark.parametrize("cutoff", range(3, 16))
+# from cutoff 23 the binomials C(n, k) of the blocks pass int64
+@pytest.mark.parametrize("cutoff", [*range(3, 16), 23, 30])
 def test_closed_form_norm_matches_the_floor_formula(cutoff):
     norm = povm._commutator_norm(build_e2_e3(cutoff).blocks)
     assert abs(norm - floor_formula(cutoff)) <= FLOOR_FORMULA_TOL

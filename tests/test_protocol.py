@@ -51,19 +51,21 @@ def _eve_record(cfg):
     """Eve's attack in the session `cfg`, joined from the chunks of her
     kernel: Alice's S', the bits Bob receives and Eve's taps (pulses
     0..N), the 1-based key bins whose s_i she learned and her bits there,
-    and her resend stream's generator, where her draws leave it."""
+    and a generator where her draws leave her stream."""
     n = cfg.n_bins
-    alice = protocol._BitStream(np.random.default_rng(cfg.seed), n + 1)
-    streams, resend = protocol._eve_streams(alice.end.bit_generator.state, n)
+    rng = np.random.default_rng(cfg.seed)
+    streams, end = protocol._eve_streams(
+        protocol._bits_end(rng.bit_generator.state, n + 1), n)
     chunks = protocol._eve_chunks(
-        protocol._pulse_chunks(alice, n), cfg.alpha, cfg.eve_fraction,
-        interferometer_coefficients(cfg.interferometer()), streams, resend)
+        protocol._pulse_chunks(rng, n), cfg.alpha, cfg.eve_fraction,
+        interferometer_coefficients(cfg.interferometer()), streams)
     # each chunk after the first repeats the pulse before its key bins
     parts = [(sp[k > 0:].copy(), bits[k > 0:].copy(), tap[k > 0:].copy(),
               hit.copy(), d1[hit].view(np.uint8))
              for k, (sp, tap, hit, d1, bits) in enumerate(chunks)]
     sp, bits, tapped, known, known_bits = map(np.concatenate, zip(*parts))
-    return sp, bits, tapped, np.flatnonzero(known) + 1, known_bits, resend.end
+    return (sp, bits, tapped, np.flatnonzero(known) + 1, known_bits,
+            protocol._positioned_rng(end, 0))
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
@@ -88,15 +90,59 @@ def test_integer_bits_are_the_generators_bits(size, before, dtype):
                               want.integers(0, 2, 9, dtype))
 
 
+@pytest.mark.parametrize("chunk", [4, 8, 12, 1 << 15])
+@pytest.mark.parametrize("before", [0, 1])
+def test_chunked_bit_reads_join_into_one_draw(chunk, before):
+    # from a whole output and from a buffered half-word, with N + 1 pulses
+    # on both sides of a chunk boundary: Alice's chunks, joined without
+    # their carried pulses, and the chunk by chunk reads of Eve's resend
+    # bits are the bits of one `integers(0, 2, N + 1, uint8)` draw, and
+    # _bits_end is the state that draw leaves, so also its next draws
+    assert protocol._CHUNK_BINS % 4 == 0
+    cfg = InterferometerConfig.compensated()
+    coeffs = interferometer_coefficients(cfg)
+    for pulses in (1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        n = pulses - 1
+        for seed in (0, 5):
+            want, got = (np.random.default_rng(seed) for _ in range(2))
+            want.integers(0, 2, before), got.integers(0, 2, before)
+            state = got.bit_generator.state
+            assert state["has_uint32"] == before
+            bits = want.integers(0, 2, pulses, np.uint8)
+            stream = _stream(want)
+            end = protocol._positioned_rng(protocol._bits_end(state,
+                                                              pulses), 0)
+            assert _stream(end) == stream
+            assert end.random() == want.random()
+            assert np.array_equal(end.integers(0, 2, 9, np.uint8),
+                                  want.integers(0, 2, 9, np.uint8))
+            with mock.patch.object(protocol, "_CHUNK_BINS", chunk):
+                alice = [sp[k > 0:].copy() for k, sp in
+                         enumerate(protocol._pulse_chunks(got, n))]
+                assert [a.size for a in alice[:-1]] == [chunk] * (
+                    len(alice) - 1)
+                assert np.array_equal(np.concatenate(alice), bits)
+                assert _stream(got) == stream
+                # Eve's resend bits at 1e-9 photons: she learns no bin, so
+                # each bit she resends on a tapped pulse is her drawn one
+                resend = protocol._positioned_rng(state, 0)
+                streams = [*map(np.random.default_rng, (1, 2, 3)), resend]
+                trains = (bits[max(a - 1, 0):a + chunk]
+                          for a in range(0, pulses, chunk))
+                sent = [out[k > 0:].copy() for k, (*_, out) in enumerate(
+                    protocol._eve_chunks(trains, 1e-9, 1.0, coeffs, streams))]
+            assert np.array_equal(np.concatenate(sent), bits)
+            assert _stream(resend) == stream
+
+
 def test_random_bits_need_a_pcg64_generator():
     # the raw-bit route reads PCG64's words, so another bit generator is
-    # refused in one line, by the helper and by the stream that reads
-    # Alice's and Eve's bits through it
+    # refused in one line, by the helper and by Alice's chunks, which read
+    # her bits through it
     philox = np.random.Generator(np.random.Philox(0))
     for draw in (lambda: protocol._integer_bits(philox,
                                                 np.empty(10, np.uint8)),
-                 lambda: protocol._BitStream(philox, 41).read(
-                     np.empty(41, np.uint8))):
+                 lambda: next(protocol._pulse_chunks(philox, 40))):
         with pytest.raises(ValueError, match="PCG64") as info:
             draw()
         assert "\n" not in str(info.value)
@@ -343,11 +389,11 @@ def test_intercept_resend_chain_matches_loop(n, mode, seed):
     fraction = rng.uniform(0.05, 1.0) if mode == "random" else 1.0
     sp = rng.integers(0, 2, n).astype(np.uint8)
     # Eve's kernel on one chunk of n pulses, her stream from `seed`
-    streams, resend = protocol._eve_streams(
+    streams, _ = protocol._eve_streams(
         np.random.default_rng(seed).bit_generator.state, n - 1)
     coeffs = interferometer_coefficients(InterferometerConfig.compensated())
     _, tapped, hit, d1, out = next(protocol._eve_chunks(
-        [sp], alpha, fraction, coeffs, streams, resend))
+        [sp], alpha, fraction, coeffs, streams))
     known_bins = np.flatnonzero(hit) + 1
     want = {"random": known_bins,
             "all": np.arange(1, n), "none": np.empty(0, dtype=int)}[mode]
@@ -381,14 +427,15 @@ def test_xor_runs_matches_loop(n):
 
 
 @settings(max_examples=120, deadline=None)
-@given(n=st.integers(0, 300), chunk=st.integers(1, 64),
+@given(n=st.integers(0, 300),
+       chunk=st.integers(1, 16).map(lambda k: 4 * k),
        tap=st.sampled_from([0.0, 0.4, 1.0]),
        dark=st.sampled_from([0.0, 0.05]), phi2=st.sampled_from([0.0, 0.7]),
        alpha2=st.sampled_from([0.0, 0.2, 0.9]),
        seed=st.integers(0, 2 ** 32 - 1))
 # Alice's ceil(9 / 4) = 3 uint32 draws leave a buffered half-word that
 # Eve's resend bits consume first
-@example(n=8, chunk=3, tap=0.4, dark=0.05, phi2=0.0, alpha2=0.9, seed=1)
+@example(n=8, chunk=4, tap=0.4, dark=0.05, phi2=0.0, alpha2=0.9, seed=1)
 @example(n=64, chunk=16, tap=1.0, dark=0.05, phi2=0.7, alpha2=0.9, seed=2)
 @example(n=17, chunk=16, tap=0.4, dark=0.0, phi2=0.0, alpha2=0.9, seed=3)
 # alpha = 0: no clicks but dark ones, and every pulse is +-0.0

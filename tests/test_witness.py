@@ -232,6 +232,42 @@ def test_search_refuses_bad_input(target, kwargs, needle):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("call, needle", [
+    (lambda fam: min_separable_expectation(np.full((4, 4), np.nan), (2, 2)),
+     "witness operator is not finite"),
+    (lambda fam: min_separable_expectation(np.eye(4), (2, 2),
+                                           grid_points=-5),
+     "need grid_points >= 1 and seed >= 0, got -5 and 3"),
+    (lambda fam: min_separable_expectation(np.eye(4), (2, 2),
+                                           grid_points=0),
+     "need grid_points >= 1"),
+    (lambda fam: min_separable_expectation(np.eye(4), (2, 2),
+                                           grid_points=2.5),
+     "grid_points must be an integer, got 2.5"),
+    (lambda fam: witness_search([], fam, bell_state_density()),
+     r"alice effects must be one or more .* got \[\]"),
+    (lambda fam: witness_search(fam, [], bell_state_density()),
+     r"bob effects must be one or more .* got \[\]"),
+    (lambda fam: witness_search(fam + [np.eye(3)], fam, bell_state_density()),
+     r"alice effects must be one or more finite square matrices of one "
+     r"size, got \[\(2, 2\), \(3, 3\)\]"),
+    (lambda fam: witness_search(fam, [np.ones((2, 3))], bell_state_density()),
+     r"bob effects .* got \[\(2, 3\)\]"),
+    (lambda fam: witness_search(fam, [np.eye(0)], bell_state_density()),
+     r"bob effects .* got \[\(0, 0\)\]"),
+    (lambda fam: witness_search([np.full((2, 2), np.nan)], fam,
+                                bell_state_density()),
+     r"alice effects must be one or more finite .* got \[\(2, 2\)\]"),
+])
+def test_witness_entry_points_refuse_by_name(call, needle):
+    # each malformed input is refused by what is wrong with it, in one
+    # line, not by a NaN compare, a math domain error, an IndexError or a
+    # broadcast message
+    with pytest.raises(ValueError, match=needle) as info:
+        call(bb84_effect_family())
+    assert "\n" not in str(info.value)
+
+
 def _scalar_separable_min(W, dims, grid_points=800, refine_steps=200,
                           n_starts=8, seed=3):
     """The per-operator loop the stacked route replaced: side-A grid,
